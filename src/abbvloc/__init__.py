@@ -25,7 +25,6 @@ from .core import (
 from .engine import (
     OrbitDatum,
     OrbitSystem,
-    SampleOutcome,
     check_v_independence,
     dh_series,
     localize_characteristic,
@@ -65,6 +64,7 @@ from .polytope import (
     triangulation_volume,
     vertices_from_halfspaces,
 )
+from .sampling import SampleOutcome, sample_independent
 from .secondary import (
     WeightedSphereFoliation,
     asuke_closed_form,

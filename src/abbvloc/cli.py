@@ -41,13 +41,7 @@ from .engine import (
     localize_volume,
     weighted_sphere_system,
 )
-from .errors import (
-    AllSamplesPoles,
-    InconsistentSamples,
-    InputError,
-    LocalizationError,
-    PoleAtSample,
-)
+from .errors import InconsistentSamples, InputError, LocalizationError
 from .homogeneous import (
     RootData,
     homogeneous_volume,
@@ -62,7 +56,7 @@ from .polytope import (
     random_functional,
     triangulation_volume,
 )
-from .sampling import SplitMix64, sample_distinct_positive, sample_vector
+from .sampling import POSITIVE_POOL, SplitMix64, sample_distinct_positive, sample_independent
 from .secondary import (
     WeightedSphereFoliation,
     asuke_closed_form,
@@ -72,6 +66,9 @@ from .secondary import (
 from .toric import GoodCone, orbit_system_from_cone, toric_volume
 
 DEFAULT_SAMPLES = 10
+
+# What a malformed document raises while it is converted.
+_MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError)
 
 
 class _CliInputError(InputError):
@@ -102,14 +99,25 @@ def _int_list(text: str) -> list:
         raise _CliInputError(f"cannot parse integer list {text!r}") from exc
 
 
-def _load_json(path: str):
+def _multiindex(text: str) -> tuple:
+    try:
+        return canonical_multiindex(_int_list(text))
+    except ValueError as exc:
+        raise _CliInputError(f"bad multiindex {text!r}: {exc}") from exc
+
+
+def _load_json(path: str) -> dict:
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(sys.stdin)
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise _CliInputError(f"cannot read JSON input {path!r}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise _CliInputError(f"JSON input {path!r} must be an object, not {type(doc).__name__}")
+    return doc
 
 
 def _vector(doc) -> Vector:
@@ -132,7 +140,7 @@ def _load_orbit_system(doc) -> OrbitSystem:
             codim_half=int(doc["codim_half"]),
             orbits=orbits,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise _CliInputError(f"malformed orbit system document: {exc}") from exc
 
 
@@ -146,7 +154,7 @@ def _load_cone(doc) -> GoodCone:
             lattice_basis=None if basis is None else Matrix(basis),
             pi_scale_exponent=int(doc.get("pi_scale_exponent", 1)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise _CliInputError(f"malformed cone document: {exc}") from exc
 
 
@@ -159,7 +167,7 @@ def _load_root_data(doc) -> RootData:
             b=_vector(doc["b"]),
             projection=_vector(doc["p"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise _CliInputError(f"malformed root data document: {exc}") from exc
 
 
@@ -171,19 +179,8 @@ def _load_section(doc) -> HPolytope:
             normals=tuple(_vector(v) for v in doc["normals"]),
             reeb=_vector(doc["reeb"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise _CliInputError(f"malformed polytope document: {exc}") from exc
-
-
-def _sample_nonpole(dim: int, rng: SplitMix64, evaluate, budget: int = 100):
-    """Evaluate at sampled vectors, skipping poles; returns (v, value)."""
-    for _ in range(budget):
-        v = sample_vector(dim, rng)
-        try:
-            return v, evaluate(v)
-        except PoleAtSample:
-            continue
-    raise AllSamplesPoles("no pole-free sample vector found")
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +227,30 @@ def _emit(report: dict, json_mode: bool) -> int:
 # subcommand handlers
 
 
+def _run_independence(system, samples, seed) -> tuple:
+    """check_v_independence as a check: (samples used, value, check).
+
+    A disagreement fails the check, with value zero and no samples."""
+    try:
+        outcome = check_v_independence(system, samples=samples, seed=seed)
+    except InconsistentSamples as exc:
+        return [], PiScalar.zero(), _check("v-independence", False, str(exc))
+    detail = f"{len(outcome.samples_used)} samples, {outcome.rejected_poles} poles rejected"
+    return outcome.samples_used, outcome.value, _check("v-independence", True, detail)
+
+
+def _resample(evaluate, dim, samples, seed) -> tuple:
+    """sample_independent as a check: (value, check).
+
+    A disagreement fails the check, which then names the first disagreeing
+    pair; the value is the first sample's."""
+    try:
+        outcome = sample_independent(evaluate, dim, samples, seed)
+    except InconsistentSamples as exc:
+        return exc.value_a, _check("v-independence", False, str(exc))
+    return outcome.value, _check("v-independence", True, f"{len(outcome.samples_used)} samples")
+
+
 def _cmd_volume_sphere(args) -> dict:
     weights = _rat_list(args.weights)
     system = weighted_sphere_system(weights)
@@ -238,60 +259,42 @@ def _cmd_volume_sphere(args) -> dict:
     for w in weights:
         product *= w
     closed = PiScalar(Fraction(2) / (product * factorial(n)), n + 1)
-    checks = []
-    outcome, consistent, detail = _run_independence(system, args.samples, args.seed)
-    checks.append(_check("v-independence", consistent, detail))
-    value = outcome if consistent else closed
-    checks.append(
+    _, value, independence = _run_independence(system, args.samples, args.seed)
+    consistent = independence["pass"]
+    if not consistent:
+        value = closed
+    checks = [
+        independence,
         _check(
             "closed-form match 2*pi^(n+1)/(n! prod w)",
             consistent and value == closed,
             f"expected {closed.exact_str()}",
-        )
-    )
+        ),
+    ]
     return _report("volume-sphere", value, checks, weights=[rat_str(w) for w in weights])
-
-
-def _run_independence(system, samples, seed, numerator=None):
-    try:
-        outcome = check_v_independence(system, numerator=numerator, samples=samples, seed=seed)
-        return (
-            outcome.value,
-            True,
-            f"{len(outcome.samples_used)} samples, {outcome.rejected_poles} poles rejected",
-        )
-    except InconsistentSamples as exc:
-        return PiScalar.zero(), False, str(exc)
 
 
 def _cmd_volume_toric(args) -> dict:
     cone = _load_cone(_load_json(args.input))
     system = orbit_system_from_cone(cone)
-    checks = []
-    value, consistent, detail = _run_independence(system, args.samples, args.seed)
-    checks.append(_check("v-independence", consistent, detail))
-    rng = SplitMix64(args.seed)
-    agree = True
+    samples, value, independence = _run_independence(system, args.samples, args.seed)
+    # Both routes have their poles on the same samples (Cramer's rule), so
+    # the determinant formula is compared at the orbit route's samples.
+    agree = bool(samples)
     tested = 0
-    for _ in range(100):
-        if tested == args.samples:
-            break
-        v = sample_vector(cone.dim, rng)
-        try:
-            direct = toric_volume(cone, v)
-        except PoleAtSample:
-            continue
+    for v in samples:
         tested += 1
-        if direct != value:
+        if toric_volume(cone, v) != value:
             agree = False
             break
-    checks.append(
+    checks = [
+        independence,
         _check(
             "two-route equality (determinant formula vs orbit data)",
-            consistent and agree and tested > 0,
+            agree,
             f"{tested} samples compared",
-        )
-    )
+        ),
+    ]
     return _report("volume-toric", value, checks)
 
 
@@ -345,43 +348,30 @@ def _cmd_msy_check(args) -> dict:
 
 def _cmd_localize(args) -> dict:
     system = _load_orbit_system(_load_json(args.input))
-    if args.j is not None:
-        J = canonical_multiindex(_int_list(args.j))
-        if args.leaf_integrals is None:
-            raise _CliInputError("characteristic mode requires --leaf-integrals")
-        leaf = [PiScalar(c, 0) for c in _rat_list(args.leaf_integrals)]
-        rng = SplitMix64(args.seed)
-        values = []
-        for _ in range(100):
-            if len(values) == max(2, args.samples):
-                break
-            v = sample_vector(system.dim_t, rng)
-            try:
-                values.append((v, localize_characteristic(system, J, leaf, v)))
-            except PoleAtSample:
-                continue
-        if not values:
-            raise AllSamplesPoles("no pole-free sample vector found")
-        value = values[0][1]
-        consistent = all(val == value for _, val in values)
-        checks = [
-            _check("v-independence", consistent, f"{len(values)} samples"),
-        ]
-        return _report("localize", value, checks, multiindex=list(J))
-    checks = []
-    value, consistent, detail = _run_independence(system, args.samples, args.seed)
-    checks.append(_check("v-independence", consistent, detail))
-    return _report("localize", value, checks)
+    if args.j is None:
+        _, value, independence = _run_independence(system, args.samples, args.seed)
+        return _report("localize", value, [independence])
+    J = _multiindex(args.j)
+    if args.leaf_integrals is None:
+        raise _CliInputError("characteristic mode requires --leaf-integrals")
+    leaf = [PiScalar(c, 0) for c in _rat_list(args.leaf_integrals)]
+    value, independence = _resample(
+        lambda v: localize_characteristic(system, J, leaf, v),
+        system.dim_t,
+        args.samples,
+        args.seed,
+    )
+    return _report("localize", value, [independence], multiindex=list(J))
 
 
 def _cmd_dh(args) -> dict:
     system = _load_orbit_system(_load_json(args.input))
-    rng = SplitMix64(args.seed)
     n = system.codim_half
     order = max(args.order, 0)
-    v, coeffs = _sample_nonpole(
-        system.dim_t, rng, lambda vv: dh_series(system, vv, order)
+    outcome = sample_independent(
+        lambda v: dh_series(system, v, order), system.dim_t, 1, args.seed
     )
+    coeffs = outcome.value
     checks = [
         _check(
             "coefficients below codim vanish",
@@ -390,7 +380,7 @@ def _cmd_dh(args) -> dict:
         )
     ]
     if order >= n:
-        vol = localize_volume(system, v)
+        vol = localize_volume(system, outcome.samples_used[0])
         checks.append(
             _check("order-n coefficient equals localized volume", coeffs[n] == vol, "")
         )
@@ -406,17 +396,19 @@ def _cmd_stiefel(args) -> dict:
     w = _rat_list(args.w)
     if len(w) != 3:
         raise _CliInputError("--w must have exactly three entries")
-    rng = SplitMix64(args.seed)
     closed = stiefel_closed_form(w)
-    v1, four1 = _sample_nonpole(3, rng, lambda v: stiefel_four_sum(w, v))
-    v2, four2 = _sample_nonpole(3, rng, lambda v: stiefel_four_sum(w, v))
+    try:
+        outcome = sample_independent(lambda v: stiefel_four_sum(w, v), 3, 2, args.seed)
+        four, second, v1 = outcome.value, outcome.value, outcome.samples_used[0]
+    except InconsistentSamples as exc:
+        four, second, v1 = exc.value_a, exc.value_b, exc.sample_a
     engine = homogeneous_volume(stiefel_so5_so3(), Vector(w), v1)
     checks = [
-        _check("closed-form match", four1 == closed, f"expected {closed.exact_str()}"),
-        _check("sample independence", four1 == four2, f"second sample {four2.exact_str()}"),
-        _check("root-data engine match", engine == four1, f"engine {engine.exact_str()}"),
+        _check("closed-form match", four == closed, f"expected {closed.exact_str()}"),
+        _check("sample independence", four == second, f"second sample {second.exact_str()}"),
+        _check("root-data engine match", engine == four, f"engine {engine.exact_str()}"),
     ]
-    return _report("stiefel", four1, checks, w=[rat_str(c) for c in w])
+    return _report("stiefel", four, checks, w=[rat_str(c) for c in w])
 
 
 def _cmd_homogeneous(args) -> dict:
@@ -427,33 +419,23 @@ def _cmd_homogeneous(args) -> dict:
     else:
         raise _CliInputError(f"unknown fixture {args.fixture!r}")
     b_prime = Vector(_rat_list(args.b_prime))
-    rng = SplitMix64(args.seed)
-    values = []
-    for _ in range(100):
-        if len(values) == max(2, args.samples):
-            break
-        v = sample_vector(rd.dim_t, rng)
-        try:
-            values.append(homogeneous_volume(rd, b_prime, v))
-        except PoleAtSample:
-            continue
-    if not values:
-        raise AllSamplesPoles("no pole-free sample vector found")
-    value = values[0]
-    checks = [
-        _check(
-            "v-independence",
-            all(val == value for val in values),
-            f"{len(values)} samples",
-        )
-    ]
-    return _report("homogeneous", value, checks)
+    value, independence = _resample(
+        lambda v: homogeneous_volume(rd, b_prime, v), rd.dim_t, args.samples, args.seed
+    )
+    return _report("homogeneous", value, [independence])
 
 
 def _cmd_check_w1(args) -> dict:
     m = args.m
     if m < 1:
         raise _CliInputError("--m must be a positive integer")
+    if m >= len(POSITIVE_POOL):
+        raise _CliInputError(
+            f"--m must be below {len(POSITIVE_POOL)}: it needs m + 1 distinct values "
+            f"from a pool of {len(POSITIVE_POOL)}"
+        )
+    if args.trials < 1:
+        raise _CliInputError("--trials must be a positive integer")
     rng = SplitMix64(args.seed)
     checks = []
     all_ok = True
@@ -473,24 +455,14 @@ def _cmd_check_w1(args) -> dict:
 
 def _cmd_secondary(args) -> dict:
     weights = _rat_list(args.weights)
-    J = canonical_multiindex(_int_list(args.j))
+    J = _multiindex(args.j)
     foliation = WeightedSphereFoliation(m=len(weights) - 1, w=tuple(weights))
     closed = asuke_closed_form(foliation, J)
-    rng = SplitMix64(args.seed)
-    values = []
-    for _ in range(100):
-        if len(values) == max(2, args.samples):
-            break
-        v = sample_vector(len(weights), rng)
-        try:
-            values.append(asuke_number(foliation, J, v))
-        except PoleAtSample:
-            continue
-    if not values:
-        raise AllSamplesPoles("no pole-free sample vector found")
-    value = values[0]
+    value, independence = _resample(
+        lambda v: asuke_number(foliation, J, v), len(weights), args.samples, args.seed
+    )
     checks = [
-        _check("v-independence", all(val == value for val in values), f"{len(values)} samples"),
+        independence,
         _check("closed-form match s1 sJ / s(m+1)", value == closed, f"expected {rat_str(closed)}"),
     ]
     return _report(
@@ -504,9 +476,8 @@ def _cmd_secondary(args) -> dict:
 
 def _cmd_check_v_independence(args) -> dict:
     system = _load_orbit_system(_load_json(args.input))
-    value, consistent, detail = _run_independence(system, args.samples, args.seed)
-    checks = [_check("v-independence", consistent, detail)]
-    return _report("check-v-independence", value, checks)
+    _, value, independence = _run_independence(system, args.samples, args.seed)
+    return _report("check-v-independence", value, [independence])
 
 
 # ---------------------------------------------------------------------------
@@ -525,55 +496,59 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, handler, help, samples=False):
+        p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--seed", type=int, default=None, help="sampling seed (default 42, env ABBVLOC_SEED)")
-        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="number of sample vectors")
+        if samples:
+            p.add_argument(
+                "--samples", type=int, default=DEFAULT_SAMPLES,
+                help="pole-free sample vectors that must agree (at least 2)",
+            )
         return p
 
-    p = add("volume-sphere", _cmd_volume_sphere, help="volume of a weighted odd sphere")
+    p = add("volume-sphere", _cmd_volume_sphere, "volume of a weighted odd sphere", samples=True)
     p.add_argument("--weights", required=True, help="comma-separated positive rationals")
 
-    p = add("volume-toric", _cmd_volume_toric, help="volume from a moment cone")
+    p = add("volume-toric", _cmd_volume_toric, "volume from a moment cone", samples=True)
     p.add_argument("--input", required=True, help="cone JSON file or - for stdin")
 
-    p = add("lawrence", _cmd_lawrence, help="section volume by the vertex formula")
+    p = add("lawrence", _cmd_lawrence, "section volume by the vertex formula")
     p.add_argument("--input", required=True, help="cone or polytope JSON file")
 
-    p = add("polytope-volume", _cmd_polytope_volume, help="section volume by triangulation")
+    p = add("polytope-volume", _cmd_polytope_volume, "section volume by triangulation")
     p.add_argument("--input", required=True, help="cone or polytope JSON file")
 
-    p = add("msy-check", _cmd_msy_check, help="cone volume vs section volume bridge")
+    p = add("msy-check", _cmd_msy_check, "cone volume vs section volume bridge")
     p.add_argument("--input", required=True, help="cone JSON file")
 
-    p = add("localize", _cmd_localize, help="localized sum over an orbit system")
+    p = add("localize", _cmd_localize, "localized sum over an orbit system", samples=True)
     p.add_argument("--input", required=True, help="orbit system JSON file")
     p.add_argument("--j", default=None, help="multiindex for characteristic mode")
     p.add_argument("--leaf-integrals", default=None, help="per-orbit rational integrals")
 
-    p = add("dh", _cmd_dh, help="Duistermaat-Heckman series coefficients")
+    p = add("dh", _cmd_dh, "Duistermaat-Heckman series coefficients")
     p.add_argument("--input", required=True, help="orbit system JSON file")
     p.add_argument("--order", type=int, default=4, help="highest coefficient order")
 
-    p = add("stiefel", _cmd_stiefel, help="volume of the deformed SO(5)/SO(3)")
+    p = add("stiefel", _cmd_stiefel, "volume of the deformed SO(5)/SO(3)")
     p.add_argument("--w", required=True, help="Reeb deformation x,y,z")
 
-    p = add("homogeneous", _cmd_homogeneous, help="volume from root data")
+    p = add("homogeneous", _cmd_homogeneous, "volume from root data", samples=True)
     p.add_argument("--input", default=None, help="root data JSON file")
     p.add_argument("--fixture", default="stiefel-so5-so3", help="built-in fixture name")
     p.add_argument("--b-prime", required=True, help="deformed Reeb element")
 
-    p = add("check-w1", _cmd_check_w1, help="elementary symmetric polynomial identity")
+    p = add("check-w1", _cmd_check_w1, "elementary symmetric polynomial identity")
     p.add_argument("--m", type=int, required=True, help="degree (number of values minus one)")
     p.add_argument("--trials", type=int, default=50, help="random weight vectors per multiindex")
 
-    p = add("secondary", _cmd_secondary, help="secondary characteristic number")
+    p = add("secondary", _cmd_secondary, "secondary characteristic number", samples=True)
     p.add_argument("--weights", required=True, help="comma-separated distinct positive rationals")
     p.add_argument("--j", required=True, help="multiindex, complex degree = codimension")
 
-    p = add("check-v-independence", _cmd_check_v_independence, help="resample a localized volume")
+    p = add("check-v-independence", _cmd_check_v_independence, "resample a localized volume", samples=True)
     p.add_argument("--input", required=True, help="orbit system JSON file")
 
     return parser
@@ -585,6 +560,8 @@ def main(argv=None) -> int:
     try:
         if args.seed is None:
             args.seed = _default_seed()
+        if "samples" in vars(args) and args.samples < 2:
+            raise _CliInputError("need at least 2 samples")
         report = args.handler(args)
         return _emit(report, args.json)
     except LocalizationError as exc:

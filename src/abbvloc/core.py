@@ -281,24 +281,19 @@ class Matrix:
         return det(self)
 
     def inverse(self) -> "Matrix":
-        """Exact inverse via Gauss-Jordan elimination."""
+        """Exact inverse: one elimination of (m | I), then one
+        back-substitution per column of the identity."""
         if not self.is_square:
             raise NonSquareMatrix("inverse of a non-square matrix")
         n = self.nrows
-        a = [list(r) + [Fraction(1 if i == j else 0) for j in range(n)]
-             for i, r in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-            if piv is None:
-                raise SingularMatrix("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            inv = 1 / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            for i in range(n):
-                if i != col and a[i][col] != 0:
-                    f = a[i][col]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-        return Matrix([row[n:] for row in a])
+        identity = Matrix.identity(n).rows
+        rows, pivots = _echelon([r + e for r, e in zip(self.rows, identity)], n)
+        if len(pivots) < n:
+            raise SingularMatrix("matrix is singular")
+        return Matrix.from_columns(
+            _back_substitute(rows, pivots, [row[n + k] for row in rows], [Fraction(0)] * n)
+            for k in range(n)
+        )
 
 
 def det(m: Matrix) -> Fraction:
@@ -330,6 +325,51 @@ def det(m: Matrix) -> Fraction:
     return sign * a[n - 1][n - 1]
 
 
+def _echelon(rows, ncols: int) -> tuple:
+    """Forward Gaussian elimination on the first ``ncols`` columns.
+
+    Each column's pivot is the first row, at or below the current one,
+    with a nonzero entry there; only the rows below a pivot are cleared,
+    and only from the pivot column on (the entries left of it are zero).
+    Entries right of ``ncols`` (an augmented right-hand side) are carried
+    along.  Returns (echelon rows as lists, pivot columns): row r leads in
+    column pivots[r], and rows past len(pivots) vanish on the first
+    ``ncols`` columns, so len(pivots) is the rank.
+    """
+    a = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        top = a[r][col:]
+        for row in a[r + 1:]:
+            if row[col] != 0:
+                f = row[col] / top[0]
+                row[col:] = [x - f * y for x, y in zip(row[col:], top)]
+        pivots.append(col)
+    return a, pivots
+
+
+def _back_substitute(rows, pivots, rhs, x) -> list:
+    """Solve the echelon system from _echelon for its pivot unknowns.
+
+    Sets x[pivots[r]] so that sum_j rows[r][j] x[j] = rhs[r] over the
+    len(x) unknowns, last pivot first; the free entries of x keep the
+    values they come in with.  Returns x.
+    """
+    width = len(x)
+    for r in range(len(pivots) - 1, -1, -1):
+        p, row = pivots[r], rows[r]
+        s = rhs[r] - sum((row[j] * x[j] for j in range(p + 1, width) if row[j]), Fraction(0))
+        x[p] = s / row[p]
+    return x
+
+
 def solve_linear(m: Matrix, rhs) -> Vector:
     """Exact solution of ``m x = rhs`` by Gaussian elimination.
 
@@ -340,21 +380,10 @@ def solve_linear(m: Matrix, rhs) -> Vector:
     n = m.nrows
     if len(rhs) != n:
         raise ValueError("right-hand side has wrong length")
-    a = [list(r) + [rat(rhs[i])] for i, r in enumerate(m.rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        for i in range(col + 1, n):
-            if a[i][col] != 0:
-                f = a[i][col] / a[col][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    sol = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = a[i][n] - sum((a[i][j] * sol[j] for j in range(i + 1, n)), Fraction(0))
-        sol[i] = s / a[i][i]
-    return Vector(sol)
+    rows, pivots = _echelon([r + (rat(rhs[i]),) for i, r in enumerate(m.rows)], n)
+    if len(pivots) < n:
+        raise SingularMatrix("matrix is singular")
+    return Vector(_back_substitute(rows, pivots, [row[n] for row in rows], [Fraction(0)] * n))
 
 
 def _as_int_rows(mat) -> list:

@@ -11,7 +11,7 @@ by floating-point tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -24,16 +24,8 @@ from .core import (
     rat,
     s_J,
 )
-from .errors import (
-    AllSamplesPoles,
-    InconsistentSamples,
-    InputError,
-    MixedPiPowers,
-    PoleAtSample,
-)
-from .sampling import SplitMix64, sample_vector
-
-POLE_RETRY_BUDGET = 100
+from .errors import InputError, MixedPiPowers, PoleAtSample
+from .sampling import SampleOutcome, sample_independent
 
 
 @dataclass(frozen=True)
@@ -94,30 +86,25 @@ class OrbitSystem:
                     )
 
 
-@dataclass
-class SampleOutcome:
-    """Result of a sample-independence check."""
-
-    value: PiScalar
-    samples_used: list = field(default_factory=list)
-    rejected_poles: int = 0
-
-
-def _length_pi_power(scalars) -> int:
+def _pi_grading(scalars) -> int:
     powers = {s.pi_power for s in scalars if not s.is_zero}
     if len(powers) > 1:
         raise MixedPiPowers(f"inconsistent pi grading across orbits: {sorted(powers)}")
     return powers.pop() if powers else 0
 
 
-def _weight_product(orbit: OrbitDatum, v: Vector) -> Fraction:
-    prod = Fraction(1)
+def _orbit_term(orbit: OrbitDatum, v: Vector, l: Fraction) -> tuple:
+    """(l / prod_j a_j(v), [a_j(v)]) for one orbit: the per-orbit kernel of
+    every localized sum.  Raises PoleAtSample when a weight vanishes at v."""
+    values = []
+    product = Fraction(1)
     for alpha in orbit.weights:
         a = alpha(v)
         if a == 0:
             raise PoleAtSample(f"weight {tuple(alpha)} vanishes at v={tuple(v)}")
-        prod *= a
-    return prod
+        values.append(a)
+        product *= a
+    return l / product, values
 
 
 def localized_sum(system: OrbitSystem, v: Vector, numerator) -> PiScalar:
@@ -128,11 +115,11 @@ def localized_sum(system: OrbitSystem, v: Vector, numerator) -> PiScalar:
     """
     v = Vector(v)
     n = system.codim_half
-    pi_len = _length_pi_power([o.length for o in system.orbits])
+    pi_len = _pi_grading(o.length for o in system.orbits)
     total = Fraction(0)
     for k, orbit in enumerate(system.orbits):
-        denom = _weight_product(orbit, v)
-        total += orbit.length.coeff * rat(numerator(k, orbit, v)) / denom
+        l = orbit.length.coeff * rat(numerator(k, orbit, v))
+        total += _orbit_term(orbit, v, l)[0]
     return PiScalar(Fraction(-2) ** n * total, n + pi_len)
 
 
@@ -140,11 +127,10 @@ def localize_volume(system: OrbitSystem, v: Vector) -> PiScalar:
     """Volume as (pi^n / n!) * sum_k l_k moment_k(v)^n / prod_j a_j^k(v)."""
     v = Vector(v)
     n = system.codim_half
-    pi_len = _length_pi_power([o.length for o in system.orbits])
+    pi_len = _pi_grading(o.length for o in system.orbits)
     total = Fraction(0)
     for orbit in system.orbits:
-        denom = _weight_product(orbit, v)
-        total += orbit.length.coeff * orbit.moment(v) ** n / denom
+        total += _orbit_term(orbit, v, orbit.length.coeff * orbit.moment(v) ** n)[0]
     return PiScalar(total / factorial(n), n + pi_len)
 
 
@@ -158,11 +144,11 @@ def dh_series(system: OrbitSystem, v: Vector, order: int) -> list:
         raise InputError("order must be nonnegative")
     v = Vector(v)
     n = system.codim_half
-    pi_len = _length_pi_power([o.length for o in system.orbits])
-    pieces = []
-    for orbit in system.orbits:
-        denom = _weight_product(orbit, v)
-        pieces.append((orbit.length.coeff / denom, orbit.moment(v)))
+    pi_len = _pi_grading(o.length for o in system.orbits)
+    pieces = [
+        (_orbit_term(orbit, v, orbit.length.coeff)[0], orbit.moment(v))
+        for orbit in system.orbits
+    ]
     coeffs = []
     for s in range(order + 1):
         total = sum((base * mv**s for base, mv in pieces), Fraction(0))
@@ -184,16 +170,11 @@ def localize_characteristic(system: OrbitSystem, J, leaf_integrals, v: Vector) -
     leaf_integrals = list(leaf_integrals)
     if len(leaf_integrals) != len(system.orbits):
         raise InputError("need one leaf integral per orbit")
-    pi_leaf = _length_pi_power(leaf_integrals)
+    pi_leaf = _pi_grading(leaf_integrals)
     total = Fraction(0)
     for orbit, leaf in zip(system.orbits, leaf_integrals):
-        values = [alpha(v) for alpha in orbit.weights]
-        top = Fraction(1)
-        for a in values:
-            top *= a
-        if top == 0:
-            raise PoleAtSample(f"top symmetric polynomial vanishes at v={tuple(v)}")
-        total += leaf.coeff * s_J(J, values) / top
+        term, values = _orbit_term(orbit, v, leaf.coeff)
+        total += term * s_J(J, values)
     return PiScalar(total, pi_leaf)
 
 
@@ -206,40 +187,24 @@ def check_v_independence(
     """Exactly verify that a localized quantity does not depend on v.
 
     Draws rational sample vectors deterministically from the seed, skips
-    poles, and requires every accepted value to be identical.  With
-    ``numerator=None`` the quantity is localize_volume; otherwise it is
-    localized_sum with the given per-orbit numerator.
+    poles, and requires every accepted value to be identical (see
+    sample_independent).  With ``numerator=None`` the quantity is
+    localize_volume; otherwise it is localized_sum with the given
+    per-orbit numerator.
 
-    Raises InconsistentSamples on the first disagreement and
-    AllSamplesPoles when the retry budget runs out before ``samples``
-    pole-free vectors are found.
+    Raises InputError for fewer than 2 samples, InconsistentSamples on the
+    first disagreement and AllSamplesPoles when the retry budget runs out
+    before ``samples`` pole-free vectors are found.
     """
     if samples < 2:
         raise InputError("need at least 2 samples")
-    rng = SplitMix64(seed)
-    outcome = SampleOutcome(value=PiScalar.zero())
-    accepted = []
-    budget = max(POLE_RETRY_BUDGET, samples)
-    for _ in range(budget):
-        v = sample_vector(system.dim_t, rng)
-        try:
-            if numerator is None:
-                value = localize_volume(system, v)
-            else:
-                value = localized_sum(system, v, numerator)
-        except PoleAtSample:
-            outcome.rejected_poles += 1
-            continue
-        if accepted and value != accepted[0][1]:
-            raise InconsistentSamples(accepted[0][1], value, accepted[0][0], v)
-        accepted.append((v, value))
-        outcome.samples_used.append(v)
-        if len(accepted) == samples:
-            outcome.value = accepted[0][1]
-            return outcome
-    raise AllSamplesPoles(
-        f"only {len(accepted)} pole-free samples found in {budget} draws"
-    )
+
+    def evaluate(v):
+        if numerator is None:
+            return localize_volume(system, v)
+        return localized_sum(system, v, numerator)
+
+    return sample_independent(evaluate, system.dim_t, samples, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -17,19 +17,14 @@ from .core import (
     Matrix,
     PiScalar,
     Vector,
+    _echelon,
     basis_covector,
     det,
     rat,
     solve_linear,
 )
-from .errors import (
-    EdgeConstantFunctional,
-    InputError,
-    NotSimpleVertex,
-    PoleAtSample,
-    SingularMatrix,
-)
-from .sampling import SplitMix64, sample_rational, sample_vector
+from .errors import EdgeConstantFunctional, InputError, NotSimpleVertex, SingularMatrix
+from .sampling import SplitMix64, sample_independent, sample_rational, sample_vector
 from .toric import GoodCone, enumerate_vertices, toric_volume
 
 
@@ -164,23 +159,8 @@ def _affine_rank(vertices) -> int:
     if len(vertices) < 2:
         return 0
     base = vertices[0]
-    rows = [tuple(v - base) for v in vertices[1:]]
-    a = [list(r) for r in rows]
-    rank = 0
-    cols = len(a[0])
-    row = 0
-    for col in range(cols):
-        piv = next((i for i in range(row, len(a)) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        for i in range(row + 1, len(a)):
-            if a[i][col] != 0:
-                f = a[i][col] / a[row][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
-        rank += 1
-        row += 1
-    return rank
+    _, pivots = _echelon([v - base for v in vertices[1:]], len(base))
+    return len(pivots)
 
 
 def _triangulate(vertex_ids, common, actives, section_dim, base_id=None):
@@ -327,20 +307,12 @@ class MsyCheck:
 def msy_check(cone: GoodCone, seed: int = 42) -> MsyCheck:
     """Compare the localized cone volume with 2 pi^(n+1) times the section
     volume, with the pi grading reconciled through the cone's lattice
-    scale exponent."""
+    scale exponent.  The cone volume is taken at the first pole-free sample
+    and the functional is drawn from the same stream after it."""
     p = HPolytope.from_cone(cone)
-    rng = SplitMix64(seed)
-    lhs = None
-    for _ in range(100):
-        v = sample_vector(cone.dim, rng)
-        try:
-            lhs = toric_volume(cone, v)
-            break
-        except PoleAtSample:
-            continue
-    if lhs is None:
-        raise PoleAtSample("no pole-free sample vector found for the cone volume")
-    f = random_functional(p, rng)
+    outcome = sample_independent(lambda v: toric_volume(cone, v), cone.dim, 1, seed)
+    lhs = outcome.value
+    f = random_functional(p, outcome.rng)
     vol_h = lawrence_volume(p, f)
     n = cone.codim_half
     e = cone.pi_scale_exponent

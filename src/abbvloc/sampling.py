@@ -2,14 +2,19 @@
 
 A SplitMix-style 64-bit generator keeps every randomized check reproducible
 from its seed; entries are drawn uniformly from a small pool of rationals so
-poles can be rejected exactly.
+poles can be rejected exactly.  ``sample_independent`` is the one loop that
+draws sample vectors, rejects poles and compares the values.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Vector
+from .errors import AllSamplesPoles, InconsistentSamples, PoleAtSample
+
+POLE_RETRY_BUDGET = 100
 
 SAMPLE_POOL = tuple(
     Fraction(p, q) * s
@@ -68,3 +73,48 @@ def sample_distinct_positive(count: int, rng: SplitMix64, budget: int = 1000) ->
         if len(picked) == count:
             return tuple(picked)
     raise RuntimeError("pool too small for requested distinct sample")
+
+
+@dataclass
+class SampleOutcome:
+    """Result of a sample-independence check.
+
+    ``rng`` is the generator left after the last draw, for callers that
+    keep drawing from the same stream."""
+
+    value: object
+    samples_used: list = field(default_factory=list)
+    rejected_poles: int = 0
+    rng: SplitMix64 = field(default=None, repr=False, compare=False)
+
+
+def sample_independent(evaluate, dim: int, samples: int, seed: int) -> SampleOutcome:
+    """Evaluate at ``samples`` pole-free vectors and require one value.
+
+    Vectors are drawn from ``SplitMix64(seed)``; a draw on which
+    ``evaluate`` raises PoleAtSample is skipped and counted.  Raises
+    InconsistentSamples at the first value that differs from the first
+    one, and AllSamplesPoles when max(100, samples) draws do not give
+    ``samples`` pole-free vectors.  With ``samples=1`` this is the first
+    pole-free value.
+    """
+    rng = SplitMix64(seed)
+    outcome = SampleOutcome(value=None, rng=rng)
+    budget = max(POLE_RETRY_BUDGET, samples)
+    for _ in range(budget):
+        v = sample_vector(dim, rng)
+        try:
+            value = evaluate(v)
+        except PoleAtSample:
+            outcome.rejected_poles += 1
+            continue
+        if not outcome.samples_used:
+            outcome.value = value
+        elif value != outcome.value:
+            raise InconsistentSamples(outcome.value, value, outcome.samples_used[0], v)
+        outcome.samples_used.append(v)
+        if len(outcome.samples_used) == samples:
+            return outcome
+    raise AllSamplesPoles(
+        f"only {len(outcome.samples_used)} pole-free samples found in {budget} draws"
+    )

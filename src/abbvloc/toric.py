@@ -19,6 +19,8 @@ from .core import (
     Matrix,
     PiScalar,
     Vector,
+    _back_substitute,
+    _echelon,
     basis_vector,
     det,
     integer_gcd,
@@ -119,33 +121,14 @@ class ToricOrbit:
 
 
 def _kernel_direction(rows, dim):
-    """One nonzero solution phi of row . phi = 0 for all rows, or None if
-    the rows have rank != dim - 1."""
-    a = [list(r) for r in rows]
-    pivots = []
-    col = 0
-    r = 0
-    while r < len(a) and col < dim:
-        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(len(a)):
-            if i != r and a[i][col] != 0:
-                f = a[i][col] / a[r][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        col += 1
+    """The solution phi of row . phi = 0 for all rows whose free entry is
+    1, or None if the rows have rank != dim - 1."""
+    a, pivots = _echelon(rows, dim)
     if len(pivots) != dim - 1:
         return None
-    free = next(j for j in range(dim) if j not in pivots)
     phi = [Fraction(0)] * dim
-    phi[free] = Fraction(1)
-    for row_idx, pc in enumerate(pivots):
-        phi[pc] = -a[row_idx][free] / a[row_idx][pc]
-    return Covector(phi)
+    phi[next(j for j in range(dim) if j not in pivots)] = Fraction(1)
+    return Covector(_back_substitute(a, pivots, [Fraction(0)] * len(pivots), phi))
 
 
 def _check_pointed_section(cone: GoodCone):

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from abbvloc.cli import main
+from test_cli_golden import sphere_system_doc as weighted_sphere_system_doc
 
 
 def run_cli(capsys, *argv):
@@ -278,3 +281,101 @@ class TestIdentityCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["exact"] == "9/2 * pi^0"
+
+
+class TestExitContract:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "top-level-array",
+            "top-level-number",
+            "zero-denominator-reeb",
+            "zero-denominator-orbit-length",
+            "secondary-j-0",
+            "localize-j-0",
+            "check-w1-m-14",
+        ],
+    )
+    def test_former_tracebacks_exit_2(self, capsys, tmp_path, case):
+        cone = sphere_cone_doc([1, 2])
+        system = sphere_system_doc()
+        if case == "top-level-array":
+            argv = ("volume-toric", "--input", write_json(tmp_path, "a.json", [cone]))
+        elif case == "top-level-number":
+            argv = ("polytope-volume", "--input", write_json(tmp_path, "n.json", 5))
+        elif case == "zero-denominator-reeb":
+            cone["reeb"] = ["1/0", "2"]
+            argv = ("volume-toric", "--input", write_json(tmp_path, "z.json", cone))
+        elif case == "zero-denominator-orbit-length":
+            system["orbits"][0]["length"]["coeff"] = "1/0"
+            argv = ("localize", "--input", write_json(tmp_path, "z.json", system))
+        elif case == "secondary-j-0":
+            argv = ("secondary", "--weights", "1,2", "--j", "0")
+        elif case == "localize-j-0":
+            path = write_json(tmp_path, "s.json", system)
+            argv = ("localize", "--input", path, "--j", "0", "--leaf-integrals", "3,3/2")
+        else:
+            argv = ("check-w1", "--m", "14")
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"]["type"] == "InputError"
+
+    def test_check_w1_zero_trials_exit_2(self, capsys):
+        code, out = run_cli(capsys, "check-w1", "--m", "3", "--trials", "0")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "InputError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("volume-sphere", "--weights", "1,2"),
+            ("volume-toric", "--input", "@cone"),
+            ("localize", "--input", "@system"),
+            ("homogeneous", "--b-prime", "1,2,5"),
+            ("secondary", "--weights", "1,2", "--j", "1"),
+            ("check-v-independence", "--input", "@system"),
+        ],
+    )
+    @pytest.mark.parametrize("samples", ["1", "0", "-3"])
+    def test_fewer_than_two_samples_exit_2(self, capsys, tmp_path, argv, samples):
+        paths = {
+            "@cone": write_json(tmp_path, "c.json", sphere_cone_doc([1, 2])),
+            "@system": write_json(tmp_path, "s.json", sphere_system_doc()),
+        }
+        argv = [paths.get(a, a) for a in argv]
+        code, out = run_cli(capsys, *argv, "--samples", samples)
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "InputError", "message": "need at least 2 samples"
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lawrence", "--input", "cone.json"),
+            ("polytope-volume", "--input", "cone.json"),
+            ("msy-check", "--input", "cone.json"),
+            ("dh", "--input", "system.json"),
+            ("stiefel", "--w", "1,2,5"),
+            ("check-w1", "--m", "3"),
+        ],
+    )
+    def test_samples_only_where_it_is_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--samples", "4"])
+        assert info.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+
+    def test_localize_j_failure_names_first_disagreeing_pair(self, capsys, tmp_path):
+        doc = weighted_sphere_system_doc([1, 2, 3])
+        doc["orbits"] = doc["orbits"][:2]
+        path = write_json(tmp_path, "bad.json", doc)
+        code, out = run_cli(
+            capsys, "localize", "--input", path, "--j", "1", "--leaf-integrals", "1,2", "--json"
+        )
+        assert code == 1
+        check = json.loads(out)["checks"][0]
+        assert not check["pass"]
+        assert check["detail"].startswith("value PiScalar(")
+        assert " != value " in check["detail"]

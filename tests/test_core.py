@@ -1,12 +1,16 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abbvloc.core import (
     Covector,
     Matrix,
     PiScalar,
     Vector,
+    _echelon,
     canonical_multiindex,
     complete_homogeneous,
     det,
@@ -26,7 +30,9 @@ from abbvloc.errors import (
     SingularMatrix,
 )
 from conftest import make_rng, random_matrix, random_unimodular
+from abbvloc.polytope import _affine_rank
 from abbvloc.sampling import sample_rational
+from abbvloc.toric import _kernel_direction
 
 
 class TestRational:
@@ -169,6 +175,85 @@ class TestSolve:
         for _ in range(5):
             a = random_matrix(4, rng, allow_zero=False)
             assert a * a.inverse() == Matrix.identity(4)
+
+
+def int_matrices(min_rows=1, max_rows=4, extra_cols=0):
+    """Small integer matrices with ``extra_cols`` more columns than rows."""
+    return st.integers(min_rows, max_rows).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-3, 3), min_size=n + extra_cols, max_size=n + extra_cols),
+            min_size=n,
+            max_size=n,
+        )
+    )
+
+
+def minor_rank(rows) -> int:
+    """Size of the largest nonzero minor, each found by Bareiss det."""
+    if not rows:
+        return 0
+    m, n = len(rows), len(rows[0])
+    for k in range(min(m, n), 0, -1):
+        for rs in itertools.combinations(range(m), k):
+            for cs in itertools.combinations(range(n), k):
+                if det(Matrix([[rows[i][j] for j in cs] for i in rs])) != 0:
+                    return k
+    return 0
+
+
+class TestElimination:
+    """Properties of the one forward-elimination routine and its callers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices(), st.lists(st.integers(-5, 5), min_size=4, max_size=4))
+    def test_solve_round_trip(self, rows, rhs):
+        a = Matrix(rows)
+        b = Vector(rhs[: a.nrows])
+        if det(a) == 0:
+            with pytest.raises(SingularMatrix):
+                solve_linear(a, b)
+        else:
+            assert a.apply(solve_linear(a, b)) == b
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices())
+    def test_inverse_round_trip(self, rows):
+        a = Matrix(rows)
+        if det(a) == 0:
+            with pytest.raises(SingularMatrix):
+                a.inverse()
+        else:
+            assert a * a.inverse() == Matrix.identity(a.nrows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_matrices(max_rows=4, extra_cols=1))
+    def test_kernel_direction(self, rows):
+        dim = len(rows[0])
+        phi = _kernel_direction([Vector(r) for r in rows], dim)
+        if minor_rank(rows) != dim - 1:
+            assert phi is None
+            return
+        assert all(Covector(phi)(Vector(r)) == 0 for r in rows)
+        # the free column is the first one that depends on the columns before it
+        free = next(
+            j for j in range(dim) if minor_rank([r[: j + 1] for r in rows]) < j + 1
+        )
+        assert phi[free] == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=5
+            )
+        )
+    )
+    def test_rank_is_largest_nonzero_minor(self, rows):
+        assert len(_echelon([[Fraction(x) for x in r] for r in rows], len(rows[0]))[1]) == (
+            minor_rank(rows)
+        )
+        base = Vector([0] * len(rows[0]))
+        assert _affine_rank([base] + [Vector(r) for r in rows]) == minor_rank(rows)
 
 
 class TestSmithNormalForm:

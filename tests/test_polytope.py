@@ -4,9 +4,11 @@ import pytest
 
 from abbvloc.core import Covector, PiScalar, Vector
 from abbvloc.errors import (
+    AllSamplesPoles,
     EdgeConstantFunctional,
     InputError,
     NotSimpleVertex,
+    PoleAtSample,
 )
 from abbvloc.polytope import (
     HPolytope,
@@ -221,3 +223,13 @@ class TestMsyBridge:
         result = msy_check(simplex_cone(2, pi_scale_exponent=0), seed=13)
         assert result.equal
         assert result.lhs.pi_power == 0
+
+    def test_exhausted_samples_raise_all_samples_poles(self, monkeypatch):
+        import abbvloc.polytope
+
+        def always_pole(cone, v):
+            raise PoleAtSample("every sample is a pole")
+
+        monkeypatch.setattr(abbvloc.polytope, "toric_volume", always_pole)
+        with pytest.raises(AllSamplesPoles):
+            msy_check(weighted_sphere_cone([1, 2]), seed=7)
