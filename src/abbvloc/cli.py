@@ -121,6 +121,8 @@ def _load_json(path: str) -> dict:
 
 
 def _vector(doc) -> Vector:
+    if not isinstance(doc, list):
+        raise TypeError(f"expected a JSON array, got {type(doc).__name__}")
     return Vector(rat(x) for x in doc)
 
 
@@ -367,23 +369,23 @@ def _cmd_localize(args) -> dict:
 def _cmd_dh(args) -> dict:
     system = _load_orbit_system(_load_json(args.input))
     n = system.codim_half
-    order = max(args.order, 0)
+    if args.order < n:
+        raise _CliInputError(
+            f"--order must be at least the complex codimension {n}, got {args.order}"
+        )
     outcome = sample_independent(
-        lambda v: dh_series(system, v, order), system.dim_t, 1, args.seed
+        lambda v: dh_series(system, v, args.order), system.dim_t, 1, args.seed
     )
     coeffs = outcome.value
+    vol = localize_volume(system, outcome.samples_used[0])
     checks = [
         _check(
             "coefficients below codim vanish",
-            all(coeffs[s].is_zero for s in range(min(n, order + 1))),
-            f"orders 0..{min(n, order + 1) - 1}",
-        )
+            all(coeffs[s].is_zero for s in range(n)),
+            f"orders 0..{n - 1}",
+        ),
+        _check("order-n coefficient equals localized volume", coeffs[n] == vol, ""),
     ]
-    if order >= n:
-        vol = localize_volume(system, outcome.samples_used[0])
-        checks.append(
-            _check("order-n coefficient equals localized volume", coeffs[n] == vol, "")
-        )
     return _report(
         "dh",
         coeffs[-1],
@@ -530,7 +532,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("dh", _cmd_dh, "Duistermaat-Heckman series coefficients")
     p.add_argument("--input", required=True, help="orbit system JSON file")
-    p.add_argument("--order", type=int, default=4, help="highest coefficient order")
+    p.add_argument(
+        "--order", type=int, default=4,
+        help="highest coefficient order, at least the complex codimension",
+    )
 
     p = add("stiefel", _cmd_stiefel, "volume of the deformed SO(5)/SO(3)")
     p.add_argument("--w", required=True, help="Reeb deformation x,y,z")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from .errors import (
     MixedPiPowers,
@@ -297,19 +297,30 @@ class Matrix:
 
 
 def det(m: Matrix) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+    """Exact determinant by fraction-free (Bareiss) elimination on integers.
+
+    Each row is scaled by the lcm of its denominators, so the elimination
+    runs on Python ints, where every Bareiss division is exact; the
+    determinant is the last pivot over the product of the row scales.
 
     >>> det(Matrix([[2, 1], [1, 1]]))
     Fraction(1, 1)
+    >>> det(Matrix([["1/2", 1], [0, "2/3"]]))
+    Fraction(1, 3)
     """
     if not m.is_square:
         raise NonSquareMatrix("determinant of a non-square matrix")
     n = m.nrows
     if n == 0:
         return Fraction(1)
-    a = [list(r) for r in m.rows]
+    a = []
+    scale = 1
+    for row in m.rows:
+        row_scale = lcm(*(e.denominator for e in row))
+        scale *= row_scale
+        a.append([e.numerator * (row_scale // e.denominator) for e in row])
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
@@ -317,12 +328,13 @@ def det(m: Matrix) -> Fraction:
                 return Fraction(0)
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        for i in range(k + 1, n):
+        top, pivot = a[k], a[k][k]
+        for row in a[k + 1:]:
+            f = row[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+                row[j] = (row[j] * pivot - f * top[j]) // prev
+        prev = pivot
+    return Fraction(sign * a[n - 1][n - 1], scale)
 
 
 def _echelon(rows, ncols: int) -> tuple:

@@ -25,7 +25,7 @@ from .core import (
 )
 from .errors import EdgeConstantFunctional, InputError, NotSimpleVertex, SingularMatrix
 from .sampling import SplitMix64, sample_independent, sample_rational, sample_vector
-from .toric import GoodCone, enumerate_vertices, toric_volume
+from .toric import GoodCone, toric_volume
 
 
 @dataclass(frozen=True)
@@ -51,12 +51,11 @@ class HPolytope:
 
     @classmethod
     def from_cone(cls, cone: GoodCone) -> "HPolytope":
-        orbits = enumerate_vertices(cone)
         return cls(
             ambient_dim=cone.dim,
             normals=cone.normals,
             reeb=cone.reeb,
-            vertices=tuple(o.vertex for o in orbits),
+            vertices=tuple(o.vertex for o in cone.orbits),
         )
 
     @classmethod

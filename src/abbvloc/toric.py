@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .core import (
@@ -53,6 +54,10 @@ class GoodCone:
     exponent 1 the stored Reeb coordinates are the geometric ones and all
     volume outputs carry pi^(n+1); with exponent 0 results are rational
     multiples of pi^0 in lattice-normalized units.
+
+    The vertex data does not depend on any sample vector, so the cone
+    holds it: ``orbits`` is enumerated on first use and kept for the
+    cone's lifetime.
     """
 
     dim: int
@@ -98,6 +103,15 @@ class GoodCone:
     @property
     def codim_half(self) -> int:
         return self.dim - 1
+
+    @cached_property
+    def orbits(self) -> tuple:
+        """The section's vertices as ToricOrbits, sorted by vertex.
+
+        Computed by enumerate_vertices on first access.  An enumeration
+        that raises is not stored, so every access raises the same error.
+        """
+        return enumerate_vertices(self)
 
 
 @dataclass(frozen=True)
@@ -153,7 +167,7 @@ def _check_pointed_section(cone: GoodCone):
                 )
 
 
-def enumerate_vertices(cone: GoodCone) -> list:
+def enumerate_vertices(cone: GoodCone) -> tuple:
     """All vertices of the hyperplane section {phi(b) = 1, phi(v_i) <= 0}.
 
     Every n-subset of normals is solved exactly; a solution is kept when
@@ -161,6 +175,9 @@ def enumerate_vertices(cone: GoodCone) -> list:
     subset.  Raises NotSimpleVertex when a solution lies on extra facets,
     GoodnessViolation when the active normals of a vertex fail the Smith
     normal form test, and UnboundedSection for empty or unbounded sections.
+
+    Enumerates afresh on every call; callers read ``cone.orbits``, which
+    calls this once per cone and keeps the result.
     """
     d = cone.dim
     n = cone.codim_half
@@ -202,7 +219,7 @@ def enumerate_vertices(cone: GoodCone) -> list:
     if not orbits:
         raise UnboundedSection("no vertex satisfies the facet inequalities")
     _check_pointed_section(cone)
-    return sorted(orbits.values(), key=lambda o: tuple(o.vertex))
+    return tuple(sorted(orbits.values(), key=lambda o: tuple(o.vertex)))
 
 
 def orbit_system_from_cone(cone: GoodCone) -> OrbitSystem:
@@ -219,7 +236,7 @@ def orbit_system_from_cone(cone: GoodCone) -> OrbitSystem:
     e = cone.pi_scale_exponent
     pi_len = e - (1 - e) * n
     orbits = []
-    for orbit in enumerate_vertices(cone):
+    for orbit in cone.orbits:
         m = Matrix.from_columns([cone.reeb] + list(orbit.ordered_normals))
         inv = m.inverse()
         moment = Covector(inv.rows[0])
@@ -238,7 +255,9 @@ def toric_volume(cone: GoodCone, v: Vector) -> PiScalar:
     det(b, ..., v at slot i, ...)); the value is independent of the order
     of the active normals.  Computed determinant by determinant, without
     the matrix inverse used on the orbit-data route, so the two routes
-    cross-check each other.
+    cross-check each other.  The vertices and |det(b, v^L)| are read from
+    ``cone.orbits``; only the determinants that contain v are computed per
+    call.
     """
     v = Vector(v)
     if len(v) != cone.dim:
@@ -246,7 +265,7 @@ def toric_volume(cone: GoodCone, v: Vector) -> PiScalar:
     n = cone.codim_half
     e = cone.pi_scale_exponent
     total = Fraction(0)
-    for orbit in enumerate_vertices(cone):
+    for orbit in cone.orbits:
         m = Matrix.from_columns([cone.reeb] + list(orbit.ordered_normals))
         numerator = det(m.with_column(0, v)) ** n
         denom = orbit.abs_delta

@@ -1,8 +1,11 @@
 import json
+import sys
 
 import pytest
 
 from abbvloc.cli import main
+from abbvloc.toric import enumerate_vertices
+from test_cli_golden import cube_cone_doc
 from test_cli_golden import sphere_system_doc as weighted_sphere_system_doc
 
 
@@ -172,6 +175,23 @@ class TestToricCommands:
         assert doc["exact"] == "1/2 * pi^0"
         assert doc["vertex_count"] == 3
 
+    @pytest.mark.parametrize("command", ["volume-toric", "msy-check", "lawrence", "polytope-volume"])
+    def test_one_enumeration_per_cone(self, capsys, monkeypatch, tmp_path, command):
+        enumerated = []
+
+        def counting(cone):
+            enumerated.append(cone)
+            return enumerate_vertices(cone)
+
+        # wherever the package binds the function by name
+        for name, module in list(sys.modules.items()):
+            if name.startswith("abbvloc") and hasattr(module, "enumerate_vertices"):
+                monkeypatch.setattr(module, "enumerate_vertices", counting)
+        path = write_json(tmp_path, "cube.json", cube_cone_doc(3))
+        code, _ = run_cli(capsys, command, "--input", path, "--json")
+        assert code == 0
+        assert len(enumerated) == 1
+
 
 class TestOrbitSystemCommands:
     def test_localize(self, capsys, tmp_path):
@@ -325,6 +345,40 @@ class TestExitContract:
         code, out = run_cli(capsys, "check-w1", "--m", "3", "--trials", "0")
         assert code == 2
         assert json.loads(out)["error"]["type"] == "InputError"
+
+    @pytest.mark.parametrize("reeb", ["12", {"1": "1", "2": "2"}], ids=["string", "object"])
+    def test_non_array_vector_exit_2(self, capsys, tmp_path, reeb):
+        cone = sphere_cone_doc([1, 2])
+        cone["reeb"] = reeb
+        path = write_json(tmp_path, "c.json", cone)
+        code, out = run_cli(capsys, "volume-toric", "--input", path, "--json")
+        assert code == 2
+        assert out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "InputError"
+        assert "expected a JSON array" in error["message"]
+
+    @pytest.mark.parametrize("order", ["-3", "0", "1"])
+    def test_dh_order_below_codimension_exit_2(self, capsys, tmp_path, order):
+        path = write_json(tmp_path, "s.json", weighted_sphere_system_doc([1, 2, 3]))
+        code, out = run_cli(capsys, "dh", "--input", path, "--order", order, "--json")
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == {
+            "type": "InputError",
+            "message": f"--order must be at least the complex codimension 2, got {order}",
+        }
+
+    def test_dh_order_at_codimension_runs_both_checks(self, capsys, tmp_path):
+        path = write_json(tmp_path, "s.json", weighted_sphere_system_doc([1, 2, 3]))
+        code, out = run_cli(capsys, "dh", "--input", path, "--order", "2", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert [c["name"] for c in doc["checks"]] == [
+            "coefficients below codim vanish",
+            "order-n coefficient equals localized volume",
+        ]
+        assert doc["exact"] == "1/6 * pi^3"  # 2 pi^3 / (2! * 1 * 2 * 3)
 
     @pytest.mark.parametrize(
         "argv",

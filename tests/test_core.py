@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abbvloc.core import (
@@ -144,6 +144,48 @@ class TestDeterminant:
             c = sample_rational(rng)
             scaled = Matrix([[c * x for x in rows[0]], rows[1], rows[2]])
             assert det(scaled) == c * det(a)
+
+
+def leibniz_det(rows) -> Fraction:
+    """The permutation sum over Fractions: the independent oracle for det."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i, j in itertools.combinations(range(n), 2) if perm[i] > perm[j])
+        term = Fraction(-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+# zeros are drawn often so that zero pivots and row swaps occur
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7)),
+)
+
+
+class TestDeterminantOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        ),
+        st.one_of(st.none(), rationals),
+    )
+    @example([[0, 1, 2], [0, 3, 4], [5, 6, -7]], None)
+    @example([[0, 0, 1], [0, 1, 0], [1, 0, 0]], None)
+    @example([["1/2", "-1/3"], ["-3/4", "1/5"]], None)
+    @example([[1, 2, 3], [2, 4, 6], [0, 0, 1]], None)
+    def test_det_equals_permutation_sum(self, rows, multiple):
+        if multiple is not None and len(rows) >= 2:
+            rows[-1] = [multiple * x for x in rows[0]]  # singular by construction
+        value = det(Matrix(rows))
+        assert type(value) is Fraction
+        assert value == leibniz_det([[rat(x) for x in r] for r in rows])
 
 
 class TestSolve:

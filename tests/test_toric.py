@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from abbvloc import toric
 from abbvloc.core import Covector, Matrix, PiScalar, Vector
 from abbvloc.engine import check_v_independence, localize_volume
 from abbvloc.errors import (
@@ -42,6 +43,15 @@ def goodness_violating_cone():
         dim=3,
         normals=(Vector([-1, 1, 0]), Vector([-1, -1, 0]), Vector([0, 0, -1])),
         reeb=Vector([1, 0, 1]),
+    )
+
+
+def unbounded_cone():
+    # the section is a ray starting at its one vertex
+    return GoodCone(
+        dim=2,
+        normals=(Vector([-1, 0]), Vector([-1, -1])),
+        reeb=Vector([1, 0]),
     )
 
 
@@ -149,13 +159,8 @@ class TestVertexEnumeration:
             enumerate_vertices(cone)
 
     def test_unbounded_section_with_vertex(self):
-        cone = GoodCone(
-            dim=2,
-            normals=(Vector([-1, 0]), Vector([-1, -1])),
-            reeb=Vector([1, 0]),
-        )
         with pytest.raises(UnboundedSection):
-            enumerate_vertices(cone)
+            enumerate_vertices(unbounded_cone())
 
     def test_no_vertex_at_all(self):
         cone = GoodCone(
@@ -165,6 +170,33 @@ class TestVertexEnumeration:
         )
         with pytest.raises(UnboundedSection):
             enumerate_vertices(cone)
+
+    def test_cone_holds_its_vertex_data(self, monkeypatch):
+        calls = []
+
+        def counting(cone):
+            calls.append(cone)
+            return enumerate_vertices(cone)
+
+        monkeypatch.setattr(toric, "enumerate_vertices", counting)
+        cone = cube_cone()
+        assert cone.orbits == enumerate_vertices(cone)
+        assert cone.orbits is cone.orbits
+        assert calls == [cone]
+
+    @pytest.mark.parametrize(
+        "make, error",
+        [(goodness_violating_cone, GoodnessViolation), (unbounded_cone, UnboundedSection)],
+    )
+    def test_failed_enumeration_is_not_stored(self, make, error):
+        cone = make()
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                cone.orbits
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "orbits" not in vars(cone)
 
     def test_permuting_normals_is_irrelevant(self):
         base = weighted_sphere_cone([2, 3, 5])
