@@ -31,10 +31,14 @@ _PI_60 = Fraction(
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, Fractions and "p/q" strings to an exact rational."""
+    """Coerce ints, Fractions and "p/q" strings to an exact rational.
+
+    Booleans are refused although ``bool`` subclasses ``int``: a JSON
+    ``true`` is not a number.
+    """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x.strip())
@@ -180,9 +184,28 @@ class Covector(_ExactTuple):
     """A linear functional on the torus Lie algebra; call it on a Vector."""
 
     def __call__(self, v: Vector) -> Fraction:
+        """The pairing sum_i a_i v_i, accumulated on integers.
+
+        Zero entries are skipped; the running sum is kept as an integer
+        numerator over an integer denominator and reduced once, in the one
+        Fraction returned.
+
+        >>> Covector([Fraction(1, 2), 0, -1])(Vector([3, 5, Fraction(1, 3)]))
+        Fraction(7, 6)
+        """
         if len(v) != len(self):
             raise ValueError(f"dimension mismatch: {len(self)} vs {len(v)}")
-        return sum((a * b for a, b in zip(self, v)), Fraction(0))
+        num, den = 0, 1
+        for a, b in zip(self, v):
+            if a and b:
+                p = a.numerator * b.numerator
+                q = a.denominator * b.denominator
+                if q == den:
+                    num += p
+                else:
+                    num = num * q + p * den
+                    den *= q
+        return Fraction(num, den)
 
 
 def basis_vector(dim: int, j: int) -> Vector:
@@ -338,17 +361,25 @@ def det(m: Matrix) -> Fraction:
 
 
 def _echelon(rows, ncols: int) -> tuple:
-    """Forward Gaussian elimination on the first ``ncols`` columns.
+    """Fraction-free forward elimination on the first ``ncols`` columns.
 
-    Each column's pivot is the first row, at or below the current one,
-    with a nonzero entry there; only the rows below a pivot are cleared,
-    and only from the pivot column on (the entries left of it are zero).
-    Entries right of ``ncols`` (an augmented right-hand side) are carried
-    along.  Returns (echelon rows as lists, pivot columns): row r leads in
+    Each row, augmented part included, is scaled to integers by the lcm of
+    its denominators and divided by the gcd of the result, which leaves
+    the row's equation and its zero pattern unchanged.  Each column's
+    pivot is the first row, at or below the current one, with a nonzero
+    entry there; a row below it with entry f there becomes
+    row * pivot - f * top, from the pivot column on (the entries left of
+    it are zero), again divided by the gcd of its entries.  Entries right
+    of ``ncols`` (an augmented right-hand side) are carried along.
+    Returns (echelon rows as lists of ints, pivot columns): row r leads in
     column pivots[r], and rows past len(pivots) vanish on the first
-    ``ncols`` columns, so len(pivots) is the rank.
+    ``ncols`` columns, so len(pivots) is the rank.  Every row returned is
+    primitive: its entries have gcd 1, or all vanish.
     """
-    a = [list(r) for r in rows]
+    a = []
+    for row in rows:
+        scale = lcm(*(e.denominator for e in row))
+        a.append(_primitive([e.numerator * (scale // e.denominator) for e in row]))
     pivots = []
     for col in range(ncols):
         r = len(pivots)
@@ -359,12 +390,20 @@ def _echelon(rows, ncols: int) -> tuple:
             continue
         a[r], a[piv] = a[piv], a[r]
         top = a[r][col:]
+        p = top[0]
         for row in a[r + 1:]:
-            if row[col] != 0:
-                f = row[col] / top[0]
-                row[col:] = [x - f * y for x, y in zip(row[col:], top)]
+            f = row[col]
+            if f != 0:
+                row[col:] = _primitive([x * p - f * y for x, y in zip(row[col:], top)])
         pivots.append(col)
     return a, pivots
+
+
+def _primitive(row: list) -> list:
+    """The integer row divided by the gcd of its entries (all-zero rows
+    and rows of gcd 1 come back as they are)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _back_substitute(rows, pivots, rhs, x) -> list:
@@ -372,7 +411,8 @@ def _back_substitute(rows, pivots, rhs, x) -> list:
 
     Sets x[pivots[r]] so that sum_j rows[r][j] x[j] = rhs[r] over the
     len(x) unknowns, last pivot first; the free entries of x keep the
-    values they come in with.  Returns x.
+    values they come in with.  The rows and rhs are integers, the
+    unknowns Fractions.  Returns x.
     """
     width = len(x)
     for r in range(len(pivots) - 1, -1, -1):
@@ -495,24 +535,37 @@ def integer_gcd(entries) -> int:
 # symmetric polynomials
 
 
+def _elementary_integer(xs) -> tuple:
+    """(S, L): L is the lcm of the denominators of xs and S_0..S_d are the
+    integer coefficients of prod_i (1 + L x_i t), so s_k(xs) = S_k / L^k.
+
+    >>> _elementary_integer([Fraction(1, 2), Fraction(1, 3)])
+    ([1, 5, 6], 6)
+    """
+    xs = [rat(x) for x in xs]
+    scale = lcm(*(x.denominator for x in xs))
+    coeffs = [1] + [0] * len(xs)
+    for i, x in enumerate(xs, 1):
+        a = x.numerator * (scale // x.denominator)
+        if a:
+            for k in range(i, 0, -1):
+                coeffs[k] += a * coeffs[k - 1]
+    return coeffs, scale
+
+
 def elementary_symmetric(k: int, xs) -> Fraction:
-    """s_k(xs) by the incremental product expansion of prod(1 + x_i t).
+    """s_k(xs) = S_k / L^k from the integer expansion of prod(1 + L x_i t)
+    (see _elementary_integer); zero for k > len(xs).
 
     >>> elementary_symmetric(2, [1, 2, 3])
     Fraction(11, 1)
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    xs = [rat(x) for x in xs]
-    if k > len(xs):
+    coeffs, scale = _elementary_integer(xs)
+    if k >= len(coeffs):
         return Fraction(0)
-    coeffs = [Fraction(1)]
-    for x in xs:
-        nxt = coeffs + [Fraction(0)]
-        for i in range(len(coeffs), 0, -1):
-            nxt[i] += x * coeffs[i - 1]
-        coeffs = nxt
-    return coeffs[k]
+    return Fraction(coeffs[k], scale**k)
 
 
 def complete_homogeneous(k: int, xs) -> Fraction:
@@ -552,16 +605,22 @@ def canonical_multiindex(J) -> tuple:
 def s_J(J, xs) -> Fraction:
     """Product of elementary symmetric polynomials s_{j1} * s_{j2} * ...
 
-    The multiindex is canonicalized to ascending order; the order never
-    affects the value.
+    One integer expansion of prod(1 + L x_i t) gives every S_j (see
+    _elementary_integer), and the value is prod_{j in J} S_j / L^{|J|},
+    |J| the entry sum.  The multiindex is canonicalized to ascending
+    order; the order never affects the value.
 
     >>> s_J((1, 1), [1, 2])
     Fraction(9, 1)
     """
-    out = Fraction(1)
-    for j in canonical_multiindex(J):
-        out *= elementary_symmetric(j, xs)
-    return out
+    J = canonical_multiindex(J)
+    coeffs, scale = _elementary_integer(xs)
+    num = 1
+    for j in J:
+        if j >= len(coeffs):
+            return Fraction(0)
+        num *= coeffs[j]
+    return Fraction(num, scale ** sum(J))
 
 
 def partitions(m: int) -> list:

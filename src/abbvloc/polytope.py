@@ -274,8 +274,12 @@ def lawrence_volume(p: HPolytope, f: LinearFunctional) -> Fraction:
     return total / factorial(n)
 
 
-def random_functional(p: HPolytope, rng: SplitMix64, budget: int = 100) -> LinearFunctional:
-    """Draw a functional that is nonconstant on every edge of the section."""
+def random_functional(p: HPolytope, rng: SplitMix64, budget: int = 100) -> tuple:
+    """Draw a functional that is nonconstant on every edge of the section.
+
+    Returns (functional, its Lawrence volume of p): the volume is computed
+    once, by the evaluation that accepts the functional.
+    """
     actives = p.active_sets()
     pairs = _adjacent_pairs(actives)
     for _ in range(budget):
@@ -286,10 +290,9 @@ def random_functional(p: HPolytope, rng: SplitMix64, budget: int = 100) -> Linea
         if any(f(p.vertices[a]) == f(p.vertices[b]) for a, b in pairs):
             continue
         try:
-            lawrence_volume(p, f)
+            return f, lawrence_volume(p, f)
         except EdgeConstantFunctional:
             continue
-        return f
     raise EdgeConstantFunctional("no valid functional found within the retry budget")
 
 
@@ -311,8 +314,7 @@ def msy_check(cone: GoodCone, seed: int = 42) -> MsyCheck:
     p = HPolytope.from_cone(cone)
     outcome = sample_independent(lambda v: toric_volume(cone, v), cone.dim, 1, seed)
     lhs = outcome.value
-    f = random_functional(p, outcome.rng)
-    vol_h = lawrence_volume(p, f)
+    _, vol_h = random_functional(p, outcome.rng)
     n = cone.codim_half
     e = cone.pi_scale_exponent
     rhs = PiScalar(Fraction(2) ** ((n + 1) * e - n) * vol_h, (n + 1) * e)

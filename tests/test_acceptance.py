@@ -159,8 +159,9 @@ def test_criterion_3_lawrence_vs_triangulation():
     for p in fixtures:
         expected = triangulation_volume(p)
         for _ in range(20):
-            f = random_functional(p, rng)
-            assert lawrence_volume(p, f) == expected
+            f, volume = random_functional(p, rng)
+            assert volume == expected
+            assert lawrence_volume(p, f) == volume
             compared += 1
     triangle = HPolytope.from_cone(simplex_cone(3))
     assert triangulation_volume(triangle) == Fraction(1, 2)

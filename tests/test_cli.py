@@ -56,6 +56,21 @@ def sphere_system_doc():
     }
 
 
+def root_data_doc():
+    return {
+        "dim_t": 3,
+        "roots": [["1", "0", "0"], ["1", "1", "0"], ["1", "-1", "0"]],
+        "weyl_reps": [
+            [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+            [["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+            [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]],
+            [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "1"]],
+        ],
+        "b": ["0", "0", "1"],
+        "p": ["-1", "0", "1"],
+    }
+
+
 def corrupted_system_doc():
     doc = sphere_system_doc()
     doc["orbits"] = doc["orbits"][:1]
@@ -268,19 +283,7 @@ class TestHomogeneousCommands:
         assert "exact: 2/3 * pi^4" in out
 
     def test_homogeneous_from_file(self, capsys, tmp_path):
-        doc = {
-            "dim_t": 3,
-            "roots": [["1", "0", "0"], ["1", "1", "0"], ["1", "-1", "0"]],
-            "weyl_reps": [
-                [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
-                [["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
-                [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]],
-                [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "1"]],
-            ],
-            "b": ["0", "0", "1"],
-            "p": ["-1", "0", "1"],
-        }
-        path = write_json(tmp_path, "roots.json", doc)
+        path = write_json(tmp_path, "roots.json", root_data_doc())
         code, out = run_cli(
             capsys, "homogeneous", "--input", path, "--b-prime", "0,0,1", "--json"
         )
@@ -357,6 +360,47 @@ class TestExitContract:
         error = json.loads(out)["error"]
         assert error["type"] == "InputError"
         assert "expected a JSON array" in error["message"]
+
+    @pytest.mark.parametrize(
+        "field, value", [("reeb", [True, "2"]), ("normals", [[-1, False], [0, -1]])]
+    )
+    def test_boolean_entry_exit_2(self, capsys, tmp_path, field, value):
+        cone = sphere_cone_doc([1, 2])
+        cone[field] = value
+        path = write_json(tmp_path, "c.json", cone)
+        code, out = run_cli(capsys, "volume-toric", "--input", path, "--json")
+        assert code == 2
+        assert out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "InputError"
+        assert "as an exact rational" in error["message"]
+
+    @pytest.mark.parametrize("row", ["10", {"0": 1, "1": 0}], ids=["string", "object"])
+    @pytest.mark.parametrize("target", ["lattice_basis", "weyl_reps"])
+    def test_non_array_matrix_row_exit_2(self, capsys, tmp_path, target, row):
+        if target == "lattice_basis":
+            doc = sphere_cone_doc([1, 2])
+            doc["lattice_basis"] = [row, "01" if isinstance(row, str) else {"0": 0, "1": 1}]
+            argv = ("volume-toric", "--input", write_json(tmp_path, "c.json", doc))
+        else:
+            doc = root_data_doc()
+            doc["weyl_reps"][1][0] = row
+            path = write_json(tmp_path, "r.json", doc)
+            argv = ("homogeneous", "--input", path, "--b-prime", "0,0,1")
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == 2
+        assert out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "InputError"
+        assert "expected a JSON array, got " + type(row).__name__ in error["message"]
+
+    def test_non_array_matrix_exit_2(self, capsys, tmp_path):
+        doc = sphere_cone_doc([1, 2])
+        doc["lattice_basis"] = "1001"
+        path = write_json(tmp_path, "c.json", doc)
+        code, out = run_cli(capsys, "volume-toric", "--input", path, "--json")
+        assert code == 2
+        assert "expected a JSON array of rows, got str" in json.loads(out)["error"]["message"]
 
     @pytest.mark.parametrize("order", ["-3", "0", "1"])
     def test_dh_order_below_codimension_exit_2(self, capsys, tmp_path, order):

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -188,6 +189,29 @@ class TestDeterminantOracle:
         assert value == leibniz_det([[rat(x) for x in r] for r in rows])
 
 
+class TestCovectorOracle:
+    """The integer-accumulating pairing equals the plain Fraction sum."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda n: st.tuples(
+                st.lists(rationals, min_size=n, max_size=n),
+                st.lists(st.one_of(rationals, st.integers(-5, 5)), min_size=n, max_size=n),
+            )
+        )
+    )
+    @example(([Fraction(1, 2), Fraction(1, 3), 0], [Fraction(1, 3), Fraction(1, 2), 4]))
+    @example(([Fraction(-1, 6), Fraction(1, 4)], [3, 2]))
+    def test_pairing_equals_fraction_sum(self, pair):
+        a, v = pair
+        expected = sum((Fraction(x) * y for x, y in zip(a, v)), Fraction(0))
+        for arg in (v, Vector(v)):  # raw ints and Fractions, and a Vector
+            value = Covector(a)(arg)
+            assert type(value) is Fraction
+            assert value == expected
+
+
 class TestSolve:
     def test_identity(self):
         assert solve_linear(Matrix.identity(2), [3, 5]) == Vector([3, 5])
@@ -219,11 +243,11 @@ class TestSolve:
             assert a * a.inverse() == Matrix.identity(4)
 
 
-def int_matrices(min_rows=1, max_rows=4, extra_cols=0):
-    """Small integer matrices with ``extra_cols`` more columns than rows."""
+def matrices(min_rows=1, max_rows=4, extra_cols=0, entries=st.integers(-3, 3)):
+    """Small matrices with ``extra_cols`` more columns than rows."""
     return st.integers(min_rows, max_rows).flatmap(
         lambda n: st.lists(
-            st.lists(st.integers(-3, 3), min_size=n + extra_cols, max_size=n + extra_cols),
+            st.lists(entries, min_size=n + extra_cols, max_size=n + extra_cols),
             min_size=n,
             max_size=n,
         )
@@ -247,7 +271,7 @@ class TestElimination:
     """Properties of the one forward-elimination routine and its callers."""
 
     @settings(max_examples=150, deadline=None)
-    @given(int_matrices(), st.lists(st.integers(-5, 5), min_size=4, max_size=4))
+    @given(matrices(), st.lists(st.integers(-5, 5), min_size=4, max_size=4))
     def test_solve_round_trip(self, rows, rhs):
         a = Matrix(rows)
         b = Vector(rhs[: a.nrows])
@@ -258,7 +282,7 @@ class TestElimination:
             assert a.apply(solve_linear(a, b)) == b
 
     @settings(max_examples=150, deadline=None)
-    @given(int_matrices())
+    @given(matrices())
     def test_inverse_round_trip(self, rows):
         a = Matrix(rows)
         if det(a) == 0:
@@ -268,7 +292,7 @@ class TestElimination:
             assert a * a.inverse() == Matrix.identity(a.nrows)
 
     @settings(max_examples=150, deadline=None)
-    @given(int_matrices(max_rows=4, extra_cols=1))
+    @given(matrices(max_rows=4, extra_cols=1))
     def test_kernel_direction(self, rows):
         dim = len(rows[0])
         phi = _kernel_direction([Vector(r) for r in rows], dim)
@@ -296,6 +320,96 @@ class TestElimination:
         )
         base = Vector([0] * len(rows[0]))
         assert _affine_rank([base] + [Vector(r) for r in rows]) == minor_rank(rows)
+
+
+def gauss_jordan(rows, ncols):
+    """Reduced row echelon form over Fractions, pivot = first nonzero at or
+    below: the independent oracle for the integer elimination."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots
+
+
+class TestEliminationOracle:
+    """solve_linear, inverse, the kernel direction and the rank equal a
+    Fraction Gauss-Jordan elimination on rational matrices."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices(extra_cols=1, entries=rationals))
+    @example([[Fraction(1, 2), Fraction(1, 3), 1], [Fraction(1, 4), Fraction(1, 6), 2]])
+    @example([[0, Fraction(2, 3), Fraction(5, 7)], [Fraction(3, 5), 0, Fraction(-1, 2)]])
+    def test_solve_equals_gauss_jordan(self, rows):
+        n = len(rows)
+        reduced, pivots = gauss_jordan(rows, n)
+        m, rhs = Matrix([r[:n] for r in rows]), [r[n] for r in rows]
+        if len(pivots) < n:
+            with pytest.raises(SingularMatrix):
+                solve_linear(m, rhs)
+        else:
+            assert solve_linear(m, rhs) == Vector([r[n] for r in reduced])
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices(entries=rationals))
+    @example([[Fraction(1, 2), Fraction(2, 3)], [Fraction(3, 4), Fraction(5, 6)]])
+    def test_inverse_equals_gauss_jordan(self, rows):
+        n = len(rows)
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        reduced, pivots = gauss_jordan([r + e for r, e in zip(rows, identity)], n)
+        if len(pivots) < n:
+            with pytest.raises(SingularMatrix):
+                Matrix(rows).inverse()
+        else:
+            assert Matrix(rows).inverse() == Matrix([r[n:] for r in reduced])
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices(extra_cols=1, entries=rationals))
+    @example([[Fraction(1, 2), Fraction(1, 3), 0], [0, Fraction(2, 5), Fraction(3, 7)]])
+    def test_kernel_direction_equals_gauss_jordan(self, rows):
+        dim = len(rows[0])
+        reduced, pivots = gauss_jordan(rows, dim)
+        phi = _kernel_direction([Vector(r) for r in rows], dim)
+        if len(pivots) != dim - 1:
+            assert phi is None
+            return
+        free = next(j for j in range(dim) if j not in pivots)
+        expected = [Fraction(0)] * dim
+        expected[free] = Fraction(1)
+        for r, p in enumerate(pivots):
+            expected[p] = -reduced[r][free]
+        assert phi == Covector(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(rationals, min_size=n, max_size=n), min_size=1, max_size=5
+            )
+        )
+    )
+    @example([[Fraction(2, 3), Fraction(4, 5)], [Fraction(1, 3), Fraction(2, 5)]])
+    def test_rank_and_pivots_equal_gauss_jordan(self, rows):
+        _, pivots = gauss_jordan(rows, len(rows[0]))
+        echelon, echelon_pivots = _echelon([[Fraction(x) for x in r] for r in rows], len(rows[0]))
+        assert echelon_pivots == pivots
+        base = Vector([0] * len(rows[0]))
+        assert _affine_rank([base] + [Vector(r) for r in rows]) == len(pivots)
+        # the rows stay primitive integer rows, so entries do not grow by
+        # the pivots' common factors
+        for row in echelon:
+            assert all(type(x) is int for x in row)
+            assert gcd(*row) in (0, 1)
 
 
 class TestSmithNormalForm:
@@ -404,3 +518,46 @@ class TestSymmetricPolynomials:
         assert partitions(4) == [(1, 1, 1, 1), (1, 1, 2), (1, 3), (2, 2), (4,)]
         assert partitions(1) == [(1,)]
         assert partitions(0) == [()]
+
+
+def brute_elementary(k, xs) -> Fraction:
+    """s_k as the literal sum over k-subsets: the independent oracle."""
+    total = Fraction(0)
+    for combo in itertools.combinations(xs, k):
+        term = Fraction(1)
+        for x in combo:
+            term *= x
+        total += term
+    return total
+
+
+mixed_values = st.lists(st.one_of(rationals, st.integers(-4, 4)), max_size=7)
+
+
+class TestSymmetricOracle:
+    """The integer expansion equals the brute-force subset sums."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 9), mixed_values)
+    @example(0, [])
+    @example(2, [])
+    @example(3, [Fraction(1, 2), Fraction(-2, 3), 0, Fraction(5, 7)])
+    @example(5, [Fraction(1, 2), 3])
+    def test_elementary_equals_subset_sum(self, k, xs):
+        value = elementary_symmetric(k, xs)
+        assert type(value) is Fraction
+        assert value == brute_elementary(k, [Fraction(x) for x in xs])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 8), max_size=4), mixed_values)
+    @example([2, 2], [Fraction(1, 2), Fraction(1, 3), Fraction(-3, 4)])
+    @example([1, 1, 3], [Fraction(2, 5), 0, Fraction(-1, 6)])
+    @example([4], [Fraction(1, 2), 1])
+    @example([], [])
+    def test_s_J_equals_product_of_subset_sums(self, J, xs):
+        expected = Fraction(1)
+        for j in J:
+            expected *= brute_elementary(j, [Fraction(x) for x in xs])
+        value = s_J(J, xs)
+        assert type(value) is Fraction
+        assert value == expected

@@ -150,15 +150,17 @@ class TestLawrence:
         ):
             expected = triangulation_volume(p)
             for _ in range(20):
-                f = random_functional(p, rng)
-                assert lawrence_volume(p, f) == expected
+                f, volume = random_functional(p, rng)
+                assert volume == expected
+                assert lawrence_volume(p, f) == volume
 
     def test_functional_independence(self):
         rng = make_rng(19)
         p = cube_polytope()
-        f1 = random_functional(p, rng)
-        f2 = random_functional(p, rng)
-        assert lawrence_volume(p, f1) == lawrence_volume(p, f2)
+        f1, vol1 = random_functional(p, rng)
+        f2, vol2 = random_functional(p, rng)
+        assert f1 != f2
+        assert vol1 == vol2 == lawrence_volume(p, f1) == lawrence_volume(p, f2)
 
 
 class TestHPolytope:
