@@ -125,6 +125,14 @@ def _vector(doc) -> Vector:
     return Vector(rat(x) for x in doc)
 
 
+def _integer(doc) -> int:
+    """An integer field: what ``rat`` takes, with denominator 1."""
+    q = rat(doc)
+    if q.denominator != 1:
+        raise ValueError(f"expected an integer, got {doc!r}")
+    return q.numerator
+
+
 def _matrix(doc) -> Matrix:
     if not isinstance(doc, list):
         raise TypeError(f"expected a JSON array of rows, got {type(doc).__name__}")
@@ -135,16 +143,23 @@ def _load_orbit_system(doc) -> OrbitSystem:
     try:
         orbits = tuple(
             OrbitDatum(
-                length=PiScalar(rat(o["length"]["coeff"]), int(o["length"]["pi_power"])),
+                length=PiScalar(rat(o["length"]["coeff"]), _integer(o["length"]["pi_power"])),
                 moment=_vector(o["moment"]),
                 weights=tuple(_vector(wt) for wt in o["weights"]),
             )
             for o in doc["orbits"]
         )
+        dim_t = _integer(doc["dim_t"])
+        # The package's own systems have pi powers 1, 0 or 1 - dim_t; the
+        # bound also caps the cost of the advisory decimal.
+        for pi_power in (_integer(o["length"]["pi_power"]) for o in doc["orbits"]):
+            if abs(pi_power) > dim_t:
+                raise _CliInputError(f"orbit length pi_power {pi_power} is out of range: "
+                                     f"|pi_power| must be at most dim_t = {dim_t}")
         return OrbitSystem(
-            dim_t=int(doc["dim_t"]),
+            dim_t=dim_t,
             b=_vector(doc["b"]),
-            codim_half=int(doc["codim_half"]),
+            codim_half=_integer(doc["codim_half"]),
             orbits=orbits,
         )
     except _MALFORMED as exc:
@@ -155,11 +170,11 @@ def _load_cone(doc) -> GoodCone:
     try:
         basis = doc.get("lattice_basis")
         return GoodCone(
-            dim=int(doc["dim"]),
+            dim=_integer(doc["dim"]),
             normals=tuple(_vector(v) for v in doc["normals"]),
             reeb=_vector(doc["reeb"]),
             lattice_basis=None if basis is None else _matrix(basis),
-            pi_scale_exponent=int(doc.get("pi_scale_exponent", 1)),
+            pi_scale_exponent=_integer(doc.get("pi_scale_exponent", 1)),
         )
     except _MALFORMED as exc:
         raise _CliInputError(f"malformed cone document: {exc}") from exc
@@ -168,7 +183,7 @@ def _load_cone(doc) -> GoodCone:
 def _load_root_data(doc) -> RootData:
     try:
         return RootData(
-            dim_t=int(doc["dim_t"]),
+            dim_t=_integer(doc["dim_t"]),
             roots_quotient=tuple(_vector(r) for r in doc["roots"]),
             weyl_reps=tuple(_matrix(m) for m in doc["weyl_reps"]),
             b=_vector(doc["b"]),

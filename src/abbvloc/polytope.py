@@ -8,8 +8,9 @@ identity ties both to the localized volume of the cone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .core import (
@@ -25,17 +26,19 @@ from .core import (
 )
 from .errors import EdgeConstantFunctional, InputError, NotSimpleVertex, SingularMatrix
 from .sampling import SplitMix64, sample_independent, sample_rational, sample_vector
-from .toric import GoodCone, toric_volume
+from .toric import GoodCone, _edge_ends, toric_volume
 
 
 @dataclass(frozen=True)
 class HPolytope:
-    """The section {phi : phi(v_i) <= 0, phi(reeb) = 1} with its vertices."""
+    """The section {phi : phi(v_i) <= 0, phi(reeb) = 1} with its vertices
+    and, in vertex order, the facets each vertex lies on (``facet_sets``)."""
 
     ambient_dim: int
     normals: tuple
     reeb: Vector
     vertices: tuple
+    facet_sets: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "normals", tuple(Vector(v) for v in self.normals))
@@ -43,11 +46,15 @@ class HPolytope:
         object.__setattr__(self, "vertices", tuple(Covector(p) for p in self.vertices))
         if not self.vertices:
             raise InputError("vertex list must be nonempty")
+        facet_sets = []
         for phi in self.vertices:
             if phi(self.reeb) != 1:
                 raise InputError(f"vertex {tuple(phi)} is not on the Reeb hyperplane")
-            if any(phi(v) > 0 for v in self.normals):
+            values = [phi(v) for v in self.normals]
+            if any(val > 0 for val in values):
                 raise InputError(f"vertex {tuple(phi)} violates a facet inequality")
+            facet_sets.append(frozenset(i for i, val in enumerate(values) if val == 0))
+        object.__setattr__(self, "facet_sets", tuple(facet_sets))
 
     @classmethod
     def from_cone(cls, cone: GoodCone) -> "HPolytope":
@@ -76,12 +83,24 @@ class HPolytope:
     def section_dim(self) -> int:
         return self.ambient_dim - 1
 
-    def active_sets(self) -> list:
-        """Facet indices active at each vertex, in vertex order."""
-        return [
-            frozenset(i for i, v in enumerate(self.normals) if phi(v) == 0)
-            for phi in self.vertices
-        ]
+    @cached_property
+    def edges(self) -> tuple:
+        """The sorted pairs a < b of vertex indices joined by an edge; raises
+        NotSimpleVertex unless the section is simple."""
+        _require_simple(self)
+        return tuple(
+            sorted(tuple(ends) for ends in _edge_ends(self.facet_sets).values() if len(ends) == 2)
+        )
+
+
+def _require_simple(p: HPolytope):
+    """Raise NotSimpleVertex at the first vertex not on exactly n facets."""
+    n = p.section_dim
+    for phi, facets in zip(p.vertices, p.facet_sets):
+        if len(facets) != n:
+            raise NotSimpleVertex(
+                f"vertex {tuple(phi)} lies on {len(facets)} facets, expected {n}"
+            )
 
 
 def vertices_from_halfspaces(normals, reeb) -> list:
@@ -207,30 +226,16 @@ def triangulation_volume(p: HPolytope, base_index: int = None) -> Fraction:
     n = p.section_dim
     if len(p.vertices) == 1 or _affine_rank(list(p.vertices)) < n:
         return Fraction(0)
-    actives = p.active_sets()
-    for phi, act in zip(p.vertices, actives):
-        if len(act) != n:
-            raise NotSimpleVertex(
-                f"vertex {tuple(phi)} lies on {len(act)} facets, expected {n}"
-            )
-    ids = list(range(len(p.vertices)))
-    common = frozenset.intersection(*actives) if actives else frozenset()
-    if common:
+    _require_simple(p)
+    if frozenset.intersection(*p.facet_sets):
         return Fraction(0)
+    ids = list(range(len(p.vertices)))
     total = Fraction(0)
-    for simplex in _triangulate(ids, frozenset(), actives, n, base_id=base_index):
+    for simplex in _triangulate(ids, frozenset(), p.facet_sets, n, base_id=base_index):
         base = p.vertices[simplex[-1]]
         edges = [p.vertices[i] - base for i in simplex[:-1]]
         total += abs(omega_h(p.reeb, edges))
     return total / factorial(n)
-
-
-def _adjacent_pairs(actives):
-    n_pairs = []
-    for a, b in itertools.combinations(range(len(actives)), 2):
-        if len(actives[a] & actives[b]) == len(actives[a]) - 1:
-            n_pairs.append((a, b))
-    return n_pairs
 
 
 def lawrence_volume(p: HPolytope, f: LinearFunctional) -> Fraction:
@@ -243,21 +248,17 @@ def lawrence_volume(p: HPolytope, f: LinearFunctional) -> Fraction:
     the functional must be resampled.
     """
     n = p.section_dim
-    actives = p.active_sets()
-    for phi, act in zip(p.vertices, actives):
-        if len(act) != n:
-            raise NotSimpleVertex(
-                f"vertex {tuple(phi)} lies on {len(act)} facets, expected {n}"
-            )
-    for a, b_idx in _adjacent_pairs(actives):
-        if f(p.vertices[a]) == f(p.vertices[b_idx]):
+    edges = p.edges
+    values = [f(phi) for phi in p.vertices]
+    for a, b_idx in edges:
+        if values[a] == values[b_idx]:
             raise EdgeConstantFunctional(
                 f"functional constant on edge {tuple(p.vertices[a])} -- "
                 f"{tuple(p.vertices[b_idx])}"
             )
     total = Fraction(0)
-    for phi, act in zip(p.vertices, actives):
-        columns = [p.reeb] + [p.normals[i] for i in sorted(act)]
+    for phi, facets, value in zip(p.vertices, p.facet_sets, values):
+        columns = [p.reeb] + [p.normals[i] for i in sorted(facets)]
         m = Matrix.from_columns(columns)
         delta = det(m)
         if delta == 0:
@@ -270,7 +271,7 @@ def lawrence_volume(p: HPolytope, f: LinearFunctional) -> Fraction:
                     f"functional has a zero edge coefficient at vertex {tuple(phi)}"
                 )
             coeff_product *= g
-        total += f(phi) ** n / (abs(delta) * coeff_product)
+        total += value**n / (abs(delta) * coeff_product)
     return total / factorial(n)
 
 
@@ -280,15 +281,11 @@ def random_functional(p: HPolytope, rng: SplitMix64, budget: int = 100) -> tuple
     Returns (functional, its Lawrence volume of p): the volume is computed
     once, by the evaluation that accepts the functional.
     """
-    actives = p.active_sets()
-    pairs = _adjacent_pairs(actives)
     for _ in range(budget):
         f = LinearFunctional(
             u=sample_vector(p.ambient_dim, rng),
             d_shift=sample_rational(rng),
         )
-        if any(f(p.vertices[a]) == f(p.vertices[b]) for a, b in pairs):
-            continue
         try:
             return f, lawrence_volume(p, f)
         except EdgeConstantFunctional:

@@ -4,7 +4,8 @@ A good cone is given by primitive integer facet normals and a Reeb vector
 with a bounded hyperplane section.  Vertices of the section are enumerated
 exactly, validated against the lattice direct-summand condition via Smith
 normal form, and turned into orbit data (lengths, moments, weights) or fed
-directly into the determinant volume formula.
+directly into the determinant volume formula.  Boundedness is read off
+the edges, which ``_edge_ends`` finds from the vertices' facet sets.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from .core import (
     Matrix,
     PiScalar,
     Vector,
-    _back_substitute,
-    _echelon,
     basis_vector,
     det,
     integer_gcd,
     rat,
+    rat_str,
     smith_normal_form,
     solve_linear,
 )
@@ -134,37 +134,16 @@ class ToricOrbit:
         return abs(self.delta)
 
 
-def _kernel_direction(rows, dim):
-    """The solution phi of row . phi = 0 for all rows whose free entry is
-    1, or None if the rows have rank != dim - 1."""
-    a, pivots = _echelon(rows, dim)
-    if len(pivots) != dim - 1:
-        return None
-    phi = [Fraction(0)] * dim
-    phi[next(j for j in range(dim) if j not in pivots)] = Fraction(1)
-    return Covector(_back_substitute(a, pivots, [Fraction(0)] * len(pivots), phi))
-
-
-def _check_pointed_section(cone: GoodCone):
-    """Reject cones whose section is unbounded.
-
-    The section is bounded iff the recession cone {phi : phi(b) = 0,
-    phi(v_i) <= 0} is trivial; a nontrivial recession cone has an extreme
-    ray cut out by the Reeb constraint plus n-1 of the facet constraints,
-    so all candidate rays can be enumerated exactly.
-    """
-    d = cone.dim
-    m = len(cone.normals)
-    for subset in itertools.combinations(range(m), d - 2):
-        rows = [cone.reeb] + [cone.normals[i] for i in subset]
-        phi = _kernel_direction(rows, d)
-        if phi is None:
-            continue
-        for candidate in (phi, -phi):
-            if all(candidate(v) <= 0 for v in cone.normals):
-                raise UnboundedSection(
-                    f"recession ray {tuple(candidate)} through facets {subset}"
-                )
+def _edge_ends(facet_sets) -> dict:
+    """Each edge of a simple section, keyed by its facets: a vertex's facet
+    set minus one facet.  Maps it to the indices into ``facet_sets`` of the
+    vertices it ends in, in order: two for a bounded edge, one for a ray."""
+    ends = {}
+    for index, facets in enumerate(facet_sets):
+        facets = frozenset(facets)
+        for j in facets:
+            ends.setdefault(facets - {j}, []).append(index)
+    return ends
 
 
 def enumerate_vertices(cone: GoodCone) -> tuple:
@@ -174,24 +153,22 @@ def enumerate_vertices(cone: GoodCone) -> tuple:
     it satisfies all facet inequalities with equality exactly on the
     subset.  Raises NotSimpleVertex when a solution lies on extra facets,
     GoodnessViolation when the active normals of a vertex fail the Smith
-    normal form test, and UnboundedSection for empty or unbounded sections.
+    normal form test, and UnboundedSection for an empty section or for an
+    edge with one vertex (for a simple section, a nontrivial recession cone).
 
     Enumerates afresh on every call; callers read ``cone.orbits``, which
     calls this once per cone and keeps the result.
     """
-    d = cone.dim
     n = cone.codim_half
     b = cone.reeb
     rhs = [Fraction(0)] * n + [Fraction(1)]
     orbits = {}
     for subset in itertools.combinations(range(len(cone.normals)), n):
-        rows = [cone.normals[i] for i in subset] + [b]
-        system = Matrix(rows)
+        ordered = [cone.normals[i] for i in subset]
         try:
-            phi = solve_linear(system, rhs)
+            phi = Covector(solve_linear(Matrix(ordered + [b]), rhs))
         except SingularMatrix:
             continue
-        phi = Covector(phi)
         values = [phi(v) for v in cone.normals]
         if any(val > 0 for val in values):
             continue
@@ -200,12 +177,11 @@ def enumerate_vertices(cone: GoodCone) -> tuple:
             raise NotSimpleVertex(
                 f"vertex {tuple(phi)} lies on facets {active}, more than {n}"
             )
-        divisors = smith_normal_form([cone.normals[i] for i in subset])
+        divisors = smith_normal_form(ordered)
         if any(dv != 1 for dv in divisors):
             raise GoodnessViolation(
                 f"facets {subset} span a sublattice with divisors {divisors}"
             )
-        ordered = [cone.normals[i] for i in subset]
         delta = det(Matrix.from_columns([b] + ordered))
         if delta < 0 and n >= 2:
             ordered[0], ordered[1] = ordered[1], ordered[0]
@@ -218,8 +194,16 @@ def enumerate_vertices(cone: GoodCone) -> tuple:
         )
     if not orbits:
         raise UnboundedSection("no vertex satisfies the facet inequalities")
-    _check_pointed_section(cone)
-    return tuple(sorted(orbits.values(), key=lambda o: tuple(o.vertex)))
+    result = tuple(sorted(orbits.values(), key=lambda o: tuple(o.vertex)))
+    for edge, ends in _edge_ends(o.facet_indices for o in result).items():
+        if len(ends) == 1:
+            orbit = result[ends[0]]
+            (left,) = set(orbit.facet_indices) - edge
+            raise UnboundedSection(
+                f"the section is unbounded: the edge that leaves facet {left} at vertex "
+                f"({', '.join(map(rat_str, orbit.vertex))}) has no second vertex"
+            )
+    return result
 
 
 def orbit_system_from_cone(cone: GoodCone) -> OrbitSystem:

@@ -477,3 +477,86 @@ class TestExitContract:
         assert not check["pass"]
         assert check["detail"].startswith("value PiScalar(")
         assert " != value " in check["detail"]
+
+    @staticmethod
+    def _integer_field_argv(tmp_path, field, value):
+        """The (1, 2) sphere as a cone (dim, pi_scale_exponent) or as an
+        orbit system (dim_t, codim_half, pi_power), with ``field`` set."""
+        if field in ("dim", "pi_scale_exponent"):
+            doc = sphere_cone_doc([1, 2])
+            doc[field] = value
+            return ("volume-toric", "--input", write_json(tmp_path, "c.json", doc))
+        doc = sphere_system_doc()
+        if field == "pi_power":
+            for orbit in doc["orbits"]:
+                orbit["length"]["pi_power"] = value
+        else:
+            doc[field] = value
+        return ("localize", "--input", write_json(tmp_path, "s.json", doc))
+
+    @pytest.mark.parametrize(
+        "value", [1.5, 1.0, True, "3/2", "1.5"],
+        ids=["float", "integral-float", "bool", "fraction-string", "decimal-string"],
+    )
+    @pytest.mark.parametrize("field", ["dim", "pi_scale_exponent", "dim_t", "codim_half", "pi_power"])
+    def test_non_integer_integer_field_exit_2(self, capsys, tmp_path, field, value):
+        argv = self._integer_field_argv(tmp_path, field, value)
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == 2
+        assert out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "InputError"
+        expected = "expected an integer" if isinstance(value, str) else "as an exact rational"
+        assert expected in error["message"]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dim", 2), ("dim", "2"), ("pi_scale_exponent", "1"), ("dim_t", "2"),
+         ("codim_half", "1"), ("pi_power", "1"), ("pi_power", " 1 ")],
+    )
+    def test_integer_field_as_int_or_string(self, capsys, tmp_path, field, value):
+        argv = self._integer_field_argv(tmp_path, field, value)
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["exact"] == "1 * pi^2"
+
+    @pytest.mark.parametrize("pi_power", [200000, -200000, 3, -3])
+    def test_pi_power_beyond_dim_t_exit_2(self, capsys, tmp_path, pi_power):
+        argv = self._integer_field_argv(tmp_path, "pi_power", pi_power)
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "InputError",
+            "message": f"orbit length pi_power {pi_power} is out of range: "
+                       "|pi_power| must be at most dim_t = 2",
+        }
+
+    @pytest.mark.parametrize("pi_power, exact", [(2, "1 * pi^3"), (-2, "1 * pi^-1"), (0, "1 * pi^1")])
+    def test_pi_power_within_dim_t(self, capsys, tmp_path, pi_power, exact):
+        argv = self._integer_field_argv(tmp_path, "pi_power", pi_power)
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["exact"] == exact
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"dim": 2, "normals": [[-1, 0], [0, -1]], "reeb": ["-1", "2"]},
+                "the edge that leaves facet 0 at vertex (0, 1/2) has no second vertex",
+            ),
+            (
+                {"dim": 2, "normals": [[-1, 0], [-1, -1]], "reeb": ["1", "0"]},
+                "the edge that leaves facet 1 at vertex (1, -1) has no second vertex",
+            ),
+        ],
+        ids=["negative-reeb-sphere", "unbounded-cone"],
+    )
+    def test_unbounded_section_message(self, capsys, tmp_path, doc, message):
+        path = write_json(tmp_path, "c.json", doc)
+        code, out = run_cli(capsys, "volume-toric", "--input", path, "--json")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "UnboundedSection"
+        assert error["message"] == "the section is unbounded: " + message
+        assert "Fraction(" not in error["message"]

@@ -33,7 +33,6 @@ from abbvloc.errors import (
 from conftest import make_rng, random_matrix, random_unimodular
 from abbvloc.polytope import _affine_rank
 from abbvloc.sampling import sample_rational
-from abbvloc.toric import _kernel_direction
 
 
 class TestRational:
@@ -292,21 +291,6 @@ class TestElimination:
             assert a * a.inverse() == Matrix.identity(a.nrows)
 
     @settings(max_examples=150, deadline=None)
-    @given(matrices(max_rows=4, extra_cols=1))
-    def test_kernel_direction(self, rows):
-        dim = len(rows[0])
-        phi = _kernel_direction([Vector(r) for r in rows], dim)
-        if minor_rank(rows) != dim - 1:
-            assert phi is None
-            return
-        assert all(Covector(phi)(Vector(r)) == 0 for r in rows)
-        # the free column is the first one that depends on the columns before it
-        free = next(
-            j for j in range(dim) if minor_rank([r[: j + 1] for r in rows]) < j + 1
-        )
-        assert phi[free] == 1
-
-    @settings(max_examples=150, deadline=None)
     @given(
         st.integers(1, 4).flatmap(
             lambda n: st.lists(
@@ -343,8 +327,8 @@ def gauss_jordan(rows, ncols):
 
 
 class TestEliminationOracle:
-    """solve_linear, inverse, the kernel direction and the rank equal a
-    Fraction Gauss-Jordan elimination on rational matrices."""
+    """solve_linear, inverse, the pivots and the rank equal a Fraction
+    Gauss-Jordan elimination on rational matrices."""
 
     @settings(max_examples=200, deadline=None)
     @given(matrices(extra_cols=1, entries=rationals))
@@ -372,23 +356,6 @@ class TestEliminationOracle:
                 Matrix(rows).inverse()
         else:
             assert Matrix(rows).inverse() == Matrix([r[n:] for r in reduced])
-
-    @settings(max_examples=200, deadline=None)
-    @given(matrices(extra_cols=1, entries=rationals))
-    @example([[Fraction(1, 2), Fraction(1, 3), 0], [0, Fraction(2, 5), Fraction(3, 7)]])
-    def test_kernel_direction_equals_gauss_jordan(self, rows):
-        dim = len(rows[0])
-        reduced, pivots = gauss_jordan(rows, dim)
-        phi = _kernel_direction([Vector(r) for r in rows], dim)
-        if len(pivots) != dim - 1:
-            assert phi is None
-            return
-        free = next(j for j in range(dim) if j not in pivots)
-        expected = [Fraction(0)] * dim
-        expected[free] = Fraction(1)
-        for r, p in enumerate(pivots):
-            expected[p] = -reduced[r][free]
-        assert phi == Covector(expected)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -1,6 +1,10 @@
+import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from abbvloc import toric
 from abbvloc.core import Covector, Matrix, PiScalar, Vector
@@ -12,7 +16,7 @@ from abbvloc.errors import (
     PoleAtSample,
     UnboundedSection,
 )
-from abbvloc.polytope import vertices_from_halfspaces
+from abbvloc.polytope import HPolytope, vertices_from_halfspaces
 from abbvloc.sampling import sample_vector
 from abbvloc.toric import (
     GoodCone,
@@ -311,3 +315,109 @@ def cube_cone():
         ),
         reeb=Vector([0, 0, 0, 1]),
     )
+
+
+def nullspace_line(rows, dim):
+    """The kernel of ``rows`` if it is a line, as one spanning vector, else
+    None: plain Fraction Gauss-Jordan elimination."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(dim):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != 0:
+                a[i] = [x - a[i][col] * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    if len(pivots) != dim - 1:
+        return None
+    free = next(j for j in range(dim) if j not in pivots)
+    phi = [Fraction(0)] * dim
+    phi[free] = Fraction(1)
+    for r, p in enumerate(pivots):
+        phi[p] = -a[r][free]
+    return phi
+
+
+def pair(phi, v):
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(phi, v)), Fraction(0))
+
+
+def recession_ray(cone):
+    """A nonzero phi with phi(b) = 0 and every phi(v_i) <= 0, or None.
+
+    When the section has a vertex, the recession cone is pointed, so it is
+    nontrivial exactly when it has an extreme ray; such a ray is cut out by
+    the Reeb equation and d - 2 facet equations.
+    """
+    d = cone.dim
+    for subset in itertools.combinations(cone.normals, d - 2):
+        phi = nullspace_line([cone.reeb, *subset], d)
+        if phi is None:
+            continue
+        for ray in (phi, [-x for x in phi]):
+            if all(pair(ray, v) <= 0 for v in cone.normals):
+                return ray
+    return None
+
+
+REEB_POOL = [-1, 0, 1, 1, 2, 3, 5, Fraction(1, 2), Fraction(5, 2), Fraction(-3, 2)]
+
+
+@st.composite
+def small_cones(draw):
+    """Cones of dimension 2..5 with up to d + 4 primitive normals of
+    entries -2..2 and Reeb entries from REEB_POOL.  Half of them start
+    from the orthant's normals -e_i, so that bounded sections are common."""
+    d = draw(st.integers(2, 5))
+    normal = st.lists(st.sampled_from([-2, -1, -1, 0, 0, 1, 1, 2]), min_size=d, max_size=d)
+    normals = [[-int(i == j) for j in range(d)] for i in range(d)] if draw(st.booleans()) else []
+    normals += draw(st.lists(normal.filter(lambda v: gcd(*v) == 1), max_size=d + 4))
+    normals = list(dict.fromkeys(map(tuple, normals)))[: d + 4]
+    assume(len(normals) >= d)
+    reeb = draw(st.lists(st.sampled_from(REEB_POOL), min_size=d, max_size=d))
+    return GoodCone(dim=d, normals=tuple(map(Vector, normals)), reeb=Vector(reeb))
+
+
+class TestBoundednessOracle:
+    """The edge-map boundedness test equals a recession-ray scan, and the
+    section's edge set equals the pairwise facet-set test."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_cones())
+    @example(unbounded_cone())
+    @example(cube_cone())
+    def test_enumeration_matches_recession_scan(self, cone):
+        try:
+            orbits = enumerate_vertices(cone)
+        except (NotSimpleVertex, GoodnessViolation):
+            return  # raised before any boundedness test
+        except UnboundedSection as exc:
+            assert "Fraction(" not in str(exc)
+            if str(exc).startswith("no vertex"):
+                assert vertices_from_halfspaces(cone.normals, cone.reeb) == []
+            else:
+                assert recession_ray(cone) is not None
+            return
+        assert recession_ray(cone) is None
+        assert [tuple(o.vertex) for o in orbits] == [
+            tuple(phi) for phi, _ in vertices_from_halfspaces(cone.normals, cone.reeb)
+        ]
+        n = cone.codim_half
+        facets = [
+            frozenset(i for i, v in enumerate(cone.normals) if pair(o.vertex, v) == 0)
+            for o in orbits
+        ]
+        pairwise = [
+            (a, b)
+            for a, b in itertools.combinations(range(len(orbits)), 2)
+            if len(facets[a] & facets[b]) == n - 1
+        ]
+        edges = HPolytope.from_cone(cone).edges
+        assert list(edges) == pairwise
+        for index in range(len(orbits)):
+            assert sum(index in e for e in edges) == n
