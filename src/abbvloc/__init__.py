@@ -60,7 +60,6 @@ from .polytope import (
     MsyCheck,
     lawrence_volume,
     msy_check,
-    omega_h,
     triangulation_volume,
     vertices_from_halfspaces,
 )

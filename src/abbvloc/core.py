@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .errors import (
+    InputError,
     MixedPiPowers,
     NonIntegerMatrix,
     NonSquareMatrix,
@@ -46,9 +47,16 @@ def rat(x) -> Fraction:
 
 
 def rat_str(q: Fraction) -> str:
-    """Render a rational as "p" or "p/q"."""
+    """Render a rational as "p" or "p/q".
+
+    Raises InputError when p or q has more digits than Python converts to
+    a string (4300 unless ``sys.set_int_max_str_digits`` changed it).
+    """
     q = rat(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:
+        raise InputError(f"the exact value is too large to print: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Exact volumes of the compact hyperplane section of a moment cone.
 
 Two independent routes compute the section's volume under the lattice
-measure: Lawrence's vertex formula and a fan triangulation.  The bridge
+measure: Lawrence's vertex formula and a pulling triangulation.  The bridge
 identity ties both to the localized volume of the cone.
 """
 
@@ -19,14 +19,13 @@ from .core import (
     PiScalar,
     Vector,
     _echelon,
-    basis_covector,
     det,
     rat,
     solve_linear,
 )
 from .errors import EdgeConstantFunctional, InputError, NotSimpleVertex, SingularMatrix
 from .sampling import SplitMix64, sample_independent, sample_rational, sample_vector
-from .toric import GoodCone, _edge_ends, toric_volume
+from .toric import GoodCone, _bounded_edges, _point_str, toric_volume
 
 
 @dataclass(frozen=True)
@@ -86,11 +85,10 @@ class HPolytope:
     @cached_property
     def edges(self) -> tuple:
         """The sorted pairs a < b of vertex indices joined by an edge; raises
-        NotSimpleVertex unless the section is simple."""
+        NotSimpleVertex unless the section is simple and UnboundedSection
+        unless it is bounded."""
         _require_simple(self)
-        return tuple(
-            sorted(tuple(ends) for ends in _edge_ends(self.facet_sets).values() if len(ends) == 2)
-        )
+        return _bounded_edges(self.vertices, self.facet_sets)
 
 
 def _require_simple(p: HPolytope):
@@ -99,7 +97,7 @@ def _require_simple(p: HPolytope):
     for phi, facets in zip(p.vertices, p.facet_sets):
         if len(facets) != n:
             raise NotSimpleVertex(
-                f"vertex {tuple(phi)} lies on {len(facets)} facets, expected {n}"
+                f"vertex {_point_str(phi)} lies on {len(facets)} facets, expected {n}"
             )
 
 
@@ -146,33 +144,6 @@ class LinearFunctional:
         return phi(self.u) + self.d_shift
 
 
-def omega_h(b: Vector, edges, w: Covector = None) -> Fraction:
-    """The lattice measure on the Reeb hyperplane applied to edge vectors.
-
-    Computed as the determinant of the square matrix whose first row is any
-    covector w with w(b) = 1 and whose remaining rows are the edges; the
-    value does not depend on the choice of w because the edges annihilate b.
-    """
-    b = Vector(b)
-    d = len(b)
-    edges = [Covector(e) for e in edges]
-    if len(edges) != d - 1:
-        raise InputError(f"need {d - 1} edge covectors, got {len(edges)}")
-    for e in edges:
-        if e(b) != 0:
-            raise InputError(f"edge {tuple(e)} does not annihilate the Reeb vector")
-    if w is None:
-        j = next((i for i, x in enumerate(b) if x != 0), None)
-        if j is None:
-            raise InputError("Reeb vector is zero")
-        w = basis_covector(d, j).scaled(1 / b[j])
-    else:
-        w = Covector(w)
-        if w(b) != 1:
-            raise InputError("auxiliary covector must pair to 1 with the Reeb vector")
-    return det(Matrix([tuple(w)] + [tuple(e) for e in edges]))
-
-
 def _affine_rank(vertices) -> int:
     if len(vertices) < 2:
         return 0
@@ -181,47 +152,23 @@ def _affine_rank(vertices) -> int:
     return len(pivots)
 
 
-def _triangulate(vertex_ids, common, actives, section_dim, base_id=None):
-    """Fan triangulation of one face into simplices (tuples of vertex ids).
-
-    ``common`` is the face's active facet set; sub-facets are the faces
-    gaining exactly one active facet.  Each simplex of a sub-facet not
-    containing the base vertex is coned over the base.
-    """
-    dim = section_dim - len(common)
-    if dim == 0 or len(vertex_ids) == 1:
-        return [tuple(vertex_ids[:1])]
-    if dim == 1:
-        if len(vertex_ids) != 2:
-            raise NotSimpleVertex(
-                f"1-dimensional face with {len(vertex_ids)} vertices"
-            )
-        return [tuple(sorted(vertex_ids))]
-    base = base_id if base_id is not None else min(vertex_ids)
-    candidate_normals = set().union(*(actives[i] for i in vertex_ids)) - common
-    simplices = []
-    seen_facets = set()
-    for j in sorted(candidate_normals):
-        sub = [i for i in vertex_ids if j in actives[i]]
-        if not sub or len(sub) == len(vertex_ids) or base in sub:
-            continue
-        sub_common = frozenset.intersection(*(actives[i] for i in sub)) | common | {j}
-        if section_dim - len(sub_common) != dim - 1:
-            continue  # meets this face in a lower-dimensional face only
-        key = frozenset(sub)
-        if key in seen_facets:
-            continue
-        seen_facets.add(key)
-        for simplex in _triangulate(sub, sub_common, actives, section_dim):
-            simplices.append(simplex + (base,))
-    return simplices
-
-
 def triangulation_volume(p: HPolytope, base_index: int = None) -> Fraction:
-    """Exact section volume by fan triangulation from a base vertex.
+    """Exact section volume by the pulling triangulation from a base vertex,
+    summed face by face (Lasserre's pyramid recursion).
 
-    Independent of Lawrence's formula by construction; the result does not
-    depend on the base vertex.  Affinely degenerate input has volume 0.
+    A face F on the facets A with base vertex beta (its smallest vertex
+    index; ``base_index`` for the section) has M(F) = the sum of
+    -beta(v_j) * M(face on A + {j}) over the facets j on a vertex of F but
+    not on beta; a vertex on the facets S has M = 1/|det(b, v_S)|, and the
+    volume is M(section)/n!.  Each flag of faces is one simplex, triangular
+    in the coordinates phi(v_j): its lattice measure is the product of the
+    heights -beta(v_j) over |det(b, v_S)|.  Faces are memoized by facet
+    set, so each vertex reached costs one determinant.  The result does
+    not depend on the base vertex; affinely degenerate input has volume 0.
+
+    >>> from abbvloc.toric import weighted_sphere_cone
+    >>> triangulation_volume(HPolytope.from_cone(weighted_sphere_cone([1, 2, 3])))
+    Fraction(1, 12)
     """
     n = p.section_dim
     if len(p.vertices) == 1 or _affine_rank(list(p.vertices)) < n:
@@ -229,13 +176,28 @@ def triangulation_volume(p: HPolytope, base_index: int = None) -> Fraction:
     _require_simple(p)
     if frozenset.intersection(*p.facet_sets):
         return Fraction(0)
-    ids = list(range(len(p.vertices)))
-    total = Fraction(0)
-    for simplex in _triangulate(ids, frozenset(), p.facet_sets, n, base_id=base_index):
-        base = p.vertices[simplex[-1]]
-        edges = [p.vertices[i] - base for i in simplex[:-1]]
-        total += abs(omega_h(p.reeb, edges))
-    return total / factorial(n)
+    facet_sets = p.facet_sets
+    memo = {}
+
+    def measure(active, ids, base):
+        if len(active) == n:
+            columns = [p.reeb] + [p.normals[i] for i in sorted(active)]
+            return 1 / abs(det(Matrix.from_columns(columns)))
+        faces = {}
+        for i in ids:
+            for j in facet_sets[i] - facet_sets[base]:
+                faces.setdefault(j, []).append(i)
+        apex = p.vertices[base]
+        total = Fraction(0)
+        for j, sub in faces.items():
+            face = active | {j}
+            if face not in memo:
+                memo[face] = measure(face, sub, sub[0])
+            total -= apex(p.normals[j]) * memo[face]
+        return total
+
+    top = 0 if base_index is None else base_index
+    return measure(frozenset(), range(len(p.vertices)), top) / factorial(n)
 
 
 def lawrence_volume(p: HPolytope, f: LinearFunctional) -> Fraction:

@@ -5,7 +5,7 @@ with a bounded hyperplane section.  Vertices of the section are enumerated
 exactly, validated against the lattice direct-summand condition via Smith
 normal form, and turned into orbit data (lengths, moments, weights) or fed
 directly into the determinant volume formula.  Boundedness is read off
-the edges, which ``_edge_ends`` finds from the vertices' facet sets.
+the edges, which ``_bounded_edges`` finds from the vertices' facet sets.
 """
 
 from __future__ import annotations
@@ -134,16 +134,32 @@ class ToricOrbit:
         return abs(self.delta)
 
 
-def _edge_ends(facet_sets) -> dict:
-    """Each edge of a simple section, keyed by its facets: a vertex's facet
-    set minus one facet.  Maps it to the indices into ``facet_sets`` of the
-    vertices it ends in, in order: two for a bounded edge, one for a ray."""
+def _point_str(phi) -> str:
+    return f"({', '.join(map(rat_str, phi))})"
+
+
+def _bounded_edges(vertices, facet_sets) -> tuple:
+    """The sorted pairs a < b of indices into ``vertices`` joined by an edge
+    of a simple section whose vertices lie on the facets ``facet_sets``.
+
+    An edge is keyed by its facets, a vertex's facet set minus one facet, and
+    ends in the vertices that share that key.  Raises UnboundedSection at an
+    edge with one vertex: a ray, so the section has a nontrivial recession
+    cone.
+    """
     ends = {}
     for index, facets in enumerate(facet_sets):
         facets = frozenset(facets)
         for j in facets:
             ends.setdefault(facets - {j}, []).append(index)
-    return ends
+    for edge, (first, *rest) in ends.items():
+        if not rest:
+            (left,) = set(facet_sets[first]) - edge
+            raise UnboundedSection(
+                f"the section is unbounded: the edge that leaves facet {left} at vertex "
+                f"{_point_str(vertices[first])} has no second vertex"
+            )
+    return tuple(sorted(tuple(pair) for pair in ends.values() if len(pair) == 2))
 
 
 def enumerate_vertices(cone: GoodCone) -> tuple:
@@ -175,7 +191,7 @@ def enumerate_vertices(cone: GoodCone) -> tuple:
         active = tuple(i for i, val in enumerate(values) if val == 0)
         if active != subset:
             raise NotSimpleVertex(
-                f"vertex {tuple(phi)} lies on facets {active}, more than {n}"
+                f"vertex {_point_str(phi)} lies on facets {active}, more than {n}"
             )
         divisors = smith_normal_form(ordered)
         if any(dv != 1 for dv in divisors):
@@ -195,14 +211,7 @@ def enumerate_vertices(cone: GoodCone) -> tuple:
     if not orbits:
         raise UnboundedSection("no vertex satisfies the facet inequalities")
     result = tuple(sorted(orbits.values(), key=lambda o: tuple(o.vertex)))
-    for edge, ends in _edge_ends(o.facet_indices for o in result).items():
-        if len(ends) == 1:
-            orbit = result[ends[0]]
-            (left,) = set(orbit.facet_indices) - edge
-            raise UnboundedSection(
-                f"the section is unbounded: the edge that leaves facet {left} at vertex "
-                f"({', '.join(map(rat_str, orbit.vertex))}) has no second vertex"
-            )
+    _bounded_edges([o.vertex for o in result], [o.facet_indices for o in result])
     return result
 
 

@@ -1,0 +1,88 @@
+"""Explicit-simplex oracle for the section volume.
+
+Lists the pulling triangulation of a simple section simplex by simplex and
+sums the lattice measure ``omega_h`` of each simplex's edge vectors.  The
+package computes the same decomposition as a face recursion
+(``polytope.triangulation_volume``); this module keeps the per-simplex route
+so the two can be compared.
+"""
+
+from fractions import Fraction
+from math import factorial
+
+from abbvloc.core import Covector, Matrix, Vector, basis_covector, det
+from abbvloc.errors import InputError, NotSimpleVertex
+
+
+def omega_h(b: Vector, edges, w: Covector = None) -> Fraction:
+    """The lattice measure on the Reeb hyperplane applied to edge vectors.
+
+    Computed as the determinant of the square matrix whose first row is any
+    covector w with w(b) = 1 and whose remaining rows are the edges; the
+    value does not depend on the choice of w because the edges annihilate b.
+    """
+    b = Vector(b)
+    d = len(b)
+    edges = [Covector(e) for e in edges]
+    if len(edges) != d - 1:
+        raise InputError(f"need {d - 1} edge covectors, got {len(edges)}")
+    for e in edges:
+        if e(b) != 0:
+            raise InputError(f"edge {tuple(e)} does not annihilate the Reeb vector")
+    if w is None:
+        j = next((i for i, x in enumerate(b) if x != 0), None)
+        if j is None:
+            raise InputError("Reeb vector is zero")
+        w = basis_covector(d, j).scaled(1 / b[j])
+    else:
+        w = Covector(w)
+        if w(b) != 1:
+            raise InputError("auxiliary covector must pair to 1 with the Reeb vector")
+    return det(Matrix([tuple(w)] + [tuple(e) for e in edges]))
+
+
+def pulling_simplices(vertex_ids, common, actives, section_dim, base_id=None):
+    """Pulling triangulation of one face into simplices (tuples of vertex ids).
+
+    ``common`` is the face's active facet set; sub-facets are the faces
+    gaining exactly one active facet.  Each simplex of a sub-facet not
+    containing the base vertex (the smallest id unless ``base_id`` is
+    given) is coned over the base, which ends each tuple.
+    """
+    dim = section_dim - len(common)
+    if dim == 0 or len(vertex_ids) == 1:
+        return [tuple(vertex_ids[:1])]
+    if dim == 1:
+        if len(vertex_ids) != 2:
+            raise NotSimpleVertex(f"1-dimensional face with {len(vertex_ids)} vertices")
+        return [tuple(sorted(vertex_ids))]
+    base = base_id if base_id is not None else min(vertex_ids)
+    candidate_normals = set().union(*(actives[i] for i in vertex_ids)) - common
+    simplices = []
+    seen_facets = set()
+    for j in sorted(candidate_normals):
+        sub = [i for i in vertex_ids if j in actives[i]]
+        if not sub or len(sub) == len(vertex_ids) or base in sub:
+            continue
+        sub_common = frozenset.intersection(*(actives[i] for i in sub)) | common | {j}
+        if section_dim - len(sub_common) != dim - 1:
+            continue  # meets this face in a lower-dimensional face only
+        key = frozenset(sub)
+        if key in seen_facets:
+            continue
+        seen_facets.add(key)
+        for simplex in pulling_simplices(sub, sub_common, actives, section_dim):
+            simplices.append(simplex + (base,))
+    return simplices
+
+
+def simplex_volume(p, base_index: int = None) -> Fraction:
+    """Section volume of a full-dimensional simple HPolytope ``p`` as the sum
+    of |omega_h| over the pulling simplices from ``base_index``, over n!."""
+    n = p.section_dim
+    ids = list(range(len(p.vertices)))
+    total = Fraction(0)
+    for simplex in pulling_simplices(ids, frozenset(), p.facet_sets, n, base_id=base_index):
+        base = p.vertices[simplex[-1]]
+        total += abs(omega_h(p.reeb, [p.vertices[i] - base for i in simplex[:-1]]))
+    return total / factorial(n)

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from abbvloc.cli import main
+from abbvloc.cli import DH_MAX_ORDER, main
 from abbvloc.toric import enumerate_vertices
 from test_cli_golden import cube_cone_doc
 from test_cli_golden import sphere_system_doc as weighted_sphere_system_doc
@@ -560,3 +560,66 @@ class TestExitContract:
         assert error["type"] == "UnboundedSection"
         assert error["message"] == "the section is unbounded: " + message
         assert "Fraction(" not in error["message"]
+
+    @pytest.mark.parametrize("command", ["lawrence", "polytope-volume"])
+    def test_unbounded_bare_polytope_exit_2(self, capsys, tmp_path, command):
+        # the strip 0 <= phi_0 <= 1, phi_1 >= 0 at phi_2 = 1: two vertices, one ray
+        doc = {"dim": 3, "normals": [[-1, 0, 0], [0, -1, 0], [1, 0, -1]], "reeb": ["0", "0", "1"]}
+        code, out = run_cli(capsys, command, "--input", write_json(tmp_path, "p.json", doc), "--json")
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "UnboundedSection",
+            "message": "the section is unbounded: the edge that leaves facet 1 at vertex "
+                       "(0, 0, 1) has no second vertex",
+        }
+
+    @pytest.mark.parametrize(
+        "command, cone, message",
+        [
+            ("volume-toric", True, "vertex (1, 1, 1) lies on facets (0, 2, 4), more than 2"),
+            ("polytope-volume", False, "vertex (1, 1, 1) lies on 3 facets, expected 2"),
+        ],
+    )
+    def test_not_simple_vertex_message(self, capsys, tmp_path, command, cone, message):
+        # the square-with-diagonal cone of test_toric's test_not_simple_vertex;
+        # without pi_scale_exponent the document is a bare polytope
+        doc = {"dim": 3, "normals": [[1, 0, -1], [-1, 0, -1], [0, 1, -1], [0, -1, -1], [1, 1, -2]],
+               "reeb": ["0", "0", "1"]}
+        if cone:
+            doc["pi_scale_exponent"] = 1
+        code, out = run_cli(capsys, command, "--input", write_json(tmp_path, "c.json", doc), "--json")
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "NotSimpleVertex", "message": message}
+
+    def test_json_integer_over_4300_digits_exit_2(self, capsys, tmp_path):
+        text = json.dumps(sphere_system_doc()).replace('"pi_power": 1', '"pi_power": ' + "9" * 5001)
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        code, out = run_cli(capsys, "localize", "--input", str(path), "--json")
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"]["type"] == "InputError"
+
+    def test_dh_order_bound(self, capsys, tmp_path):
+        path = write_json(tmp_path, "s.json", sphere_system_doc())
+        code, out = run_cli(capsys, "dh", "--input", path, "--order", str(DH_MAX_ORDER), "--json")
+        assert code == 0
+        assert len(json.loads(out)["coefficients"]) == DH_MAX_ORDER + 1
+        code, out = run_cli(capsys, "dh", "--input", path, "--order", str(DH_MAX_ORDER + 1), "--json")
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "InputError",
+            "message": f"--order must be at most {DH_MAX_ORDER}, got {DH_MAX_ORDER + 1}",
+        }
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no integer string-conversion limit in this Python")
+    def test_dh_coefficient_too_long_to_print_exit_2(self, capsys, tmp_path):
+        doc = weighted_sphere_system_doc(["1", "2", "3", "5", "7", "1/2", "1/3", "11"])
+        path = write_json(tmp_path, "s.json", doc)
+        code, out = run_cli(capsys, "dh", "--input", path, "--order", str(DH_MAX_ORDER), "--json")
+        assert code == 2
+        assert out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "InputError"
+        assert error["message"].startswith("the exact value is too large to print")

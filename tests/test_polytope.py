@@ -1,4 +1,6 @@
+import sys
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -15,7 +17,6 @@ from abbvloc.polytope import (
     LinearFunctional,
     lawrence_volume,
     msy_check,
-    omega_h,
     random_functional,
     triangulation_volume,
     vertices_from_halfspaces,
@@ -23,6 +24,8 @@ from abbvloc.polytope import (
 from abbvloc.sampling import sample_vector
 from abbvloc.toric import simplex_cone, weighted_sphere_cone
 from conftest import make_rng
+from simplex_oracle import omega_h, simplex_volume
+from test_generated_cones import cube_cone_k
 from test_toric import cube_cone
 
 
@@ -109,6 +112,33 @@ class TestTriangulation:
             reference = triangulation_volume(p)
             for base in range(len(p.vertices)):
                 assert triangulation_volume(p, base_index=base) == reference
+
+    def test_matches_explicit_simplices_at_every_base(self):
+        for p in (segment_polytope(), triangle_polytope(), cube_polytope(),
+                  tesseract_polytope(), HPolytope.from_cone(weighted_sphere_cone([2, 3, 7]))):
+            for base in [None, *range(len(p.vertices))]:
+                assert triangulation_volume(p, base_index=base) == simplex_volume(p, base)
+
+    def test_one_determinant_per_vertex(self, monkeypatch):
+        """The cube 6 section has 64 vertices and 6! = 720 pulling simplices
+        per base; the face recursion takes one determinant per vertex."""
+        import abbvloc
+
+        p = HPolytope.from_cone(cube_cone_k(6))
+        calls = []
+        real = abbvloc.core.det
+
+        def counted(m):
+            calls.append(m)
+            return real(m)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("abbvloc") and getattr(module, "det", None) is real:
+                monkeypatch.setattr(module, "det", counted)
+        # Reeb (7, 1, ..., 1): the integral of (7 + sum x)^-7 over [0, 1]^6
+        # is 6!/13!, the Beta integral of x^6 (1 - x)^6 times 6!/6!
+        assert triangulation_volume(p) == Fraction(factorial(6), factorial(13))
+        assert 0 < len(calls) <= len(p.vertices) == 64
 
     def test_non_simple_vertex_rejected(self):
         normals = (
