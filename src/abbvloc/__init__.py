@@ -61,7 +61,6 @@ from .polytope import (
     lawrence_volume,
     msy_check,
     triangulation_volume,
-    vertices_from_halfspaces,
 )
 from .sampling import SampleOutcome, sample_independent
 from .secondary import (

@@ -384,10 +384,7 @@ def _echelon(rows, ncols: int) -> tuple:
     ``ncols`` columns, so len(pivots) is the rank.  Every row returned is
     primitive: its entries have gcd 1, or all vanish.
     """
-    a = []
-    for row in rows:
-        scale = lcm(*(e.denominator for e in row))
-        a.append(_primitive([e.numerator * (scale // e.denominator) for e in row]))
+    a = [_primitive(_integer_row(row)[1]) for row in rows]
     pivots = []
     for col in range(ncols):
         r = len(pivots)
@@ -405,6 +402,12 @@ def _echelon(rows, ncols: int) -> tuple:
                 row[col:] = _primitive([x * p - f * y for x, y in zip(row[col:], top)])
         pivots.append(col)
     return a, pivots
+
+
+def _integer_row(row) -> tuple:
+    """(L, [L * e for e in row]) with L the lcm of the row's denominators."""
+    scale = lcm(*(e.denominator for e in row))
+    return scale, [e.numerator * (scale // e.denominator) for e in row]
 
 
 def _primitive(row: list) -> list:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .core import Covector, Matrix, PiScalar, Vector, rat
@@ -23,8 +24,9 @@ class RootData:
     """Quotient roots, Weyl representatives and the Reeb splitting data.
 
     ``weyl_reps`` act on the torus algebra; summands use the inverse of
-    each representative.  ``projection`` is the functional p with p(b) = 1
-    that kills the isotropy part of the splitting.
+    each representative, which ``weyl_inverses`` computes on first use and
+    keeps for the root datum's lifetime.  ``projection`` is the functional
+    p with p(b) = 1 that kills the isotropy part of the splitting.
     """
 
     dim_t: int
@@ -57,6 +59,11 @@ class RootData:
     def codim_half(self) -> int:
         return len(self.roots_quotient)
 
+    @cached_property
+    def weyl_inverses(self) -> tuple:
+        """The inverse of each Weyl representative, in ``weyl_reps`` order."""
+        return tuple(w.inverse() for w in self.weyl_reps)
+
 
 def homogeneous_volume(rd: RootData, b_prime: Vector, v: Vector) -> PiScalar:
     """Localized volume of the deformation with Reeb element b_prime.
@@ -78,8 +85,7 @@ def homogeneous_volume(rd: RootData, b_prime: Vector, v: Vector) -> PiScalar:
     n = rd.codim_half
     p = rd.projection
     total = Fraction(0)
-    for w in rd.weyl_reps:
-        inv = w.inverse()
+    for inv in rd.weyl_inverses:
         wb = inv.apply(b_prime)
         wv = inv.apply(v)
         pb = p(wb)

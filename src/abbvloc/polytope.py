@@ -7,7 +7,6 @@ identity ties both to the localized volume of the cone.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -23,9 +22,9 @@ from .core import (
     rat,
     solve_linear,
 )
-from .errors import EdgeConstantFunctional, InputError, NotSimpleVertex, SingularMatrix
+from .errors import EdgeConstantFunctional, InputError, NotSimpleVertex
 from .sampling import SplitMix64, sample_independent, sample_rational, sample_vector
-from .toric import GoodCone, _bounded_edges, _point_str, toric_volume
+from .toric import GoodCone, _bounded_edges, _point_str, _walk, toric_volume
 
 
 @dataclass(frozen=True)
@@ -66,16 +65,22 @@ class HPolytope:
 
     @classmethod
     def from_halfspaces(cls, normals, reeb) -> "HPolytope":
+        """The section of a bare document, its vertices found by the same
+        pivoting walk as a cone's (``toric._walk``), without the goodness
+        test.  Raises NotSimpleVertex at a vertex on more than n facets;
+        boundedness is checked by ``edges``."""
         normals = tuple(Vector(v) for v in normals)
         reeb = Vector(reeb)
-        found = vertices_from_halfspaces(normals, reeb)
+        if any(len(v) != len(reeb) for v in normals):
+            raise InputError("normals and reeb must have the same dimension")
+        _, found = _walk(normals, reeb)
         if not found:
             raise InputError("hyperplane section has no vertices")
         return cls(
             ambient_dim=len(reeb),
             normals=normals,
             reeb=reeb,
-            vertices=tuple(phi for phi, _ in found),
+            vertices=tuple(sorted((phi for phi, *_ in found), key=tuple)),
         )
 
     @property
@@ -99,34 +104,6 @@ def _require_simple(p: HPolytope):
             raise NotSimpleVertex(
                 f"vertex {_point_str(phi)} lies on {len(facets)} facets, expected {n}"
             )
-
-
-def vertices_from_halfspaces(normals, reeb) -> list:
-    """Basic-solution enumeration of the section's vertices.
-
-    Solves every (d-1)-subset of facet equalities together with the Reeb
-    equation and keeps feasible solutions, deduplicated.  Returns
-    (vertex, active index set) pairs sorted by vertex.  Used as the
-    independent counter for the cone route's vertex enumeration and for
-    standalone polytope input; non-simple vertices are kept here and
-    rejected later by the operations that require simplicity.
-    """
-    normals = [Vector(v) for v in normals]
-    reeb = Vector(reeb)
-    d = len(reeb)
-    rhs = [Fraction(0)] * (d - 1) + [Fraction(1)]
-    seen = {}
-    for subset in itertools.combinations(range(len(normals)), d - 1):
-        rows = [normals[i] for i in subset] + [reeb]
-        try:
-            phi = Covector(solve_linear(Matrix(rows), rhs))
-        except SingularMatrix:
-            continue
-        values = [phi(v) for v in normals]
-        if any(val > 0 for val in values):
-            continue
-        seen[phi] = frozenset(i for i, val in enumerate(values) if val == 0)
-    return sorted(seen.items(), key=lambda kv: tuple(kv[0]))
 
 
 @dataclass(frozen=True)

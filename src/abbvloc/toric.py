@@ -1,11 +1,17 @@
 """Moment cones of toric contact structures.
 
 A good cone is given by primitive integer facet normals and a Reeb vector
-with a bounded hyperplane section.  Vertices of the section are enumerated
-exactly, validated against the lattice direct-summand condition via Smith
-normal form, and turned into orbit data (lengths, moments, weights) or fed
-directly into the determinant volume formula.  Boundedness is read off
-the edges, which ``_bounded_edges`` finds from the vertices' facet sets.
+with a bounded hyperplane section.  The section's vertices are found by
+an integer pivoting walk (``_walk``): a dual simplex from a greedy basis
+finds the first vertex, and each vertex's n edges lead to its neighbours
+by one fraction-free pivot each.  A vertex's dictionary is the adjugate
+of (b | v_S), so its rows are the moment and the weights of the orbit
+data; no inverse is computed.  Each vertex is validated against the
+lattice direct-summand condition via Smith normal form, and the vertices
+are turned into orbit data (lengths, moments, weights) or fed directly
+into the determinant volume formula.  Boundedness is read off the edges,
+which ``_bounded_edges`` finds from the vertices' facet sets.  Errors come
+in the order NotSimpleVertex, GoodnessViolation, UnboundedSection.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ from .core import (
     Matrix,
     PiScalar,
     Vector,
+    _integer_row,
+    _primitive,
     basis_vector,
     det,
     integer_gcd,
@@ -35,9 +43,13 @@ from .errors import (
     InputError,
     NotSimpleVertex,
     PoleAtSample,
-    SingularMatrix,
     UnboundedSection,
 )
+
+# The walk refuses a section with more vertices than this.  Cube cone 10
+# (1,024 vertices) runs polytope-volume in about 2.5 s, and every route after
+# the walk costs at least a determinant per vertex.
+MAX_VERTICES = 1024
 
 
 @dataclass(frozen=True)
@@ -121,13 +133,15 @@ class ToricOrbit:
     ``ordered_normals`` are the active facet normals, swapped if needed so
     that det(b, v_1, ..., v_n) > 0.  With n = 1 no reordering exists and
     ``delta`` keeps its sign; every consumer divides by |delta| or by a
-    ratio that is insensitive to the ordering.
+    ratio that is insensitive to the ordering.  ``weights`` are rows 1..n
+    of the inverse of (b | ordered_normals); row 0 is ``vertex``.
     """
 
     vertex: Covector
     facet_indices: tuple
     ordered_normals: tuple
     delta: Fraction
+    weights: tuple
 
     @property
     def abs_delta(self) -> Fraction:
@@ -162,55 +176,190 @@ def _bounded_edges(vertices, facet_sets) -> tuple:
     return tuple(sorted(tuple(pair) for pair in ends.values() if len(pair) == 2))
 
 
-def enumerate_vertices(cone: GoodCone) -> tuple:
-    """All vertices of the hyperplane section {phi(b) = 1, phi(v_i) <= 0}.
+def _column(a, nz) -> list:
+    """A . v, one entry per row of A, for v given by its nonzero entries nz."""
+    return [sum(r[j] * x for j, x in nz) for r in a]
 
-    Every n-subset of normals is solved exactly; a solution is kept when
-    it satisfies all facet inequalities with equality exactly on the
-    subset.  Raises NotSimpleVertex when a solution lies on extra facets,
-    GoodnessViolation when the active normals of a vertex fail the Smith
-    normal form test, and UnboundedSection for an empty section or for an
-    edge with one vertex (for a simple section, a nontrivial recession cone).
+
+def _pivot(a, t, i, col) -> tuple:
+    """The dictionary (A', T') after the column with A . v = col enters at
+    position i: A'_i = A_i, A'_j = (A_j p - col_j A_i) / T, T' = p = col_i.
+    Every division is exact, since A' is again an adjugate."""
+    top, p = a[i], col[i]
+    return [top if j == i else [(x * p - f * y) // t for x, y in zip(r, top)]
+            for j, (r, f) in enumerate(zip(a, col))], p
+
+
+def _walk(normals, reeb) -> tuple:
+    """The vertices of {phi : phi(reeb) = 1, phi(v_i) <= 0} by an integer
+    pivoting walk over the section's edges (Avis & Fukuda 1992, with the
+    fraction-free dictionaries of Avis's lrs).
+
+    The Reeb vector is scaled to integers by the lcm ``scale`` of its
+    denominators, and each normal to a primitive integer row.  A basis
+    ``labels`` names the column at each position of M = (b | v_S): -1 for
+    the Reeb vector, else a facet index.  Its dictionary is the adjugate
+    A = T M^-1 on Python ints with T = det M, so the vertex is
+    scale * A[b's row] / T and the other rows are the weights; ``_pivot``
+    moves it to a neighbouring basis.
+
+    The first basis pivots the columns (b, v_1, ..., v_m) greedily into the
+    identity's positions.  A dual simplex with Bland's rule then
+    maximizes phi(c), c = b + sum of the first basis's normals, at which
+    every A_i . c / T is 1: it ends at a vertex, or at a violated facet
+    that no row can repair, which proves the section empty.  From the
+    first vertex each of the n edges drops one facet, and an integer ratio
+    test finds the facet it meets next; an edge that meets none is a ray
+    and is skipped (``_bounded_edges`` reports it).
+
+    Returns (scale, [(vertex, labels, A, T), ...]) in walk order, empty
+    when the section has no vertex.  Raises NotSimpleVertex at a vertex
+    on more than n facets (a tie in the ratio test leads to one) and
+    InputError once more than MAX_VERTICES vertices are seen.
+    """
+    d = len(reeb)
+    scale, b = _integer_row(reeb)
+    # sparse integer columns: cube and simplex normals have one or two entries
+    b = [(j, x) for j, x in enumerate(b) if x]
+    sparse = [[(j, x) for j, x in enumerate(_primitive(_integer_row(v)[1])) if x]
+              for v in normals]
+    m = len(sparse)
+    a = [[int(i == j) for j in range(d)] for i in range(d)]
+    t = 1
+    labels = [None] * d
+    for label, nz in [(-1, b), *enumerate(sparse)]:
+        col = _column(a, nz)
+        i = next((i for i in range(d) if labels[i] is None and col[i]), None)
+        if i is not None:
+            a, t = _pivot(a, t, i, col)
+            labels[i] = label
+    if -1 not in labels or None in labels:
+        return scale, []
+
+    n = d - 1
+    ib = labels.index(-1)
+    c = [0] * d
+    for nz in [b, *(sparse[k] for k in labels if k >= 0)]:
+        for j, x in nz:
+            c[j] += x
+    while True:
+        sign = 1 if t > 0 else -1
+        basic = set(labels)
+        k = next((k for k in range(m) if k not in basic
+                  and sign * sum(a[ib][j] * x for j, x in sparse[k]) > 0), None)
+        if k is None:
+            break
+        col = _column(a, sparse[k])
+        best = None
+        for i in range(d):
+            alpha = sign * col[i]
+            if i == ib or alpha <= 0:
+                continue
+            mu = sign * sum(x * y for x, y in zip(a[i], c))
+            if best is None or mu * best[2] < best[1] * alpha or (
+                mu * best[2] == best[1] * alpha and labels[i] < labels[best[0]]
+            ):
+                best = (i, mu, alpha)
+        if best is None:
+            return scale, []
+        a, t = _pivot(a, t, best[0], col)
+        labels[best[0]] = k
+
+    found = []
+    seen = {frozenset(labels)}
+    stack = [(labels, a, t)]
+    while stack:
+        labels, a, t = stack.pop()
+        sign = 1 if t > 0 else -1
+        phi = Covector(Fraction(scale * x, t) for x in a[ib])
+        basic = frozenset(labels)
+        others = [k for k in range(m) if k not in basic]
+        cols = [_column(a, sparse[k]) for k in others]
+        if any(col[ib] == 0 for col in cols):
+            active = basic - {-1} | {k for k, col in zip(others, cols) if col[ib] == 0}
+            raise NotSimpleVertex(
+                f"vertex {_point_str(phi)} lies on facets {tuple(sorted(active))}, more than {n}"
+            )
+        found.append((phi, labels, a, t))
+        for i in range(d):
+            if i == ib:
+                continue
+            # along the edge that leaves facet labels[i], facet k is met at
+            # the ratio A_b . v_k / A_i . v_k when A_i . v_k has sign -sign(T)
+            best = None
+            for k, col in zip(others, cols):
+                rate = -sign * col[i]
+                if rate > 0 and (best is None or -sign * col[ib] * best[2] < best[1] * rate):
+                    best = (k, -sign * col[ib], rate, col)
+            if best is None:
+                continue
+            k, _, _, col = best
+            key = basic - {labels[i]} | {k}
+            if key in seen:
+                continue
+            seen.add(key)
+            if len(seen) > MAX_VERTICES:
+                raise InputError(
+                    f"the section has more than MAX_VERTICES = {MAX_VERTICES} vertices"
+                )
+            step = list(labels)
+            step[i] = k
+            stack.append((step, *_pivot(a, t, i, col)))
+    return scale, found
+
+
+def enumerate_vertices(cone: GoodCone) -> tuple:
+    """All vertices of the hyperplane section {phi(b) = 1, phi(v_i) <= 0},
+    with their orbit data.
+
+    ``_walk`` finds them by an integer pivoting walk from a dual-simplex
+    start.  Each vertex's moment (the vertex) and weights are the rows of
+    its dictionary A / T, put in sorted facet order, and delta is
+    det(b, v_S) = sign(permutation) T / lcm(denominators of b); no
+    determinant or inverse is computed.  Errors, in this order of
+    precedence: NotSimpleVertex at a vertex on extra facets (the walk
+    stops there), GoodnessViolation at the first vertex in sorted facet
+    order whose active normals fail the Smith normal form test,
+    UnboundedSection for an empty section or for an edge with one vertex
+    (for a simple section, a nontrivial recession cone).  InputError when
+    the section has more than MAX_VERTICES vertices.
 
     Enumerates afresh on every call; callers read ``cone.orbits``, which
     calls this once per cone and keeps the result.
     """
     n = cone.codim_half
-    b = cone.reeb
-    rhs = [Fraction(0)] * n + [Fraction(1)]
-    orbits = {}
-    for subset in itertools.combinations(range(len(cone.normals)), n):
-        ordered = [cone.normals[i] for i in subset]
-        try:
-            phi = Covector(solve_linear(Matrix(ordered + [b]), rhs))
-        except SingularMatrix:
-            continue
-        values = [phi(v) for v in cone.normals]
-        if any(val > 0 for val in values):
-            continue
-        active = tuple(i for i, val in enumerate(values) if val == 0)
-        if active != subset:
-            raise NotSimpleVertex(
-                f"vertex {_point_str(phi)} lies on facets {active}, more than {n}"
-            )
-        divisors = smith_normal_form(ordered)
+    scale, found = _walk(cone.normals, cone.reeb)
+    if not found:
+        raise UnboundedSection("no vertex satisfies the facet inequalities")
+    bases = []
+    for phi, labels, a, t in found:
+        order = sorted(range(n + 1), key=labels.__getitem__)
+        bases.append((tuple(labels[i] for i in order[1:]), phi, order, a, t))
+    bases.sort(key=lambda basis: basis[0])
+    for facets, *_ in bases:
+        divisors = smith_normal_form([cone.normals[i] for i in facets])
         if any(dv != 1 for dv in divisors):
             raise GoodnessViolation(
-                f"facets {subset} span a sublattice with divisors {divisors}"
+                f"facets {facets} span a sublattice with divisors {divisors}"
             )
-        delta = det(Matrix.from_columns([b] + ordered))
+    orbits = []
+    for facets, phi, order, a, t in bases:
+        ordered = [cone.normals[i] for i in facets]
+        weights = [Covector(Fraction(x, t) for x in a[i]) for i in order[1:]]
+        inversions = sum(x > y for x, y in itertools.combinations(order, 2))
+        delta = Fraction((-1) ** inversions * t, scale)
         if delta < 0 and n >= 2:
             ordered[0], ordered[1] = ordered[1], ordered[0]
+            weights[0], weights[1] = weights[1], weights[0]
             delta = -delta
-        orbits[phi] = ToricOrbit(
+        orbits.append(ToricOrbit(
             vertex=phi,
-            facet_indices=subset,
+            facet_indices=facets,
             ordered_normals=tuple(ordered),
             delta=delta,
-        )
-    if not orbits:
-        raise UnboundedSection("no vertex satisfies the facet inequalities")
-    result = tuple(sorted(orbits.values(), key=lambda o: tuple(o.vertex)))
+            weights=tuple(weights),
+        ))
+    result = tuple(sorted(orbits, key=lambda o: tuple(o.vertex)))
     _bounded_edges([o.vertex for o in result], [o.facet_indices for o in result])
     return result
 
@@ -218,24 +367,21 @@ def enumerate_vertices(cone: GoodCone) -> tuple:
 def orbit_system_from_cone(cone: GoodCone) -> OrbitSystem:
     """Orbit lengths, moments and weights from the cone's vertex data.
 
-    At each vertex, inverting the matrix with columns (b, v_1, ..., v_n)
-    yields the moment functional (row 0) and the weight functionals (rows
-    1..n) at once.  The uniform pi grading of the weights and the lattice
-    rescaling are absorbed into the orbit length, keeping all functionals
-    rational; with pi_scale_exponent 1 the stored lengths, moments and
-    weights are exactly the geometric ones.
+    The moment functional and the weight functionals at a vertex are the
+    rows of the inverse of the matrix with columns (b, v_1, ..., v_n),
+    which the enumeration read from its dictionary.  The uniform pi
+    grading of the weights and the lattice rescaling are absorbed into
+    the orbit length, keeping all functionals rational; with
+    pi_scale_exponent 1 the stored lengths, moments and weights are
+    exactly the geometric ones.
     """
     n = cone.codim_half
     e = cone.pi_scale_exponent
     pi_len = e - (1 - e) * n
     orbits = []
     for orbit in cone.orbits:
-        m = Matrix.from_columns([cone.reeb] + list(orbit.ordered_normals))
-        inv = m.inverse()
-        moment = Covector(inv.rows[0])
-        weights = tuple(Covector(inv.rows[i]) for i in range(1, n + 1))
         length = PiScalar(Fraction(2) ** pi_len / orbit.abs_delta, pi_len)
-        orbits.append(OrbitDatum(length=length, moment=moment, weights=weights))
+        orbits.append(OrbitDatum(length=length, moment=orbit.vertex, weights=orbit.weights))
     return OrbitSystem(
         dim_t=cone.dim, b=cone.reeb, codim_half=n, orbits=tuple(orbits)
     )

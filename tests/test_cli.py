@@ -2,9 +2,13 @@ import json
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from abbvloc.cli import DH_MAX_ORDER, main
-from abbvloc.toric import enumerate_vertices
+from abbvloc.core import Matrix
+from abbvloc.homogeneous import stiefel_so5_so3
+from abbvloc.toric import MAX_VERTICES, enumerate_vertices
 from test_cli_golden import cube_cone_doc
 from test_cli_golden import sphere_system_doc as weighted_sphere_system_doc
 
@@ -208,6 +212,19 @@ class TestToricCommands:
         assert len(enumerated) == 1
 
 
+    @pytest.mark.parametrize("command", ["volume-toric", "polytope-volume"])
+    def test_vertex_cap_exit_2(self, capsys, tmp_path, command):
+        # cube cone 11 has 2048 vertices; the walk stops after MAX_VERTICES + 1
+        path = write_json(tmp_path, "cube.json", cube_cone_doc(11))
+        code, out = run_cli(capsys, command, "--input", path, "--json")
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == {
+            "type": "InputError",
+            "message": f"the section has more than MAX_VERTICES = {MAX_VERTICES} vertices",
+        }
+
+
 class TestOrbitSystemCommands:
     def test_localize(self, capsys, tmp_path):
         path = write_json(tmp_path, "sys.json", sphere_system_doc())
@@ -289,6 +306,20 @@ class TestHomogeneousCommands:
         )
         assert code == 0
         assert json.loads(out)["exact"] == "2/3 * pi^4"
+
+    def test_weyl_inverses_once_per_root_datum(self, capsys, monkeypatch):
+        calls = []
+        inverse = Matrix.inverse
+
+        def counting(self):
+            calls.append(self)
+            return inverse(self)
+
+        monkeypatch.setattr(Matrix, "inverse", counting)
+        code, out = run_cli(capsys, "homogeneous", "--b-prime", "1,2,5", "--samples", "10", "--json")
+        assert code == 0
+        assert json.loads(out)["exact"] == "1/756 * pi^4"
+        assert sorted(map(repr, calls)) == sorted(map(repr, stiefel_so5_so3().weyl_reps))
 
 
 class TestIdentityCommands:
@@ -577,12 +608,13 @@ class TestExitContract:
         "command, cone, message",
         [
             ("volume-toric", True, "vertex (1, 1, 1) lies on facets (0, 2, 4), more than 2"),
-            ("polytope-volume", False, "vertex (1, 1, 1) lies on 3 facets, expected 2"),
+            ("polytope-volume", False, "vertex (1, 1, 1) lies on facets (0, 2, 4), more than 2"),
         ],
     )
     def test_not_simple_vertex_message(self, capsys, tmp_path, command, cone, message):
         # the square-with-diagonal cone of test_toric's test_not_simple_vertex;
-        # without pi_scale_exponent the document is a bare polytope
+        # without pi_scale_exponent the document is a bare polytope, which the
+        # same walk refuses with the same message
         doc = {"dim": 3, "normals": [[1, 0, -1], [-1, 0, -1], [0, 1, -1], [0, -1, -1], [1, 1, -2]],
                "reeb": ["0", "0", "1"]}
         if cone:
@@ -623,3 +655,41 @@ class TestExitContract:
         error = json.loads(out)["error"]
         assert error["type"] == "InputError"
         assert error["message"].startswith("the exact value is too large to print")
+
+
+REEB_ENTRIES = ["0", "1", "-1", "2", "3", "1/2", "-3/2", "5/2"]
+
+
+@st.composite
+def section_documents(draw):
+    """Cone documents (with pi_scale_exponent) and bare polytope documents
+    (without) of dimension 1..4: small integer normals, some zero, some not
+    primitive, some duplicated, and Reeb entries that may be rational, zero
+    or negative.  Half of them start from the orthant's normals -e_i, so
+    that bounded sections are common."""
+    d = draw(st.integers(1, 4))
+    normals = [[-int(i == j) for j in range(d)] for i in range(d)] if draw(st.booleans()) else []
+    normals += draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), max_size=d + 3))
+    if normals and draw(st.booleans()):
+        normals.append(list(draw(st.sampled_from(normals))))
+    doc = {
+        "dim": d,
+        "normals": normals,
+        "reeb": draw(st.lists(st.sampled_from(REEB_ENTRIES), min_size=d, max_size=d)),
+    }
+    if draw(st.booleans()):
+        doc["pi_scale_exponent"] = draw(st.sampled_from([0, 1]))
+    return doc
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=section_documents())
+    def test_exit_contract(self, capsys, tmp_path, doc):
+        path = write_json(tmp_path, "doc.json", doc)
+        for command in ("volume-toric", "msy-check", "lawrence", "polytope-volume"):
+            code, out = run_cli(capsys, command, "--input", path, "--json")
+            assert code in (0, 1, 2)
+            assert out.count("\n") == 1
+            json.loads(out)

@@ -15,11 +15,11 @@ and both closed forms below are that integral.  The localized cone volume
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
-from abbvloc.core import PiScalar, Vector
+from abbvloc.core import Covector, Matrix, PiScalar, Vector, det
 from abbvloc.engine import check_v_independence
 from abbvloc.polytope import HPolytope, random_functional, triangulation_volume
 from abbvloc.sampling import sample_independent, sample_positive_rational, sample_rational
@@ -111,17 +111,99 @@ def seeded_reeb(parts, seed):
     return [b0] + [x for block in blocks for x in block]
 
 
+def cut_corner(polygon, i):
+    """Cut the corner polygon[i] of a smooth polygon at depth 1: with
+    primitive edge directions e1 (to the previous vertex) and e2 (to the
+    next) forming a lattice basis, the corner becomes p + e1, p + e2, joined
+    by e2 - e1, and both new corners are smooth again.  Both edges at p must
+    have lattice length at least 2."""
+    p, prev, nxt = polygon[i], polygon[i - 1], polygon[(i + 1) % len(polygon)]
+    corners = []
+    for q in (prev, nxt):
+        step = (q[0] - p[0], q[1] - p[1])
+        g = gcd(*step)
+        assert g >= 2
+        corners.append((p[0] + step[0] // g, p[1] + step[1] // g))
+    return polygon[:i] + corners + polygon[i + 1:]
+
+
+# smooth (Delzant) lattice polygons, counterclockwise: a blown-up square,
+# a twice blown-up triangle, the dP3 hexagon and a Hirzebruch trapezoid
+SMOOTH_POLYGONS = [
+    cut_corner([(0, 0), (2, 0), (2, 2), (0, 2)], 0),
+    cut_corner(cut_corner([(0, 0), (3, 0), (0, 3)], 0), 2),
+    cut_corner(cut_corner([(0, 0), (3, 0), (3, 2), (0, 2)], 0), 3),
+    cut_corner([(0, 0), (3, 0), (1, 2), (0, 2)], 0),
+]
+
+
+def polygon_cone(polygon, reeb):
+    """Cone over the polygon at height phi_0 = 1: the edge from p to q, with
+    primitive direction e, is the facet u . x + lam phi_0 >= 0 for the inward
+    normal u = (-e_y, e_x) and lam = -u . p."""
+    normals = []
+    for p, q in zip(polygon, polygon[1:] + polygon[:1]):
+        g = gcd(q[0] - p[0], q[1] - p[1])
+        u = (-(q[1] - p[1]) // g, (q[0] - p[0]) // g)
+        lam = -(u[0] * p[0] + u[1] * p[1])
+        normals.append([-lam, -u[0], -u[1]])
+    return GoodCone(dim=3, normals=tuple(map(Vector, normals)), reeb=Vector(reeb))
+
+
+def polygon_reeb(polygon, seed):
+    """(b_0, b_1, b_2) with b_1, b_2 nonzero sampled rationals and b_0 large
+    enough that L = b_0 + b . p > 0 at every vertex of the polygon."""
+    rng = make_rng(seed)
+    bs = []
+    while len(bs) < 2:
+        x = sample_rational(rng)
+        if x != 0:
+            bs.append(x)
+    low = min(bs[0] * x + bs[1] * y for x, y in polygon)
+    return [sample_positive_rational(rng) - min(low, 0)] + bs
+
+
+def polygon_closed_form(polygon, reeb):
+    """Integral of L^-3 over the polygon, fanned into triangles from its
+    first vertex.  On a triangle with vertex values c_0, c_1, c_2 the
+    integral is area / (c_0 c_1 c_2): an affine image of the unimodular
+    case of simplex_product_closed_form, with Jacobian 2 * area."""
+    def value(p):
+        return reeb[0] + reeb[1] * p[0] + reeb[2] * p[1]
+
+    p0 = polygon[0]
+    total = Fraction(0)
+    for p, q in zip(polygon[1:], polygon[2:]):
+        area = Fraction(abs((p[0] - p0[0]) * (q[1] - p0[1]) - (p[1] - p0[1]) * (q[0] - p0[0])), 2)
+        total += area / (value(p0) * value(p) * value(q))
+    return total
+
+
 CASES = [("cube", k, None) for k in range(2, 6)] + [
     ("product", a, b) for a in range(4) for b in range(max(a, 1), 4)
-]
+] + [("polygon", i, None) for i in range(len(SMOOTH_POLYGONS))]
 
 
 def case_cone(kind, a, b, seed):
     if kind == "cube":
         reeb = seeded_reeb([1] * a, seed)
         return cube_cone_k(a, reeb), cube_closed_form(reeb)
+    if kind == "polygon":
+        reeb = polygon_reeb(SMOOTH_POLYGONS[a], seed)
+        return polygon_cone(SMOOTH_POLYGONS[a], reeb), polygon_closed_form(SMOOTH_POLYGONS[a], reeb)
     reeb = seeded_reeb([a, b], seed)
     return simplex_product_cone(a, b, reeb), simplex_product_closed_form(a, b, reeb)
+
+
+def assert_walk_rows_equal_inverse(cone):
+    """The walk's moment (row 0) and weights (rows 1..n) are the rows of
+    the inverse of (b | ordered normals), and delta is its determinant."""
+    for orbit in cone.orbits:
+        m = Matrix.from_columns([cone.reeb, *orbit.ordered_normals])
+        inverse = m.inverse()
+        assert orbit.vertex == Covector(inverse.rows[0])
+        assert orbit.weights == tuple(Covector(row) for row in inverse.rows[1:])
+        assert orbit.delta == det(m)
 
 
 class TestGeneratedCones:
@@ -148,6 +230,22 @@ class TestGeneratedCones:
         p = HPolytope.from_cone(case_cone(kind, a, b, 5)[0])
         for base in range(len(p.vertices)):
             assert triangulation_volume(p, base_index=base) == simplex_volume(p, base)
+
+    @pytest.mark.parametrize("kind, a, b", CASES, ids=[f"{k}-{a}-{b}" for k, a, b in CASES])
+    def test_walk_rows_equal_inverse(self, kind, a, b):
+        cone = case_cone(kind, a, b, 5)[0]
+        assert len(cone.orbits) == (len(SMOOTH_POLYGONS[a]) if kind == "polygon"
+                                    else 2**a if kind == "cube" else (a + 1) * (b + 1))
+        assert_walk_rows_equal_inverse(cone)
+
+    @pytest.mark.parametrize("index", range(len(SMOOTH_POLYGONS)))
+    def test_polygons_are_smooth(self, index):
+        polygon = SMOOTH_POLYGONS[index]
+        for i, p in enumerate(polygon):
+            e1 = [a - c for a, c in zip(polygon[i - 1], p)]
+            e2 = [a - c for a, c in zip(polygon[(i + 1) % len(polygon)], p)]
+            # counterclockwise and a lattice basis at every corner
+            assert e1[0] * e2[1] - e1[1] * e2[0] == -gcd(*e1) * gcd(*e2)
 
     def test_closed_forms_agree_on_the_square(self):
         """The 2-cube is Delta^1 x Delta^1: the two closed forms must agree."""

@@ -19,7 +19,6 @@ from abbvloc.polytope import (
     msy_check,
     random_functional,
     triangulation_volume,
-    vertices_from_halfspaces,
 )
 from abbvloc.sampling import sample_vector
 from abbvloc.toric import simplex_cone, weighted_sphere_cone
@@ -27,6 +26,7 @@ from conftest import make_rng
 from simplex_oracle import omega_h, simplex_volume
 from test_generated_cones import cube_cone_k
 from test_toric import cube_cone
+from vertex_oracle import vertices_from_halfspaces
 
 
 def segment_polytope():
@@ -148,7 +148,12 @@ class TestTriangulation:
             Vector([0, -1, -1]),
             Vector([1, 1, -2]),
         )
-        p = HPolytope.from_halfspaces(normals, Vector([0, 0, 1]))
+        reeb = Vector([0, 0, 1])
+        with pytest.raises(NotSimpleVertex):
+            HPolytope.from_halfspaces(normals, reeb)
+        # built from the oracle's vertices, the triangulation's own check refuses it
+        vertices = tuple(phi for phi, _ in vertices_from_halfspaces(normals, reeb))
+        p = HPolytope(ambient_dim=3, normals=normals, reeb=reeb, vertices=vertices)
         with pytest.raises(NotSimpleVertex):
             triangulation_volume(p)
 

@@ -1,4 +1,6 @@
+import collections
 import itertools
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from abbvloc import toric
+from abbvloc import core, toric
 from abbvloc.core import Covector, Matrix, PiScalar, Vector
 from abbvloc.engine import check_v_independence, localize_volume
 from abbvloc.errors import (
@@ -16,7 +18,7 @@ from abbvloc.errors import (
     PoleAtSample,
     UnboundedSection,
 )
-from abbvloc.polytope import HPolytope, vertices_from_halfspaces
+from abbvloc.polytope import HPolytope
 from abbvloc.sampling import sample_vector
 from abbvloc.toric import (
     GoodCone,
@@ -28,6 +30,8 @@ from abbvloc.toric import (
 )
 from conftest import make_rng, random_weights
 from test_engine import sphere_closed_form
+from test_generated_cones import MSY_CONES, assert_walk_rows_equal_inverse, cube_cone_k
+from vertex_oracle import vertices_from_halfspaces
 
 
 def nonpole_cone_sample(cone, rng):
@@ -421,3 +425,82 @@ class TestBoundednessOracle:
         assert list(edges) == pairwise
         for index in range(len(orbits)):
             assert sum(index in e for e in edges) == n
+
+
+def fixture_cones():
+    cones = [
+        weighted_sphere_cone([1, 2]),
+        weighted_sphere_cone([2, 3, 7]),
+        weighted_sphere_cone([1, 2, 3, 5]),
+        weighted_sphere_cone([Fraction(1, 2), Fraction(2, 3), 5]),
+        simplex_cone(3),
+        simplex_cone(4, pi_scale_exponent=0),
+        cube_cone(),
+        GoodCone(
+            dim=2,
+            normals=(Vector([-2, 0]), Vector([0, -2])),
+            reeb=Vector([2, 4]),
+            lattice_basis=Matrix([[2, 0], [0, 2]]),
+        ),
+    ]
+    for normals, reeb, _ in MSY_CONES.values():
+        cones.append(GoodCone(dim=3, normals=tuple(Vector([-x for x in v]) for v in normals),
+                              reeb=Vector(reeb)))
+    return cones
+
+
+class TestPivotingWalk:
+    @pytest.mark.parametrize("index", range(len(fixture_cones())))
+    def test_rows_equal_inverse_on_fixtures(self, index):
+        assert_walk_rows_equal_inverse(fixture_cones()[index])
+
+    def test_no_solve_and_no_inverse(self, monkeypatch):
+        cone = cube_cone_k(6)
+        calls = collections.Counter()
+        solve, inverse = core.solve_linear, Matrix.inverse
+
+        def counting_solve(*args):
+            calls["solve_linear"] += 1
+            return solve(*args)
+
+        def counting_inverse(self):
+            calls["inverse"] += 1
+            return inverse(self)
+
+        # wherever the package binds the function by name
+        for name, module in list(sys.modules.items()):
+            if name.startswith("abbvloc") and hasattr(module, "solve_linear"):
+                monkeypatch.setattr(module, "solve_linear", counting_solve)
+        monkeypatch.setattr(Matrix, "inverse", counting_inverse)
+        assert len(enumerate_vertices(cone)) == 64
+        assert calls["solve_linear"] == 0
+        assert calls["inverse"] <= 1
+        calls.clear()
+        orbit_system_from_cone(cone)
+        assert calls["inverse"] == 0
+
+    def test_empty_section_of_full_rank(self):
+        # phi >= 0 and phi(b) = -phi_0 - phi_1 = 1: the dual simplex proves
+        # it empty from a basis of full rank
+        cone = weighted_sphere_cone([1, 2])
+        cone = GoodCone(dim=2, normals=cone.normals, reeb=Vector([-1, -1]))
+        with pytest.raises(UnboundedSection, match="^no vertex"):
+            enumerate_vertices(cone)
+        with pytest.raises(InputError, match="no vertices"):
+            HPolytope.from_halfspaces(cone.normals, cone.reeb)
+
+    def test_vertex_cap(self, monkeypatch):
+        monkeypatch.setattr(toric, "MAX_VERTICES", 8)
+        assert len(enumerate_vertices(cube_cone_k(3))) == 8
+        big = cube_cone_k(4)
+        for enumerate_section in (enumerate_vertices,
+                                  lambda c: HPolytope.from_halfspaces(c.normals, c.reeb)):
+            with pytest.raises(InputError, match="more than MAX_VERTICES = 8 vertices"):
+                enumerate_section(big)
+
+    def test_bare_normals_scaled_to_primitive_rows(self):
+        cone = cube_cone()
+        scaled = [v.scaled(Fraction(k + 1, 3)) for k, v in enumerate(cone.normals)]
+        p = HPolytope.from_halfspaces(scaled, cone.reeb)
+        assert p.vertices == tuple(o.vertex for o in cone.orbits)
+        assert p.edges == HPolytope.from_cone(cone).edges

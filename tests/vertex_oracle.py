@@ -1,0 +1,38 @@
+"""Basic-solution oracle for the vertices of a hyperplane section.
+
+Solves every (d-1)-subset of facet equalities together with the Reeb
+equation and keeps the feasible solutions.  The package finds the same
+vertices by a pivoting walk over the section's edges
+(``toric._walk``); this module keeps the C(m, d-1) subset route so the two
+can be compared.
+"""
+
+import itertools
+from fractions import Fraction
+
+from abbvloc.core import Covector, Matrix, Vector, solve_linear
+from abbvloc.errors import SingularMatrix
+
+
+def vertices_from_halfspaces(normals, reeb) -> list:
+    """Basic-solution enumeration of the section's vertices.
+
+    Returns (vertex, active index set) pairs sorted by vertex,
+    deduplicated; non-simple vertices are kept with all their facets.
+    """
+    normals = [Vector(v) for v in normals]
+    reeb = Vector(reeb)
+    d = len(reeb)
+    rhs = [Fraction(0)] * (d - 1) + [Fraction(1)]
+    seen = {}
+    for subset in itertools.combinations(range(len(normals)), d - 1):
+        rows = [normals[i] for i in subset] + [reeb]
+        try:
+            phi = Covector(solve_linear(Matrix(rows), rhs))
+        except SingularMatrix:
+            continue
+        values = [phi(v) for v in normals]
+        if any(val > 0 for val in values):
+            continue
+        seen[phi] = frozenset(i for i, val in enumerate(values) if val == 0)
+    return sorted(seen.items(), key=lambda kv: tuple(kv[0]))
