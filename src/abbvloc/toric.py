@@ -176,9 +176,9 @@ def _bounded_edges(vertices, facet_sets) -> tuple:
     return tuple(sorted(tuple(pair) for pair in ends.values() if len(pair) == 2))
 
 
-def _column(a, nz) -> list:
-    """A . v, one entry per row of A, for v given by its nonzero entries nz."""
-    return [sum(r[j] * x for j, x in nz) for r in a]
+def _column(a, v) -> list:
+    """A . v, one entry per row of A."""
+    return [sum(x * y for x, y in zip(r, v)) for r in a]
 
 
 def _pivot(a, t, i, col) -> tuple:
@@ -219,16 +219,13 @@ def _walk(normals, reeb) -> tuple:
     """
     d = len(reeb)
     scale, b = _integer_row(reeb)
-    # sparse integer columns: cube and simplex normals have one or two entries
-    b = [(j, x) for j, x in enumerate(b) if x]
-    sparse = [[(j, x) for j, x in enumerate(_primitive(_integer_row(v)[1])) if x]
-              for v in normals]
-    m = len(sparse)
+    rows = [_primitive(_integer_row(v)[1]) for v in normals]
+    m = len(rows)
     a = [[int(i == j) for j in range(d)] for i in range(d)]
     t = 1
     labels = [None] * d
-    for label, nz in [(-1, b), *enumerate(sparse)]:
-        col = _column(a, nz)
+    for label, v in [(-1, b), *enumerate(rows)]:
+        col = _column(a, v)
         i = next((i for i in range(d) if labels[i] is None and col[i]), None)
         if i is not None:
             a, t = _pivot(a, t, i, col)
@@ -238,18 +235,15 @@ def _walk(normals, reeb) -> tuple:
 
     n = d - 1
     ib = labels.index(-1)
-    c = [0] * d
-    for nz in [b, *(sparse[k] for k in labels if k >= 0)]:
-        for j, x in nz:
-            c[j] += x
+    c = [sum(x) for x in zip(b, *(rows[k] for k in labels if k >= 0))]
     while True:
         sign = 1 if t > 0 else -1
         basic = set(labels)
         k = next((k for k in range(m) if k not in basic
-                  and sign * sum(a[ib][j] * x for j, x in sparse[k]) > 0), None)
+                  and sign * sum(x * y for x, y in zip(a[ib], rows[k])) > 0), None)
         if k is None:
             break
-        col = _column(a, sparse[k])
+        col = _column(a, rows[k])
         best = None
         for i in range(d):
             alpha = sign * col[i]
@@ -274,7 +268,7 @@ def _walk(normals, reeb) -> tuple:
         phi = Covector(Fraction(scale * x, t) for x in a[ib])
         basic = frozenset(labels)
         others = [k for k in range(m) if k not in basic]
-        cols = [_column(a, sparse[k]) for k in others]
+        cols = [_column(a, rows[k]) for k in others]
         if any(col[ib] == 0 for col in cols):
             active = basic - {-1} | {k for k, col in zip(others, cols) if col[ib] == 0}
             raise NotSimpleVertex(
