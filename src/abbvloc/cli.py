@@ -69,6 +69,13 @@ DEFAULT_SAMPLES = 10
 # about 0.3 s on the (1, 2) sphere.  Below the cap, a coefficient past
 # Python's 4300-digit printing limit is refused by rat_str (exit 2).
 DH_MAX_ORDER = 1000
+# Highest `--samples`.  The costliest sample is `volume-toric`'s on cube
+# cone 10 (1024 vertices, the most toric.MAX_VERTICES admits): about 1.9 s
+# for its determinant formula, so 25 samples take about 50 s.
+MAX_SAMPLES = 25
+# Highest `check-w1 --trials`.  At the largest `--m`, 13, the identity is
+# checked for 101 multiindices on `--trials` vectors each: 500 take 33 s.
+MAX_TRIALS = 500
 
 # What a malformed document raises while it is converted.
 _MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError)
@@ -462,6 +469,8 @@ def _cmd_check_w1(args) -> dict:
         )
     if args.trials < 1:
         raise _CliInputError("--trials must be a positive integer")
+    if args.trials > MAX_TRIALS:
+        raise _CliInputError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     rng = SplitMix64(args.seed)
     checks = []
     all_ok = True
@@ -530,7 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if samples:
             p.add_argument(
                 "--samples", type=int, default=DEFAULT_SAMPLES,
-                help="pole-free sample vectors that must agree (at least 2)",
+                help=f"pole-free sample vectors that must agree, from 2 to {MAX_SAMPLES}",
             )
         return p
 
@@ -571,7 +580,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("check-w1", _cmd_check_w1, "elementary symmetric polynomial identity")
     p.add_argument("--m", type=int, required=True, help="degree (number of values minus one)")
-    p.add_argument("--trials", type=int, default=50, help="random weight vectors per multiindex")
+    p.add_argument(
+        "--trials", type=int, default=50,
+        help=f"random weight vectors per multiindex, at most {MAX_TRIALS}",
+    )
 
     p = add("secondary", _cmd_secondary, "secondary characteristic number", samples=True)
     p.add_argument("--weights", required=True, help="comma-separated distinct positive rationals")
@@ -589,8 +601,11 @@ def main(argv=None) -> int:
     try:
         if args.seed is None:
             args.seed = _default_seed()
-        if "samples" in vars(args) and args.samples < 2:
-            raise _CliInputError("need at least 2 samples")
+        if "samples" in vars(args):
+            if args.samples < 2:
+                raise _CliInputError("need at least 2 samples")
+            if args.samples > MAX_SAMPLES:
+                raise _CliInputError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
         report = args.handler(args)
         return _emit(report, args.json)
     except LocalizationError as exc:

@@ -546,34 +546,46 @@ def integer_gcd(entries) -> int:
 # symmetric polynomials
 
 
-def _elementary_integer(xs) -> tuple:
-    """(S, L): L is the lcm of the denominators of xs and S_0..S_d are the
-    integer coefficients of prod_i (1 + L x_i t), so s_k(xs) = S_k / L^k.
+def _expand(ints) -> list:
+    """S_0..S_d, the coefficients of prod_i (1 + a_i t) over integers a_i,
+    so S_k = s_k(a).  The one kernel of the symmetric polynomials: rationals
+    xs are first scaled to integers L xs (L the lcm of their denominators,
+    see _integer_row), and then s_k(xs) = S_k / L^k.
 
-    >>> _elementary_integer([Fraction(1, 2), Fraction(1, 3)])
-    ([1, 5, 6], 6)
+    >>> _expand([3, 2])
+    [1, 5, 6]
     """
-    xs = [rat(x) for x in xs]
-    scale = lcm(*(x.denominator for x in xs))
-    coeffs = [1] + [0] * len(xs)
-    for i, x in enumerate(xs, 1):
-        a = x.numerator * (scale // x.denominator)
+    coeffs = [1] + [0] * len(ints)
+    for i, a in enumerate(ints, 1):
         if a:
             for k in range(i, 0, -1):
                 coeffs[k] += a * coeffs[k - 1]
-    return coeffs, scale
+    return coeffs
+
+
+def _s_J_integer(J, ints) -> int:
+    """s_J at integers: prod_{j in J} S_j with S = _expand(ints); zero when
+    an entry of J exceeds len(ints)."""
+    coeffs = _expand(ints)
+    num = 1
+    for j in J:
+        if j >= len(coeffs):
+            return 0
+        num *= coeffs[j]
+    return num
 
 
 def elementary_symmetric(k: int, xs) -> Fraction:
     """s_k(xs) = S_k / L^k from the integer expansion of prod(1 + L x_i t)
-    (see _elementary_integer); zero for k > len(xs).
+    (see _expand); zero for k > len(xs).
 
     >>> elementary_symmetric(2, [1, 2, 3])
     Fraction(11, 1)
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    coeffs, scale = _elementary_integer(xs)
+    scale, ints = _integer_row([rat(x) for x in xs])
+    coeffs = _expand(ints)
     if k >= len(coeffs):
         return Fraction(0)
     return Fraction(coeffs[k], scale**k)
@@ -617,21 +629,16 @@ def s_J(J, xs) -> Fraction:
     """Product of elementary symmetric polynomials s_{j1} * s_{j2} * ...
 
     One integer expansion of prod(1 + L x_i t) gives every S_j (see
-    _elementary_integer), and the value is prod_{j in J} S_j / L^{|J|},
-    |J| the entry sum.  The multiindex is canonicalized to ascending
-    order; the order never affects the value.
+    _expand), and the value is prod_{j in J} S_j / L^{|J|}, |J| the entry
+    sum.  The multiindex is canonicalized to ascending order; the order
+    never affects the value.
 
     >>> s_J((1, 1), [1, 2])
     Fraction(9, 1)
     """
     J = canonical_multiindex(J)
-    coeffs, scale = _elementary_integer(xs)
-    num = 1
-    for j in J:
-        if j >= len(coeffs):
-            return Fraction(0)
-        num *= coeffs[j]
-    return Fraction(num, scale ** sum(J))
+    scale, ints = _integer_row([rat(x) for x in xs])
+    return Fraction(_s_J_integer(J, ints), scale ** sum(J))
 
 
 def partitions(m: int) -> list:

@@ -13,16 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cached_property
+from math import factorial, lcm
 
 from .core import (
     Covector,
     PiScalar,
     Vector,
+    _integer_row,
+    _s_J_integer,
     basis_covector,
     canonical_multiindex,
     rat,
-    s_J,
 )
 from .errors import InputError, MixedPiPowers, PoleAtSample
 from .sampling import SampleOutcome, sample_independent
@@ -39,6 +41,17 @@ class OrbitDatum:
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(Covector(w) for w in self.weights))
         object.__setattr__(self, "moment", Covector(self.moment))
+
+    @cached_property
+    def integer_rows(self) -> tuple:
+        """The moment and then the weights as integer rows (D, ((i, A_i), ...)):
+        D is the lcm of the covector's denominators and A_i the nonzero
+        entries of D times it, so a sphere weight keeps 2 of its d entries."""
+        rows = []
+        for covector in (self.moment, *self.weights):
+            scale, ints = _integer_row(covector)
+            rows.append((scale, tuple((i, a) for i, a in enumerate(ints) if a)))
+        return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -93,18 +106,51 @@ def _pi_grading(scalars) -> int:
     return powers.pop() if powers else 0
 
 
-def _orbit_term(orbit: OrbitDatum, v: Vector, l: Fraction) -> tuple:
-    """(l / prod_j a_j(v), [a_j(v)]) for one orbit: the per-orbit kernel of
-    every localized sum.  Raises PoleAtSample when a weight vanishes at v."""
+def _scaled(system: OrbitSystem, v) -> tuple:
+    """(v, (s, V)): v as a Vector, and v = V / s with V integral."""
+    v = Vector(v)
+    if len(v) != system.dim_t:
+        raise ValueError(f"dimension mismatch: {system.dim_t} vs {len(v)}")
+    return v, _integer_row(v)
+
+
+def _orbit_term(orbit: OrbitDatum, v: Vector, scaled: tuple, l: Fraction,
+                power: int = 0, J: tuple = ()) -> Fraction:
+    """l * moment(v)^power * s_J(a(v)) / prod_j a_j(v) for one orbit, as one
+    reduced Fraction: the per-orbit kernel of every localized sum.
+
+    ``scaled`` is (s, V) with v = V / s and V integral (see _integer_row).
+    A row (D, A) of orbit.integer_rows pairs with V to the integer A.V, and
+    the covector's value at v is A.V / (D s).  With power + |J| at most the
+    weight count n, s appears only as s^(n - power - |J|) in the numerator;
+    it cancels from the volume term (power = n).  Raises PoleAtSample when
+    a weight vanishes at v.
+    """
+    s, V = scaled
+    (d0, mu), *weights = orbit.integer_rows
+    num, den = l.numerator, l.denominator
     values = []
-    product = Fraction(1)
-    for alpha in orbit.weights:
-        a = alpha(v)
-        if a == 0:
+    for (d, row), alpha in zip(weights, orbit.weights):
+        a = 0
+        for i, x in row:
+            a += x * V[i]
+        if not a:
             raise PoleAtSample(f"weight {tuple(alpha)} vanishes at v={tuple(v)}")
+        num *= d
+        den *= a
         values.append(a)
-        product *= a
-    return l / product, values
+    if power:
+        m = 0
+        for i, x in mu:
+            m += x * V[i]
+        num *= m**power
+        den *= d0**power
+    if J:
+        # a_j(v) = values_j / (D_j s), so e s is a common denominator
+        e = lcm(*(d for d, _ in weights))
+        num *= _s_J_integer(J, [a * (e // d) for a, (d, _) in zip(values, weights)])
+        den *= e ** sum(J)
+    return Fraction(num * s ** (len(weights) - power - sum(J)), den)
 
 
 def localized_sum(system: OrbitSystem, v: Vector, numerator) -> PiScalar:
@@ -113,24 +159,24 @@ def localized_sum(system: OrbitSystem, v: Vector, numerator) -> PiScalar:
     ``numerator`` is called as numerator(k, orbit, v) and must return an
     exact rational.  The sign (-1)^n is absorbed into the coefficient.
     """
-    v = Vector(v)
+    v, scaled = _scaled(system, v)
     n = system.codim_half
     pi_len = _pi_grading(o.length for o in system.orbits)
     total = Fraction(0)
     for k, orbit in enumerate(system.orbits):
         l = orbit.length.coeff * rat(numerator(k, orbit, v))
-        total += _orbit_term(orbit, v, l)[0]
+        total += _orbit_term(orbit, v, scaled, l)
     return PiScalar(Fraction(-2) ** n * total, n + pi_len)
 
 
 def localize_volume(system: OrbitSystem, v: Vector) -> PiScalar:
     """Volume as (pi^n / n!) * sum_k l_k moment_k(v)^n / prod_j a_j^k(v)."""
-    v = Vector(v)
+    v, scaled = _scaled(system, v)
     n = system.codim_half
     pi_len = _pi_grading(o.length for o in system.orbits)
     total = Fraction(0)
     for orbit in system.orbits:
-        total += _orbit_term(orbit, v, orbit.length.coeff * orbit.moment(v) ** n)[0]
+        total += _orbit_term(orbit, v, scaled, orbit.length.coeff, power=n)
     return PiScalar(total / factorial(n), n + pi_len)
 
 
@@ -142,11 +188,11 @@ def dh_series(system: OrbitSystem, v: Vector, order: int) -> list:
     """
     if order < 0:
         raise InputError("order must be nonnegative")
-    v = Vector(v)
+    v, scaled = _scaled(system, v)
     n = system.codim_half
     pi_len = _pi_grading(o.length for o in system.orbits)
     pieces = [
-        (_orbit_term(orbit, v, orbit.length.coeff)[0], orbit.moment(v))
+        (_orbit_term(orbit, v, scaled, orbit.length.coeff), orbit.moment(v))
         for orbit in system.orbits
     ]
     coeffs = []
@@ -162,7 +208,7 @@ def localize_characteristic(system: OrbitSystem, J, leaf_integrals, v: Vector) -
     With J = (n,) the ratio is identically 1 and the result is the plain
     sum of the leaf integrals, independent of v.
     """
-    v = Vector(v)
+    v, scaled = _scaled(system, v)
     n = system.codim_half
     J = canonical_multiindex(J)
     if sum(J) > n:
@@ -173,8 +219,7 @@ def localize_characteristic(system: OrbitSystem, J, leaf_integrals, v: Vector) -
     pi_leaf = _pi_grading(leaf_integrals)
     total = Fraction(0)
     for orbit, leaf in zip(system.orbits, leaf_integrals):
-        term, values = _orbit_term(orbit, v, leaf.coeff)
-        total += term * s_J(J, values)
+        total += _orbit_term(orbit, v, scaled, leaf.coeff, J=J)
     return PiScalar(total, pi_leaf)
 
 

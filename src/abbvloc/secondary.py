@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import prod
 
-from .core import PiScalar, Vector, canonical_multiindex, rat, s_J
-from .engine import localize_characteristic, weighted_sphere_system
+from .core import PiScalar, Vector, _integer_row, _s_J_integer, canonical_multiindex, rat, s_J
+from .engine import OrbitSystem, localize_characteristic, weighted_sphere_system
 from .errors import InputError
 
 
@@ -44,6 +46,12 @@ class WeightedSphereFoliation:
         if len(set(w)) != len(w):
             raise InputError("weights must be pairwise distinct")
 
+    @cached_property
+    def system(self) -> OrbitSystem:
+        """The closed leaves as an orbit system, built on first use and kept
+        on the foliation."""
+        return weighted_sphere_system(self.w)
+
 
 def u1_leaf_integrals(f: WeightedSphereFoliation) -> list:
     """Integral of the transgression form over each coordinate circle:
@@ -63,9 +71,8 @@ def asuke_number(f: WeightedSphereFoliation, J, v: Vector) -> Fraction:
         raise InputError(
             f"multiindex degree {sum(J)} differs from complex codimension {f.m}"
         )
-    system = weighted_sphere_system(f.w)
     leaf = [PiScalar(c, 0) for c in u1_leaf_integrals(f)]
-    value = localize_characteristic(system, J, leaf, Vector(v))
+    value = localize_characteristic(f.system, J, leaf, Vector(v))
     if value.pi_power != 0 and not value.is_zero:
         raise InputError("secondary number acquired an unexpected pi grading")
     return value.coeff
@@ -86,6 +93,13 @@ def check_w1_identity(m: int, J, w) -> bool:
                 / prod_{j != k} (w_j - w_k)  =  s_J(w_0, ..., w_m).
 
     The weights must be pairwise distinct so no denominator vanishes.
+
+    Both sides are homogeneous of degree |J| in w, so w is scaled to the
+    integers W = L w (L the lcm of its denominators) and the identity is
+    tested on W: the k-th term is N_k / Q_k with N_k = s_J(d) prod_{j != k}
+    W_j from one integer expansion of prod_j (1 + d_j t) over the
+    differences d, Q_k = prod_j d_j, and the sum is compared with s_J(W)
+    by cross-multiplying.
     """
     J = canonical_multiindex(J)
     w = [rat(x) for x in w]
@@ -93,15 +107,12 @@ def check_w1_identity(m: int, J, w) -> bool:
         raise InputError(f"need {m + 1} values, got {len(w)}")
     if len(set(w)) != len(w):
         raise InputError("values must be pairwise distinct")
-    lhs = Fraction(0)
-    for k in range(m + 1):
-        diffs = [w[j] - w[k] for j in range(m + 1) if j != k]
-        prod_w = Fraction(1)
-        prod_d = Fraction(1)
-        for j in range(m + 1):
-            if j != k:
-                prod_w *= w[j]
-        for d in diffs:
-            prod_d *= d
-        lhs += s_J(J, diffs) * prod_w / prod_d
-    return lhs == s_J(J, w)
+    _, W = _integer_row(w)
+    num, den = 0, 1
+    for k, wk in enumerate(W):
+        rest = W[:k] + W[k + 1:]
+        diffs = [x - wk for x in rest]
+        q = prod(diffs)
+        num = num * q + _s_J_integer(J, diffs) * prod(rest) * den
+        den *= q
+    return num == _s_J_integer(J, W) * den

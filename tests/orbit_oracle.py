@@ -1,0 +1,94 @@
+"""Fraction oracles for the orbit sums.
+
+The package evaluates every localized sum through one integer kernel
+(``engine._orbit_term`` on ``OrbitDatum.integer_rows``) and tests the w1
+identity on integers (``secondary.check_w1_identity``).  This module keeps
+the literal ``Fraction`` forms of both loops, one covector pairing and one
+``s_J`` call at a time, so the two can be compared.
+"""
+
+from fractions import Fraction
+from math import factorial
+
+from abbvloc.core import PiScalar, Vector, canonical_multiindex, rat, s_J
+from abbvloc.engine import _pi_grading
+from abbvloc.errors import InputError, PoleAtSample
+
+
+def orbit_term(orbit, v, l) -> tuple:
+    """(l / prod_j a_j(v), [a_j(v)]), pairing each weight covector with v."""
+    values = []
+    product = Fraction(1)
+    for alpha in orbit.weights:
+        a = alpha(v)
+        if a == 0:
+            raise PoleAtSample(f"weight {tuple(alpha)} vanishes at v={tuple(v)}")
+        values.append(a)
+        product *= a
+    return l / product, values
+
+
+def localized_sum(system, v, numerator) -> PiScalar:
+    v = Vector(v)
+    n = system.codim_half
+    pi_len = _pi_grading(o.length for o in system.orbits)
+    total = Fraction(0)
+    for k, orbit in enumerate(system.orbits):
+        l = orbit.length.coeff * rat(numerator(k, orbit, v))
+        total += orbit_term(orbit, v, l)[0]
+    return PiScalar(Fraction(-2) ** n * total, n + pi_len)
+
+
+def localize_volume(system, v) -> PiScalar:
+    v = Vector(v)
+    n = system.codim_half
+    pi_len = _pi_grading(o.length for o in system.orbits)
+    total = Fraction(0)
+    for orbit in system.orbits:
+        total += orbit_term(orbit, v, orbit.length.coeff * orbit.moment(v) ** n)[0]
+    return PiScalar(total / factorial(n), n + pi_len)
+
+
+def dh_series(system, v, order) -> list:
+    v = Vector(v)
+    n = system.codim_half
+    pi_len = _pi_grading(o.length for o in system.orbits)
+    pieces = [(orbit_term(orbit, v, orbit.length.coeff)[0], orbit.moment(v))
+              for orbit in system.orbits]
+    return [
+        PiScalar(sum((base * mv**s for base, mv in pieces), Fraction(0)) / factorial(s), n + pi_len)
+        for s in range(order + 1)
+    ]
+
+
+def localize_characteristic(system, J, leaf_integrals, v) -> PiScalar:
+    v = Vector(v)
+    J = canonical_multiindex(J)
+    leaf_integrals = list(leaf_integrals)
+    pi_leaf = _pi_grading(leaf_integrals)
+    total = Fraction(0)
+    for orbit, leaf in zip(system.orbits, leaf_integrals):
+        term, values = orbit_term(orbit, v, leaf.coeff)
+        total += term * s_J(J, values)
+    return PiScalar(total, pi_leaf)
+
+
+def check_w1_identity(m, J, w) -> bool:
+    """sum_k s_J(w_j - w_k) prod_{j != k} w_j / prod_{j != k} (w_j - w_k)
+    == s_J(w), on Fractions."""
+    J = canonical_multiindex(J)
+    w = [rat(x) for x in w]
+    if len(w) != m + 1 or len(set(w)) != len(w):
+        raise InputError("need m + 1 pairwise distinct values")
+    lhs = Fraction(0)
+    for k in range(m + 1):
+        diffs = [w[j] - w[k] for j in range(m + 1) if j != k]
+        prod_w = Fraction(1)
+        prod_d = Fraction(1)
+        for j in range(m + 1):
+            if j != k:
+                prod_w *= w[j]
+        for d in diffs:
+            prod_d *= d
+        lhs += s_J(J, diffs) * prod_w / prod_d
+    return lhs == s_J(J, w)

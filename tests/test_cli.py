@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from abbvloc.cli import DH_MAX_ORDER, main
+from abbvloc.cli import DH_MAX_ORDER, MAX_SAMPLES, MAX_TRIALS, main
 from abbvloc.core import Matrix
 from abbvloc.homogeneous import stiefel_so5_so3
 from abbvloc.toric import MAX_VERTICES, enumerate_vertices
@@ -337,6 +337,26 @@ class TestIdentityCommands:
         assert doc["exact"] == "9/2 * pi^0"
 
 
+# the subcommands that read --samples
+SAMPLED_COMMANDS = [
+    ("volume-sphere", "--weights", "1,2"),
+    ("volume-toric", "--input", "@cone"),
+    ("localize", "--input", "@system"),
+    ("homogeneous", "--b-prime", "1,2,5"),
+    ("secondary", "--weights", "1,2", "--j", "1"),
+    ("check-v-independence", "--input", "@system"),
+]
+
+
+def sampled_argv(tmp_path, argv) -> list:
+    """argv with @cone and @system replaced by paths to such documents."""
+    paths = {
+        "@cone": write_json(tmp_path, "c.json", sphere_cone_doc([1, 2])),
+        "@system": write_json(tmp_path, "s.json", sphere_system_doc()),
+    }
+    return [paths.get(a, a) for a in argv]
+
+
 class TestExitContract:
     @pytest.mark.parametrize(
         "case",
@@ -455,28 +475,30 @@ class TestExitContract:
         ]
         assert doc["exact"] == "1/6 * pi^3"  # 2 pi^3 / (2! * 1 * 2 * 3)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("volume-sphere", "--weights", "1,2"),
-            ("volume-toric", "--input", "@cone"),
-            ("localize", "--input", "@system"),
-            ("homogeneous", "--b-prime", "1,2,5"),
-            ("secondary", "--weights", "1,2", "--j", "1"),
-            ("check-v-independence", "--input", "@system"),
-        ],
-    )
+    @pytest.mark.parametrize("argv", SAMPLED_COMMANDS)
     @pytest.mark.parametrize("samples", ["1", "0", "-3"])
     def test_fewer_than_two_samples_exit_2(self, capsys, tmp_path, argv, samples):
-        paths = {
-            "@cone": write_json(tmp_path, "c.json", sphere_cone_doc([1, 2])),
-            "@system": write_json(tmp_path, "s.json", sphere_system_doc()),
-        }
-        argv = [paths.get(a, a) for a in argv]
-        code, out = run_cli(capsys, *argv, "--samples", samples)
+        code, out = run_cli(capsys, *sampled_argv(tmp_path, argv), "--samples", samples)
         assert code == 2
         assert json.loads(out)["error"] == {
             "type": "InputError", "message": "need at least 2 samples"
+        }
+
+    @pytest.mark.parametrize("argv", SAMPLED_COMMANDS)
+    @pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**12])
+    def test_samples_above_the_cap_exit_2(self, capsys, tmp_path, argv, samples):
+        code, out = run_cli(capsys, *sampled_argv(tmp_path, argv), "--samples", str(samples), "--json")
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "InputError", "message": f"--samples must be at most {MAX_SAMPLES}, got {samples}"
+        }
+
+    @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**12])
+    def test_trials_above_the_cap_exit_2(self, capsys, trials):
+        code, out = run_cli(capsys, "check-w1", "--m", "3", "--trials", str(trials), "--json")
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "InputError", "message": f"--trials must be at most {MAX_TRIALS}, got {trials}"
         }
 
     @pytest.mark.parametrize(
@@ -682,6 +704,65 @@ def section_documents(draw):
     return doc
 
 
+SYSTEM_ENTRIES = ["0", "1", "-1", "2", "1/2", "-3/2", "1/" + "7" * 60, "3" * 80 + "/11"]
+
+
+@st.composite
+def orbit_system_documents(draw):
+    """Orbit-system documents: a weighted sphere's orbit data with some of
+    its entries replaced (zero rows, huge denominators, rows of the wrong
+    length, pi_powers in and out of range, a wrong dim_t or codim_half,
+    orbits dropped or repeated), or small random documents of dimension
+    1..3."""
+    if draw(st.booleans()):
+        d = draw(st.integers(2, 4))
+        doc = weighted_sphere_system_doc(draw(st.lists(
+            st.sampled_from(["1", "2", "3", "5", "1/2", "7/3"]), min_size=d, max_size=d, unique=True)))
+        for _ in range(draw(st.integers(0, 3))):
+            orbit = draw(st.sampled_from(doc["orbits"]))
+            rows = [r for r in (orbit["moment"], *orbit["weights"]) if r]
+            if not rows:
+                break
+            row = draw(st.sampled_from(rows))
+            kind = draw(st.sampled_from(["zero", "entry", "short", "long", "pi", "dim", "codim", "orbits"]))
+            if kind == "zero":
+                row[:] = ["0"] * len(row)
+            elif kind == "entry":
+                row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(SYSTEM_ENTRIES))
+            elif kind == "short":
+                row.pop()
+            elif kind == "long":
+                row.append(draw(st.sampled_from(SYSTEM_ENTRIES)))
+            elif kind == "pi":
+                orbit["length"]["pi_power"] = draw(st.integers(-6, 6))
+            elif kind in ("dim", "codim"):
+                doc["dim_t" if kind == "dim" else "codim_half"] = draw(st.integers(-1, 5))
+            else:
+                doc["orbits"] = draw(st.lists(st.sampled_from(doc["orbits"]), min_size=1, max_size=5))
+        return doc
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 2))
+    row = st.lists(st.sampled_from(SYSTEM_ENTRIES), min_size=d, max_size=d)
+    orbit = st.fixed_dictionaries({
+        "length": st.fixed_dictionaries({"coeff": st.sampled_from(SYSTEM_ENTRIES),
+                                         "pi_power": st.integers(-4, 4)}),
+        "moment": row,
+        "weights": st.lists(row, min_size=n, max_size=n),
+    })
+    return {"dim_t": d, "b": draw(row), "codim_half": n, "orbits": draw(st.lists(orbit, max_size=3))}
+
+
+WEIGHT_TOKENS = ["1", "2", "3", "5", "1/2", "7/3", "0", "-1", "1/0", "x", "", " 5 ", "1.5", "1e3",
+                 "2", "1/" + "9" * 80, "7" * 5000]
+INDEX_TOKENS = ["1", "2", "3", "0", "-1", "x", "", "1.5", "100"]
+
+
+def option_lists(tokens):
+    """A comma-separated option value: listed tokens, or short free text."""
+    listed = st.lists(st.sampled_from(tokens), max_size=6).map(",".join)
+    return st.one_of(listed, st.text(alphabet="0123456789/-,. ex", max_size=8))
+
+
 class TestLoaderFuzz:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -690,6 +771,33 @@ class TestLoaderFuzz:
         path = write_json(tmp_path, "doc.json", doc)
         for command in ("volume-toric", "msy-check", "lawrence", "polytope-volume"):
             code, out = run_cli(capsys, command, "--input", path, "--json")
+            assert code in (0, 1, 2)
+            assert out.count("\n") == 1
+            json.loads(out)
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=orbit_system_documents())
+    def test_orbit_system_exit_contract(self, capsys, tmp_path, doc):
+        path = write_json(tmp_path, "doc.json", doc)
+        for argv in (("localize",), ("dh",), ("check-v-independence",),
+                     ("localize", "--j", "1", "--leaf-integrals", "1,2,3")):
+            code, out = run_cli(capsys, *argv, "--input", path, "--json")
+            assert code in (0, 1, 2)
+            assert out.count("\n") == 1
+            json.loads(out)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(weights=option_lists(WEIGHT_TOKENS), j=option_lists(INDEX_TOKENS),
+           m=st.integers(-3, 16), trials=st.one_of(st.integers(-2, 2), st.just(MAX_TRIALS + 1)))
+    def test_option_exit_contract(self, capsys, weights, j, m, trials):
+        ones = ",".join(["1"] * weights.count(","))  # degree m when every token is a weight
+        for argv in (("volume-sphere", f"--weights={weights}"),
+                     ("secondary", f"--weights={weights}", f"--j={j}"),
+                     ("secondary", f"--weights={weights}", f"--j={ones}"),
+                     ("check-w1", f"--m={m}", f"--trials={trials}")):
+            code, out = run_cli(capsys, *argv, "--json")
             assert code in (0, 1, 2)
             assert out.count("\n") == 1
             json.loads(out)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from abbvloc import secondary
 from abbvloc.core import Vector, partitions, s_J
 from abbvloc.errors import InputError, PoleAtSample
 from abbvloc.sampling import sample_vector
@@ -87,6 +88,16 @@ class TestAsukeNumbers:
             assert total == asuke_closed_form(f, (m,))
             rng = make_rng(11 + m)
             assert nonpole_asuke(f, (m,), rng) == total
+
+    def test_sphere_system_built_once_per_foliation(self, monkeypatch):
+        calls = []
+        original = secondary.weighted_sphere_system
+        monkeypatch.setattr(secondary, "weighted_sphere_system", lambda w: calls.append(w) or original(w))
+        f = WeightedSphereFoliation(m=2, w=(1, 2, 4))
+        rng = make_rng(3)
+        for J in ((1, 1), (2,), (1, 1)):
+            nonpole_asuke(f, J, rng)
+        assert calls == [f.w]
 
 
 class TestW1Identity:
