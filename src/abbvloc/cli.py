@@ -208,10 +208,12 @@ def _load_section(doc) -> HPolytope:
     if "pi_scale_exponent" in doc or "lattice_basis" in doc:
         return HPolytope.from_cone(_load_cone(doc))
     try:
-        return HPolytope.from_halfspaces(
-            normals=tuple(_vector(v) for v in doc["normals"]),
-            reeb=_vector(doc["reeb"]),
-        )
+        normals = tuple(_vector(v) for v in doc["normals"])
+        reeb = _vector(doc["reeb"])
+        dim = _integer(doc["dim"])
+        if dim != len(reeb):
+            raise _CliInputError(f"dim is {dim} but the Reeb vector has {len(reeb)} entries")
+        return HPolytope.from_halfspaces(normals=normals, reeb=reeb)
     except _MALFORMED as exc:
         raise _CliInputError(f"malformed polytope document: {exc}") from exc
 

@@ -7,7 +7,7 @@ identity ties both to the localized volume of the cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
@@ -17,93 +17,79 @@ from .core import (
     Matrix,
     PiScalar,
     Vector,
-    _echelon,
     det,
     rat,
     solve_linear,
 )
-from .errors import EdgeConstantFunctional, InputError, NotSimpleVertex
+from .errors import EdgeConstantFunctional, InputError
 from .sampling import SplitMix64, sample_independent, sample_rational, sample_vector
-from .toric import GoodCone, _bounded_edges, _point_str, _walk, toric_volume
+from .toric import GoodCone, _bounded_edges, _walk, toric_volume
 
 
 @dataclass(frozen=True)
 class HPolytope:
-    """The section {phi : phi(v_i) <= 0, phi(reeb) = 1} with its vertices
-    and, in vertex order, the facets each vertex lies on (``facet_sets``)."""
+    """The section {phi : phi(v_i) <= 0, phi(reeb) = 1} as the vertex walk
+    (``toric._walk``) found it: its vertices, sorted, and in vertex order
+    the facets each vertex lies on (``facet_sets``).  The walk proves every
+    vertex simple, on n facets whose normals form a basis with b."""
 
-    ambient_dim: int
     normals: tuple
     reeb: Vector
     vertices: tuple
-    facet_sets: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "normals", tuple(Vector(v) for v in self.normals))
-        object.__setattr__(self, "reeb", Vector(self.reeb))
-        object.__setattr__(self, "vertices", tuple(Covector(p) for p in self.vertices))
-        if not self.vertices:
-            raise InputError("vertex list must be nonempty")
-        facet_sets = []
-        for phi in self.vertices:
-            if phi(self.reeb) != 1:
-                raise InputError(f"vertex {tuple(phi)} is not on the Reeb hyperplane")
-            values = [phi(v) for v in self.normals]
-            if any(val > 0 for val in values):
-                raise InputError(f"vertex {tuple(phi)} violates a facet inequality")
-            facet_sets.append(frozenset(i for i, val in enumerate(values) if val == 0))
-        object.__setattr__(self, "facet_sets", tuple(facet_sets))
+    facet_sets: tuple
 
     @classmethod
     def from_cone(cls, cone: GoodCone) -> "HPolytope":
         return cls(
-            ambient_dim=cone.dim,
             normals=cone.normals,
             reeb=cone.reeb,
             vertices=tuple(o.vertex for o in cone.orbits),
+            facet_sets=tuple(frozenset(o.facet_indices) for o in cone.orbits),
         )
 
     @classmethod
     def from_halfspaces(cls, normals, reeb) -> "HPolytope":
         """The section of a bare document, its vertices found by the same
-        pivoting walk as a cone's (``toric._walk``), without the goodness
-        test.  Raises NotSimpleVertex at a vertex on more than n facets;
+        pivoting walk as a cone's, without the goodness test.  Raises
+        InputError for a Reeb vector of fewer than 2 entries, whose section
+        is a point, and NotSimpleVertex at a vertex on more than n facets;
         boundedness is checked by ``edges``."""
         normals = tuple(Vector(v) for v in normals)
         reeb = Vector(reeb)
+        if len(reeb) < 2:
+            raise InputError("the Reeb vector must have at least 2 entries")
         if any(len(v) != len(reeb) for v in normals):
             raise InputError("normals and reeb must have the same dimension")
         _, found = _walk(normals, reeb)
         if not found:
             raise InputError("hyperplane section has no vertices")
+        found = sorted(((phi, frozenset(labels) - {-1}) for phi, labels, *_ in found),
+                       key=lambda pair: tuple(pair[0]))
         return cls(
-            ambient_dim=len(reeb),
             normals=normals,
             reeb=reeb,
-            vertices=tuple(sorted((phi for phi, *_ in found), key=tuple)),
+            vertices=tuple(phi for phi, _ in found),
+            facet_sets=tuple(facets for _, facets in found),
         )
 
     @property
     def section_dim(self) -> int:
-        return self.ambient_dim - 1
+        return len(self.reeb) - 1
 
     @cached_property
     def edges(self) -> tuple:
         """The sorted pairs a < b of vertex indices joined by an edge; raises
-        NotSimpleVertex unless the section is simple and UnboundedSection
-        unless it is bounded."""
-        _require_simple(self)
+        UnboundedSection unless the section is bounded."""
         return _bounded_edges(self.vertices, self.facet_sets)
 
-
-def _require_simple(p: HPolytope):
-    """Raise NotSimpleVertex at the first vertex not on exactly n facets."""
-    n = p.section_dim
-    for phi, facets in zip(p.vertices, p.facet_sets):
-        if len(facets) != n:
-            raise NotSimpleVertex(
-                f"vertex {_point_str(phi)} lies on {len(facets)} facets, expected {n}"
-            )
+    @cached_property
+    def abs_dets(self) -> tuple:
+        """|det(b, v_S)| for each vertex on the facets S, in vertex order:
+        computed by ``core.det``, not read from the walk's dictionaries."""
+        return tuple(
+            abs(det(Matrix.from_columns([self.reeb] + [self.normals[i] for i in sorted(facets)])))
+            for facets in self.facet_sets
+        )
 
 
 @dataclass(frozen=True)
@@ -121,14 +107,6 @@ class LinearFunctional:
         return phi(self.u) + self.d_shift
 
 
-def _affine_rank(vertices) -> int:
-    if len(vertices) < 2:
-        return 0
-    base = vertices[0]
-    _, pivots = _echelon([v - base for v in vertices[1:]], len(base))
-    return len(pivots)
-
-
 def triangulation_volume(p: HPolytope, base_index: int = None) -> Fraction:
     """Exact section volume by the pulling triangulation from a base vertex,
     summed face by face (Lasserre's pyramid recursion).
@@ -140,26 +118,22 @@ def triangulation_volume(p: HPolytope, base_index: int = None) -> Fraction:
     volume is M(section)/n!.  Each flag of faces is one simplex, triangular
     in the coordinates phi(v_j): its lattice measure is the product of the
     heights -beta(v_j) over |det(b, v_S)|.  Faces are memoized by facet
-    set, so each vertex reached costs one determinant.  The result does
-    not depend on the base vertex; affinely degenerate input has volume 0.
+    set, and each vertex's determinant is read from ``p.abs_dets``.  The
+    result does not depend on the base vertex.  Raises UnboundedSection
+    unless the section is bounded.
 
     >>> from abbvloc.toric import weighted_sphere_cone
     >>> triangulation_volume(HPolytope.from_cone(weighted_sphere_cone([1, 2, 3])))
     Fraction(1, 12)
     """
     n = p.section_dim
-    if len(p.vertices) == 1 or _affine_rank(list(p.vertices)) < n:
-        return Fraction(0)
-    _require_simple(p)
-    if frozenset.intersection(*p.facet_sets):
-        return Fraction(0)
-    facet_sets = p.facet_sets
+    p.edges  # raises UnboundedSection
+    facet_sets, dets = p.facet_sets, p.abs_dets
     memo = {}
 
     def measure(active, ids, base):
         if len(active) == n:
-            columns = [p.reeb] + [p.normals[i] for i in sorted(active)]
-            return 1 / abs(det(Matrix.from_columns(columns)))
+            return 1 / dets[base]
         faces = {}
         for i in ids:
             for j in facet_sets[i] - facet_sets[base]:
@@ -182,9 +156,9 @@ def lawrence_volume(p: HPolytope, f: LinearFunctional) -> Fraction:
 
     At each vertex the functional's direction u is expanded in the basis
     (b, active normals); the vertex contributes f(vertex)^n divided by
-    |det(b, normals)| times the product of the normal coefficients.  A
-    zero coefficient means f is constant along the corresponding edge and
-    the functional must be resampled.
+    |det(b, normals)| (``p.abs_dets``) times the product of the normal
+    coefficients.  A zero coefficient means f is constant along the
+    corresponding edge and the functional must be resampled.
     """
     n = p.section_dim
     edges = p.edges
@@ -196,13 +170,9 @@ def lawrence_volume(p: HPolytope, f: LinearFunctional) -> Fraction:
                 f"{tuple(p.vertices[b_idx])}"
             )
     total = Fraction(0)
-    for phi, facets, value in zip(p.vertices, p.facet_sets, values):
+    for phi, facets, value, delta in zip(p.vertices, p.facet_sets, values, p.abs_dets):
         columns = [p.reeb] + [p.normals[i] for i in sorted(facets)]
-        m = Matrix.from_columns(columns)
-        delta = det(m)
-        if delta == 0:
-            raise InputError(f"degenerate vertex basis at {tuple(phi)}")
-        gamma = solve_linear(m, f.u)
+        gamma = solve_linear(Matrix.from_columns(columns), f.u)
         coeff_product = Fraction(1)
         for g in gamma[1:]:
             if g == 0:
@@ -210,7 +180,7 @@ def lawrence_volume(p: HPolytope, f: LinearFunctional) -> Fraction:
                     f"functional has a zero edge coefficient at vertex {tuple(phi)}"
                 )
             coeff_product *= g
-        total += value**n / (abs(delta) * coeff_product)
+        total += value**n / (delta * coeff_product)
     return total / factorial(n)
 
 
@@ -222,7 +192,7 @@ def random_functional(p: HPolytope, rng: SplitMix64, budget: int = 100) -> tuple
     """
     for _ in range(budget):
         f = LinearFunctional(
-            u=sample_vector(p.ambient_dim, rng),
+            u=sample_vector(len(p.reeb), rng),
             d_shift=sample_rational(rng),
         )
         try:

@@ -64,12 +64,16 @@ def sample_positive_rational(rng: SplitMix64) -> Fraction:
 
 
 def sample_distinct_positive(count: int, rng: SplitMix64, budget: int = 1000) -> tuple:
-    """Draw ``count`` pairwise-distinct positive rationals."""
-    picked = []
+    """Draw ``count`` pairwise-distinct positive rationals.
+
+    The pool's entries are distinct, so a draw is new exactly when its pool
+    index is: the picked indices are kept in a set."""
+    picked, seen = [], set()
     for _ in range(budget):
-        c = sample_positive_rational(rng)
-        if c not in picked:
-            picked.append(c)
+        i = rng.next_u64() % len(POSITIVE_POOL)
+        if i not in seen:
+            seen.add(i)
+            picked.append(POSITIVE_POOL[i])
         if len(picked) == count:
             return tuple(picked)
     raise RuntimeError("pool too small for requested distinct sample")

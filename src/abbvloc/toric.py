@@ -16,7 +16,6 @@ in the order NotSimpleVertex, GoodnessViolation, UnboundedSection.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -130,22 +129,16 @@ class GoodCone:
 class ToricOrbit:
     """A vertex of the hyperplane section, i.e. one closed Reeb orbit.
 
-    ``ordered_normals`` are the active facet normals, swapped if needed so
-    that det(b, v_1, ..., v_n) > 0.  With n = 1 no reordering exists and
-    ``delta`` keeps its sign; every consumer divides by |delta| or by a
-    ratio that is insensitive to the ordering.  ``weights`` are rows 1..n
-    of the inverse of (b | ordered_normals); row 0 is ``vertex``.
+    ``facet_indices`` are the facets through the vertex, in increasing
+    order, and ``abs_delta`` is |det(b, v_S)| for their normals v_S.
+    ``weights`` are rows 1..n of the inverse of (b | v_S) with the normals
+    in that order; row 0 is ``vertex``.
     """
 
     vertex: Covector
     facet_indices: tuple
-    ordered_normals: tuple
-    delta: Fraction
+    abs_delta: Fraction
     weights: tuple
-
-    @property
-    def abs_delta(self) -> Fraction:
-        return abs(self.delta)
 
 
 def _point_str(phi) -> str:
@@ -308,15 +301,15 @@ def enumerate_vertices(cone: GoodCone) -> tuple:
 
     ``_walk`` finds them by an integer pivoting walk from a dual-simplex
     start.  Each vertex's moment (the vertex) and weights are the rows of
-    its dictionary A / T, put in sorted facet order, and delta is
-    det(b, v_S) = sign(permutation) T / lcm(denominators of b); no
-    determinant or inverse is computed.  Errors, in this order of
-    precedence: NotSimpleVertex at a vertex on extra facets (the walk
-    stops there), GoodnessViolation at the first vertex in sorted facet
-    order whose active normals fail the Smith normal form test,
-    UnboundedSection for an empty section or for an edge with one vertex
-    (for a simple section, a nontrivial recession cone).  InputError when
-    the section has more than MAX_VERTICES vertices.
+    its dictionary A / T, put in sorted facet order, and abs_delta is
+    |det(b, v_S)| = |T| / lcm(denominators of b); no determinant or
+    inverse is computed.  Errors, in this order of precedence:
+    NotSimpleVertex at a vertex on extra facets (the walk stops there),
+    GoodnessViolation at the first vertex in sorted facet order whose
+    active normals fail the Smith normal form test, UnboundedSection for
+    an empty section or for an edge with one vertex (for a simple section,
+    a nontrivial recession cone).  InputError when the section has more
+    than MAX_VERTICES vertices.
 
     Enumerates afresh on every call; callers read ``cone.orbits``, which
     calls this once per cone and keeps the result.
@@ -336,23 +329,15 @@ def enumerate_vertices(cone: GoodCone) -> tuple:
             raise GoodnessViolation(
                 f"facets {facets} span a sublattice with divisors {divisors}"
             )
-    orbits = []
-    for facets, phi, order, a, t in bases:
-        ordered = [cone.normals[i] for i in facets]
-        weights = [Covector(Fraction(x, t) for x in a[i]) for i in order[1:]]
-        inversions = sum(x > y for x, y in itertools.combinations(order, 2))
-        delta = Fraction((-1) ** inversions * t, scale)
-        if delta < 0 and n >= 2:
-            ordered[0], ordered[1] = ordered[1], ordered[0]
-            weights[0], weights[1] = weights[1], weights[0]
-            delta = -delta
-        orbits.append(ToricOrbit(
+    orbits = [
+        ToricOrbit(
             vertex=phi,
             facet_indices=facets,
-            ordered_normals=tuple(ordered),
-            delta=delta,
-            weights=tuple(weights),
-        ))
+            abs_delta=Fraction(abs(t), scale),
+            weights=tuple(Covector(Fraction(x, t) for x in a[i]) for i in order[1:]),
+        )
+        for facets, phi, order, a, t in bases
+    ]
     result = tuple(sorted(orbits, key=lambda o: tuple(o.vertex)))
     _bounded_edges([o.vertex for o in result], [o.facet_indices for o in result])
     return result
@@ -385,8 +370,9 @@ def toric_volume(cone: GoodCone, v: Vector) -> PiScalar:
     """Volume by the vertex determinant formula, evaluated verbatim.
 
     Each vertex contributes det(v, v^L)^n / (|det(b, v^L)| * prod_i
-    det(b, ..., v at slot i, ...)); the value is independent of the order
-    of the active normals.  Computed determinant by determinant, without
+    det(b, ..., v at slot i, ...)), with the active normals in facet-index
+    order: reordering them changes the numerator and the n slot
+    determinants by the same sign to the n-th power.  Computed determinant by determinant, without
     the matrix inverse used on the orbit-data route, so the two routes
     cross-check each other.  The vertices and |det(b, v^L)| are read from
     ``cone.orbits``; only the determinants that contain v are computed per
@@ -399,7 +385,7 @@ def toric_volume(cone: GoodCone, v: Vector) -> PiScalar:
     e = cone.pi_scale_exponent
     total = Fraction(0)
     for orbit in cone.orbits:
-        m = Matrix.from_columns([cone.reeb] + list(orbit.ordered_normals))
+        m = Matrix.from_columns([cone.reeb] + [cone.normals[i] for i in orbit.facet_indices])
         numerator = det(m.with_column(0, v)) ** n
         denom = orbit.abs_delta
         for i in range(1, n + 1):

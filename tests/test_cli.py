@@ -2,7 +2,7 @@ import json
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from abbvloc.cli import DH_MAX_ORDER, MAX_SAMPLES, MAX_TRIALS, main
@@ -626,6 +626,30 @@ class TestExitContract:
                        "(0, 0, 1) has no second vertex",
         }
 
+    @pytest.mark.parametrize("command", ["lawrence", "polytope-volume"])
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"dim": 1, "normals": [], "reeb": ["1"]},
+             "the Reeb vector must have at least 2 entries"),
+            ({"dim": 1, "normals": [[-1]], "reeb": ["2"]},
+             "the Reeb vector must have at least 2 entries"),
+            ({"dim": 7, "normals": [[-1, 0], [0, -1]], "reeb": ["1", "2"]},
+             "dim is 7 but the Reeb vector has 2 entries"),
+            ({"normals": [[-1, 0], [0, -1]], "reeb": ["1", "2"]},
+             "malformed polytope document: 'dim'"),
+            ({"dim": "2/3", "normals": [[-1, 0], [0, -1]], "reeb": ["1", "2"]},
+             "malformed polytope document: expected an integer, got '2/3'"),
+        ],
+        ids=["point-no-normals", "point-one-normal", "dim-mismatch", "no-dim", "fractional-dim"],
+    )
+    def test_bare_polytope_dimension_exit_2(self, capsys, tmp_path, command, doc, message):
+        # a one-entry Reeb vector's section is a point, whose volume the two
+        # routes would give as 0 and 1; the dim field must match the Reeb vector
+        code, out = run_cli(capsys, command, "--input", write_json(tmp_path, "p.json", doc), "--json")
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "InputError", "message": message}
+
     @pytest.mark.parametrize(
         "command, cone, message",
         [
@@ -767,11 +791,13 @@ class TestLoaderFuzz:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(doc=section_documents())
+    @example(doc={"dim": 1, "normals": [], "reeb": ["1"]})
     def test_exit_contract(self, capsys, tmp_path, doc):
+        # a valid section passes every cross-check: no document exits 1
         path = write_json(tmp_path, "doc.json", doc)
         for command in ("volume-toric", "msy-check", "lawrence", "polytope-volume"):
             code, out = run_cli(capsys, command, "--input", path, "--json")
-            assert code in (0, 1, 2)
+            assert code in (0, 2)
             assert out.count("\n") == 1
             json.loads(out)
 
@@ -801,3 +827,4 @@ class TestLoaderFuzz:
             assert code in (0, 1, 2)
             assert out.count("\n") == 1
             json.loads(out)
+

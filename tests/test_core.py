@@ -31,7 +31,6 @@ from abbvloc.errors import (
     SingularMatrix,
 )
 from conftest import make_rng, random_matrix, random_unimodular
-from abbvloc.polytope import _affine_rank
 from abbvloc.sampling import sample_rational
 
 
@@ -302,8 +301,6 @@ class TestElimination:
         assert len(_echelon([[Fraction(x) for x in r] for r in rows], len(rows[0]))[1]) == (
             minor_rank(rows)
         )
-        base = Vector([0] * len(rows[0]))
-        assert _affine_rank([base] + [Vector(r) for r in rows]) == minor_rank(rows)
 
 
 def gauss_jordan(rows, ncols):
@@ -370,8 +367,6 @@ class TestEliminationOracle:
         _, pivots = gauss_jordan(rows, len(rows[0]))
         echelon, echelon_pivots = _echelon([[Fraction(x) for x in r] for r in rows], len(rows[0]))
         assert echelon_pivots == pivots
-        base = Vector([0] * len(rows[0]))
-        assert _affine_rank([base] + [Vector(r) for r in rows]) == len(pivots)
         # the rows stay primitive integer rows, so entries do not grow by
         # the pivots' common factors
         for row in echelon:

@@ -26,6 +26,7 @@ from abbvloc.sampling import sample_independent, sample_positive_rational, sampl
 from abbvloc.toric import GoodCone, orbit_system_from_cone, toric_volume
 from conftest import make_rng
 from simplex_oracle import simplex_volume
+from vertex_oracle import assert_facet_sets_by_pairing
 
 
 def unit(d, i, sign=1):
@@ -197,13 +198,14 @@ def case_cone(kind, a, b, seed):
 
 def assert_walk_rows_equal_inverse(cone):
     """The walk's moment (row 0) and weights (rows 1..n) are the rows of
-    the inverse of (b | ordered normals), and delta is its determinant."""
+    the inverse of (b | normals in facet-index order), and abs_delta is the
+    absolute value of its determinant."""
     for orbit in cone.orbits:
-        m = Matrix.from_columns([cone.reeb, *orbit.ordered_normals])
+        m = Matrix.from_columns([cone.reeb, *(cone.normals[i] for i in orbit.facet_indices)])
         inverse = m.inverse()
         assert orbit.vertex == Covector(inverse.rows[0])
         assert orbit.weights == tuple(Covector(row) for row in inverse.rows[1:])
-        assert orbit.delta == det(m)
+        assert orbit.abs_delta == abs(det(m))
 
 
 class TestGeneratedCones:
@@ -237,6 +239,15 @@ class TestGeneratedCones:
         assert len(cone.orbits) == (len(SMOOTH_POLYGONS[a]) if kind == "polygon"
                                     else 2**a if kind == "cube" else (a + 1) * (b + 1))
         assert_walk_rows_equal_inverse(cone)
+
+    @pytest.mark.parametrize("kind, a, b", CASES, ids=[f"{k}-{a}-{b}" for k, a, b in CASES])
+    def test_facet_sets_equal_the_pairing(self, kind, a, b):
+        cone = case_cone(kind, a, b, 5)[0]
+        p = HPolytope.from_cone(cone)
+        assert_facet_sets_by_pairing(p)
+        q = HPolytope.from_halfspaces(cone.normals, cone.reeb)
+        assert_facet_sets_by_pairing(q)
+        assert (q.vertices, q.facet_sets) == (p.vertices, p.facet_sets)
 
     @pytest.mark.parametrize("index", range(len(SMOOTH_POLYGONS)))
     def test_polygons_are_smooth(self, index):

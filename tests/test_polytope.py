@@ -1,14 +1,18 @@
+import json
 import sys
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from abbvloc.core import Covector, PiScalar, Vector
+from abbvloc.cli import main
+from abbvloc.core import Covector, PiScalar, Vector, rat
 from abbvloc.errors import (
     AllSamplesPoles,
     EdgeConstantFunctional,
     InputError,
+    LocalizationError,
     NotSimpleVertex,
     PoleAtSample,
 )
@@ -24,9 +28,11 @@ from abbvloc.sampling import sample_vector
 from abbvloc.toric import simplex_cone, weighted_sphere_cone
 from conftest import make_rng
 from simplex_oracle import omega_h, simplex_volume
+from test_cli import section_documents
+from test_cli_golden import cube_cone_doc
 from test_generated_cones import cube_cone_k
-from test_toric import cube_cone
-from vertex_oracle import vertices_from_halfspaces
+from test_toric import cube_cone, fixture_cones
+from vertex_oracle import assert_facet_sets_by_pairing, vertices_from_halfspaces
 
 
 def segment_polytope():
@@ -39,6 +45,24 @@ def triangle_polytope():
 
 def cube_polytope():
     return HPolytope.from_cone(cube_cone())
+
+
+def count_det_calls(monkeypatch) -> list:
+    """Route every binding of core.det in the package through a counter;
+    returns the list that collects one entry per call."""
+    import abbvloc
+
+    calls = []
+    real = abbvloc.core.det
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("abbvloc") and getattr(module, "det", None) is real:
+            monkeypatch.setattr(module, "det", counted)
+    return calls
 
 
 def tesseract_polytope():
@@ -98,15 +122,6 @@ class TestTriangulation:
     def test_tesseract(self):
         assert triangulation_volume(tesseract_polytope()) == 16
 
-    def test_single_vertex_degenerate(self):
-        p = HPolytope(
-            ambient_dim=2,
-            normals=(Vector([-1, 0]), Vector([0, -1])),
-            reeb=Vector([1, 1]),
-            vertices=(Covector([0, 1]),),
-        )
-        assert triangulation_volume(p) == 0
-
     def test_base_vertex_independence(self):
         for p in (segment_polytope(), triangle_polytope(), cube_polytope()):
             reference = triangulation_volume(p)
@@ -122,19 +137,8 @@ class TestTriangulation:
     def test_one_determinant_per_vertex(self, monkeypatch):
         """The cube 6 section has 64 vertices and 6! = 720 pulling simplices
         per base; the face recursion takes one determinant per vertex."""
-        import abbvloc
-
         p = HPolytope.from_cone(cube_cone_k(6))
-        calls = []
-        real = abbvloc.core.det
-
-        def counted(m):
-            calls.append(m)
-            return real(m)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("abbvloc") and getattr(module, "det", None) is real:
-                monkeypatch.setattr(module, "det", counted)
+        calls = count_det_calls(monkeypatch)
         # Reeb (7, 1, ..., 1): the integral of (7 + sum x)^-7 over [0, 1]^6
         # is 6!/13!, the Beta integral of x^6 (1 - x)^6 times 6!/6!
         assert triangulation_volume(p) == Fraction(factorial(6), factorial(13))
@@ -151,11 +155,6 @@ class TestTriangulation:
         reeb = Vector([0, 0, 1])
         with pytest.raises(NotSimpleVertex):
             HPolytope.from_halfspaces(normals, reeb)
-        # built from the oracle's vertices, the triangulation's own check refuses it
-        vertices = tuple(phi for phi, _ in vertices_from_halfspaces(normals, reeb))
-        p = HPolytope(ambient_dim=3, normals=normals, reeb=reeb, vertices=vertices)
-        with pytest.raises(NotSimpleVertex):
-            triangulation_volume(p)
 
 
 class TestLawrence:
@@ -189,6 +188,17 @@ class TestLawrence:
                 assert volume == expected
                 assert lawrence_volume(p, f) == volume
 
+    def test_lawrence_command_one_determinant_per_vertex(self, capsys, tmp_path, monkeypatch):
+        """Both functionals and the triangulation read |det(b, v_S)| from
+        the section's one cached tuple: 64 determinants on cube cone 6."""
+        path = tmp_path / "cube6.json"
+        path.write_text(json.dumps(cube_cone_doc(6)))
+        calls = count_det_calls(monkeypatch)
+        assert main(["lawrence", "--input", str(path), "--json"]) == 0
+        coeff = Fraction(json.loads(capsys.readouterr().out)["coeff"])
+        assert coeff == Fraction(factorial(6), factorial(13))
+        assert len(calls) == 64
+
     def test_functional_independence(self):
         rng = make_rng(19)
         p = cube_polytope()
@@ -199,29 +209,49 @@ class TestLawrence:
 
 
 class TestHPolytope:
-    def test_vertex_off_hyperplane_rejected(self):
-        with pytest.raises(InputError):
-            HPolytope(
-                ambient_dim=2,
-                normals=(Vector([-1, 0]), Vector([0, -1])),
-                reeb=Vector([1, 1]),
-                vertices=(Covector([2, 1]),),
-            )
-
-    def test_vertex_violating_facet_rejected(self):
-        with pytest.raises(InputError):
-            HPolytope(
-                ambient_dim=2,
-                normals=(Vector([-1, 0]), Vector([0, -1])),
-                reeb=Vector([1, 1]),
-                vertices=(Covector([2, -1]),),
-            )
-
     def test_halfspace_enumeration_matches_cone_route(self):
         cone = weighted_sphere_cone([2, 3, 7])
         p = HPolytope.from_cone(cone)
         q = HPolytope.from_halfspaces(cone.normals, cone.reeb)
         assert sorted(tuple(v) for v in p.vertices) == sorted(tuple(v) for v in q.vertices)
+
+    def test_facet_sets_equal_the_pairing_on_fixtures(self):
+        for p in (segment_polytope(), triangle_polytope(), cube_polytope(), tesseract_polytope()):
+            assert_facet_sets_by_pairing(p)
+        for cone in fixture_cones():
+            assert_facet_sets_by_pairing(HPolytope.from_cone(cone))
+            assert_facet_sets_by_pairing(HPolytope.from_halfspaces(cone.normals, cone.reeb))
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=section_documents())
+    def test_bare_document_facet_sets_equal_the_pairing(self, doc):
+        normals = [Vector(rat(x) for x in v) for v in doc["normals"]]
+        reeb = Vector(rat(x) for x in doc["reeb"])
+        try:
+            p = HPolytope.from_halfspaces(normals, reeb)
+        except LocalizationError:
+            return
+        assert_facet_sets_by_pairing(p)
+        assert p.vertices == tuple(phi for phi, _ in vertices_from_halfspaces(normals, reeb))
+
+    def test_construction_pairs_no_covector(self, monkeypatch):
+        """The walk's basis labels are the facet sets: building a section
+        evaluates no Covector, from a cone that holds its orbits or from
+        bare halfspaces."""
+        cone = cube_cone_k(4)
+        cone.orbits
+        calls = []
+        pair = Covector.__call__
+
+        def counting(self, v):
+            calls.append(v)
+            return pair(self, v)
+
+        monkeypatch.setattr(Covector, "__call__", counting)
+        p = HPolytope.from_cone(cone)
+        q = HPolytope.from_halfspaces(cone.normals, cone.reeb)
+        assert calls == []
+        assert len(p.vertices) == len(q.vertices) == 16
 
     def test_standalone_enumeration_keeps_non_simple_vertices(self):
         normals = (

@@ -1,7 +1,14 @@
 import pytest
 
 from abbvloc.errors import AllSamplesPoles, InconsistentSamples, PoleAtSample
-from abbvloc.sampling import SplitMix64, sample_independent, sample_vector
+from abbvloc.sampling import (
+    POSITIVE_POOL,
+    SplitMix64,
+    sample_distinct_positive,
+    sample_independent,
+    sample_positive_rational,
+    sample_vector,
+)
 
 
 def draws(seed, dim, count):
@@ -75,3 +82,29 @@ class TestSampleIndependent:
         assert len(outcome.samples_used) == 150
         with pytest.raises(AllSamplesPoles):
             sample_independent(FakeEvaluate(poles={0}), 1, 150, seed=0)
+
+
+def distinct_positive_by_value(count, rng, budget=1000):
+    """The value-scan loop that sample_distinct_positive replaces: the
+    oracle for its draws."""
+    picked = []
+    for _ in range(budget):
+        c = sample_positive_rational(rng)
+        if c not in picked:
+            picked.append(c)
+        if len(picked) == count:
+            return tuple(picked)
+    raise RuntimeError("pool too small for requested distinct sample")
+
+
+class TestSampleDistinctPositive:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2**64 - 1])
+    def test_draws_equal_the_value_scan(self, seed):
+        fast, slow = SplitMix64(seed), SplitMix64(seed)
+        for count in [1, 2, 5, 9, len(POSITIVE_POOL), 3, 14, 6]:
+            assert sample_distinct_positive(count, fast) == distinct_positive_by_value(count, slow)
+            assert fast.state == slow.state
+
+    def test_pool_too_small(self):
+        with pytest.raises(RuntimeError):
+            sample_distinct_positive(len(POSITIVE_POOL) + 1, SplitMix64(3))

@@ -141,11 +141,6 @@ class TestVertexEnumeration:
                 tuple(phi) for phi, _ in independent
             )
 
-    def test_ordering_convention_positive_delta(self):
-        for cone in (simplex_cone(3), simplex_cone(4), cube_cone()):
-            for orbit in enumerate_vertices(cone):
-                assert orbit.delta > 0
-
     def test_goodness_violation(self):
         with pytest.raises(GoodnessViolation):
             enumerate_vertices(goodness_violating_cone())
@@ -248,8 +243,8 @@ class TestOrbitData:
         system = orbit_system_from_cone(cone)
         for orbit, datum in zip(orbits, system.orbits):
             for i, alpha in enumerate(datum.weights):
-                for j, normal in enumerate(orbit.ordered_normals):
-                    assert alpha(normal) == (1 if i == j else 0)
+                for j, k in enumerate(orbit.facet_indices):
+                    assert alpha(cone.normals[k]) == (1 if i == j else 0)
 
     def test_moment_equals_vertex(self):
         cone = weighted_sphere_cone([1, 2, 3, 5])
