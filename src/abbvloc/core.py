@@ -126,12 +126,6 @@ class PiScalar:
             raise ValueError("negative powers of PiScalar are not supported")
         return PiScalar(self.coeff**k, self.pi_power * k)
 
-    def times_pi(self, k: int = 1) -> "PiScalar":
-        """Shift the pi grading by k (multiply by pi**k)."""
-        if self.is_zero:
-            return self
-        return PiScalar(self.coeff, self.pi_power + k)
-
     def exact_str(self) -> str:
         return f"{rat_str(self.coeff)} * pi^{self.pi_power}"
 
@@ -271,9 +265,6 @@ class Matrix:
             ]
         )
 
-    def transpose(self) -> "Matrix":
-        return Matrix([self.column(j) for j in range(self.ncols)])
-
     def apply(self, v) -> Vector:
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch in matrix apply")
@@ -312,19 +303,12 @@ class Matrix:
         return det(self)
 
     def inverse(self) -> "Matrix":
-        """Exact inverse: one elimination of (m | I), then one
-        back-substitution per column of the identity."""
+        """Exact inverse: (m | I) reduced by _reduce to (T I | T m^-1)."""
         if not self.is_square:
             raise NonSquareMatrix("inverse of a non-square matrix")
         n = self.nrows
-        identity = Matrix.identity(n).rows
-        rows, pivots = _echelon([r + e for r, e in zip(self.rows, identity)], n)
-        if len(pivots) < n:
-            raise SingularMatrix("matrix is singular")
-        return Matrix.from_columns(
-            _back_substitute(rows, pivots, [row[n + k] for row in rows], [Fraction(0)] * n)
-            for k in range(n)
-        )
+        a, t = _reduce([r + e for r, e in zip(self.rows, Matrix.identity(n).rows)], n)
+        return Matrix([[Fraction(x, t) for x in row[n:]] for row in a])
 
 
 def det(m: Matrix) -> Fraction:
@@ -368,42 +352,6 @@ def det(m: Matrix) -> Fraction:
     return Fraction(sign * a[n - 1][n - 1], scale)
 
 
-def _echelon(rows, ncols: int) -> tuple:
-    """Fraction-free forward elimination on the first ``ncols`` columns.
-
-    Each row, augmented part included, is scaled to integers by the lcm of
-    its denominators and divided by the gcd of the result, which leaves
-    the row's equation and its zero pattern unchanged.  Each column's
-    pivot is the first row, at or below the current one, with a nonzero
-    entry there; a row below it with entry f there becomes
-    row * pivot - f * top, from the pivot column on (the entries left of
-    it are zero), again divided by the gcd of its entries.  Entries right
-    of ``ncols`` (an augmented right-hand side) are carried along.
-    Returns (echelon rows as lists of ints, pivot columns): row r leads in
-    column pivots[r], and rows past len(pivots) vanish on the first
-    ``ncols`` columns, so len(pivots) is the rank.  Every row returned is
-    primitive: its entries have gcd 1, or all vanish.
-    """
-    a = [_primitive(_integer_row(row)[1]) for row in rows]
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        if r == len(a):
-            break
-        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        top = a[r][col:]
-        p = top[0]
-        for row in a[r + 1:]:
-            f = row[col]
-            if f != 0:
-                row[col:] = _primitive([x * p - f * y for x, y in zip(row[col:], top)])
-        pivots.append(col)
-    return a, pivots
-
-
 def _integer_row(row) -> tuple:
     """(L, [L * e for e in row]) with L the lcm of the row's denominators."""
     scale = lcm(*(e.denominator for e in row))
@@ -417,24 +365,52 @@ def _primitive(row: list) -> list:
     return [x // g for x in row] if g > 1 else row
 
 
-def _back_substitute(rows, pivots, rhs, x) -> list:
-    """Solve the echelon system from _echelon for its pivot unknowns.
+def _column(a, v) -> list:
+    """A . v, one entry per row of A."""
+    return [sum(x * y for x, y in zip(r, v)) for r in a]
 
-    Sets x[pivots[r]] so that sum_j rows[r][j] x[j] = rhs[r] over the
-    len(x) unknowns, last pivot first; the free entries of x keep the
-    values they come in with.  The rows and rhs are integers, the
-    unknowns Fractions.  Returns x.
+
+def _pivot(a, t, i, col) -> tuple:
+    """One fraction-free Gauss-Jordan step (Bareiss 1968) on integer rows
+    A with previous pivot T, at row i, for the column whose entries are
+    col: A'_i = A_i, A'_j = (A_j p - col_j A_i) / T, T' = p = col_i.
+
+    A = T B^-1 X for the integer rows X the steps started from, where B is
+    the identity with the columns pivoted so far put in their positions
+    and T = det B; T B^-1 is the adjugate of B, so every division is
+    exact.  Returns (A', T').
     """
-    width = len(x)
-    for r in range(len(pivots) - 1, -1, -1):
-        p, row = pivots[r], rows[r]
-        s = rhs[r] - sum((row[j] * x[j] for j in range(p + 1, width) if row[j]), Fraction(0))
-        x[p] = s / row[p]
-    return x
+    top, p = a[i], col[i]
+    return [top if j == i else [(x * p - f * y) // t for x, y in zip(r, top)]
+            for j, (r, f) in enumerate(zip(a, col))], p
+
+
+def _reduce(rows, n: int) -> tuple:
+    """Gauss-Jordan reduction of n augmented rational rows (M | R), M
+    square, by ``_pivot`` on the rows scaled to integers.
+
+    Column i is pivoted at row i, swapped there from the first row below
+    with a nonzero entry.  Returns (A, T) with A = (T I | T M^-1 R) on
+    Python ints, T = +-det of the integer-scaled M.  Raises SingularMatrix
+    when a column has no pivot, i.e. when det(M) = 0.
+
+    >>> _reduce([[2, 1, 3], [1, 1, 2]], 2)
+    ([[1, 0, 1], [0, 1, 1]], 1)
+    """
+    a = [_integer_row(row)[1] for row in rows]
+    t = 1
+    for i in range(n):
+        piv = next((j for j in range(i, n) if a[j][i]), None)
+        if piv is None:
+            raise SingularMatrix("matrix is singular")
+        a[i], a[piv] = a[piv], a[i]
+        a, t = _pivot(a, t, i, [row[i] for row in a])
+    return a, t
 
 
 def solve_linear(m: Matrix, rhs) -> Vector:
-    """Exact solution of ``m x = rhs`` by Gaussian elimination.
+    """Exact solution of ``m x = rhs``: (m | rhs) reduced by _reduce to
+    (T I | T x).
 
     Raises SingularMatrix when det(m) = 0.
     """
@@ -443,10 +419,8 @@ def solve_linear(m: Matrix, rhs) -> Vector:
     n = m.nrows
     if len(rhs) != n:
         raise ValueError("right-hand side has wrong length")
-    rows, pivots = _echelon([r + (rat(rhs[i]),) for i, r in enumerate(m.rows)], n)
-    if len(pivots) < n:
-        raise SingularMatrix("matrix is singular")
-    return Vector(_back_substitute(rows, pivots, [row[n] for row in rows], [Fraction(0)] * n))
+    a, t = _reduce([r + (rat(rhs[i]),) for i, r in enumerate(m.rows)], n)
+    return Vector(Fraction(row[n], t) for row in a)
 
 
 def _as_int_rows(mat) -> list:

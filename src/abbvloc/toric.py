@@ -26,7 +26,9 @@ from .core import (
     Matrix,
     PiScalar,
     Vector,
+    _column,
     _integer_row,
+    _pivot,
     _primitive,
     basis_vector,
     det,
@@ -169,20 +171,6 @@ def _bounded_edges(vertices, facet_sets) -> tuple:
     return tuple(sorted(tuple(pair) for pair in ends.values() if len(pair) == 2))
 
 
-def _column(a, v) -> list:
-    """A . v, one entry per row of A."""
-    return [sum(x * y for x, y in zip(r, v)) for r in a]
-
-
-def _pivot(a, t, i, col) -> tuple:
-    """The dictionary (A', T') after the column with A . v = col enters at
-    position i: A'_i = A_i, A'_j = (A_j p - col_j A_i) / T, T' = p = col_i.
-    Every division is exact, since A' is again an adjugate."""
-    top, p = a[i], col[i]
-    return [top if j == i else [(x * p - f * y) // t for x, y in zip(r, top)]
-            for j, (r, f) in enumerate(zip(a, col))], p
-
-
 def _walk(normals, reeb) -> tuple:
     """The vertices of {phi : phi(reeb) = 1, phi(v_i) <= 0} by an integer
     pivoting walk over the section's edges (Avis & Fukuda 1992, with the
@@ -193,8 +181,9 @@ def _walk(normals, reeb) -> tuple:
     ``labels`` names the column at each position of M = (b | v_S): -1 for
     the Reeb vector, else a facet index.  Its dictionary is the adjugate
     A = T M^-1 on Python ints with T = det M, so the vertex is
-    scale * A[b's row] / T and the other rows are the weights; ``_pivot``
-    moves it to a neighbouring basis.
+    scale * A[b's row] / T and the other rows are the weights; ``_pivot``,
+    the Gauss-Jordan step of ``solve_linear``, moves it to a neighbouring
+    basis.
 
     The first basis pivots the columns (b, v_1, ..., v_m) greedily into the
     identity's positions.  A dual simplex with Bland's rule then

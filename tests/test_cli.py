@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from abbvloc.cli import DH_MAX_ORDER, MAX_SAMPLES, MAX_TRIALS, main
-from abbvloc.core import Matrix
+from abbvloc.core import Matrix, Vector, rat_str
 from abbvloc.homogeneous import stiefel_so5_so3
 from abbvloc.toric import MAX_VERTICES, enumerate_vertices
 from test_cli_golden import cube_cone_doc
@@ -73,6 +73,12 @@ def root_data_doc():
         "b": ["0", "0", "1"],
         "p": ["-1", "0", "1"],
     }
+
+
+def input_coordinates(basis, v) -> list:
+    """B v as "p/q" strings: the input coordinates of the lattice vector v
+    over the lattice basis B (a list of rows)."""
+    return [rat_str(x) for x in Matrix(basis).apply(Vector(v))]
 
 
 def corrupted_system_doc():
@@ -210,6 +216,20 @@ class TestToricCommands:
         code, _ = run_cli(capsys, command, "--input", path, "--json")
         assert code == 0
         assert len(enumerated) == 1
+
+    @pytest.mark.parametrize("basis", [[[1, 2, 0], [0, 1, 0], [-1, 0, 1]],
+                                       [[0, 1, 0], [0, 0, -1], [1, 3, 1]]])
+    @pytest.mark.parametrize("command", ["volume-toric", "msy-check", "lawrence"])
+    def test_unimodular_basis_changes_coordinates_only(self, capsys, tmp_path, basis, command):
+        # normals B v and Reeb vector B r over the basis B are the cone of v and r
+        doc = cube_cone_doc(2)
+        code, expected = run_cli(capsys, command, "--input", write_json(tmp_path, "c.json", doc), "--json")
+        doc["normals"] = [input_coordinates(basis, v) for v in doc["normals"]]
+        doc["reeb"] = input_coordinates(basis, doc["reeb"])
+        doc["lattice_basis"] = basis
+        assert run_cli(capsys, command, "--input", write_json(tmp_path, "b.json", doc), "--json") == (
+            code, expected)
+        assert code == 0
 
 
     @pytest.mark.parametrize("command", ["volume-toric", "polytope-volume"])
@@ -707,12 +727,59 @@ REEB_ENTRIES = ["0", "1", "-1", "2", "3", "1/2", "-3/2", "5/2"]
 
 
 @st.composite
+def lattice_bases(draw, d):
+    """A ``lattice_basis`` for a cone document of dimension d.  Most are
+    unimodular (a unitriangular matrix with signed, permuted rows), so the
+    cone stays valid; the rest are diagonal, singular (a repeated or zero
+    row), rational (one entry a fraction) or of the wrong shape."""
+    kind = draw(st.sampled_from(["unimodular"] * 5 + ["diagonal", "singular", "rational", "shape"]))
+    if kind == "shape":
+        rows, cols = draw(st.sampled_from([(d, d + 1), (d + 1, d), (d - 1, d), (0, 0)]))
+        return [draw(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols)) for _ in range(rows)]
+    if kind == "diagonal":
+        return [[draw(st.sampled_from([1, -1, 2, 3])) if i == j else 0 for j in range(d)]
+                for i in range(d)]
+    upper = [[int(i == j) if j <= i else draw(st.integers(-2, 2)) for j in range(d)]
+             for i in range(d)]
+    basis = [[draw(st.sampled_from([1, -1])) * x for x in upper[i]]
+             for i in draw(st.permutations(range(d)))]
+    if kind == "singular":
+        i = draw(st.integers(0, d - 1))
+        basis[i] = [0] * d if d == 1 or draw(st.booleans()) else list(basis[i - 1])
+    elif kind == "rational":
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        basis[i][j] = draw(st.sampled_from(["1/2", "-1/3", "3/2"]))
+    return basis
+
+
+@st.composite
+def lattice_cones(draw, d):
+    """The normals, Reeb vector and ``lattice_basis`` B of a cone document
+    of dimension d.  In lattice coordinates the cone is the orthant with a
+    positive Reeb vector r, sometimes cut by one more small normal, so its
+    section is mostly a simplex.  Three times in four, a square B gets the
+    normals and Reeb vector in input coordinates, B v and B r, which a
+    nonsingular B maps back to the drawn ones."""
+    normals = [[-int(i == j) for j in range(d)] for i in range(d)]
+    if draw(st.integers(0, 2)) == 0:
+        normals.append(draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d)))
+    reeb = draw(st.lists(st.sampled_from(["1", "2", "3", "1/2", "5/2"]), min_size=d, max_size=d))
+    basis = draw(lattice_bases(d))
+    if len(basis) == d and all(len(row) == d for row in basis) and draw(st.integers(0, 3)):
+        normals = [input_coordinates(basis, v) for v in normals]
+        reeb = input_coordinates(basis, reeb)
+    return {"normals": normals, "reeb": reeb, "lattice_basis": basis}
+
+
+@st.composite
 def section_documents(draw):
     """Cone documents (with pi_scale_exponent) and bare polytope documents
     (without) of dimension 1..4: small integer normals, some zero, some not
     primitive, some duplicated, and Reeb entries that may be rational, zero
     or negative.  Half of them start from the orthant's normals -e_i, so
-    that bounded sections are common."""
+    that bounded sections are common.  Half of the cone documents of
+    dimension 2..4 take their normals, Reeb vector and lattice_basis from
+    ``lattice_cones`` instead."""
     d = draw(st.integers(1, 4))
     normals = [[-int(i == j) for j in range(d)] for i in range(d)] if draw(st.booleans()) else []
     normals += draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), max_size=d + 3))
@@ -725,6 +792,8 @@ def section_documents(draw):
     }
     if draw(st.booleans()):
         doc["pi_scale_exponent"] = draw(st.sampled_from([0, 1]))
+        if d > 1 and draw(st.booleans()):
+            doc.update(draw(lattice_cones(d)))
     return doc
 
 
@@ -776,6 +845,52 @@ def orbit_system_documents(draw):
     return {"dim_t": d, "b": draw(row), "codim_half": n, "orbits": draw(st.lists(orbit, max_size=3))}
 
 
+ROOT_ENTRIES = ["0", "1", "-1", "2", "1/2", "-3/2", 0, 1, -1]
+
+
+@st.composite
+def root_data_documents(draw):
+    """Root data documents: the Stiefel root datum with some entries
+    replaced (a Weyl representative made singular, rational or of the
+    wrong shape, a root or b or p changed, dim_t changed, Weyl
+    representatives dropped or repeated), or small random documents of
+    dimension 1..3."""
+    if draw(st.booleans()):
+        doc = root_data_doc()
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(["singular", "entry", "shape", "root", "b", "p", "dim", "reps"]))
+            w = draw(st.sampled_from(doc["weyl_reps"])) if doc["weyl_reps"] else None
+            if kind == "singular" and w:
+                w[draw(st.integers(0, len(w) - 1))] = list(draw(st.sampled_from(w)))
+            elif kind == "entry" and w and w[0]:
+                row = draw(st.sampled_from(w))
+                row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(ROOT_ENTRIES))
+            elif kind == "shape" and w:
+                if draw(st.booleans()):
+                    w.pop()
+                else:
+                    w[0].append("1")
+            elif kind == "root" and doc["roots"]:
+                row = draw(st.sampled_from(doc["roots"]))
+                row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(ROOT_ENTRIES))
+            elif kind in ("b", "p"):
+                doc[kind][draw(st.integers(0, 2))] = draw(st.sampled_from(ROOT_ENTRIES))
+            elif kind == "dim":
+                doc["dim_t"] = draw(st.integers(-1, 4))
+            elif kind == "reps" and doc["weyl_reps"]:
+                doc["weyl_reps"] = draw(st.lists(st.sampled_from(doc["weyl_reps"]), max_size=5))
+        return doc
+    d = draw(st.integers(1, 3))
+    row = st.lists(st.sampled_from(ROOT_ENTRIES), min_size=d, max_size=d)
+    return {
+        "dim_t": d,
+        "roots": draw(st.lists(row, max_size=3)),
+        "weyl_reps": draw(st.lists(st.lists(row, min_size=d, max_size=d), max_size=3)),
+        "b": draw(row),
+        "p": draw(row),
+    }
+
+
 WEIGHT_TOKENS = ["1", "2", "3", "5", "1/2", "7/3", "0", "-1", "1/0", "x", "", " 5 ", "1.5", "1e3",
                  "2", "1/" + "9" * 80, "7" * 5000]
 INDEX_TOKENS = ["1", "2", "3", "0", "-1", "x", "", "1.5", "100"]
@@ -792,6 +907,8 @@ class TestLoaderFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(doc=section_documents())
     @example(doc={"dim": 1, "normals": [], "reeb": ["1"]})
+    @example(doc={"dim": 2, "normals": [[-1, 0], [0, -1]], "reeb": ["1", "1"],
+                  "pi_scale_exponent": 1, "lattice_basis": [[1, 1], [0, 1]]})
     def test_exit_contract(self, capsys, tmp_path, doc):
         # a valid section passes every cross-check: no document exits 1
         path = write_json(tmp_path, "doc.json", doc)
@@ -812,6 +929,17 @@ class TestLoaderFuzz:
             assert code in (0, 1, 2)
             assert out.count("\n") == 1
             json.loads(out)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=root_data_documents(), b_prime=st.sampled_from(["0,0,1", "1,2,5", "1/2,1,3", "0,0,0", "1,2"]))
+    def test_root_data_exit_contract(self, capsys, tmp_path, doc, b_prime):
+        path = write_json(tmp_path, "doc.json", doc)
+        code, out = run_cli(capsys, "homogeneous", "--input", path, "--b-prime", b_prime,
+                            "--samples", "4", "--json")
+        assert code in (0, 1, 2)
+        assert out.count("\n") == 1
+        json.loads(out)
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

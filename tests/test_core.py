@@ -1,6 +1,5 @@
 import itertools
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +10,6 @@ from abbvloc.core import (
     Matrix,
     PiScalar,
     Vector,
-    _echelon,
     canonical_multiindex,
     complete_homogeneous,
     det,
@@ -228,7 +226,7 @@ class TestSolve:
 
     def test_round_trip(self):
         rng = make_rng(17)
-        for n in range(1, 6):
+        for n in range(1, 7):
             for _ in range(4):
                 a = random_matrix(n, rng, allow_zero=False)
                 rhs = Vector([sample_rational(rng) for _ in range(n)])
@@ -236,12 +234,12 @@ class TestSolve:
 
     def test_inverse_round_trip(self):
         rng = make_rng(19)
-        for _ in range(5):
-            a = random_matrix(4, rng, allow_zero=False)
-            assert a * a.inverse() == Matrix.identity(4)
+        for n in range(1, 7):
+            a = random_matrix(n, rng, allow_zero=False)
+            assert a * a.inverse() == Matrix.identity(n)
 
 
-def matrices(min_rows=1, max_rows=4, extra_cols=0, entries=st.integers(-3, 3)):
+def matrices(min_rows=1, max_rows=6, extra_cols=0, entries=st.integers(-3, 3)):
     """Small matrices with ``extra_cols`` more columns than rows."""
     return st.integers(min_rows, max_rows).flatmap(
         lambda n: st.lists(
@@ -252,24 +250,12 @@ def matrices(min_rows=1, max_rows=4, extra_cols=0, entries=st.integers(-3, 3)):
     )
 
 
-def minor_rank(rows) -> int:
-    """Size of the largest nonzero minor, each found by Bareiss det."""
-    if not rows:
-        return 0
-    m, n = len(rows), len(rows[0])
-    for k in range(min(m, n), 0, -1):
-        for rs in itertools.combinations(range(m), k):
-            for cs in itertools.combinations(range(n), k):
-                if det(Matrix([[rows[i][j] for j in cs] for i in rs])) != 0:
-                    return k
-    return 0
-
-
 class TestElimination:
-    """Properties of the one forward-elimination routine and its callers."""
+    """solve_linear and inverse invert what they are given, and refuse
+    exactly the singular matrices."""
 
     @settings(max_examples=150, deadline=None)
-    @given(matrices(), st.lists(st.integers(-5, 5), min_size=4, max_size=4))
+    @given(matrices(), st.lists(st.integers(-5, 5), min_size=6, max_size=6))
     def test_solve_round_trip(self, rows, rhs):
         a = Matrix(rows)
         b = Vector(rhs[: a.nrows])
@@ -288,19 +274,6 @@ class TestElimination:
                 a.inverse()
         else:
             assert a * a.inverse() == Matrix.identity(a.nrows)
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.integers(1, 4).flatmap(
-            lambda n: st.lists(
-                st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=5
-            )
-        )
-    )
-    def test_rank_is_largest_nonzero_minor(self, rows):
-        assert len(_echelon([[Fraction(x) for x in r] for r in rows], len(rows[0]))[1]) == (
-            minor_rank(rows)
-        )
 
 
 def gauss_jordan(rows, ncols):
@@ -324,8 +297,8 @@ def gauss_jordan(rows, ncols):
 
 
 class TestEliminationOracle:
-    """solve_linear, inverse, the pivots and the rank equal a Fraction
-    Gauss-Jordan elimination on rational matrices."""
+    """solve_linear and inverse equal a Fraction Gauss-Jordan elimination
+    on rational matrices."""
 
     @settings(max_examples=200, deadline=None)
     @given(matrices(extra_cols=1, entries=rationals))
@@ -353,25 +326,6 @@ class TestEliminationOracle:
                 Matrix(rows).inverse()
         else:
             assert Matrix(rows).inverse() == Matrix([r[n:] for r in reduced])
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.integers(1, 4).flatmap(
-            lambda n: st.lists(
-                st.lists(rationals, min_size=n, max_size=n), min_size=1, max_size=5
-            )
-        )
-    )
-    @example([[Fraction(2, 3), Fraction(4, 5)], [Fraction(1, 3), Fraction(2, 5)]])
-    def test_rank_and_pivots_equal_gauss_jordan(self, rows):
-        _, pivots = gauss_jordan(rows, len(rows[0]))
-        echelon, echelon_pivots = _echelon([[Fraction(x) for x in r] for r in rows], len(rows[0]))
-        assert echelon_pivots == pivots
-        # the rows stay primitive integer rows, so entries do not grow by
-        # the pivots' common factors
-        for row in echelon:
-            assert all(type(x) is int for x in row)
-            assert gcd(*row) in (0, 1)
 
 
 class TestSmithNormalForm:
