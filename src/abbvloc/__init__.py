@@ -50,6 +50,7 @@ from .errors import (
 from .homogeneous import (
     RootData,
     homogeneous_volume,
+    root_data_system,
     stiefel_closed_form,
     stiefel_four_sum,
     stiefel_so5_so3,
@@ -60,6 +61,7 @@ from .polytope import (
     MsyCheck,
     lawrence_volume,
     msy_check,
+    sample_lawrence,
     triangulation_volume,
 )
 from .sampling import SampleOutcome, sample_independent

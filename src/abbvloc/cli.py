@@ -45,6 +45,7 @@ from .errors import InconsistentSamples, InputError, LocalizationError
 from .homogeneous import (
     RootData,
     homogeneous_volume,
+    root_data_system,
     stiefel_closed_form,
     stiefel_four_sum,
     stiefel_so5_so3,
@@ -52,7 +53,7 @@ from .homogeneous import (
 from .polytope import (
     HPolytope,
     msy_check,
-    random_functional,
+    sample_lawrence,
     triangulation_volume,
 )
 from .sampling import POSITIVE_POOL, SplitMix64, sample_distinct_positive, sample_independent
@@ -335,9 +336,10 @@ def _cmd_volume_toric(args) -> dict:
 
 def _cmd_lawrence(args) -> dict:
     section = _load_section(_load_json(args.input))
-    rng = SplitMix64(args.seed)
-    _, vol1 = random_functional(section, rng)
-    _, vol2 = random_functional(section, rng)
+    try:
+        vol1 = vol2 = sample_lawrence(section, 2, args.seed).value
+    except InconsistentSamples as exc:
+        vol1, vol2 = exc.value_a, exc.value_b
     tri = triangulation_volume(section)
     checks = [
         _check("functional independence", vol1 == vol2, f"second value {rat_str(vol2)}"),
@@ -350,8 +352,7 @@ def _cmd_polytope_volume(args) -> dict:
     section = _load_section(_load_json(args.input))
     tri = triangulation_volume(section)
     alt = triangulation_volume(section, base_index=len(section.vertices) - 1)
-    rng = SplitMix64(args.seed)
-    _, law = random_functional(section, rng)
+    law = sample_lawrence(section, 1, args.seed).value
     checks = [
         _check("base-vertex independence", tri == alt, f"alternate base {rat_str(alt)}"),
         _check("Lawrence cross-check", tri == law, f"Lawrence {rat_str(law)}"),
@@ -453,9 +454,9 @@ def _cmd_homogeneous(args) -> dict:
         rd = stiefel_so5_so3()
     else:
         raise _CliInputError(f"unknown fixture {args.fixture!r}")
-    b_prime = Vector(_rat_list(args.b_prime))
+    system = root_data_system(rd, Vector(_rat_list(args.b_prime)))
     value, independence = _resample(
-        lambda v: homogeneous_volume(rd, b_prime, v), rd.dim_t, args.samples, args.seed
+        lambda v: localize_volume(system, v), rd.dim_t, args.samples, args.seed
     )
     return _report("homogeneous", value, [independence])
 

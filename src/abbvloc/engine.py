@@ -223,19 +223,13 @@ def localize_characteristic(system: OrbitSystem, J, leaf_integrals, v: Vector) -
     return PiScalar(total, pi_leaf)
 
 
-def check_v_independence(
-    system: OrbitSystem,
-    numerator=None,
-    samples: int = 10,
-    seed: int = 42,
-) -> SampleOutcome:
-    """Exactly verify that a localized quantity does not depend on v.
+def check_v_independence(system: OrbitSystem, samples: int = 10,
+                         seed: int = 42) -> SampleOutcome:
+    """Exactly verify that the localized volume does not depend on v.
 
     Draws rational sample vectors deterministically from the seed, skips
-    poles, and requires every accepted value to be identical (see
-    sample_independent).  With ``numerator=None`` the quantity is
-    localize_volume; otherwise it is localized_sum with the given
-    per-orbit numerator.
+    poles, and requires every accepted value of localize_volume to be
+    identical (see sample_independent).
 
     Raises InputError for fewer than 2 samples, InconsistentSamples on the
     first disagreement and AllSamplesPoles when the retry budget runs out
@@ -243,13 +237,7 @@ def check_v_independence(
     """
     if samples < 2:
         raise InputError("need at least 2 samples")
-
-    def evaluate(v):
-        if numerator is None:
-            return localize_volume(system, v)
-        return localized_sum(system, v, numerator)
-
-    return sample_independent(evaluate, system.dim_t, samples, seed)
+    return sample_independent(lambda v: localize_volume(system, v), system.dim_t, samples, seed)
 
 
 # ---------------------------------------------------------------------------

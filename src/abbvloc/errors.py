@@ -61,9 +61,9 @@ class NotSimpleVertex(LocalizationError):
     simple polytope."""
 
 
-class EdgeConstantFunctional(LocalizationError):
-    """The chosen linear functional is constant on an edge of the polytope;
-    resample it."""
+class EdgeConstantFunctional(PoleAtSample):
+    """The chosen linear functional is constant on an edge of the polytope:
+    a pole of Lawrence's formula, so the sampling loop redraws it."""
 
 
 class DegenerateReeb(LocalizationError):

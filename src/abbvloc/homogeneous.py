@@ -1,21 +1,25 @@
 """Volumes of deformed homogeneous contact structures from root data.
 
-The closed orbits are indexed by Weyl coset representatives; each summand
-is assembled from the projection along the Reeb splitting and the quotient
-roots evaluated through the representative.  The canonical fixture is the
-7-dimensional Stiefel manifold SO(5)/SO(3), for which the four-summand
-expansion and the closed form 2 pi^4 / (3 (z^2-y^2)(z^2-x^2)) pin every
-sign and constant.
+The closed orbits are indexed by Weyl coset representatives.
+``root_data_system`` turns the root data and a deformed Reeb element into
+an OrbitSystem, one orbit per representative, so the volume is the same
+localized sum (``engine.localize_volume``) as the sphere and toric
+volumes.  Its weights are validated at construction like any orbit
+system's, so root data whose sum has no v in it is refused: a root
+proportional to the projection gives an identically zero weight, and an
+empty root list codimension 0.  The canonical fixture is the 7-dimensional Stiefel manifold
+SO(5)/SO(3), for which the four-summand expansion and the closed form
+2 pi^4 / (3 (z^2-y^2)(z^2-x^2)) pin every sign and constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import factorial
 
 from .core import Covector, Matrix, PiScalar, Vector, rat
+from .engine import OrbitDatum, OrbitSystem, localize_volume
 from .errors import DegenerateReeb, InputError, PoleAtSample
 
 
@@ -23,10 +27,9 @@ from .errors import DegenerateReeb, InputError, PoleAtSample
 class RootData:
     """Quotient roots, Weyl representatives and the Reeb splitting data.
 
-    ``weyl_reps`` act on the torus algebra; summands use the inverse of
-    each representative, which ``weyl_inverses`` computes on first use and
-    keeps for the root datum's lifetime.  ``projection`` is the functional
-    p with p(b) = 1 that kills the isotropy part of the splitting.
+    ``weyl_reps`` act on the torus algebra; ``projection`` is the
+    functional p with p(b) = 1 that kills the isotropy part of the
+    splitting.
     """
 
     dim_t: int
@@ -59,48 +62,53 @@ class RootData:
     def codim_half(self) -> int:
         return len(self.roots_quotient)
 
-    @cached_property
-    def weyl_inverses(self) -> tuple:
-        """The inverse of each Weyl representative, in ``weyl_reps`` order."""
-        return tuple(w.inverse() for w in self.weyl_reps)
+
+def root_data_system(rd: RootData, b_prime: Vector) -> OrbitSystem:
+    """The orbit system of the deformation with Reeb element b_prime.
+
+    For each Weyl representative w, with q = p o w^-1, the orbit has
+
+        length  -2 pi / q(b'),
+        moment  q / q(b'),
+        weights r o w^-1 - r(w^-1 b') * moment, one per quotient root r,
+
+    so its localized volume term is p(w^-1 v)^n / p(w^-1 b')^(n+1) over
+    the product of the roots at w^-1 (v - moment(v) b'), times -2 pi^(n+1)
+    / n!.  The scale matches closed Reeb orbits of length 2 pi / q(b')
+    together with the orientation of the root product relative to the
+    transverse weights, as pinned by the Stiefel closed form.  Raises
+    DegenerateReeb when q(b') = 0 for some representative, and InputError
+    (the OrbitSystem validation) for no roots, no representatives or a
+    root proportional to p.
+
+    >>> system = root_data_system(stiefel_so5_so3(), Vector([0, 0, 1]))
+    >>> localize_volume(system, Vector([1, 2, 5]))
+    PiScalar(2/3 * pi^4)
+    """
+    b_prime = Vector(b_prime)
+    if len(b_prime) != rd.dim_t:
+        raise InputError("vectors must have dimension dim_t")
+    orbits = []
+    for w in rd.weyl_reps:
+        columns = tuple(zip(*w.inverse().rows))
+        q = Covector(rd.projection(c) for c in columns)
+        qb = q(b_prime)
+        if qb == 0:
+            raise DegenerateReeb("Reeb element projects to zero along a Weyl image")
+        weights = []
+        for root in rd.roots_quotient:
+            rw = Covector(root(c) for c in columns)
+            shift = rw(b_prime) / qb
+            weights.append(Covector(x - shift * y for x, y in zip(rw, q)))
+        orbits.append(OrbitDatum(PiScalar(-2 / qb, 1), q.scaled(1 / qb), tuple(weights)))
+    return OrbitSystem(rd.dim_t, b_prime, rd.codim_half, tuple(orbits))
 
 
 def homogeneous_volume(rd: RootData, b_prime: Vector, v: Vector) -> PiScalar:
-    """Localized volume of the deformation with Reeb element b_prime.
-
-    Each Weyl representative w contributes
-
-        [1 / p(w^-1 b')^(n+1)] * p(w^-1 v)^n
-            / prod_roots root(w^-1 (v - (p(w^-1 v)/p(w^-1 b')) b')),
-
-    and the sum is scaled by -2 pi^(n+1) / n!.  The scale matches closed
-    Reeb orbits of length 2 pi / p(w^-1 b') together with the orientation
-    of the root-product relative to the transverse weights, as pinned by
-    the Stiefel closed form.
-    """
-    v = Vector(v)
-    b_prime = Vector(b_prime)
-    if len(v) != rd.dim_t or len(b_prime) != rd.dim_t:
-        raise InputError("vectors must have dimension dim_t")
-    n = rd.codim_half
-    p = rd.projection
-    total = Fraction(0)
-    for inv in rd.weyl_inverses:
-        wb = inv.apply(b_prime)
-        wv = inv.apply(v)
-        pb = p(wb)
-        if pb == 0:
-            raise DegenerateReeb("Reeb element projects to zero along a Weyl image")
-        pv = p(wv)
-        argument = Vector(a - (pv / pb) * c for a, c in zip(wv, wb))
-        denom = Fraction(1)
-        for root in rd.roots_quotient:
-            value = root(argument)
-            if value == 0:
-                raise PoleAtSample(f"root {tuple(root)} vanishes at the sample")
-            denom *= value
-        total += pv**n / (pb ** (n + 1) * denom)
-    return PiScalar(Fraction(-2) * total / factorial(n), n + 1)
+    """Localized volume of the deformation with Reeb element b_prime at
+    the sample v: ``localize_volume`` of ``root_data_system(rd, b_prime)``.
+    Raises PoleAtSample when a root vanishes at w^-1 (v - moment(v) b')."""
+    return localize_volume(root_data_system(rd, b_prime), v)
 
 
 # ---------------------------------------------------------------------------

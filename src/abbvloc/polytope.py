@@ -22,7 +22,7 @@ from .core import (
     solve_linear,
 )
 from .errors import EdgeConstantFunctional, InputError
-from .sampling import SplitMix64, sample_independent, sample_rational, sample_vector
+from .sampling import SampleOutcome, sample_independent
 from .toric import GoodCone, _bounded_edges, _walk, toric_volume
 
 
@@ -184,22 +184,15 @@ def lawrence_volume(p: HPolytope, f: LinearFunctional) -> Fraction:
     return total / factorial(n)
 
 
-def random_functional(p: HPolytope, rng: SplitMix64, budget: int = 100) -> tuple:
-    """Draw a functional that is nonconstant on every edge of the section.
-
-    Returns (functional, its Lawrence volume of p): the volume is computed
-    once, by the evaluation that accepts the functional.
-    """
-    for _ in range(budget):
-        f = LinearFunctional(
-            u=sample_vector(len(p.reeb), rng),
-            d_shift=sample_rational(rng),
-        )
-        try:
-            return f, lawrence_volume(p, f)
-        except EdgeConstantFunctional:
-            continue
-    raise EdgeConstantFunctional("no valid functional found within the retry budget")
+def sample_lawrence(p: HPolytope, samples: int, seed: int) -> SampleOutcome:
+    """Lawrence's volume of p at ``samples`` functionals, by
+    ``sample_independent``: each functional is one draw of n+2
+    coordinates, u and then d_shift, and one constant on an edge of the
+    section is a pole (EdgeConstantFunctional) and is redrawn."""
+    return sample_independent(
+        lambda x: lawrence_volume(p, LinearFunctional(x[:-1], x[-1])),
+        len(p.reeb) + 1, samples, seed,
+    )
 
 
 @dataclass(frozen=True)
@@ -216,11 +209,11 @@ def msy_check(cone: GoodCone, seed: int = 42) -> MsyCheck:
     """Compare the localized cone volume with 2 pi^(n+1) times the section
     volume, with the pi grading reconciled through the cone's lattice
     scale exponent.  The cone volume is taken at the first pole-free sample
-    and the functional is drawn from the same stream after it."""
-    p = HPolytope.from_cone(cone)
-    outcome = sample_independent(lambda v: toric_volume(cone, v), cone.dim, 1, seed)
-    lhs = outcome.value
-    _, vol_h = random_functional(p, outcome.rng)
+    and the section volume at the first functional accepted by
+    ``sample_lawrence``, each drawn from its own stream seeded with
+    ``seed``."""
+    lhs = sample_independent(lambda v: toric_volume(cone, v), cone.dim, 1, seed).value
+    vol_h = sample_lawrence(HPolytope.from_cone(cone), 1, seed).value
     n = cone.codim_half
     e = cone.pi_scale_exponent
     rhs = PiScalar(Fraction(2) ** ((n + 1) * e - n) * vol_h, (n + 1) * e)

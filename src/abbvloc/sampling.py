@@ -81,15 +81,11 @@ def sample_distinct_positive(count: int, rng: SplitMix64, budget: int = 1000) ->
 
 @dataclass
 class SampleOutcome:
-    """Result of a sample-independence check.
-
-    ``rng`` is the generator left after the last draw, for callers that
-    keep drawing from the same stream."""
+    """Result of a sample-independence check."""
 
     value: object
     samples_used: list = field(default_factory=list)
     rejected_poles: int = 0
-    rng: SplitMix64 = field(default=None, repr=False, compare=False)
 
 
 def sample_independent(evaluate, dim: int, samples: int, seed: int) -> SampleOutcome:
@@ -103,7 +99,7 @@ def sample_independent(evaluate, dim: int, samples: int, seed: int) -> SampleOut
     pole-free value.
     """
     rng = SplitMix64(seed)
-    outcome = SampleOutcome(value=None, rng=rng)
+    outcome = SampleOutcome(value=None)
     budget = max(POLE_RETRY_BUDGET, samples)
     for _ in range(budget):
         v = sample_vector(dim, rng)

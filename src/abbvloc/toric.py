@@ -30,13 +30,13 @@ from .core import (
     _integer_row,
     _pivot,
     _primitive,
+    _reduce,
     basis_vector,
     det,
     integer_gcd,
     rat,
     rat_str,
     smith_normal_form,
-    solve_linear,
 )
 from .engine import OrbitDatum, OrbitSystem
 from .errors import (
@@ -44,6 +44,7 @@ from .errors import (
     InputError,
     NotSimpleVertex,
     PoleAtSample,
+    SingularMatrix,
     UnboundedSection,
 )
 
@@ -95,10 +96,14 @@ class GoodCone:
         if basis is not None and basis != Matrix.identity(d):
             if not (basis.is_square and basis.nrows == d):
                 raise InputError("lattice_basis must be a square matrix of the cone dimension")
-            if det(basis) == 0:
-                raise InputError("lattice_basis is singular")
-            normals = [solve_linear(basis, v) for v in normals]
-            reeb = solve_linear(basis, reeb)
+            # one reduction of (B | v_1 ... v_m b) to (T I | T B^-1 (v_1 ... v_m b))
+            try:
+                a, t = _reduce([r + tuple(v[i] for v in normals) + (reeb[i],)
+                                for i, r in enumerate(basis.rows)], d)
+            except SingularMatrix:
+                raise InputError("lattice_basis is singular") from None
+            coords = [Vector(Fraction(x, t) for x in col) for col in list(zip(*a))[d:]]
+            normals, reeb = coords[:-1], coords[-1]
         for i, v in enumerate(normals):
             if any(e.denominator != 1 for e in v):
                 raise InputError(f"normal {i} is not an integer lattice vector")

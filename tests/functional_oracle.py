@@ -1,0 +1,60 @@
+"""Draw-and-retry oracle for Lawrence's functionals.
+
+The package draws each functional f = (u, d) as one sample of n+2
+coordinates through ``sampling.sample_independent``, with an edge-constant
+functional counted as a pole (``polytope.sample_lawrence``).  This module
+keeps the separate loop that drew u and then d from a generator until
+Lawrence's formula accepted them, and checks that both accept the same
+functionals at the same draw indices.
+"""
+
+from unittest import mock
+
+from abbvloc import polytope
+from abbvloc.errors import EdgeConstantFunctional, PoleAtSample
+from abbvloc.polytope import LinearFunctional, lawrence_volume
+from abbvloc.sampling import SplitMix64, sample_rational, sample_vector
+
+
+def random_functional(p, rng, budget: int = 100) -> tuple:
+    """(functional, its Lawrence volume, draws it took): u by
+    ``sample_vector`` and d by ``sample_rational``, redrawn while the
+    functional is constant on an edge of the section."""
+    for draws in range(1, budget + 1):
+        f = LinearFunctional(u=sample_vector(len(p.reeb), rng), d_shift=sample_rational(rng))
+        try:
+            return f, lawrence_volume(p, f), draws
+        except EdgeConstantFunctional:
+            continue
+    raise EdgeConstantFunctional("no valid functional found within the retry budget")
+
+
+def assert_sample_lawrence_matches(p, seed: int, count: int) -> int:
+    """``sample_lawrence(p, count, seed)`` accepts the functionals that
+    ``count`` calls of ``random_functional`` on one SplitMix64(seed) stream
+    accept, at the same draw indices, with the same volume.  Returns the
+    number of rejected draws."""
+    rng = SplitMix64(seed)
+    expected, index = [], -1
+    for _ in range(count):
+        f, volume, draws = random_functional(p, rng)
+        index += draws
+        expected.append((index, f, volume))
+    calls = []
+
+    def logged(section, f):
+        calls.append(f)
+        try:
+            return lawrence_volume(section, f)
+        except PoleAtSample:
+            calls[-1] = None
+            raise
+
+    with mock.patch.object(polytope, "lawrence_volume", logged):
+        outcome = polytope.sample_lawrence(p, count, seed)
+    accepted = [(i, f) for i, f in enumerate(calls) if f is not None]
+    assert accepted == [(i, f) for i, f, _ in expected]
+    assert outcome.samples_used == [(*f.u, f.d_shift) for _, f, _ in expected]
+    assert {outcome.value} == {volume for _, _, volume in expected}
+    assert outcome.rejected_poles == index + 1 - count == len(calls) - count
+    return outcome.rejected_poles

@@ -35,9 +35,10 @@ from abbvloc.homogeneous import (
 )
 from abbvloc.polytope import (
     HPolytope,
+    LinearFunctional,
     lawrence_volume,
     msy_check,
-    random_functional,
+    sample_lawrence,
     triangulation_volume,
 )
 from abbvloc.sampling import SplitMix64, sample_distinct_positive, sample_vector
@@ -152,16 +153,15 @@ def test_criterion_2_toric_two_route_consistency():
 
 
 def test_criterion_3_lawrence_vs_triangulation():
-    rng = SplitMix64(3)
     fixtures = [HPolytope.from_cone(simplex_cone(d)) for d in (2, 3, 4, 5)]
     fixtures.append(HPolytope.from_cone(CUBE_CONE))
     compared = 0
     for p in fixtures:
         expected = triangulation_volume(p)
-        for _ in range(20):
-            f, volume = random_functional(p, rng)
-            assert volume == expected
-            assert lawrence_volume(p, f) == volume
+        outcome = sample_lawrence(p, 20, seed=3)
+        assert outcome.value == expected
+        for *u, d in outcome.samples_used:
+            assert lawrence_volume(p, LinearFunctional(u, d)) == expected
             compared += 1
     triangle = HPolytope.from_cone(simplex_cone(3))
     assert triangulation_volume(triangle) == Fraction(1, 2)

@@ -1,5 +1,6 @@
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -891,6 +892,19 @@ def root_data_documents(draw):
     }
 
 
+def vacuous_root_data(doc) -> bool:
+    """No Weyl representative, no root, or a root proportional to p (the
+    zero root included): the localized sum has no v in it, or a weight
+    that vanishes identically."""
+    p = [Fraction(x) for x in doc["p"]]
+
+    def proportional(r):
+        r = [Fraction(x) for x in r]
+        return all(a * q == b * c for a, c in zip(r, p) for b, q in zip(r, p))
+
+    return not doc["weyl_reps"] or not doc["roots"] or any(map(proportional, doc["roots"]))
+
+
 WEIGHT_TOKENS = ["1", "2", "3", "5", "1/2", "7/3", "0", "-1", "1/0", "x", "", " 5 ", "1.5", "1e3",
                  "2", "1/" + "9" * 80, "7" * 5000]
 INDEX_TOKENS = ["1", "2", "3", "0", "-1", "x", "", "1.5", "100"]
@@ -933,13 +947,19 @@ class TestLoaderFuzz:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(doc=root_data_documents(), b_prime=st.sampled_from(["0,0,1", "1,2,5", "1/2,1,3", "0,0,0", "1,2"]))
+    @example(doc=dict(root_data_doc(), roots=[]), b_prime="1,2,5")
+    @example(doc=dict(root_data_doc(), roots=[["1", "0", "0"], ["-2", "0", "2"]]), b_prime="1,2,5")
     def test_root_data_exit_contract(self, capsys, tmp_path, doc, b_prime):
         path = write_json(tmp_path, "doc.json", doc)
         code, out = run_cli(capsys, "homogeneous", "--input", path, "--b-prime", b_prime,
                             "--samples", "4", "--json")
         assert code in (0, 1, 2)
         assert out.count("\n") == 1
-        json.loads(out)
+        report = json.loads(out)
+        if vacuous_root_data(doc):
+            # refused on its data, not after a draw budget of poles
+            assert code == 2
+            assert report["error"]["type"] != "AllSamplesPoles"
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -22,7 +22,7 @@ from abbvloc.errors import (
     MixedPiPowers,
     PoleAtSample,
 )
-from abbvloc.sampling import sample_vector
+from abbvloc.sampling import sample_independent, sample_vector
 from conftest import make_rng, random_weights
 
 
@@ -191,10 +191,10 @@ class TestVIndependence:
         # volume only by the constant (-2)^n n!, so still v-independent
         system = weighted_sphere_system([1, 2])
         n = system.codim_half
-        outcome = check_v_independence(
-            system,
-            numerator=lambda k, o, v: o.moment(v) ** n,
-            samples=6,
+        outcome = sample_independent(
+            lambda v: localized_sum(system, v, lambda k, o, v: o.moment(v) ** n),
+            system.dim_t,
+            6,
             seed=9,
         )
         assert outcome.value == PiScalar(-2, 2)

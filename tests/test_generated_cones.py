@@ -21,10 +21,11 @@ import pytest
 
 from abbvloc.core import Covector, Matrix, PiScalar, Vector, det
 from abbvloc.engine import check_v_independence
-from abbvloc.polytope import HPolytope, random_functional, triangulation_volume
+from abbvloc.polytope import HPolytope, sample_lawrence, triangulation_volume
 from abbvloc.sampling import sample_independent, sample_positive_rational, sample_rational
 from abbvloc.toric import GoodCone, orbit_system_from_cone, toric_volume
 from conftest import make_rng
+from functional_oracle import assert_sample_lawrence_matches
 from simplex_oracle import simplex_volume
 from vertex_oracle import assert_facet_sets_by_pairing
 
@@ -219,13 +220,26 @@ class TestGeneratedCones:
         assert triangulation_volume(p) == closed
         assert triangulation_volume(p, base_index=last) == closed
         assert simplex_volume(p) == simplex_volume(p, last) == closed
-        _, lawrence = random_functional(p, make_rng(seed))
+        lawrence = sample_lawrence(p, 1, seed).value
         localized = PiScalar(2 * closed, n + 1)
         assert PiScalar(2 * lawrence, n + 1) == localized
         toric = sample_independent(lambda v: toric_volume(cone, v), cone.dim, 2, seed)
         assert toric.value == localized
         orbits = check_v_independence(orbit_system_from_cone(cone), samples=2, seed=seed)
         assert orbits.value == localized
+
+    def test_lawrence_draws_equal_the_retry_loop(self):
+        """On every cube and Delta^a x Delta^b case at three seeds, the
+        functionals are the ones the deleted u-then-d retry loop drew, at
+        the same draw indices; edge-constant draws do occur and are redrawn."""
+        rejected = 0
+        for kind, a, b in CASES:
+            if kind == "polygon":
+                continue
+            for seed in (3, 8, 11):
+                p = HPolytope.from_cone(case_cone(kind, a, b, seed)[0])
+                rejected += assert_sample_lawrence_matches(p, seed, 3)
+        assert rejected > 0
 
     @pytest.mark.parametrize("kind, a, b", CASES, ids=[f"{k}-{a}-{b}" for k, a, b in CASES])
     def test_triangulation_matches_explicit_simplices_at_every_base(self, kind, a, b):

@@ -21,12 +21,13 @@ from abbvloc.polytope import (
     LinearFunctional,
     lawrence_volume,
     msy_check,
-    random_functional,
+    sample_lawrence,
     triangulation_volume,
 )
 from abbvloc.sampling import sample_vector
 from abbvloc.toric import simplex_cone, weighted_sphere_cone
 from conftest import make_rng
+from functional_oracle import assert_sample_lawrence_matches
 from simplex_oracle import omega_h, simplex_volume
 from test_cli import section_documents
 from test_cli_golden import cube_cone_doc
@@ -174,7 +175,6 @@ class TestLawrence:
             lawrence_volume(triangle_polytope(), f)
 
     def test_matches_triangulation_randomized(self):
-        rng = make_rng(17)
         for p in (
             segment_polytope(),
             triangle_polytope(),
@@ -182,11 +182,33 @@ class TestLawrence:
             cube_polytope(),
             tesseract_polytope(),
         ):
-            expected = triangulation_volume(p)
-            for _ in range(20):
-                f, volume = random_functional(p, rng)
-                assert volume == expected
-                assert lawrence_volume(p, f) == volume
+            outcome = sample_lawrence(p, 20, seed=17)
+            assert outcome.value == triangulation_volume(p)
+            assert len(outcome.samples_used) == 20
+
+    @pytest.mark.parametrize("seed", [1, 7, 19, 42])
+    def test_draws_equal_the_retry_loop_on_cubes(self, seed):
+        """Each functional is one n+2-coordinate draw: the same (u, d) as
+        the deleted u-then-d retry loop, at the same draw index."""
+        for k in (2, 3, 4):
+            assert_sample_lawrence_matches(HPolytope.from_cone(cube_cone_k(k)), seed, 5)
+        assert_sample_lawrence_matches(triangle_polytope(), seed, 5)
+
+    def test_edge_constant_functional_is_a_pole(self, capsys, tmp_path, monkeypatch):
+        """A section whose every functional draw is edge-constant exhausts
+        the draw budget: AllSamplesPoles, exit 2."""
+        assert issubclass(EdgeConstantFunctional, PoleAtSample)
+
+        def constant(p, f):
+            raise EdgeConstantFunctional("functional constant on every edge")
+
+        monkeypatch.setattr("abbvloc.polytope.lawrence_volume", constant)
+        path = tmp_path / "cube2.json"
+        path.write_text(json.dumps(cube_cone_doc(2)))
+        for command in ("lawrence", "polytope-volume", "msy-check"):
+            assert main([command, "--input", str(path), "--json"]) == 2
+            error = json.loads(capsys.readouterr().out)["error"]
+            assert error["type"] == "AllSamplesPoles"
 
     def test_lawrence_command_one_determinant_per_vertex(self, capsys, tmp_path, monkeypatch):
         """Both functionals and the triangulation read |det(b, v_S)| from
@@ -200,12 +222,12 @@ class TestLawrence:
         assert len(calls) == 64
 
     def test_functional_independence(self):
-        rng = make_rng(19)
         p = cube_polytope()
-        f1, vol1 = random_functional(p, rng)
-        f2, vol2 = random_functional(p, rng)
-        assert f1 != f2
-        assert vol1 == vol2 == lawrence_volume(p, f1) == lawrence_volume(p, f2)
+        outcome = sample_lawrence(p, 2, seed=19)
+        (*u1, d1), (*u2, d2) = outcome.samples_used
+        assert (u1, d1) != (u2, d2)
+        f1, f2 = LinearFunctional(u1, d1), LinearFunctional(u2, d2)
+        assert outcome.value == lawrence_volume(p, f1) == lawrence_volume(p, f2)
 
 
 class TestHPolytope:

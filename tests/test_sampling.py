@@ -49,10 +49,6 @@ class TestSampleIndependent:
         assert outcome.samples_used == [expected[1], expected[4], expected[5]]
         assert evaluate.calls == 6
 
-    def test_rng_continues_after_last_draw(self):
-        outcome = sample_independent(FakeEvaluate(poles={1}), 2, 2, seed=3)
-        assert sample_vector(2, outcome.rng) == draws(3, 2, 4)[3]
-
     def test_one_sample_is_first_pole_free_value(self):
         evaluate = FakeEvaluate(poles={0, 1}, values={2: 5, 3: 6})
         outcome = sample_independent(evaluate, 2, 1, seed=1)

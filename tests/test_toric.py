@@ -28,7 +28,7 @@ from abbvloc.toric import (
     toric_volume,
     weighted_sphere_cone,
 )
-from conftest import make_rng, random_weights
+from conftest import make_rng, random_unimodular, random_weights
 from test_engine import sphere_closed_form
 from test_generated_cones import MSY_CONES, assert_walk_rows_equal_inverse, cube_cone_k
 from vertex_oracle import vertices_from_halfspaces
@@ -107,6 +107,39 @@ class TestConeValidation:
                 reeb=Vector([1, 2]),
                 lattice_basis=Matrix([[2, 0], [0, 2]]),
             )
+
+    def test_lattice_basis_one_reduction(self, monkeypatch):
+        """One reduction of (B | v_1 ... v_m b) gives every lattice
+        coordinate: no determinant and no further solve."""
+        calls = collections.Counter()
+
+        def counted(name):
+            real = getattr(toric, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in ("_reduce", "det"):
+            monkeypatch.setattr(toric, name, counted(name))
+        base = cube_cone()
+        B = random_unimodular(4, make_rng(5))
+        cone = GoodCone(dim=4, normals=tuple(B.apply(v) for v in base.normals),
+                        reeb=B.apply(base.reeb), lattice_basis=B)
+        assert (cone.normals, cone.reeb) == (base.normals, base.reeb)
+        assert calls == {"_reduce": 1}
+
+    @pytest.mark.parametrize("basis, normals, message", [
+        ([[1, 2], [2, 4]], [[-1, 0], [0, -1]], "lattice_basis is singular"),
+        ([[2, 0], [0, 1]], [[-1, 0], [0, -1]], "normal 0 is not an integer lattice vector"),
+        ([[1, 1], [0, 1]], [[-2, 0], [0, -1]], "normal 0 is not primitive (gcd 2)"),
+    ])
+    def test_lattice_basis_errors(self, basis, normals, message):
+        with pytest.raises(InputError) as info:
+            GoodCone(dim=2, normals=tuple(map(Vector, normals)), reeb=Vector([1, 1]),
+                     lattice_basis=Matrix(basis))
+        assert str(info.value) == message
 
 
 class TestVertexEnumeration:
