@@ -61,7 +61,6 @@ from .polytope import (
     MsyCheck,
     lawrence_volume,
     msy_check,
-    sample_lawrence,
     triangulation_volume,
 )
 from .sampling import SampleOutcome, sample_independent
