@@ -236,11 +236,6 @@ class Matrix:
             [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
         )
 
-    @classmethod
-    def from_columns(cls, cols) -> "Matrix":
-        cols = [tuple(rat(e) for e in c) for c in cols]
-        return cls([[c[i] for c in cols] for i in range(len(cols[0]))])
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -255,15 +250,6 @@ class Matrix:
 
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.rows)
-
-    def with_column(self, j: int, entries) -> "Matrix":
-        entries = tuple(rat(e) for e in entries)
-        return Matrix(
-            [
-                [entries[i] if k == j else self.rows[i][k] for k in range(self.ncols)]
-                for i in range(self.nrows)
-            ]
-        )
 
     def apply(self, v) -> Vector:
         if len(v) != self.ncols:
@@ -314,9 +300,9 @@ class Matrix:
 def det(m: Matrix) -> Fraction:
     """Exact determinant by fraction-free (Bareiss) elimination on integers.
 
-    Each row is scaled by the lcm of its denominators, so the elimination
-    runs on Python ints, where every Bareiss division is exact; the
-    determinant is the last pivot over the product of the row scales.
+    Each row is scaled by the lcm of its denominators, so ``_bareiss``
+    runs on Python ints; the determinant is its result over the product of
+    the row scales.
 
     >>> det(Matrix([[2, 1], [1, 1]]))
     Fraction(1, 1)
@@ -325,22 +311,38 @@ def det(m: Matrix) -> Fraction:
     """
     if not m.is_square:
         raise NonSquareMatrix("determinant of a non-square matrix")
-    n = m.nrows
-    if n == 0:
-        return Fraction(1)
     a = []
     scale = 1
     for row in m.rows:
-        row_scale = lcm(*(e.denominator for e in row))
+        row_scale, ints = _integer_row(row)
         scale *= row_scale
-        a.append([e.numerator * (row_scale // e.denominator) for e in row])
+        a.append(ints)
+    return Fraction(_bareiss(a), scale)
+
+
+def _bareiss(a) -> int:
+    """The determinant of the square integer rows a, a list of lists (1
+    when a is empty), by forward fraction-free elimination (Bareiss 1968).
+
+    Step k updates the rows below the pivot row in place, a_ij <- (a_ij
+    a_kk - a_ik a_kj) / (previous pivot), and every division is exact; a
+    zero pivot is swapped with the first row below that has a nonzero
+    entry in its column, and a column without one means det = 0.  The
+    rows are consumed: pass copies of rows kept elsewhere.
+
+    >>> _bareiss([[0, 2, 1], [3, 1, 0], [1, 1, 1]])
+    -4
+    >>> _bareiss([[1, 2, 3], [2, 4, 6], [3, 6, 10]])
+    0
+    """
+    n = len(a)
     sign = 1
     prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
             if piv is None:
-                return Fraction(0)
+                return 0
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
         top, pivot = a[k], a[k][k]
@@ -349,7 +351,7 @@ def det(m: Matrix) -> Fraction:
             for j in range(k + 1, n):
                 row[j] = (row[j] * pivot - f * top[j]) // prev
         prev = pivot
-    return Fraction(sign * a[n - 1][n - 1], scale)
+    return sign * a[n - 1][n - 1] if n else 1
 
 
 def _integer_row(row) -> tuple:

@@ -10,20 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, prod
 
-from .core import (
-    Covector,
-    Matrix,
-    PiScalar,
-    Vector,
-    det,
-    rat,
-    solve_linear,
-)
+from .core import Covector, PiScalar, Vector, _bareiss, _integer_row, _reduce, rat
 from .errors import EdgeConstantFunctional, InputError
 from .sampling import SampleOutcome, sample_independent
-from .toric import GoodCone, _bounded_edges, _walk, toric_volume
+from .toric import GoodCone, _bounded_edges, _integer_columns, _walk, toric_volume
 
 
 @dataclass(frozen=True)
@@ -31,7 +23,9 @@ class HPolytope:
     """The section {phi : phi(v_i) <= 0, phi(reeb) = 1} as the vertex walk
     (``toric._walk``) found it: its vertices, sorted, and in vertex order
     the facets each vertex lies on (``facet_sets``).  The walk proves every
-    vertex simple, on n facets whose normals form a basis with b."""
+    vertex simple, on n facets whose normals form a basis with b.  A
+    section built ``from_cone`` takes the cone's edge map and integer
+    columns, which the cone's enumeration built once."""
 
     normals: tuple
     reeb: Vector
@@ -40,12 +34,16 @@ class HPolytope:
 
     @classmethod
     def from_cone(cls, cone: GoodCone) -> "HPolytope":
-        return cls(
+        p = cls(
             normals=cone.normals,
             reeb=cone.reeb,
             vertices=tuple(o.vertex for o in cone.orbits),
             facet_sets=tuple(frozenset(o.facet_indices) for o in cone.orbits),
         )
+        # the cone built both once; fill the cached properties below with them
+        object.__setattr__(p, "edges", cone.edges)
+        object.__setattr__(p, "integer_columns", cone.integer_columns)
+        return p
 
     @classmethod
     def from_halfspaces(cls, normals, reeb) -> "HPolytope":
@@ -83,13 +81,19 @@ class HPolytope:
         return _bounded_edges(self.vertices, self.facet_sets)
 
     @cached_property
+    def integer_columns(self) -> tuple:
+        """For each vertex on the facets S, in vertex order, the columns of
+        (b | v_S) with the normals in facet-index order, each scaled to
+        integers, and their scales (``toric._integer_columns``)."""
+        return _integer_columns(self.reeb, self.normals, self.facet_sets)
+
+    @cached_property
     def abs_dets(self) -> tuple:
         """|det(b, v_S)| for each vertex on the facets S, in vertex order:
-        computed by ``core.det``, not read from the walk's dictionaries."""
-        return tuple(
-            abs(det(Matrix.from_columns([self.reeb] + [self.normals[i] for i in sorted(facets)])))
-            for facets in self.facet_sets
-        )
+        one ``core._bareiss`` of the integer columns over the product of
+        their scales, not read from the walk's dictionaries."""
+        return tuple(Fraction(abs(_bareiss([list(c) for c in columns])), prod(scales))
+                     for scales, columns in self.integer_columns)
 
 
 @dataclass(frozen=True)
@@ -159,6 +163,11 @@ def lawrence_volume(p: HPolytope, f: LinearFunctional) -> Fraction:
     |det(b, normals)| (``p.abs_dets``) times the product of the normal
     coefficients.  A zero coefficient means f is constant along the
     corresponding edge and the functional must be resampled.
+
+    The expansion is one ``core._reduce`` of the integer columns
+    (``p.integer_columns``, scales s_j) augmented by L_u u: it gives T and
+    T gamma'_j with gamma_j = s_j gamma'_j / L_u, so the product of the n
+    normal coefficients is prod_j (s_j T gamma'_j) / (T L_u)^n.
     """
     n = p.section_dim
     edges = p.edges
@@ -169,18 +178,19 @@ def lawrence_volume(p: HPolytope, f: LinearFunctional) -> Fraction:
                 f"functional constant on edge {tuple(p.vertices[a])} -- "
                 f"{tuple(p.vertices[b_idx])}"
             )
+    scale_u, u = _integer_row(f.u)
     total = Fraction(0)
-    for phi, facets, value, delta in zip(p.vertices, p.facet_sets, values, p.abs_dets):
-        columns = [p.reeb] + [p.normals[i] for i in sorted(facets)]
-        gamma = solve_linear(Matrix.from_columns(columns), f.u)
-        coeff_product = Fraction(1)
-        for g in gamma[1:]:
-            if g == 0:
+    for phi, (scales, columns), value, delta in zip(p.vertices, p.integer_columns, values,
+                                                     p.abs_dets):
+        a, t = _reduce([[*row, x] for row, x in zip(zip(*columns), u)], n + 1)
+        coeff_product = 1
+        for s, row in zip(scales[1:], a[1:]):
+            if row[-1] == 0:
                 raise EdgeConstantFunctional(
                     f"functional has a zero edge coefficient at vertex {tuple(phi)}"
                 )
-            coeff_product *= g
-        total += value**n / (delta * coeff_product)
+            coeff_product *= s * row[-1]
+        total += value**n * (t * scale_u) ** n / (delta * coeff_product)
     return total / factorial(n)
 
 

@@ -26,13 +26,13 @@ from .core import (
     Matrix,
     PiScalar,
     Vector,
+    _bareiss,
     _column,
     _integer_row,
     _pivot,
     _primitive,
     _reduce,
     basis_vector,
-    det,
     integer_gcd,
     rat,
     rat_str,
@@ -71,7 +71,8 @@ class GoodCone:
 
     The vertex data does not depend on any sample vector, so the cone
     holds it: ``orbits`` is enumerated on first use and kept for the
-    cone's lifetime.
+    cone's lifetime, with the section's ``edges`` and the determinant
+    routes' ``integer_columns``.
     """
 
     dim: int
@@ -131,6 +132,22 @@ class GoodCone:
         """
         return enumerate_vertices(self)
 
+    @property
+    def edges(self) -> tuple:
+        """The sorted pairs a < b of indices into ``orbits`` joined by an
+        edge of the section: the map enumerate_vertices checked
+        boundedness with, kept from the enumeration that filled ``orbits``."""
+        self.orbits  # enumerate_vertices keeps the map in _edges
+        return self._edges
+
+    @cached_property
+    def integer_columns(self) -> tuple:
+        """For each orbit, in orbit order, the integer columns of (b | v_S)
+        and their scales (``_integer_columns``): b times the lcm L_b of its
+        denominators, then the active normals in facet-index order, which
+        are integer.  Built once per cone for the determinant routes."""
+        return _integer_columns(self.reeb, self.normals, [o.facet_indices for o in self.orbits])
+
 
 @dataclass(frozen=True)
 class ToricOrbit:
@@ -146,6 +163,20 @@ class ToricOrbit:
     facet_indices: tuple
     abs_delta: Fraction
     weights: tuple
+
+
+def _integer_columns(reeb, normals, facet_sets) -> tuple:
+    """For each facet set S: (scales, columns), the columns of (b | v_S)
+    with the normals in facet-index order, each scaled to a tuple of ints
+    by the lcm of its denominators, and those lcms.  So |det(b, v_S)| is
+    |det(columns)| / prod(scales)."""
+    b = _integer_row(reeb)
+    rows = [_integer_row(v) for v in normals]
+    out = []
+    for facets in facet_sets:
+        scaled = [b, *(rows[i] for i in sorted(facets))]
+        out.append((tuple(s for s, _ in scaled), tuple(tuple(c) for _, c in scaled)))
+    return tuple(out)
 
 
 def _point_str(phi) -> str:
@@ -305,8 +336,9 @@ def enumerate_vertices(cone: GoodCone) -> tuple:
     a nontrivial recession cone).  InputError when the section has more
     than MAX_VERTICES vertices.
 
-    Enumerates afresh on every call; callers read ``cone.orbits``, which
-    calls this once per cone and keeps the result.
+    Enumerates afresh on every call, and keeps the edge map it checks
+    boundedness with on the cone (``cone.edges``); callers read
+    ``cone.orbits``, which calls this once per cone and keeps the result.
     """
     n = cone.codim_half
     scale, found = _walk(cone.normals, cone.reeb)
@@ -333,7 +365,8 @@ def enumerate_vertices(cone: GoodCone) -> tuple:
         for facets, phi, order, a, t in bases
     ]
     result = tuple(sorted(orbits, key=lambda o: tuple(o.vertex)))
-    _bounded_edges([o.vertex for o in result], [o.facet_indices for o in result])
+    edges = _bounded_edges([o.vertex for o in result], [o.facet_indices for o in result])
+    object.__setattr__(cone, "_edges", edges)
     return result
 
 
@@ -363,34 +396,40 @@ def orbit_system_from_cone(cone: GoodCone) -> OrbitSystem:
 def toric_volume(cone: GoodCone, v: Vector) -> PiScalar:
     """Volume by the vertex determinant formula, evaluated verbatim.
 
-    Each vertex contributes det(v, v^L)^n / (|det(b, v^L)| * prod_i
-    det(b, ..., v at slot i, ...)), with the active normals in facet-index
-    order: reordering them changes the numerator and the n slot
-    determinants by the same sign to the n-th power.  Computed determinant by determinant, without
-    the matrix inverse used on the orbit-data route, so the two routes
-    cross-check each other.  The vertices and |det(b, v^L)| are read from
-    ``cone.orbits``; only the determinants that contain v are computed per
-    call.
+    Each vertex contributes det(v, v_S)^n / (|det(b, v_S)| * prod_i
+    det(b, ..., v at slot i, ...)), with the active normals v_S in
+    facet-index order: reordering them changes the numerator and the n
+    slot determinants by the same sign to the n-th power.  The
+    determinants run on integers, one ``core._bareiss`` each, on the
+    vertex's ``cone.integer_columns`` (L_b b, v_S) taken as rows (det M =
+    det M^T) with L_v v, v scaled once per call, in the slot.  The
+    numerator carries L_v^n and the slot product (L_b L_v)^n, so L_v
+    cancels and each term is multiplied by L_b^n.  Computed determinant by
+    determinant, without the inverse that the orbit-data route reads off
+    the walk, so the two routes cross-check each other; |det(b, v_S)| is
+    read from ``cone.orbits``.
     """
     v = Vector(v)
     if len(v) != cone.dim:
         raise InputError("sample vector has wrong dimension")
     n = cone.codim_half
     e = cone.pi_scale_exponent
+    _, vi = _integer_row(v)
     total = Fraction(0)
-    for orbit in cone.orbits:
-        m = Matrix.from_columns([cone.reeb] + [cone.normals[i] for i in orbit.facet_indices])
-        numerator = det(m.with_column(0, v)) ** n
-        denom = orbit.abs_delta
+    for orbit, (scales, columns) in zip(cone.orbits, cone.integer_columns):
+        numerator = _bareiss([list(vi), *map(list, columns[1:])])
+        denom = 1
         for i in range(1, n + 1):
-            slot = det(m.with_column(i, v))
+            slot = _bareiss([list(vi) if j == i else list(c) for j, c in enumerate(columns)])
             if slot == 0:
                 raise PoleAtSample(
                     f"det(b, ..., v, ...) vanishes at slot {i} of vertex "
                     f"{tuple(orbit.vertex)}"
                 )
             denom *= slot
-        total += numerator / denom
+        delta = orbit.abs_delta
+        total += Fraction((numerator * scales[0]) ** n * delta.denominator,
+                          delta.numerator * denom)
     scale = e - (1 - e) * n
     return PiScalar(Fraction(2) ** scale * total / factorial(n), n + scale)
 

@@ -58,15 +58,27 @@ def sphere_cone_doc(weights):
             "reeb": [_frac(x) for x in weights]}
 
 
-def cube_cone_doc(k):
-    """Cone over the k-cube: normals -e_i and e_i - e_0, Reeb (k+1, 1, ..., 1)."""
+def cube_cone_doc(k, reeb=None):
+    """Cone over the k-cube: normals -e_i and e_i - e_0, Reeb (k+1, 1, ..., 1)
+    unless ``reeb`` is given."""
     d = k + 1
     normals = []
     for i in range(1, d):
         normals.append([-1 if j == i else 0 for j in range(d)])
         normals.append([-1 if j == 0 else (1 if j == i else 0) for j in range(d)])
     return {"dim": d, "pi_scale_exponent": 1, "normals": normals,
-            "reeb": [str(k + 1)] + ["1"] * k}
+            "reeb": reeb or [str(k + 1)] + ["1"] * k}
+
+
+def simplex_product_cone_doc(a, b, reeb):
+    """Cone over Delta^a x Delta^b: x >= 0, sum(x) <= phi_0, y >= 0,
+    sum(y) <= phi_0 in coordinates (phi_0, x_1..x_a, y_1..y_b)."""
+    d = a + b + 1
+    normals = []
+    for block in (range(1, a + 1), range(a + 1, d)):
+        normals += [[-1 if j == i else 0 for j in range(d)] for i in block]
+        normals.append([-1] + [1 if j in block else 0 for j in range(1, d)])
+    return {"dim": d, "pi_scale_exponent": 1, "normals": normals, "reeb": reeb}
 
 
 def corrupted_system_doc():
@@ -81,6 +93,9 @@ FIXTURES = {
     "cone-sphere-123": sphere_cone_doc([1, 2, 3]),
     "cone-simplex-3": sphere_cone_doc([1, 1, 1]),
     "cube-3": cube_cone_doc(3),
+    # rational Reeb vectors: the determinant routes scale b and v to integers
+    "cube-4-rational": cube_cone_doc(4, ["5", "1/2", "3/2", "2", "1"]),
+    "product-2-2": simplex_product_cone_doc(2, 2, ["6", "1/3", "2", "-1/2", "1"]),
     "polytope-simplex-3": {"dim": 3, "normals": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]],
                            "reeb": ["1", "1", "1"]},
 }
@@ -98,6 +113,9 @@ CASES = (
     ("polytope-volume-bare", ("polytope-volume", "--input", "@polytope-simplex-3")),
     ("msy-check-sphere", ("msy-check", "--input", "@cone-sphere-123")),
     ("msy-check-cube-3", ("msy-check", "--input", "@cube-3")),
+    *((f"{command}-{name}", (command, "--input", f"@{name}"))
+      for name in ("cube-4-rational", "product-2-2")
+      for command in ("volume-toric", "msy-check", "lawrence", "polytope-volume")),
     ("localize-sphere", ("localize", "--input", "@sphere-123")),
     ("localize-j", ("localize", "--input", "@sphere-123", "--j", "1,1",
                     "--leaf-integrals", "6,3,2", "--samples", "4")),
@@ -151,6 +169,22 @@ GOLDEN = {
     "check-v-independence@7": (0, "16aa89cc628be152aadacc2e315253b9173e84e9a82215ab380f97c4b77258d8"),
     "check-v-independence-fail@42": (1, "290951ebaca8c95e51be28385cf4d3fb719ac9f72f00e49ca44d2eabb11312a6"),
     "check-v-independence-fail@7": (1, "3e829bb4b7dea9a891cc2377214766e729b6d743bcf1471aa940bd13f2e9822c"),
+    "volume-toric-cube-4-rational@42": (0, "8d7d9ed43f73cb99ff8aaea69708f3ba52f704fedf3672dc4d4fc66d3451697c"),
+    "volume-toric-cube-4-rational@7": (0, "8d7d9ed43f73cb99ff8aaea69708f3ba52f704fedf3672dc4d4fc66d3451697c"),
+    "msy-check-cube-4-rational@42": (0, "b5eebc65403aa374c81bf487701496f2313bf591756b90f2ebd3cf3676532082"),
+    "msy-check-cube-4-rational@7": (0, "b5eebc65403aa374c81bf487701496f2313bf591756b90f2ebd3cf3676532082"),
+    "lawrence-cube-4-rational@42": (0, "f14b33f813482e168fe5484fa865d2319cb326c692ab34f96d1d71e680cf8c76"),
+    "lawrence-cube-4-rational@7": (0, "f14b33f813482e168fe5484fa865d2319cb326c692ab34f96d1d71e680cf8c76"),
+    "polytope-volume-cube-4-rational@42": (0, "47d86c89c7bb9ae206a135396e10f064f9dbb1e5b03389304ccb8dc1e976523e"),
+    "polytope-volume-cube-4-rational@7": (0, "47d86c89c7bb9ae206a135396e10f064f9dbb1e5b03389304ccb8dc1e976523e"),
+    "volume-toric-product-2-2@42": (0, "2ad00ac62d8ef32ac5d193bc66049b4f742ca71eca757d6c9c3beb9c7ad8abf9"),
+    "volume-toric-product-2-2@7": (0, "145b8973bd1567f14ab4ef4edfc6ad0f113d649f9bf8656642744418050e2292"),
+    "msy-check-product-2-2@42": (0, "377907b44bd92bd6e8e94717371f8c53ba4a85ed70c7b2e9e2e338268235a254"),
+    "msy-check-product-2-2@7": (0, "377907b44bd92bd6e8e94717371f8c53ba4a85ed70c7b2e9e2e338268235a254"),
+    "lawrence-product-2-2@42": (0, "00b43a869fe8c96b992a1786fc16b373b455cf3a7cb03d6c7517c1d757a03069"),
+    "lawrence-product-2-2@7": (0, "00b43a869fe8c96b992a1786fc16b373b455cf3a7cb03d6c7517c1d757a03069"),
+    "polytope-volume-product-2-2@42": (0, "71c30324fc092dec95ad5af0ad4e2ffe5e64b982893da43a2ffd2644b72d3120"),
+    "polytope-volume-product-2-2@7": (0, "71c30324fc092dec95ad5af0ad4e2ffe5e64b982893da43a2ffd2644b72d3120"),
 }
 
 

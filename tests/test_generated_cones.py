@@ -18,15 +18,19 @@ from itertools import combinations, product
 from math import factorial, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abbvloc.core import Covector, Matrix, PiScalar, Vector, det
 from abbvloc.engine import check_v_independence
+from abbvloc.errors import PoleAtSample
 from abbvloc.polytope import HPolytope, sample_lawrence, triangulation_volume
 from abbvloc.sampling import sample_independent, sample_positive_rational, sample_rational
 from abbvloc.toric import GoodCone, orbit_system_from_cone, toric_volume
-from conftest import make_rng
+from conftest import make_rng, random_unimodular
 from functional_oracle import assert_sample_lawrence_matches
 from simplex_oracle import simplex_volume
+from toric_det_oracle import toric_volume_by_fraction_dets
 from vertex_oracle import assert_facet_sets_by_pairing
 
 
@@ -202,7 +206,8 @@ def assert_walk_rows_equal_inverse(cone):
     the inverse of (b | normals in facet-index order), and abs_delta is the
     absolute value of its determinant."""
     for orbit in cone.orbits:
-        m = Matrix.from_columns([cone.reeb, *(cone.normals[i] for i in orbit.facet_indices)])
+        columns = [cone.reeb, *(cone.normals[i] for i in orbit.facet_indices)]
+        m = Matrix(zip(*columns))
         inverse = m.inverse()
         assert orbit.vertex == Covector(inverse.rows[0])
         assert orbit.weights == tuple(Covector(row) for row in inverse.rows[1:])
@@ -276,6 +281,59 @@ class TestGeneratedCones:
         """The 2-cube is Delta^1 x Delta^1: the two closed forms must agree."""
         reeb = [Fraction(7, 2), Fraction(-1, 3), Fraction(5)]
         assert cube_closed_form(reeb) == simplex_product_closed_form(1, 1, reeb)
+
+
+def lattice_basis_cone(cone, seed):
+    """The same cone given in the coordinates of a random unimodular basis."""
+    basis = random_unimodular(cone.dim, make_rng(seed))
+    return GoodCone(dim=cone.dim, normals=tuple(basis.apply(v) for v in cone.normals),
+                    reeb=basis.apply(cone.reeb), lattice_basis=basis)
+
+
+# cube cones and Delta^a x Delta^b at integer and rational Reeb vectors, and
+# two of them in a lattice basis
+ORACLE_CONES = [
+    cube_cone_k(2), cube_cone_k(3), cube_cone_k(4, [5, Fraction(1, 2), Fraction(3, 2), 2, 1]),
+    case_cone("cube", 3, None, 3)[0], case_cone("product", 1, 2, 8)[0],
+    case_cone("product", 2, 2, 3)[0], case_cone("polygon", 2, None, 3)[0],
+    lattice_basis_cone(case_cone("product", 1, 1, 8)[0], 4),
+    lattice_basis_cone(cube_cone_k(3, [Fraction(9, 2), 1, Fraction(-1, 3), 2]), 6),
+]
+
+# small rationals with zero and negative entries: slot determinants vanish often
+SAMPLE_ENTRIES = st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3),
+                                  Fraction(5, 4), 7])
+
+
+def toric_volume_or_pole(route, cone, v):
+    try:
+        return route(cone, v)
+    except PoleAtSample as exc:
+        return ("pole", str(exc))
+
+
+class TestToricDeterminantOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), index=st.integers(0, len(ORACLE_CONES) - 1))
+    def test_integer_columns_equal_fraction_determinants(self, data, index):
+        """toric_volume on the cone's integer columns gives the PiScalar of
+        the Fraction-matrix formula, or the same PoleAtSample message."""
+        cone = ORACLE_CONES[index]
+        v = data.draw(st.lists(SAMPLE_ENTRIES, min_size=cone.dim, max_size=cone.dim))
+        assert (toric_volume_or_pole(toric_volume, cone, v)
+                == toric_volume_or_pole(toric_volume_by_fraction_dets, cone, v))
+
+    def test_both_outcomes_occur(self):
+        """The oracle comparison meets poles and values on these cones."""
+        rng = make_rng(17)
+        outcomes = set()
+        for cone in ORACLE_CONES:
+            for _ in range(12):
+                v = [sample_rational(rng) for _ in range(cone.dim)]
+                result = toric_volume_or_pole(toric_volume, cone, v)
+                assert result == toric_volume_or_pole(toric_volume_by_fraction_dets, cone, v)
+                outcomes.add(isinstance(result, tuple))
+        assert outcomes == {True, False}
 
 
 def det3(r0, r1, r2):

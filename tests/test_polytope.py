@@ -49,20 +49,21 @@ def cube_polytope():
 
 
 def count_det_calls(monkeypatch) -> list:
-    """Route every binding of core.det in the package through a counter;
-    returns the list that collects one entry per call."""
+    """Route every binding of the determinant kernel core._bareiss in the
+    package (``core.det`` calls it too) through a counter; returns the list
+    that collects one entry per call."""
     import abbvloc
 
     calls = []
-    real = abbvloc.core.det
+    real = abbvloc.core._bareiss
 
-    def counted(m):
-        calls.append(m)
-        return real(m)
+    def counted(a):
+        calls.append(a)
+        return real(a)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("abbvloc") and getattr(module, "det", None) is real:
-            monkeypatch.setattr(module, "det", counted)
+        if name.startswith("abbvloc") and getattr(module, "_bareiss", None) is real:
+            monkeypatch.setattr(module, "_bareiss", counted)
     return calls
 
 
@@ -167,6 +168,19 @@ class TestLawrence:
         p = segment_polytope()
         f = LinearFunctional(u=Vector([3, 1]), d_shift=0)
         assert lawrence_volume(p, f) == triangulation_volume(p)
+
+    def test_rational_normals_and_reeb(self):
+        """Rescaling each normal of a bare section by a rational leaves both
+        volumes unchanged: the columns' scales and L_u are divided out."""
+        cone = cube_cone_k(3, [Fraction(9, 2), Fraction(1, 3), Fraction(-2, 5), 2])
+        scaled = [v.scaled(Fraction(2 * k + 1, k + 2)) for k, v in enumerate(cone.normals)]
+        p = HPolytope.from_halfspaces(scaled, cone.reeb)
+        volume = triangulation_volume(HPolytope.from_cone(cone))
+        assert triangulation_volume(p) == volume
+        assert sample_lawrence(p, 3, seed=4).value == volume
+        f = LinearFunctional(u=Vector([Fraction(1, 2), Fraction(-3, 7), 2, Fraction(5, 3)]),
+                             d_shift=Fraction(1, 9))
+        assert lawrence_volume(p, f) == volume
 
     def test_constant_on_edge_rejected(self):
         # u = (1, 1, 0) pairs equally with the first two triangle vertices
@@ -312,6 +326,32 @@ class TestMsyBridge:
         result = msy_check(simplex_cone(2, pi_scale_exponent=0), seed=13)
         assert result.equal
         assert result.lhs.pi_power == 0
+
+    def test_one_edge_map_per_cone(self, monkeypatch):
+        """The enumeration's edge map serves the section built from the
+        cone: msy_check and further Lawrence values build no second one."""
+        from abbvloc import polytope, toric
+
+        calls = []
+        real = toric._bounded_edges
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (toric, polytope):
+            monkeypatch.setattr(module, "_bounded_edges", counted)
+        cone = cube_cone_k(3)
+        assert msy_check(cone, seed=5).equal
+        p = HPolytope.from_cone(cone)
+        assert sample_lawrence(p, 2, seed=9).value == triangulation_volume(p)
+        assert p.edges is cone.edges
+        assert len(calls) == 1
+        # a bare section has no cone and builds its own map, once
+        q = HPolytope.from_halfspaces(cone.normals, cone.reeb)
+        assert sample_lawrence(q, 2, seed=9).value == triangulation_volume(q)
+        assert q.edges == p.edges
+        assert len(calls) == 2
 
     def test_exhausted_samples_raise_all_samples_poles(self, monkeypatch):
         import abbvloc.polytope

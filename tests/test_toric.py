@@ -121,7 +121,7 @@ class TestConeValidation:
                 return real(*args)
             return wrapper
 
-        for name in ("_reduce", "det"):
+        for name in ("_reduce", "_bareiss"):
             monkeypatch.setattr(toric, name, counted(name))
         base = cube_cone()
         B = random_unimodular(4, make_rng(5))
@@ -320,6 +320,37 @@ class TestToricVolume:
         for cone in (weighted_sphere_cone([1, 2]), simplex_cone(3)):
             outcome = check_v_independence(orbit_system_from_cone(cone), samples=10, seed=11)
             assert outcome.value == toric_volume(cone, outcome.samples_used[0])
+
+    def test_determinants_independent_of_the_walk(self, monkeypatch):
+        """toric_volume makes no _pivot or _reduce call and reads no orbit
+        weights: it takes n + 1 integer determinants per vertex, one
+        _bareiss each."""
+        cone = cube_cone_k(4)
+        v = nonpole_cone_sample(cone, make_rng(3))
+        calls = collections.Counter()
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in ("_pivot", "_reduce", "_bareiss"):
+            real = getattr(core, name)
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("abbvloc") and getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counted(name, real))
+
+        def weights(orbit):
+            calls["weights"] += 1
+            return orbit.__dict__["weights"]
+
+        monkeypatch.setattr(toric.ToricOrbit, "weights", property(weights), raising=False)
+        value = toric_volume(cone, v)
+        assert calls == {"_bareiss": 16 * 5}
+        # the counters see the orbit-data route, which reads the weights
+        assert localize_volume(orbit_system_from_cone(cone), v) == value
+        assert calls["weights"] == 16 and calls["_pivot"] == calls["_reduce"] == 0
 
     def test_pole_detection(self):
         cone = weighted_sphere_cone([1, 2])
