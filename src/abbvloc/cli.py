@@ -131,10 +131,25 @@ def _load_json(path: str) -> dict:
     return doc
 
 
-def _vector(doc) -> Vector:
+def _rational(x, memo: dict) -> Fraction:
+    """``rat(x)``, with each distinct string parsed once per document.
+
+    ``memo`` maps the document's string literals to their values; the
+    loaders make one per document and keep none across calls.  Only strings
+    are looked up: ``true`` hashes equal to ``1``, and ``rat`` refuses it."""
+    if type(x) is str:
+        q = memo.get(x)
+        if q is None:
+            q = memo[x] = rat(x)
+        return q
+    return rat(x)
+
+
+def _vector(doc, memo: dict) -> list:
+    """A JSON array of rationals as a list of Fractions."""
     if not isinstance(doc, list):
         raise TypeError(f"expected a JSON array, got {type(doc).__name__}")
-    return Vector(rat(x) for x in doc)
+    return [_rational(x, memo) for x in doc]
 
 
 def _integer(doc) -> int:
@@ -145,19 +160,21 @@ def _integer(doc) -> int:
     return q.numerator
 
 
-def _matrix(doc) -> Matrix:
+def _matrix(doc, memo: dict) -> Matrix:
     if not isinstance(doc, list):
         raise TypeError(f"expected a JSON array of rows, got {type(doc).__name__}")
-    return Matrix(_vector(row) for row in doc)
+    return Matrix(_vector(row, memo) for row in doc)
 
 
 def _load_orbit_system(doc) -> OrbitSystem:
+    memo = {}
     try:
         orbits = tuple(
             OrbitDatum(
-                length=PiScalar(rat(o["length"]["coeff"]), _integer(o["length"]["pi_power"])),
-                moment=_vector(o["moment"]),
-                weights=tuple(_vector(wt) for wt in o["weights"]),
+                length=PiScalar(_rational(o["length"]["coeff"], memo),
+                                _integer(o["length"]["pi_power"])),
+                moment=_vector(o["moment"], memo),
+                weights=tuple(_vector(wt, memo) for wt in o["weights"]),
             )
             for o in doc["orbits"]
         )
@@ -170,7 +187,7 @@ def _load_orbit_system(doc) -> OrbitSystem:
                                      f"|pi_power| must be at most dim_t = {dim_t}")
         return OrbitSystem(
             dim_t=dim_t,
-            b=_vector(doc["b"]),
+            b=_vector(doc["b"], memo),
             codim_half=_integer(doc["codim_half"]),
             orbits=orbits,
         )
@@ -179,13 +196,14 @@ def _load_orbit_system(doc) -> OrbitSystem:
 
 
 def _load_cone(doc) -> GoodCone:
+    memo = {}
     try:
         basis = doc.get("lattice_basis")
         return GoodCone(
             dim=_integer(doc["dim"]),
-            normals=tuple(_vector(v) for v in doc["normals"]),
-            reeb=_vector(doc["reeb"]),
-            lattice_basis=None if basis is None else _matrix(basis),
+            normals=tuple(_vector(v, memo) for v in doc["normals"]),
+            reeb=_vector(doc["reeb"], memo),
+            lattice_basis=None if basis is None else _matrix(basis, memo),
             pi_scale_exponent=_integer(doc.get("pi_scale_exponent", 1)),
         )
     except _MALFORMED as exc:
@@ -193,13 +211,14 @@ def _load_cone(doc) -> GoodCone:
 
 
 def _load_root_data(doc) -> RootData:
+    memo = {}
     try:
         return RootData(
             dim_t=_integer(doc["dim_t"]),
-            roots_quotient=tuple(_vector(r) for r in doc["roots"]),
-            weyl_reps=tuple(_matrix(m) for m in doc["weyl_reps"]),
-            b=_vector(doc["b"]),
-            projection=_vector(doc["p"]),
+            roots_quotient=tuple(_vector(r, memo) for r in doc["roots"]),
+            weyl_reps=tuple(_matrix(m, memo) for m in doc["weyl_reps"]),
+            b=_vector(doc["b"], memo),
+            projection=_vector(doc["p"], memo),
         )
     except _MALFORMED as exc:
         raise _CliInputError(f"malformed root data document: {exc}") from exc
@@ -208,9 +227,10 @@ def _load_root_data(doc) -> RootData:
 def _load_section(doc) -> HPolytope:
     if "pi_scale_exponent" in doc or "lattice_basis" in doc:
         return HPolytope.from_cone(_load_cone(doc))
+    memo = {}
     try:
-        normals = tuple(_vector(v) for v in doc["normals"])
-        reeb = _vector(doc["reeb"])
+        normals = tuple(_vector(v, memo) for v in doc["normals"])
+        reeb = _vector(doc["reeb"], memo)
         dim = _integer(doc["dim"])
         if dim != len(reeb):
             raise _CliInputError(f"dim is {dim} but the Reeb vector has {len(reeb)} entries")

@@ -173,10 +173,6 @@ class _ExactTuple(tuple):
         c = rat(c)
         return type(self)(c * a for a in self)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self)
-
 
 class Vector(_ExactTuple):
     """An element of the torus Lie algebra in fixed coordinates."""

@@ -39,8 +39,11 @@ class OrbitDatum:
     weights: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(Covector(w) for w in self.weights))
-        object.__setattr__(self, "moment", Covector(self.moment))
+        # a Covector is kept as it is handed in: its entries are rationals
+        object.__setattr__(self, "weights", tuple(
+            w if isinstance(w, Covector) else Covector(w) for w in self.weights))
+        if not isinstance(self.moment, Covector):
+            object.__setattr__(self, "moment", Covector(self.moment))
 
     @cached_property
     def integer_rows(self) -> tuple:
@@ -61,7 +64,9 @@ class OrbitSystem:
     ``codim_half`` is n where the transverse codimension is 2n; each orbit
     carries exactly n weights.  Construction checks the structural
     invariants exactly: weights annihilate the Reeb element, moments pair
-    to 1 with it, and no weight functional vanishes identically.
+    to 1 with it, and no weight functional vanishes identically.  The
+    pairings are read on the integer rows of ``OrbitDatum.integer_rows``
+    and of b, which the localized sums use anyway.
     """
 
     dim_t: int
@@ -78,6 +83,8 @@ class OrbitSystem:
             raise InputError("codim_half must be a positive integer")
         if not self.orbits:
             raise InputError("orbit list must be nonempty")
+        # x(b) = A.B / (D s) for an integer row (D, A) and b = B / s
+        s, B = _integer_row(self.b)
         for k, orbit in enumerate(self.orbits):
             if len(orbit.moment) != self.dim_t:
                 raise InputError(f"orbit {k}: moment has wrong dimension")
@@ -86,14 +93,15 @@ class OrbitSystem:
                     f"orbit {k}: expected {self.codim_half} weights, "
                     f"got {len(orbit.weights)}"
                 )
-            if orbit.moment(self.b) != 1:
+            (d, mu), *rows = orbit.integer_rows
+            if sum(x * B[i] for i, x in mu) != d * s:
                 raise InputError(f"orbit {k}: moment must pair to 1 with the Reeb vector")
-            for j, alpha in enumerate(orbit.weights):
+            for j, (alpha, (_, row)) in enumerate(zip(orbit.weights, rows)):
                 if len(alpha) != self.dim_t:
                     raise InputError(f"orbit {k}: weight {j} has wrong dimension")
-                if alpha.is_zero:
+                if not row:
                     raise InputError(f"orbit {k}: weight {j} is identically zero")
-                if alpha(self.b) != 0:
+                if sum(x * B[i] for i, x in row):
                     raise InputError(
                         f"orbit {k}: weight {j} does not annihilate the Reeb vector"
                     )

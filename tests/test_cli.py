@@ -1,13 +1,16 @@
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from abbvloc.cli import DH_MAX_ORDER, MAX_SAMPLES, MAX_TRIALS, main
-from abbvloc.core import Matrix, Vector, rat_str
+from abbvloc.cli import DH_MAX_ORDER, MAX_SAMPLES, MAX_TRIALS, _load_orbit_system, main
+from abbvloc.core import Covector, Matrix, PiScalar, Vector, rat, rat_str
+from abbvloc.engine import OrbitDatum, OrbitSystem, weighted_sphere_system
+from abbvloc.errors import InputError
 from abbvloc.homogeneous import stiefel_so5_so3
 from abbvloc.toric import MAX_VERTICES, enumerate_vertices
 from test_cli_golden import cube_cone_doc
@@ -976,3 +979,116 @@ class TestLoaderFuzz:
             assert out.count("\n") == 1
             json.loads(out)
 
+
+LITERAL_TOKENS = [0, 1, -1, 2, "1/2", " 1/2 ", "2/4", "-0", True, 1.5, "1/0", "x"]
+
+
+def literal_slots(doc) -> list:
+    """(container, key) of every rational literal of an orbit-system
+    document, in the order the loader reads them: each orbit's length
+    coefficient, moment and weights, then b."""
+    slots = []
+    for orbit in doc["orbits"]:
+        slots.append((orbit["length"], "coeff"))
+        for row in (orbit["moment"], *orbit["weights"]):
+            slots += [(row, i) for i in range(len(row))]
+    return slots + [(doc["b"], i) for i in range(len(doc["b"]))]
+
+
+@st.composite
+def respelled_system_documents(draw):
+    """A weighted sphere's orbit-system document with its literals spelled
+    other ways with the same values (JSON integers, padded, unreduced,
+    "-0"), and up to three of them replaced by LITERAL_TOKENS."""
+    d = draw(st.integers(2, 4))
+    doc = weighted_sphere_system_doc(draw(st.lists(
+        st.sampled_from(["1", "2", "3", "1/2", "7/3"]), min_size=d, max_size=d, unique=True)))
+    slots = literal_slots(doc)
+    for container, key in slots:
+        text = container[key]
+        q, k = Fraction(text), draw(st.integers(2, 3))
+        container[key] = draw(st.sampled_from([
+            text,
+            q.numerator if q.denominator == 1 else text,
+            f" {text} ",
+            f"{k * q.numerator}/{k * q.denominator}",
+            "-0" if q == 0 else text,
+        ]))
+    for _ in range(draw(st.integers(0, 3))):
+        container, key = draw(st.sampled_from(slots))
+        container[key] = draw(st.sampled_from(LITERAL_TOKENS))
+    return doc
+
+
+def entrywise_system(doc):
+    """The orbit system of a document shaped like a sphere's, read literal by
+    literal with ``rat`` and validated by Covector pairings, or the message
+    the loader must raise: the first literal ``rat`` refuses, in the loader's
+    order, else the first invariant that fails."""
+    for container, key in literal_slots(doc):
+        try:
+            rat(container[key])
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            return f"malformed orbit system document: {exc}"
+    b = Vector(doc["b"])
+    orbits = tuple(
+        OrbitDatum(length=PiScalar(rat(o["length"]["coeff"]), o["length"]["pi_power"]),
+                   moment=Covector(o["moment"]),
+                   weights=tuple(Covector(w) for w in o["weights"]))
+        for o in doc["orbits"]
+    )
+    for k, orbit in enumerate(orbits):
+        if orbit.moment(b) != 1:
+            return f"orbit {k}: moment must pair to 1 with the Reeb vector"
+        for j, alpha in enumerate(orbit.weights):
+            if not any(alpha):
+                return f"orbit {k}: weight {j} is identically zero"
+            if alpha(b) != 0:
+                return f"orbit {k}: weight {j} does not annihilate the Reeb vector"
+    return OrbitSystem(dim_t=doc["dim_t"], b=b, codim_half=doc["codim_half"], orbits=orbits)
+
+
+def one_and_true_doc():
+    """The (1, 2) sphere with a JSON 1 in orbit 0's moment and a JSON true
+    for orbit 1's length coefficient 1: a memo keyed on values would read
+    the true as the 1 already parsed, since True == 1 and hash(True) == 1."""
+    doc = weighted_sphere_system_doc(["1", "2"])
+    doc["orbits"][0]["moment"][0] = 1
+    doc["orbits"][1]["length"]["coeff"] = True
+    return doc
+
+
+class TestOrbitSystemLoader:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=respelled_system_documents())
+    @example(doc=one_and_true_doc())
+    def test_loader_matches_entrywise_rat(self, capsys, tmp_path, doc):
+        want = entrywise_system(doc)
+        try:
+            got = _load_orbit_system(doc)
+        except InputError as exc:
+            got = str(exc)
+        assert got == want
+        if isinstance(want, str):
+            path = write_json(tmp_path, "doc.json", doc)
+            code, out = run_cli(capsys, "localize", "--input", path, "--json")
+            assert code == 2
+            assert json.loads(out)["error"] == {"type": "InputError", "message": want}
+
+    def test_each_distinct_literal_is_parsed_once(self, monkeypatch):
+        weights = ["1", "2", "3", "5", "7", "11", "13", "1/2", "1/3", "2/5", "7/4", "9/2"]
+        doc = weighted_sphere_system_doc(weights)
+        literals = [container[key] for container, key in literal_slots(doc)]
+        parsed = []
+
+        def counting_rat(x):
+            if isinstance(x, str):
+                parsed.append(x)
+            return rat(x)
+
+        monkeypatch.setattr("abbvloc.cli.rat", counting_rat)
+        assert _load_orbit_system(doc) == weighted_sphere_system(weights)
+        assert set(parsed) == set(literals)
+        assert Counter(parsed).most_common(1)[0][1] == 1
+        assert len(parsed) * 10 < len(literals)

@@ -9,6 +9,7 @@ and paste the printed table over GOLDEN.
 
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -51,6 +52,30 @@ def sphere_system_doc(weights):
     return {"dim_t": d, "b": [_frac(x) for x in w], "codim_half": d - 1, "orbits": orbits}
 
 
+def mixed_literal_doc(weights):
+    """sphere_system_doc with its rationals spelled three ways in turn: a
+    JSON integer where the value is one (else an unreduced "2p/2q"), a
+    padded " p/q " and an unreduced "3p/3q"."""
+    doc = sphere_system_doc(weights)
+    turn = itertools.count()
+
+    def spell(text):
+        q = Fraction(text)
+        k = next(turn) % 3
+        if k == 0:
+            return q.numerator if q.denominator == 1 else f"{2 * q.numerator}/{2 * q.denominator}"
+        if k == 1:
+            return f" {text} "
+        return f"{3 * q.numerator}/{3 * q.denominator}"
+
+    doc["b"] = [spell(x) for x in doc["b"]]
+    for orbit in doc["orbits"]:
+        orbit["length"]["coeff"] = spell(orbit["length"]["coeff"])
+        orbit["moment"] = [spell(x) for x in orbit["moment"]]
+        orbit["weights"] = [[spell(x) for x in alpha] for alpha in orbit["weights"]]
+    return doc
+
+
 def sphere_cone_doc(weights):
     d = len(weights)
     normals = [[-1 if i == j else 0 for j in range(d)] for i in range(d)]
@@ -90,6 +115,7 @@ def corrupted_system_doc():
 FIXTURES = {
     "sphere-123": sphere_system_doc([1, 2, 3]),
     "sphere-corrupt": corrupted_system_doc(),
+    "sphere-mixed": mixed_literal_doc(["1/2", "3", "5/3", "7"]),
     "cone-sphere-123": sphere_cone_doc([1, 2, 3]),
     "cone-simplex-3": sphere_cone_doc([1, 1, 1]),
     "cube-3": cube_cone_doc(3),
@@ -126,6 +152,13 @@ CASES = (
     ("secondary", ("secondary", "--weights", "1,2,3", "--j", "1,1")),
     ("check-v-independence", ("check-v-independence", "--input", "@sphere-123")),
     ("check-v-independence-fail", ("check-v-independence", "--input", "@sphere-corrupt")),
+    # one document, its literals as JSON integers, padded and unreduced strings
+    ("localize-mixed", ("localize", "--input", "@sphere-mixed")),
+    ("localize-j-mixed", ("localize", "--input", "@sphere-mixed", "--j", "1,2",
+                          "--leaf-integrals", "73/3,73/18,73/10,73/42", "--samples", "3")),
+    ("dh-mixed", ("dh", "--input", "@sphere-mixed", "--order", "5")),
+    ("check-v-independence-mixed", ("check-v-independence", "--input", "@sphere-mixed",
+                                    "--samples", "3")),
 )
 
 GOLDEN = {
@@ -185,6 +218,14 @@ GOLDEN = {
     "lawrence-product-2-2@7": (0, "00b43a869fe8c96b992a1786fc16b373b455cf3a7cb03d6c7517c1d757a03069"),
     "polytope-volume-product-2-2@42": (0, "71c30324fc092dec95ad5af0ad4e2ffe5e64b982893da43a2ffd2644b72d3120"),
     "polytope-volume-product-2-2@7": (0, "71c30324fc092dec95ad5af0ad4e2ffe5e64b982893da43a2ffd2644b72d3120"),
+    "localize-mixed@42": (0, "a8d0d902083a3e6713c63fc95925e6a947f9ce828c2254401e00e6a30983e7a0"),
+    "localize-mixed@7": (0, "a8d0d902083a3e6713c63fc95925e6a947f9ce828c2254401e00e6a30983e7a0"),
+    "localize-j-mixed@42": (0, "1c448351d48737f40a0f7115165fcac319f5a6b628ef470ab69f83b7448a2428"),
+    "localize-j-mixed@7": (0, "1c448351d48737f40a0f7115165fcac319f5a6b628ef470ab69f83b7448a2428"),
+    "dh-mixed@42": (0, "41a138d38db2dfe071f7a992ac09b9221c6483340b9f6c5d580de1a4a1ff4876"),
+    "dh-mixed@7": (0, "0f1d4cf2054248c5eb7d18edcc2cd7f07b08940f3ad90c473a58120232789760"),
+    "check-v-independence-mixed@42": (0, "342c57494ff7813b4680efd52e04a22ee69d047b2ccf9c2164aca6662792fab0"),
+    "check-v-independence-mixed@7": (0, "342c57494ff7813b4680efd52e04a22ee69d047b2ccf9c2164aca6662792fab0"),
 }
 
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -54,42 +55,69 @@ def single_orbit_system():
     return OrbitSystem(dim_t=2, b=Vector([1, 2]), codim_half=1, orbits=(orbit,))
 
 
+def orbit(moment, *weights):
+    return OrbitDatum(length=PiScalar(2, 1), moment=Covector(moment),
+                      weights=tuple(Covector(w) for w in weights))
+
+
 class TestOrbitSystemInvariants:
     def test_weight_must_annihilate_reeb(self):
-        orbit = OrbitDatum(
-            length=PiScalar(2, 1),
-            moment=Covector([1, 0]),
-            weights=(Covector([1, 1]),),
-        )
-        with pytest.raises(InputError):
-            OrbitSystem(dim_t=2, b=Vector([1, 2]), codim_half=1, orbits=(orbit,))
+        with pytest.raises(InputError, match="^orbit 0: weight 0 does not annihilate the Reeb vector$"):
+            OrbitSystem(dim_t=2, b=Vector([1, 2]), codim_half=1, orbits=(orbit([1, 0], [1, 1]),))
 
     def test_moment_must_pair_to_one(self):
-        orbit = OrbitDatum(
-            length=PiScalar(2, 1),
-            moment=Covector([1, 1]),
-            weights=(Covector([2, -1]),),
-        )
-        with pytest.raises(InputError):
-            OrbitSystem(dim_t=2, b=Vector([1, 2]), codim_half=1, orbits=(orbit,))
+        with pytest.raises(InputError, match="^orbit 0: moment must pair to 1 with the Reeb vector$"):
+            OrbitSystem(dim_t=2, b=Vector([1, 2]), codim_half=1, orbits=(orbit([1, 1], [2, -1]),))
 
     def test_zero_weight_rejected(self):
-        orbit = OrbitDatum(
-            length=PiScalar(2, 1),
-            moment=Covector([1, 0]),
-            weights=(Covector([0, 0]),),
-        )
-        with pytest.raises(InputError):
-            OrbitSystem(dim_t=2, b=Vector([1, 2]), codim_half=1, orbits=(orbit,))
+        with pytest.raises(InputError, match="^orbit 0: weight 0 is identically zero$"):
+            OrbitSystem(dim_t=2, b=Vector([1, 2]), codim_half=1, orbits=(orbit([1, 0], [0, 0]),))
 
     def test_weight_count_must_match(self):
-        orbit = OrbitDatum(
-            length=PiScalar(2, 1),
-            moment=Covector([1, 0]),
-            weights=(Covector([2, -1]),),
-        )
-        with pytest.raises(InputError):
-            OrbitSystem(dim_t=2, b=Vector([1, 2]), codim_half=2, orbits=(orbit,))
+        with pytest.raises(InputError, match="^orbit 0: expected 2 weights, got 1$"):
+            OrbitSystem(dim_t=2, b=Vector([1, 2]), codim_half=2, orbits=(orbit([1, 0], [2, -1]),))
+
+    def test_orbit_datum_keeps_the_covectors_it_is_handed(self):
+        moment, weight = Covector([1, 0]), Covector([2, -1])
+        datum = OrbitDatum(length=PiScalar(2, 1), moment=moment, weights=(weight,))
+        assert datum.moment is moment and datum.weights[0] is weight
+        coerced = OrbitDatum(length=PiScalar(2, 1), moment=[1, 0], weights=([2, -1],))
+        assert type(coerced.moment) is Covector and type(coerced.weights[0]) is Covector
+        assert coerced == datum
+
+    @pytest.mark.parametrize("weight", [[2, -1, 5], [2, -1, 0], [2], []])
+    def test_weight_of_wrong_length_rejected(self, weight):
+        # checked before the pairing, which would index past b or miss entries
+        with pytest.raises(InputError, match="^orbit 0: weight 0 has wrong dimension$"):
+            OrbitSystem(dim_t=2, b=Vector([1, 2]), codim_half=1, orbits=(orbit([1, 0], weight),))
+
+    @pytest.mark.parametrize("moment", [[1, 0, 3], [1]])
+    def test_moment_of_wrong_length_rejected(self, moment):
+        with pytest.raises(InputError, match="^orbit 0: moment has wrong dimension$"):
+            OrbitSystem(dim_t=2, b=Vector([1, 2]), codim_half=1, orbits=(orbit(moment, [2, -1]),))
+
+    @pytest.mark.parametrize("codim_half,orbits,message", [
+        # the moment's length before the weight count
+        (2, (orbit([1, 0]),), "orbit 0: moment has wrong dimension"),
+        # the weight count before the moment's pairing
+        (2, (orbit([1, 1, 1], [2, -1, 0]),), "orbit 0: expected 2 weights, got 1"),
+        # the moment's pairing before any weight's check
+        (1, (orbit([1, 1, 1], [0, 0, 0]),),
+         "orbit 0: moment must pair to 1 with the Reeb vector"),
+        # a weight's length before its zero check
+        (1, (orbit([1, 0, 0], [0, 0, 0, 0]),), "orbit 0: weight 0 has wrong dimension"),
+        # a weight's zero check before the next weight's, weights in order
+        (2, (orbit([1, 0, 0], [0, 0, 0], [1, 1, 1]),),
+         "orbit 0: weight 0 is identically zero"),
+        (2, (orbit([1, 0, 0], [1, 1, 1], [2, -1]),),
+         "orbit 0: weight 0 does not annihilate the Reeb vector"),
+        # orbits in order
+        (2, (orbit([1, 0, 0], [2, -1, 0], [0, 0, 0]), orbit([1, 0], [2, -1])),
+         "orbit 0: weight 1 is identically zero"),
+    ])
+    def test_first_fault_in_check_order(self, codim_half, orbits, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            OrbitSystem(dim_t=3, b=Vector([1, 2, 3]), codim_half=codim_half, orbits=orbits)
 
 
 class TestLocalizedSum:
