@@ -371,7 +371,7 @@ def _cmd_lawrence(args) -> dict:
 def _cmd_polytope_volume(args) -> dict:
     section = _load_section(_load_json(args.input))
     tri = triangulation_volume(section)
-    alt = triangulation_volume(section, base_index=len(section.vertices) - 1)
+    alt = triangulation_volume(section, order=range(len(section.vertices) - 1, -1, -1))
     law = sample_lawrence(section, 1, args.seed).value
     checks = [
         _check("base-vertex independence", tri == alt, f"alternate base {rat_str(alt)}"),

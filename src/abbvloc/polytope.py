@@ -111,19 +111,23 @@ class LinearFunctional:
         return phi(self.u) + self.d_shift
 
 
-def triangulation_volume(p: HPolytope, base_index: int = None) -> Fraction:
-    """Exact section volume by the pulling triangulation from a base vertex,
-    summed face by face (Lasserre's pyramid recursion).
+def triangulation_volume(p: HPolytope, order=None) -> Fraction:
+    """Exact section volume by the pulling triangulation in the vertex order
+    ``order``, summed face by face (Lasserre's pyramid recursion).
 
-    A face F on the facets A with base vertex beta (its smallest vertex
-    index; ``base_index`` for the section) has M(F) = the sum of
-    -beta(v_j) * M(face on A + {j}) over the facets j on a vertex of F but
-    not on beta; a vertex on the facets S has M = 1/|det(b, v_S)|, and the
-    volume is M(section)/n!.  Each flag of faces is one simplex, triangular
-    in the coordinates phi(v_j): its lattice measure is the product of the
+    ``order`` lists every vertex index once, ascending by default.  Every
+    face is pulled from its apex, its first vertex in that order: a face F
+    on the facets A with apex beta has M(F) = the sum of -beta(v_j) *
+    M(face on A + {j}) over the facets j on a vertex of F but not on beta;
+    a vertex on the facets S has M = 1/|det(b, v_S)|, and the volume is
+    M(section)/n!.  Each flag of faces is one simplex, triangular in the
+    coordinates phi(v_j): its lattice measure is the product of the
     heights -beta(v_j) over |det(b, v_S)|.  Faces are memoized by facet
     set, and each vertex's determinant is read from ``p.abs_dets``.  The
-    result does not depend on the base vertex.  Raises UnboundedSection
+    result does not depend on the order; two orders are two full
+    triangulations (De Loera, Rambau & Santos 2010, section 4.3), and
+    (k, then the rest ascending) pulls the section from vertex k and
+    every proper face from its smallest vertex.  Raises UnboundedSection
     unless the section is bounded.
 
     >>> from abbvloc.toric import weighted_sphere_cone
@@ -135,7 +139,8 @@ def triangulation_volume(p: HPolytope, base_index: int = None) -> Fraction:
     facet_sets, dets = p.facet_sets, p.abs_dets
     memo = {}
 
-    def measure(active, ids, base):
+    def measure(active, ids):
+        base = ids[0]
         if len(active) == n:
             return 1 / dets[base]
         faces = {}
@@ -147,12 +152,11 @@ def triangulation_volume(p: HPolytope, base_index: int = None) -> Fraction:
         for j, sub in faces.items():
             face = active | {j}
             if face not in memo:
-                memo[face] = measure(face, sub, sub[0])
+                memo[face] = measure(face, sub)
             total -= apex(p.normals[j]) * memo[face]
         return total
 
-    top = 0 if base_index is None else base_index
-    return measure(frozenset(), range(len(p.vertices)), top) / factorial(n)
+    return measure(frozenset(), range(len(p.vertices)) if order is None else order) / factorial(n)
 
 
 def lawrence_volume(p: HPolytope, f: LinearFunctional) -> Fraction:

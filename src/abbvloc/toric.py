@@ -7,9 +7,11 @@ finds the first vertex, and each vertex's n edges lead to its neighbours
 by one fraction-free pivot each.  A vertex's dictionary is the adjugate
 of (b | v_S), so its rows are the moment and the weights of the orbit
 data; no inverse is computed.  Each vertex is validated against the
-lattice direct-summand condition via Smith normal form, and the vertices
-are turned into orbit data (lengths, moments, weights) or fed directly
-into the determinant volume formula.  Boundedness is read off the edges,
+lattice direct-summand condition on its moment row, which holds the
+n x n minors of v_S (Smith normal form is computed only to report a
+violation), and the vertices are turned into orbit data (lengths,
+moments, weights, the weights built on first read) or fed directly into
+the determinant volume formula.  Boundedness is read off the edges,
 which ``_bounded_edges`` finds from the vertices' facet sets.  Errors come
 in the order NotSimpleVertex, GoodnessViolation, UnboundedSection.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, gcd
 
 from .core import (
     Covector,
@@ -155,14 +157,22 @@ class ToricOrbit:
 
     ``facet_indices`` are the facets through the vertex, in increasing
     order, and ``abs_delta`` is |det(b, v_S)| for their normals v_S.
-    ``weights`` are rows 1..n of the inverse of (b | v_S) with the normals
-    in that order; row 0 is ``vertex``.
+    ``weight_rows`` are rows 1..n of the walk's dictionary T (b | v_S)^-1
+    with the normals in that order, as tuples of ints, and ``t`` is T;
+    row 0 is ``vertex``.
     """
 
     vertex: Covector
     facet_indices: tuple
     abs_delta: Fraction
-    weights: tuple
+    weight_rows: tuple
+    t: int
+
+    @cached_property
+    def weights(self) -> tuple:
+        """Rows 1..n of the inverse of (b | v_S) as Covectors, built on
+        first read: only the orbit-data route reads them."""
+        return tuple(Covector(Fraction(x, self.t) for x in row) for row in self.weight_rows)
 
 
 def _integer_columns(reeb, normals, facet_sets) -> tuple:
@@ -328,13 +338,18 @@ def enumerate_vertices(cone: GoodCone) -> tuple:
     start.  Each vertex's moment (the vertex) and weights are the rows of
     its dictionary A / T, put in sorted facet order, and abs_delta is
     |det(b, v_S)| = |T| / lcm(denominators of b); no determinant or
-    inverse is computed.  Errors, in this order of precedence:
-    NotSimpleVertex at a vertex on extra facets (the walk stops there),
-    GoodnessViolation at the first vertex in sorted facet order whose
-    active normals fail the Smith normal form test, UnboundedSection for
-    an empty section or for an edge with one vertex (for a simple section,
-    a nontrivial recession cone).  InputError when the section has more
-    than MAX_VERTICES vertices.
+    inverse is computed, and the weights are kept as integer rows until
+    first read (``ToricOrbit.weights``).  A is the adjugate of (b | v_S),
+    so its moment row holds the n x n minors of v_S up to sign, whose gcd
+    is the product d_1 ... d_n of the Smith divisors: the active normals
+    span a direct summand exactly when that gcd is 1.  Errors, in this
+    order of precedence: NotSimpleVertex at a vertex on extra facets (the
+    walk stops there), GoodnessViolation at the first vertex in sorted
+    facet order whose moment row has gcd above 1 (reported with the
+    divisors of ``smith_normal_form``), UnboundedSection for an empty
+    section or for an edge with one vertex (for a simple section, a
+    nontrivial recession cone).  InputError when the section has more than
+    MAX_VERTICES vertices.
 
     Enumerates afresh on every call, and keeps the edge map it checks
     boundedness with on the cone (``cone.edges``); callers read
@@ -349,9 +364,9 @@ def enumerate_vertices(cone: GoodCone) -> tuple:
         order = sorted(range(n + 1), key=labels.__getitem__)
         bases.append((tuple(labels[i] for i in order[1:]), phi, order, a, t))
     bases.sort(key=lambda basis: basis[0])
-    for facets, *_ in bases:
-        divisors = smith_normal_form([cone.normals[i] for i in facets])
-        if any(dv != 1 for dv in divisors):
+    for facets, _, order, a, _ in bases:
+        if gcd(*a[order[0]]) != 1:
+            divisors = smith_normal_form([cone.normals[i] for i in facets])
             raise GoodnessViolation(
                 f"facets {facets} span a sublattice with divisors {divisors}"
             )
@@ -360,7 +375,8 @@ def enumerate_vertices(cone: GoodCone) -> tuple:
             vertex=phi,
             facet_indices=facets,
             abs_delta=Fraction(abs(t), scale),
-            weights=tuple(Covector(Fraction(x, t) for x in a[i]) for i in order[1:]),
+            weight_rows=tuple(tuple(a[i]) for i in order[1:]),
+            t=t,
         )
         for facets, phi, order, a, t in bases
     ]
@@ -375,7 +391,8 @@ def orbit_system_from_cone(cone: GoodCone) -> OrbitSystem:
 
     The moment functional and the weight functionals at a vertex are the
     rows of the inverse of the matrix with columns (b, v_1, ..., v_n),
-    which the enumeration read from its dictionary.  The uniform pi
+    which the enumeration kept from its dictionary; reading
+    ``ToricOrbit.weights`` here builds them.  The uniform pi
     grading of the weights and the lattice rescaling are absorbed into
     the orbit length, keeping all functionals rational; with
     pi_scale_exponent 1 the stored lengths, moments and weights are

@@ -41,13 +41,14 @@ def omega_h(b: Vector, edges, w: Covector = None) -> Fraction:
     return det(Matrix([tuple(w)] + [tuple(e) for e in edges]))
 
 
-def pulling_simplices(vertex_ids, common, actives, section_dim, base_id=None):
+def pulling_simplices(vertex_ids, common, actives, section_dim):
     """Pulling triangulation of one face into simplices (tuples of vertex ids).
 
+    ``vertex_ids`` lists the face's vertices in pulling order, and
     ``common`` is the face's active facet set; sub-facets are the faces
     gaining exactly one active facet.  Each simplex of a sub-facet not
-    containing the base vertex (the smallest id unless ``base_id`` is
-    given) is coned over the base, which ends each tuple.
+    containing the face's apex (its first vertex in ``vertex_ids``) is
+    coned over the apex, which ends each tuple.  Sub-facets keep the order.
     """
     dim = section_dim - len(common)
     if dim == 0 or len(vertex_ids) == 1:
@@ -56,7 +57,7 @@ def pulling_simplices(vertex_ids, common, actives, section_dim, base_id=None):
         if len(vertex_ids) != 2:
             raise NotSimpleVertex(f"1-dimensional face with {len(vertex_ids)} vertices")
         return [tuple(sorted(vertex_ids))]
-    base = base_id if base_id is not None else min(vertex_ids)
+    base = vertex_ids[0]
     candidate_normals = set().union(*(actives[i] for i in vertex_ids)) - common
     simplices = []
     seen_facets = set()
@@ -76,13 +77,21 @@ def pulling_simplices(vertex_ids, common, actives, section_dim, base_id=None):
     return simplices
 
 
-def simplex_volume(p, base_index: int = None) -> Fraction:
+def base_first(count: int, k: int) -> tuple:
+    """The pulling order (k, then the other indices below ``count``
+    ascending): the section is pulled from vertex k, every proper face
+    from its smallest vertex."""
+    return (k, *(i for i in range(count) if i != k))
+
+
+def simplex_volume(p, order=None) -> Fraction:
     """Section volume of a full-dimensional simple HPolytope ``p`` as the sum
-    of |omega_h| over the pulling simplices from ``base_index``, over n!."""
+    of |omega_h| over the pulling simplices in the vertex order ``order``
+    (every vertex index once, ascending by default), over n!."""
     n = p.section_dim
-    ids = list(range(len(p.vertices)))
+    ids = list(range(len(p.vertices)) if order is None else order)
     total = Fraction(0)
-    for simplex in pulling_simplices(ids, frozenset(), p.facet_sets, n, base_id=base_index):
+    for simplex in pulling_simplices(ids, frozenset(), p.facet_sets, n):
         base = p.vertices[simplex[-1]]
         total += abs(omega_h(p.reeb, [p.vertices[i] - base for i in simplex[:-1]]))
     return total / factorial(n)

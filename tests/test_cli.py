@@ -221,6 +221,45 @@ class TestToricCommands:
         assert code == 0
         assert len(enumerated) == 1
 
+    @pytest.mark.parametrize("command, reads", [("volume-toric", 1), ("msy-check", 0),
+                                                ("lawrence", 0), ("polytope-volume", 0)])
+    def test_weights_built_only_for_orbit_data(self, capsys, monkeypatch, tmp_path,
+                                               command, reads):
+        """Only volume-toric's orbit-data route reads ToricOrbit.weights,
+        once per orbit; the section commands build no weight Covector."""
+        import abbvloc.toric as toric
+
+        build = toric.ToricOrbit.weights.func
+        read = Counter()
+
+        def counted(orbit):
+            read[orbit.facet_indices] += 1
+            return build(orbit)
+
+        monkeypatch.setattr(toric.ToricOrbit, "weights", property(counted))
+        path = write_json(tmp_path, "cube.json", cube_cone_doc(3))
+        code, _ = run_cli(capsys, command, "--input", path, "--json")
+        assert code == 0
+        assert sorted(read.values()) == [1] * 8 * reads
+
+    @pytest.mark.parametrize("command", ["volume-toric", "msy-check", "lawrence", "polytope-volume"])
+    def test_smith_normal_form_only_on_goodness_violation(self, capsys, monkeypatch, tmp_path,
+                                                         command):
+        import abbvloc.toric as toric
+
+        calls = []
+        real = toric.smith_normal_form
+        monkeypatch.setattr(toric, "smith_normal_form", lambda m: calls.append(m) or real(m))
+        path = write_json(tmp_path, "cube.json", cube_cone_doc(3))
+        assert run_cli(capsys, command, "--input", path, "--json")[0] == 0
+        assert calls == []
+        bad = {"dim": 3, "pi_scale_exponent": 1,
+               "normals": [[-1, 1, 0], [-1, -1, 0], [0, 0, -1]], "reeb": ["1", "0", "1"]}
+        code, out = run_cli(capsys, command, "--input", write_json(tmp_path, "bad.json", bad),
+                            "--json")
+        assert code == 2 and json.loads(out)["error"]["type"] == "GoodnessViolation"
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("basis", [[[1, 2, 0], [0, 1, 0], [-1, 0, 1]],
                                        [[0, 1, 0], [0, 0, -1], [1, 3, 1]]])
     @pytest.mark.parametrize("command", ["volume-toric", "msy-check", "lawrence"])

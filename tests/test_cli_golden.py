@@ -124,6 +124,12 @@ FIXTURES = {
     "product-2-2": simplex_product_cone_doc(2, 2, ["6", "1/3", "2", "-1/2", "1"]),
     "polytope-simplex-3": {"dim": 3, "normals": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]],
                            "reeb": ["1", "1", "1"]},
+    # the first two facets span an index-2 sublattice: GoodnessViolation, exit 2
+    "cone-not-good": {"dim": 3, "pi_scale_exponent": 1,
+                      "normals": [[-1, 1, 0], [-1, -1, 0], [0, 0, -1]], "reeb": ["1", "0", "1"]},
+    # sections on which the ascending and descending pulling orders share no face
+    "cube-5": cube_cone_doc(5),
+    "product-3-3": simplex_product_cone_doc(3, 3, ["9", "1/2", "2", "-1/3", "1", "3/2", "-1"]),
 }
 
 # (case id, argv); "@name" is replaced by the path of FIXTURES[name].
@@ -142,6 +148,10 @@ CASES = (
     *((f"{command}-{name}", (command, "--input", f"@{name}"))
       for name in ("cube-4-rational", "product-2-2")
       for command in ("volume-toric", "msy-check", "lawrence", "polytope-volume")),
+    *((f"{command}-not-good", (command, "--input", "@cone-not-good"))
+      for command in ("volume-toric", "polytope-volume")),
+    *((f"{command}-{name}", (command, "--input", f"@{name}"))
+      for name in ("cube-5", "product-3-3") for command in ("polytope-volume", "msy-check")),
     ("localize-sphere", ("localize", "--input", "@sphere-123")),
     ("localize-j", ("localize", "--input", "@sphere-123", "--j", "1,1",
                     "--leaf-integrals", "6,3,2", "--samples", "4")),
@@ -218,6 +228,18 @@ GOLDEN = {
     "lawrence-product-2-2@7": (0, "00b43a869fe8c96b992a1786fc16b373b455cf3a7cb03d6c7517c1d757a03069"),
     "polytope-volume-product-2-2@42": (0, "71c30324fc092dec95ad5af0ad4e2ffe5e64b982893da43a2ffd2644b72d3120"),
     "polytope-volume-product-2-2@7": (0, "71c30324fc092dec95ad5af0ad4e2ffe5e64b982893da43a2ffd2644b72d3120"),
+    "volume-toric-not-good@42": (2, "6eee297ed67254ffcd62c0bf7ba20c8b3b3887e6ead627453278869cd7ee797b"),
+    "volume-toric-not-good@7": (2, "6eee297ed67254ffcd62c0bf7ba20c8b3b3887e6ead627453278869cd7ee797b"),
+    "polytope-volume-not-good@42": (2, "6eee297ed67254ffcd62c0bf7ba20c8b3b3887e6ead627453278869cd7ee797b"),
+    "polytope-volume-not-good@7": (2, "6eee297ed67254ffcd62c0bf7ba20c8b3b3887e6ead627453278869cd7ee797b"),
+    "polytope-volume-cube-5@42": (0, "32c224c46d4588ab58f9c8e6ab41a73d22d6e7d50fbf51b2923be5435484a192"),
+    "polytope-volume-cube-5@7": (0, "32c224c46d4588ab58f9c8e6ab41a73d22d6e7d50fbf51b2923be5435484a192"),
+    "msy-check-cube-5@42": (0, "6b93f89d0cbbcd775aa8ffd0f59dc81bd567fea899d03acac1250133ac177b62"),
+    "msy-check-cube-5@7": (0, "6b93f89d0cbbcd775aa8ffd0f59dc81bd567fea899d03acac1250133ac177b62"),
+    "polytope-volume-product-3-3@42": (0, "87beb5d63aa3dee5b541519bd7623147fff0deacfbfbb5b7ccd9589aac324b66"),
+    "polytope-volume-product-3-3@7": (0, "87beb5d63aa3dee5b541519bd7623147fff0deacfbfbb5b7ccd9589aac324b66"),
+    "msy-check-product-3-3@42": (0, "39b8e4e249ca009a68afb982f86fcf329560ed06678a42d4e4c0ec4c5f344e55"),
+    "msy-check-product-3-3@7": (0, "39b8e4e249ca009a68afb982f86fcf329560ed06678a42d4e4c0ec4c5f344e55"),
     "localize-mixed@42": (0, "a8d0d902083a3e6713c63fc95925e6a947f9ce828c2254401e00e6a30983e7a0"),
     "localize-mixed@7": (0, "a8d0d902083a3e6713c63fc95925e6a947f9ce828c2254401e00e6a30983e7a0"),
     "localize-j-mixed@42": (0, "1c448351d48737f40a0f7115165fcac319f5a6b628ef470ab69f83b7448a2428"),

@@ -29,7 +29,7 @@ from abbvloc.sampling import sample_independent, sample_positive_rational, sampl
 from abbvloc.toric import GoodCone, orbit_system_from_cone, toric_volume
 from conftest import make_rng, random_unimodular
 from functional_oracle import assert_sample_lawrence_matches
-from simplex_oracle import simplex_volume
+from simplex_oracle import base_first, simplex_volume
 from toric_det_oracle import toric_volume_by_fraction_dets
 from vertex_oracle import assert_facet_sets_by_pairing
 
@@ -221,9 +221,9 @@ class TestGeneratedCones:
         cone, closed = case_cone(kind, a, b, seed)
         n = cone.codim_half
         p = HPolytope.from_cone(cone)
-        last = len(p.vertices) - 1
+        last = base_first(len(p.vertices), len(p.vertices) - 1)
         assert triangulation_volume(p) == closed
-        assert triangulation_volume(p, base_index=last) == closed
+        assert triangulation_volume(p, order=last) == closed
         assert simplex_volume(p) == simplex_volume(p, last) == closed
         lawrence = sample_lawrence(p, 1, seed).value
         localized = PiScalar(2 * closed, n + 1)
@@ -250,7 +250,15 @@ class TestGeneratedCones:
     def test_triangulation_matches_explicit_simplices_at_every_base(self, kind, a, b):
         p = HPolytope.from_cone(case_cone(kind, a, b, 5)[0])
         for base in range(len(p.vertices)):
-            assert triangulation_volume(p, base_index=base) == simplex_volume(p, base)
+            order = base_first(len(p.vertices), base)
+            assert triangulation_volume(p, order=order) == simplex_volume(p, order)
+
+    @pytest.mark.parametrize("kind, a, b", CASES, ids=[f"{k}-{a}-{b}" for k, a, b in CASES])
+    def test_descending_order_matches_explicit_simplices(self, kind, a, b):
+        """The order polytope-volume's alternate triangulation pulls in."""
+        p = HPolytope.from_cone(case_cone(kind, a, b, 5)[0])
+        order = range(len(p.vertices) - 1, -1, -1)
+        assert triangulation_volume(p, order=order) == simplex_volume(p, order)
 
     @pytest.mark.parametrize("kind, a, b", CASES, ids=[f"{k}-{a}-{b}" for k, a, b in CASES])
     def test_walk_rows_equal_inverse(self, kind, a, b):

@@ -28,7 +28,7 @@ from abbvloc.sampling import sample_vector
 from abbvloc.toric import simplex_cone, weighted_sphere_cone
 from conftest import make_rng
 from functional_oracle import assert_sample_lawrence_matches
-from simplex_oracle import omega_h, simplex_volume
+from simplex_oracle import base_first, omega_h, simplex_volume
 from test_cli import section_documents
 from test_cli_golden import cube_cone_doc
 from test_generated_cones import cube_cone_k
@@ -128,13 +128,15 @@ class TestTriangulation:
         for p in (segment_polytope(), triangle_polytope(), cube_polytope()):
             reference = triangulation_volume(p)
             for base in range(len(p.vertices)):
-                assert triangulation_volume(p, base_index=base) == reference
+                assert triangulation_volume(p, order=base_first(len(p.vertices), base)) == reference
 
     def test_matches_explicit_simplices_at_every_base(self):
         for p in (segment_polytope(), triangle_polytope(), cube_polytope(),
                   tesseract_polytope(), HPolytope.from_cone(weighted_sphere_cone([2, 3, 7]))):
-            for base in [None, *range(len(p.vertices))]:
-                assert triangulation_volume(p, base_index=base) == simplex_volume(p, base)
+            count = len(p.vertices)
+            for order in [None, range(count - 1, -1, -1),
+                          *(base_first(count, base) for base in range(count))]:
+                assert triangulation_volume(p, order=order) == simplex_volume(p, order)
 
     def test_one_determinant_per_vertex(self, monkeypatch):
         """The cube 6 section has 64 vertices and 6! = 720 pulling simplices
@@ -145,6 +147,29 @@ class TestTriangulation:
         # is 6!/13!, the Beta integral of x^6 (1 - x)^6 times 6!/6!
         assert triangulation_volume(p) == Fraction(factorial(6), factorial(13))
         assert 0 < len(calls) <= len(p.vertices) == 64
+
+    @pytest.mark.parametrize("k, pairings", [(5, 80), (6, 192)])
+    def test_apex_pairings_in_both_orders(self, monkeypatch, k, pairings):
+        """The ascending and the descending pulling order each pair every
+        face's apex with the same number of normals: 80 on the cube-5
+        section and 192 on cube 6.  The section pulled from its last vertex
+        and every proper face from its smallest took 165 and 486.  A face's
+        apex is its first vertex in the order, so the order's last vertex
+        is never one."""
+        p = HPolytope.from_cone(cube_cone_k(k))
+        p.abs_dets  # before counting
+        count = len(p.vertices)
+        apexes = []
+        real = Covector.__call__
+        monkeypatch.setattr(Covector, "__call__", lambda c, v: apexes.append(c) or real(c, v))
+        volumes = []
+        for order in (range(count), range(count - 1, -1, -1)):
+            apexes.clear()
+            volumes.append(triangulation_volume(p, order=order))
+            assert len(apexes) == pairings
+            assert apexes[-1] is p.vertices[order[0]]
+            assert all(apex is not p.vertices[order[-1]] for apex in apexes)
+        assert volumes[0] == volumes[1]
 
     def test_non_simple_vertex_rejected(self):
         normals = (

@@ -2,7 +2,7 @@ import collections
 import itertools
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -341,11 +341,13 @@ class TestToricVolume:
                 if module_name.startswith("abbvloc") and getattr(module, name, None) is real:
                     monkeypatch.setattr(module, name, counted(name, real))
 
+        build = toric.ToricOrbit.weights.func
+
         def weights(orbit):
             calls["weights"] += 1
-            return orbit.__dict__["weights"]
+            return build(orbit)
 
-        monkeypatch.setattr(toric.ToricOrbit, "weights", property(weights), raising=False)
+        monkeypatch.setattr(toric.ToricOrbit, "weights", property(weights))
         value = toric_volume(cone, v)
         assert calls == {"_bareiss": 16 * 5}
         # the counters see the orbit-data route, which reads the weights
@@ -484,6 +486,69 @@ class TestBoundednessOracle:
         assert list(edges) == pairwise
         for index in range(len(orbits)):
             assert sum(index in e for e in edges) == n
+
+
+def index_3_cone():
+    # facets 1 and 2 meet at a vertex and span an index-3 sublattice
+    return GoodCone(
+        dim=3,
+        normals=tuple(map(Vector, ([3, -3, 2], [0, -1, 2], [3, -2, 1], [-3, -1, -3]))),
+        reeb=Vector([3, 1, 2]),
+    )
+
+
+@st.composite
+def sublattice_cones(draw):
+    """Cones of dimension 3..5 with up to d + 3 primitive normals of entries
+    -3..3, half of them starting from the orthant's normals.  Half of them
+    also have the pair -e_0, e_0 - p e_1 with p = 2 or 3: its 2 x 2 minors
+    are p and 0, so every facet set containing both spans a sublattice of
+    index divisible by p."""
+    d = draw(st.integers(3, 5))
+    normals = [[-int(i == j) for j in range(d)] for i in range(d)] if draw(st.booleans()) else []
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([2, 3]))
+        normals[:1] = [[-1] + [0] * (d - 1), [1, -p] + [0] * (d - 2)]
+    normal = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    normals += draw(st.lists(normal.filter(lambda v: gcd(*v) == 1), max_size=d + 3))
+    normals = list(dict.fromkeys(map(tuple, normals)))[: d + 3]
+    assume(len(normals) >= d)
+    reeb = draw(st.lists(st.sampled_from(REEB_POOL), min_size=d, max_size=d))
+    return GoodCone(dim=d, normals=tuple(map(Vector, normals)), reeb=Vector(reeb))
+
+
+class TestGoodnessFromMomentRow:
+    """The walk's moment row at a vertex on the facets S is the row of
+    adj(b | v_S) at b's position: the n x n minors of v_S up to sign, whose
+    gcd is the product of the Smith divisors of v_S."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sublattice_cones())
+    @example(goodness_violating_cone())
+    @example(index_3_cone())
+    @example(cube_cone())
+    def test_moment_row_gcd_is_the_divisor_product(self, cone):
+        try:
+            _, found = toric._walk(cone.normals, cone.reeb)
+        except (NotSimpleVertex, InputError):
+            return
+        first = None
+        for facets, row in sorted((tuple(sorted(set(labels) - {-1})), a[labels.index(-1)])
+                                  for _, labels, a, _ in found):
+            divisors = core.smith_normal_form([cone.normals[i] for i in facets])
+            assert gcd(*row) == prod(divisors)
+            if first is None and set(divisors) != {1}:
+                first = f"facets {facets} span a sublattice with divisors {divisors}"
+        if first is None:
+            try:
+                enumerate_vertices(cone)
+            except UnboundedSection:
+                pass
+        else:
+            # the same first vertex in sorted facet order, with the same message
+            with pytest.raises(GoodnessViolation) as info:
+                enumerate_vertices(cone)
+            assert str(info.value) == first
 
 
 def fixture_cones():
