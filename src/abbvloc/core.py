@@ -1,16 +1,21 @@
 """Exact computation substrate: rationals, pi-graded scalars, vectors and
-covectors, rational matrices, Smith normal form, symmetric polynomials.
+covectors, rational matrices, Smith normal form, symmetric polynomials,
+and ``Record``, the frozen-record base of the package's value classes.
 
 All arithmetic is exact.  Rationals are ``fractions.Fraction`` (arbitrary
 precision, always reduced, positive denominator), and scalars that carry a
 transcendental factor are kept symbolically as ``q * pi**e`` so every
 comparison downstream is an exact equality.
+
+The records (orbit data, cones, sections, root data, ...) are plain
+classes on ``Record`` rather than dataclasses: each CLI call is one
+process, and ``dataclasses`` costs every launch the import of ``inspect``
+and an ``exec`` of each class's generated methods.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
@@ -59,26 +64,107 @@ def rat_str(q: Fraction) -> str:
         raise InputError(f"the exact value is too large to print: {exc}") from exc
 
 
-@dataclass(frozen=True)
+class Record:
+    """Base of the package's records: immutable values named by their fields.
+
+    A subclass lists its fields as annotations, in order, and gives a
+    default as a class attribute.  ``__init__`` binds the fields by
+    position or keyword, refusing a missing, unknown or surplus one with
+    TypeError, and then calls ``__post_init__``, which a subclass
+    overrides to normalize fields with ``object.__setattr__`` and validate.
+    Records compare and hash by their field tuple and print as
+    ``Name(field=value, ...)``.  Assignment and deletion raise
+    AttributeError; instances keep a ``__dict__`` for ``cached_property``.
+    No code is generated: the methods below serve every subclass.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # strings under `from __future__ import annotations`; only the names count
+        cls._fields = tuple(vars(cls).get("__annotations__", {}))
+        cls._names = frozenset(cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if args or kwargs.keys() != cls._names:
+            kwargs = cls._bind(args, kwargs)
+        # set one by one, in field order: filling __dict__ directly would
+        # materialize it and make every later attribute read slower
+        for name in cls._fields:
+            object.__setattr__(self, name, kwargs[name])
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Normalize and validate the bound fields; a subclass overrides it."""
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> dict:
+        """The fields as a dict from positional, keyword and default values."""
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} fields, got {len(args)}")
+        values = dict(zip(fields, args))
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif name in vars(cls):
+                values[name] = vars(cls)[name]
+            else:
+                raise TypeError(f"{cls.__name__}() missing field {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got unexpected or repeated fields {sorted(kwargs)}")
+        return values
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of frozen {type(self).__name__}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
 class PiScalar:
     """An exact value ``coeff * pi**pi_power``.
 
     Zero is canonicalized to pi power 0, so equality of PiScalars is plain
     field equality.  Addition is only defined between equal pi powers (or
     with zero); anything else raises MixedPiPowers rather than silently
-    producing a float.
+    producing a float.  Frozen like a Record, with its methods written
+    out: it is built for every orbit term.
 
     >>> PiScalar(2, 1) + PiScalar(Fraction(1, 2), 1)
     PiScalar(5/2 * pi^1)
     """
 
-    coeff: Fraction
-    pi_power: int = 0
-
-    def __post_init__(self):
-        c = rat(self.coeff)
+    def __init__(self, coeff, pi_power=0):
+        c = rat(coeff)
         object.__setattr__(self, "coeff", c)
-        object.__setattr__(self, "pi_power", 0 if c == 0 else int(self.pi_power))
+        object.__setattr__(self, "pi_power", 0 if c == 0 else int(pi_power))
+
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
+
+    def __eq__(self, other):
+        if type(other) is not PiScalar:
+            return NotImplemented
+        return (self.coeff, self.pi_power) == (other.coeff, other.pi_power)
+
+    def __hash__(self):
+        return hash((self.coeff, self.pi_power))
 
     @staticmethod
     def zero() -> "PiScalar":

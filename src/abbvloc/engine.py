@@ -11,7 +11,6 @@ by floating-point tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm
@@ -19,6 +18,7 @@ from math import factorial, lcm
 from .core import (
     Covector,
     PiScalar,
+    Record,
     Vector,
     _integer_row,
     _s_J_integer,
@@ -30,8 +30,7 @@ from .errors import InputError, MixedPiPowers, PoleAtSample
 from .sampling import SampleOutcome, sample_independent
 
 
-@dataclass(frozen=True)
-class OrbitDatum:
+class OrbitDatum(Record):
     """One isolated closed orbit: length, moment functional, weight list."""
 
     length: PiScalar
@@ -57,8 +56,7 @@ class OrbitDatum:
         return tuple(rows)
 
 
-@dataclass(frozen=True)
-class OrbitSystem:
+class OrbitSystem(Record):
     """A finite family of isolated closed orbits over one torus algebra.
 
     ``codim_half`` is n where the transverse codimension is 2n; each orbit

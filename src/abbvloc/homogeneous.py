@@ -14,17 +14,15 @@ SO(5)/SO(3), for which the four-summand expansion and the closed form
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .core import Covector, Matrix, PiScalar, Vector, rat
+from .core import Covector, Matrix, PiScalar, Record, Vector, rat
 from .engine import OrbitDatum, OrbitSystem, localize_volume
 from .errors import DegenerateReeb, InputError, PoleAtSample
 
 
-@dataclass(frozen=True)
-class RootData:
+class RootData(Record):
     """Quotient roots, Weyl representatives and the Reeb splitting data.
 
     ``weyl_reps`` act on the torus algebra; ``projection`` is the

@@ -7,19 +7,17 @@ identity ties both to the localized volume of the cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, prod
 
-from .core import Covector, PiScalar, Vector, _bareiss, _integer_row, _reduce, rat
+from .core import Covector, PiScalar, Record, Vector, _bareiss, _integer_row, _reduce, rat
 from .errors import EdgeConstantFunctional, InputError
 from .sampling import SampleOutcome, sample_independent
 from .toric import GoodCone, _bounded_edges, _integer_columns, _walk, toric_volume
 
 
-@dataclass(frozen=True)
-class HPolytope:
+class HPolytope(Record):
     """The section {phi : phi(v_i) <= 0, phi(reeb) = 1} as the vertex walk
     (``toric._walk``) found it: its vertices, sorted, and in vertex order
     the facets each vertex lies on (``facet_sets``).  The walk proves every
@@ -96,8 +94,7 @@ class HPolytope:
                      for scales, columns in self.integer_columns)
 
 
-@dataclass(frozen=True)
-class LinearFunctional:
+class LinearFunctional(Record):
     """Affine function f(x) = u(x) + d on the dual space."""
 
     u: Vector
@@ -209,8 +206,7 @@ def sample_lawrence(p: HPolytope, samples: int, seed: int) -> SampleOutcome:
     )
 
 
-@dataclass(frozen=True)
-class MsyCheck:
+class MsyCheck(Record):
     """Both sides of the cone-volume / section-volume bridge."""
 
     lhs: PiScalar

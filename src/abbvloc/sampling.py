@@ -8,10 +8,9 @@ draws sample vectors, rejects poles and compares the values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Vector
+from .core import Record, Vector
 from .errors import AllSamplesPoles, InconsistentSamples, PoleAtSample
 
 POLE_RETRY_BUDGET = 100
@@ -79,13 +78,21 @@ def sample_distinct_positive(count: int, rng: SplitMix64, budget: int = 1000) ->
     raise RuntimeError("pool too small for requested distinct sample")
 
 
-@dataclass
-class SampleOutcome:
-    """Result of a sample-independence check."""
+class SampleOutcome(Record):
+    """Result of a sample-independence check: the one mutable record, so
+    it is unhashable, and each instance starts its own ``samples_used``."""
 
     value: object
-    samples_used: list = field(default_factory=list)
+    samples_used: list = None
     rejected_poles: int = 0
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __post_init__(self):
+        if self.samples_used is None:
+            self.samples_used = []
 
 
 def sample_independent(evaluate, dim: int, samples: int, seed: int) -> SampleOutcome:

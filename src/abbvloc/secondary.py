@@ -13,18 +13,16 @@ degree, so the admissible J for complex codimension m satisfy |J| = m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
 
-from .core import PiScalar, Vector, _integer_row, _s_J_integer, canonical_multiindex, rat, s_J
+from .core import PiScalar, Record, Vector, _integer_row, _s_J_integer, canonical_multiindex, rat, s_J
 from .engine import OrbitSystem, localize_characteristic, weighted_sphere_system
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class WeightedSphereFoliation:
+class WeightedSphereFoliation(Record):
     """Weighted Reeb flow on the sphere of complex codimension m.
 
     Weights must be positive and pairwise distinct so the closed leaves

@@ -18,7 +18,6 @@ in the order NotSimpleVertex, GoodnessViolation, UnboundedSection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd
@@ -27,6 +26,7 @@ from .core import (
     Covector,
     Matrix,
     PiScalar,
+    Record,
     Vector,
     _bareiss,
     _column,
@@ -56,8 +56,7 @@ from .errors import (
 MAX_VERTICES = 1024
 
 
-@dataclass(frozen=True)
-class GoodCone:
+class GoodCone(Record):
     """Rational polyhedral cone {phi : phi(v_i) <= 0} with a Reeb vector.
 
     ``normals`` and ``reeb`` are stored in lattice coordinates; when a
@@ -151,8 +150,7 @@ class GoodCone:
         return _integer_columns(self.reeb, self.normals, [o.facet_indices for o in self.orbits])
 
 
-@dataclass(frozen=True)
-class ToricOrbit:
+class ToricOrbit(Record):
     """A vertex of the hyperplane section, i.e. one closed Reeb orbit.
 
     ``facet_indices`` are the facets through the vertex, in increasing

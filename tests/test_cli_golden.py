@@ -1,10 +1,11 @@
-"""Golden digests of the CLI's ``--json`` output.
+"""Golden digests of the CLI's output.
 
-Every subcommand runs on in-repo fixtures at seeds 42 and 7; the exit code
-and the SHA-256 of stdout must match the recorded values byte for byte.
-To re-record after an intentional output change, run this file as a
-script from the repo root (``PYTHONPATH=src python tests/test_cli_golden.py``)
-and paste the printed table over GOLDEN.
+Every subcommand runs on in-repo fixtures at seeds 42 and 7 with ``--json``
+(GOLDEN), and at seed 42 as text (TEXT_GOLDEN); the exit code and the
+SHA-256 of stdout must match the recorded values byte for byte.  To
+re-record after an intentional output change, run this file as a script
+from the repo root (``PYTHONPATH=src python tests/test_cli_golden.py``) and
+paste the printed tables over GOLDEN and TEXT_GOLDEN.
 """
 
 import hashlib
@@ -22,6 +23,7 @@ import pytest
 from abbvloc.cli import main
 
 SEEDS = (42, 7)
+TEXT_SEED = 42
 
 
 def _frac(q) -> str:
@@ -250,12 +252,55 @@ GOLDEN = {
     "check-v-independence-mixed@7": (0, "342c57494ff7813b4680efd52e04a22ee69d047b2ccf9c2164aca6662792fab0"),
 }
 
+# Text output (no --json) at TEXT_SEED.
+TEXT_GOLDEN = {
+    "volume-sphere-12": (0, "c5a4d1e39ca4cd113873f0aa4be2cd9af1a844f72bfd3db174d024ddf97f6c02"),
+    "volume-sphere-237": (0, "b5e0b6046520820b404ca756ce624af31b9e4fb215cf9e9894cfe0252e60a268"),
+    "volume-toric-sphere": (0, "25d101d964a1a99e28ac3d3d28ca35ad2044a660a3503523e3f78e0a81054174"),
+    "volume-toric-simplex": (0, "8c9ae326f9d7c25bbdd9d1ec57ef09d82e800bee619dd632f6be3455742e0e37"),
+    "volume-toric-cube-3": (0, "b95050b1baf1a733e3152e0d572273ba9a20701912e23b5c93e8065c18028449"),
+    "lawrence-simplex": (0, "e251b205598967240f5ab8037667fcf2652eddf00c734473dd7b846349fbdfbb"),
+    "lawrence-cube-3": (0, "b735b9d8abdbd5ce09e1c3787590a2be37bdb63d08e567694132c0fc85f89190"),
+    "polytope-volume-cube-3": (0, "e6279d82f4e7685f0e2d85ba8c7980eb5b6a50d4d73d22f0236623525d65b107"),
+    "polytope-volume-bare": (0, "f1e683776348c4126069067cce58e12ac1b2a2edac3484c4fe85f5529bb1cd6b"),
+    "msy-check-sphere": (0, "769ce0f89ff7f3389265e0383479750c7ad58eba57cb8b45872f2ab03b77c0bf"),
+    "msy-check-cube-3": (0, "fbb893d84f5a5d282170020ad7bae3bfeb3bb056039687a8573d23a02d173d17"),
+    "volume-toric-cube-4-rational": (0, "7e7451af7dd5f357487b454880e2f2f5da70f3f1882b2051ef661fb581506585"),
+    "msy-check-cube-4-rational": (0, "2224d07f6ebbd60b8520f1606026b6925c8e8be5cc10b1e1c5cd0f22292818f2"),
+    "lawrence-cube-4-rational": (0, "8b50958cda7c1947e491a165ca8f01ca6e67c393e950a91b6c0e18e6bef3f3ce"),
+    "polytope-volume-cube-4-rational": (0, "49b0146fc11fed7b2e947f1098a6a23c418948990b6c1324f5a7c639683a3242"),
+    "volume-toric-product-2-2": (0, "4c1d8b3cb841921922c3f933f1e1eede1a817de6d41a58c5b3972011b133d40f"),
+    "msy-check-product-2-2": (0, "f8e5feecb31ea4966d2a709c0bdc616ad80db4f686457e5796a76c6cd5f39f0e"),
+    "lawrence-product-2-2": (0, "e1c7ce180061a353dcde0dae9ba979735bb5726ba19e7c30772246827ef3aca1"),
+    "polytope-volume-product-2-2": (0, "924514858c1a218b3e93307b9b959b6bcaafa39f7aa567ec33864c82103e3a51"),
+    "volume-toric-not-good": (2, "6eee297ed67254ffcd62c0bf7ba20c8b3b3887e6ead627453278869cd7ee797b"),
+    "polytope-volume-not-good": (2, "6eee297ed67254ffcd62c0bf7ba20c8b3b3887e6ead627453278869cd7ee797b"),
+    "polytope-volume-cube-5": (0, "91e8dfc3c6e34251695b051a1e1fb262c299ccaffa1426592d858ecea421fc7c"),
+    "msy-check-cube-5": (0, "7302005a209f05cba02b9381f36d6f368c904749d491ff4ca962dbef8416666d"),
+    "polytope-volume-product-3-3": (0, "56ef331b507d77162e31adc007a806e13392a03f9666ecbf0a786dd8bb93984d"),
+    "msy-check-product-3-3": (0, "aea82dd06587a8e2cc40889b4760a101c5761d33876754f286a8de30eca6cfc8"),
+    "localize-sphere": (0, "3d65b741c14e753018fdf2d7f58f41bd8a00fc249f112b4402059d261217307a"),
+    "localize-j": (0, "5dfdd7216838ddc162d56593fff17a5c1b389039eeaf1cdc29e20a12f4afc51b"),
+    "dh-sphere": (0, "a22e52a7accdb935a9e3ab6f31a8aee527043381fc3fa599d8be69cff3e43c3c"),
+    "stiefel": (0, "f5a679fe2bf1b9c1a8c2222392abed53322a0227282a2b64dff7c9d39d01a408"),
+    "homogeneous": (0, "7ef81ed65fb448bcfb4ea6b68b8dd7a68265d13440433ed34e7c6ece89236a7d"),
+    "check-w1-3": (0, "3e1286898f1897235f61c8e598d32fc80651872b3c2c1d3bf8dab569d0d3e7b2"),
+    "secondary": (0, "ed19d1a0aeb5db0e5b73d58826fc32c1f7df0624d536782d04c287389b8efb31"),
+    "check-v-independence": (0, "91801b63c19a74e390a2d3a918be2679a0dd162989506c9ffc1d0a2485453e67"),
+    "check-v-independence-fail": (1, "05d7af23e4a6d941a1306c5543d05ebbc919f21a9e447e7bb67376d10b0ca9c8"),
+    "localize-mixed": (0, "15e31fcab16142657e925f20a28ca172afdf0e70eb2678ee5d1a06cb56a1dfdc"),
+    "localize-j-mixed": (0, "cc6f12ae11f0b68f349a0e63f5dfdaa711331de2ecb6ea75b513f4b7ec5988fb"),
+    "dh-mixed": (0, "95adc39a9e6d779e66d11e84aa9803a44cc1521b5e6e6d50d4cde13e6b203e52"),
+    "check-v-independence-mixed": (0, "5dcd93ef60b4ac58e66144a08fb00933b83e43277e7b47b61ea2695e030379eb"),
+}
 
-def run_case(argv, seed, fixture_dir):
+
+
+def run_case(argv, seed, fixture_dir, as_json=True):
     args = [os.path.join(fixture_dir, a[1:] + ".json") if a.startswith("@") else a for a in argv]
     out = io.StringIO()
     with redirect_stdout(out):
-        code = main(args + ["--json", "--seed", str(seed)])
+        code = main(args + ["--json"] * as_json + ["--seed", str(seed)])
     return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
 
 
@@ -278,6 +323,11 @@ def test_golden_output(case_id, argv, seed, fixture_dir):
     assert run_case(argv, seed, fixture_dir) == GOLDEN[f"{case_id}@{seed}"]
 
 
+@pytest.mark.parametrize("case_id,argv", CASES, ids=[c[0] for c in CASES])
+def test_golden_text_output(case_id, argv, fixture_dir):
+    assert run_case(argv, TEXT_SEED, fixture_dir, as_json=False) == TEXT_GOLDEN[case_id]
+
+
 def test_every_subcommand_is_pinned():
     pinned = {argv[0] for _, argv in CASES}
     assert pinned == {
@@ -295,5 +345,10 @@ if __name__ == "__main__":
             for seed in SEEDS:
                 code, digest = run_case(argv, seed, directory)
                 print(f'    "{case_id}@{seed}": ({code}, "{digest}"),')
+        print("}")
+        print("TEXT_GOLDEN = {")
+        for case_id, argv in CASES:
+            code, digest = run_case(argv, TEXT_SEED, directory, as_json=False)
+            print(f'    "{case_id}": ({code}, "{digest}"),')
         print("}")
     sys.exit(0)
