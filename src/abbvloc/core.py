@@ -82,16 +82,13 @@ class Record:
         super().__init_subclass__(**kwargs)
         # strings under `from __future__ import annotations`; only the names count
         cls._fields = tuple(vars(cls).get("__annotations__", {}))
-        cls._names = frozenset(cls._fields)
 
     def __init__(self, *args, **kwargs):
-        cls = type(self)
-        if args or kwargs.keys() != cls._names:
-            kwargs = cls._bind(args, kwargs)
+        values = type(self)._bind(args, kwargs)
         # set one by one, in field order: filling __dict__ directly would
         # materialize it and make every later attribute read slower
-        for name in cls._fields:
-            object.__setattr__(self, name, kwargs[name])
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
         self.__post_init__()
 
     def __post_init__(self):
@@ -137,34 +134,25 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-class PiScalar:
+class PiScalar(Record):
     """An exact value ``coeff * pi**pi_power``.
 
     Zero is canonicalized to pi power 0, so equality of PiScalars is plain
     field equality.  Addition is only defined between equal pi powers (or
     with zero); anything else raises MixedPiPowers rather than silently
-    producing a float.  Frozen like a Record, with its methods written
-    out: it is built for every orbit term.
+    producing a float.
 
     >>> PiScalar(2, 1) + PiScalar(Fraction(1, 2), 1)
     PiScalar(5/2 * pi^1)
     """
 
-    def __init__(self, coeff, pi_power=0):
-        c = rat(coeff)
+    coeff: Fraction
+    pi_power: int = 0
+
+    def __post_init__(self):
+        c = rat(self.coeff)
         object.__setattr__(self, "coeff", c)
-        object.__setattr__(self, "pi_power", 0 if c == 0 else int(pi_power))
-
-    __setattr__ = Record.__setattr__
-    __delattr__ = Record.__delattr__
-
-    def __eq__(self, other):
-        if type(other) is not PiScalar:
-            return NotImplemented
-        return (self.coeff, self.pi_power) == (other.coeff, other.pi_power)
-
-    def __hash__(self):
-        return hash((self.coeff, self.pi_power))
+        object.__setattr__(self, "pi_power", 0 if c == 0 else int(self.pi_power))
 
     @staticmethod
     def zero() -> "PiScalar":

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import pytest
 
-from abbvloc import toric
 from abbvloc.core import PiScalar
 from abbvloc.engine import OrbitDatum, OrbitSystem, weighted_sphere_system
 from abbvloc.homogeneous import RootData, stiefel_so5_so3
@@ -135,21 +134,6 @@ def test_repr_strings():
         "MsyCheck(lhs=PiScalar(2 * pi^2), rhs=PiScalar(2 * pi^2), equal=True, "
         "section_volume=Fraction(1, 1))"
     )
-
-
-def test_cone_orbits_are_enumerated_once(monkeypatch):
-    calls = []
-    original = toric.enumerate_vertices
-
-    def counting(cone):
-        calls.append(cone)
-        return original(cone)
-
-    monkeypatch.setattr(toric, "enumerate_vertices", counting)
-    cone = simplex_cone(3)
-    first, second = cone.orbits, cone.orbits
-    assert first is second
-    assert len(calls) == 1
 
 
 def test_sample_outcomes_do_not_share_sample_lists():
