@@ -8,19 +8,16 @@ exact equality.
 
 from .core import (
     Covector,
-    Matrix,
     PiScalar,
     Rational,
     Vector,
     complete_homogeneous,
-    det,
     elementary_symmetric,
     partitions,
     power_sum,
     rat,
     s_J,
     smith_normal_form,
-    solve_linear,
 )
 from .engine import (
     OrbitDatum,

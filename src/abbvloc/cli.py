@@ -31,7 +31,7 @@ import sys
 from fractions import Fraction
 from math import factorial
 
-from .core import Matrix, PiScalar, Vector, canonical_multiindex, partitions, rat, rat_str
+from .core import PiScalar, Vector, canonical_multiindex, partitions, rat, rat_str
 from .engine import (
     OrbitDatum,
     OrbitSystem,
@@ -160,10 +160,16 @@ def _integer(doc) -> int:
     return q.numerator
 
 
-def _matrix(doc, memo: dict) -> Matrix:
+def _matrix(doc, memo: dict) -> tuple:
+    """A JSON array of rows of rationals as a tuple of row tuples.  Every
+    row is parsed before the widths are compared, so a bad literal is
+    reported before ragged rows."""
     if not isinstance(doc, list):
         raise TypeError(f"expected a JSON array of rows, got {type(doc).__name__}")
-    return Matrix(_vector(row, memo) for row in doc)
+    rows = tuple(tuple(_vector(row, memo)) for row in doc)
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged rows")
+    return rows
 
 
 def _load_orbit_system(doc) -> OrbitSystem:

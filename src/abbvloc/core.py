@@ -1,6 +1,8 @@
 """Exact computation substrate: rationals, pi-graded scalars, vectors and
-covectors, rational matrices, Smith normal form, symmetric polynomials,
-and ``Record``, the frozen-record base of the package's value classes.
+covectors, the integer elimination kernels (``_bareiss`` for determinants,
+``_pivot`` and ``_reduce`` for Gauss-Jordan steps and reductions), Smith
+normal form, symmetric polynomials, and ``Record``, the frozen-record base
+of the package's value classes.  Matrices are plain tuples of rows.
 
 All arithmetic is exact.  Rationals are ``fractions.Fraction`` (arbitrary
 precision, always reduced, positive denominator), and scalars that carry a
@@ -19,13 +21,7 @@ import itertools
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-from .errors import (
-    InputError,
-    MixedPiPowers,
-    NonIntegerMatrix,
-    NonSquareMatrix,
-    SingularMatrix,
-)
+from .errors import InputError, MixedPiPowers, NonIntegerMatrix, SingularMatrix
 
 Rational = Fraction
 
@@ -288,108 +284,6 @@ def basis_covector(dim: int, j: int) -> Covector:
     return Covector(Fraction(1 if i == j else 0) for i in range(dim))
 
 
-class Matrix:
-    """A dense rational matrix; rows of Fractions, immutable after build."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = tuple(tuple(rat(e) for e in row) for row in rows)
-        if self.rows:
-            width = len(self.rows[0])
-            if any(len(r) != width for r in self.rows):
-                raise ValueError("ragged rows")
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(
-            [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        )
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    @property
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.rows)
-
-    def apply(self, v) -> Vector:
-        if len(v) != self.ncols:
-            raise ValueError("dimension mismatch in matrix apply")
-        return Vector(
-            sum((r[j] * v[j] for j in range(self.ncols)), Fraction(0))
-            for r in self.rows
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.ncols != other.nrows:
-                raise ValueError("dimension mismatch in matrix product")
-            cols = [other.column(j) for j in range(other.ncols)]
-            return Matrix(
-                [
-                    [
-                        sum((r[k] * c[k] for k in range(self.ncols)), Fraction(0))
-                        for c in cols
-                    ]
-                    for r in self.rows
-                ]
-            )
-        return self.apply(other)
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        body = "; ".join(" ".join(rat_str(e) for e in r) for r in self.rows)
-        return f"Matrix[{body}]"
-
-    def det(self) -> Fraction:
-        return det(self)
-
-    def inverse(self) -> "Matrix":
-        """Exact inverse: (m | I) reduced by _reduce to (T I | T m^-1)."""
-        if not self.is_square:
-            raise NonSquareMatrix("inverse of a non-square matrix")
-        n = self.nrows
-        a, t = _reduce([r + e for r, e in zip(self.rows, Matrix.identity(n).rows)], n)
-        return Matrix([[Fraction(x, t) for x in row[n:]] for row in a])
-
-
-def det(m: Matrix) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination on integers.
-
-    Each row is scaled by the lcm of its denominators, so ``_bareiss``
-    runs on Python ints; the determinant is its result over the product of
-    the row scales.
-
-    >>> det(Matrix([[2, 1], [1, 1]]))
-    Fraction(1, 1)
-    >>> det(Matrix([["1/2", 1], [0, "2/3"]]))
-    Fraction(1, 3)
-    """
-    if not m.is_square:
-        raise NonSquareMatrix("determinant of a non-square matrix")
-    a = []
-    scale = 1
-    for row in m.rows:
-        row_scale, ints = _integer_row(row)
-        scale *= row_scale
-        a.append(ints)
-    return Fraction(_bareiss(a), scale)
-
-
 def _bareiss(a) -> int:
     """The determinant of the square integer rows a, a list of lists (1
     when a is empty), by forward fraction-free elimination (Bareiss 1968).
@@ -478,21 +372,6 @@ def _reduce(rows, n: int) -> tuple:
         a[i], a[piv] = a[piv], a[i]
         a, t = _pivot(a, t, i, [row[i] for row in a])
     return a, t
-
-
-def solve_linear(m: Matrix, rhs) -> Vector:
-    """Exact solution of ``m x = rhs``: (m | rhs) reduced by _reduce to
-    (T I | T x).
-
-    Raises SingularMatrix when det(m) = 0.
-    """
-    if not m.is_square:
-        raise NonSquareMatrix("solve requires a square matrix")
-    n = m.nrows
-    if len(rhs) != n:
-        raise ValueError("right-hand side has wrong length")
-    a, t = _reduce([r + (rat(rhs[i]),) for i, r in enumerate(m.rows)], n)
-    return Vector(Fraction(row[n], t) for row in a)
 
 
 def _as_int_rows(mat) -> list:
@@ -706,7 +585,6 @@ def partitions(m: int) -> list:
 
 __all__ = [
     "Covector",
-    "Matrix",
     "PiScalar",
     "Rational",
     "Vector",
@@ -714,7 +592,6 @@ __all__ = [
     "basis_vector",
     "canonical_multiindex",
     "complete_homogeneous",
-    "det",
     "elementary_symmetric",
     "factorial",
     "integer_gcd",
@@ -724,5 +601,4 @@ __all__ = [
     "rat_str",
     "s_J",
     "smith_normal_form",
-    "solve_linear",
 ]

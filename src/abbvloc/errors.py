@@ -9,10 +9,6 @@ class InputError(LocalizationError):
     """Malformed or inconsistent input data."""
 
 
-class NonSquareMatrix(LocalizationError):
-    """A square matrix was required."""
-
-
 class SingularMatrix(LocalizationError):
     """Linear solve or inversion hit a zero determinant."""
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .core import Covector, Matrix, PiScalar, Record, Vector, rat
+from .core import Covector, PiScalar, Record, Vector, _reduce, rat
 from .engine import OrbitDatum, OrbitSystem, localize_volume
 from .errors import DegenerateReeb, InputError, PoleAtSample
 
@@ -25,9 +25,10 @@ from .errors import DegenerateReeb, InputError, PoleAtSample
 class RootData(Record):
     """Quotient roots, Weyl representatives and the Reeb splitting data.
 
-    ``weyl_reps`` act on the torus algebra; ``projection`` is the
-    functional p with p(b) = 1 that kills the isotropy part of the
-    splitting.
+    ``weyl_reps`` act on the torus algebra, each a square matrix of size
+    ``dim_t`` given as rows of rationals (tuples or lists) and kept as a
+    tuple of rational row tuples; ``projection`` is the functional p with
+    p(b) = 1 that kills the isotropy part of the splitting.
     """
 
     dim_t: int
@@ -42,13 +43,11 @@ class RootData(Record):
         )
         object.__setattr__(self, "b", Vector(self.b))
         object.__setattr__(self, "projection", Covector(self.projection))
-        reps = []
-        for w in self.weyl_reps:
-            m = w if isinstance(w, Matrix) else Matrix(w)
-            if not (m.is_square and m.nrows == self.dim_t):
+        reps = tuple(tuple(tuple(rat(e) for e in row) for row in w) for w in self.weyl_reps)
+        for w in reps:
+            if not (len(w) == self.dim_t and all(len(row) == self.dim_t for row in w)):
                 raise InputError("Weyl representative has the wrong shape")
-            reps.append(m)
-        object.__setattr__(self, "weyl_reps", tuple(reps))
+        object.__setattr__(self, "weyl_reps", reps)
         if len(self.b) != self.dim_t or len(self.projection) != self.dim_t:
             raise InputError("b and projection must have dimension dim_t")
         if any(len(r) != self.dim_t for r in self.roots_quotient):
@@ -86,9 +85,13 @@ def root_data_system(rd: RootData, b_prime: Vector) -> OrbitSystem:
     b_prime = Vector(b_prime)
     if len(b_prime) != rd.dim_t:
         raise InputError("vectors must have dimension dim_t")
+    n = rd.dim_t
+    identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     orbits = []
     for w in rd.weyl_reps:
-        columns = tuple(zip(*w.inverse().rows))
+        # (w | I) reduced to (T I | T w^-1): the columns of w^-1
+        a, t = _reduce([row + e for row, e in zip(w, identity)], n)
+        columns = tuple(zip(*([Fraction(x, t) for x in row[n:]] for row in a)))
         q = Covector(rd.projection(c) for c in columns)
         qb = q(b_prime)
         if qb == 0:
@@ -116,10 +119,11 @@ def homogeneous_volume(rd: RootData, b_prime: Vector, v: Vector) -> PiScalar:
 def stiefel_so5_so3() -> RootData:
     """Root data for SO(5)/SO(3) with its three-torus in coordinates
     (x, y, z); the homogeneous Reeb element is (0, 0, 1)."""
-    swap = Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    flip_x = Matrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    flip_x = ((-1, 0, 0), (0, 1, 0), (0, 0, 1))
     # inverses of these act as: identity, x-flip, xy-swap, (x,y) -> (-y, x)
-    swap_flip = Matrix([[0, 1, 0], [-1, 0, 0], [0, 0, 1]])
+    swap_flip = ((0, 1, 0), (-1, 0, 0), (0, 0, 1))
     return RootData(
         dim_t=3,
         roots_quotient=(
@@ -127,7 +131,7 @@ def stiefel_so5_so3() -> RootData:
             Covector([1, 1, 0]),
             Covector([1, -1, 0]),
         ),
-        weyl_reps=(Matrix.identity(3), flip_x, swap, swap_flip),
+        weyl_reps=(identity, flip_x, swap, swap_flip),
         b=Vector([0, 0, 1]),
         projection=Covector([-1, 0, 1]),
     )

@@ -24,7 +24,6 @@ from math import factorial, gcd
 
 from .core import (
     Covector,
-    Matrix,
     PiScalar,
     Record,
     Vector,
@@ -60,9 +59,11 @@ class GoodCone(Record):
     """Rational polyhedral cone {phi : phi(v_i) <= 0} with a Reeb vector.
 
     ``normals`` and ``reeb`` are stored in lattice coordinates; when a
-    nontrivial ``lattice_basis`` is supplied (columns = lattice generators
-    in the input coordinates), inputs are converted at construction and the
-    normals must land on integer vectors.
+    nontrivial ``lattice_basis`` is supplied (rows of rationals, in tuples
+    or lists, whose columns are the lattice generators in the input
+    coordinates), inputs are converted at construction and the normals
+    must land on integer vectors.  The basis is not kept: the field reads
+    None after construction.
 
     ``pi_scale_exponent`` records how many factors of 2 pi are absorbed
     into each lattice generator (0 or 1, uniform across axes).  With
@@ -79,7 +80,7 @@ class GoodCone(Record):
     dim: int
     normals: tuple
     reeb: Vector
-    lattice_basis: Matrix = None
+    lattice_basis: tuple = None
     pi_scale_exponent: int = 1
 
     def __post_init__(self):
@@ -95,13 +96,16 @@ class GoodCone(Record):
         if len(normals) < d:
             raise InputError(f"need at least {d} facet normals, got {len(normals)}")
         basis = self.lattice_basis
-        if basis is not None and basis != Matrix.identity(d):
-            if not (basis.is_square and basis.nrows == d):
+        if basis is not None:
+            basis = tuple(tuple(rat(e) for e in r) for r in basis)
+        if basis is not None and basis != tuple(tuple(int(i == j) for j in range(d))
+                                                for i in range(d)):
+            if not (len(basis) == d and all(len(r) == d for r in basis)):
                 raise InputError("lattice_basis must be a square matrix of the cone dimension")
             # one reduction of (B | v_1 ... v_m b) to (T I | T B^-1 (v_1 ... v_m b))
             try:
                 a, t = _reduce([r + tuple(v[i] for v in normals) + (reeb[i],)
-                                for i, r in enumerate(basis.rows)], d)
+                                for i, r in enumerate(basis)], d)
             except SingularMatrix:
                 raise InputError("lattice_basis is singular") from None
             coords = [Vector(Fraction(x, t) for x in col) for col in list(zip(*a))[d:]]
@@ -226,8 +230,8 @@ def _walk(normals, reeb) -> tuple:
     the Reeb vector, else a facet index.  Its dictionary is the adjugate
     A = T M^-1 on Python ints with T = det M, so the vertex is
     scale * A[b's row] / T and the other rows are the weights; ``_pivot``,
-    the Gauss-Jordan step of ``solve_linear``, moves it to a neighbouring
-    basis.
+    the fraction-free Gauss-Jordan step that ``core._reduce`` repeats,
+    moves it to a neighbouring basis.
 
     The first basis pivots the columns (b, v_1, ..., v_m) greedily into the
     identity's positions.  A dual simplex with Bland's rule then

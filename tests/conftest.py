@@ -1,7 +1,7 @@
 import pytest
 
-from abbvloc.core import Matrix
 from abbvloc.sampling import SplitMix64, sample_distinct_positive, sample_rational
+from matrix_oracle import elimination_det
 
 
 @pytest.fixture
@@ -14,9 +14,11 @@ def make_rng(seed=42):
 
 
 def random_matrix(n, rng, allow_zero=True):
+    """An n x n matrix of sampled rationals, as a list of rows; nonsingular
+    by the Fraction oracle unless ``allow_zero``."""
     while True:
-        m = Matrix([[sample_rational(rng) for _ in range(n)] for _ in range(n)])
-        if allow_zero or m.det() != 0:
+        m = [[sample_rational(rng) for _ in range(n)] for _ in range(n)]
+        if allow_zero or elimination_det(m) != 0:
             return m
 
 
@@ -25,7 +27,8 @@ def random_weights(count, seed):
 
 
 def random_unimodular(n, rng, steps=12):
-    """Product of elementary integer row operations; determinant is +-1."""
+    """Product of elementary integer row operations, as a list of rows;
+    determinant is +-1."""
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(steps):
         i = rng.next_u64() % n
@@ -35,4 +38,4 @@ def random_unimodular(n, rng, steps=12):
             continue
         c = (rng.next_u64() % 5) - 2
         rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-    return Matrix(rows)
+    return rows

@@ -11,7 +11,8 @@ from fractions import Fraction
 from math import factorial
 
 from abbvloc.core import PiScalar, Vector
-from abbvloc.errors import DegenerateReeb, PoleAtSample
+from abbvloc.errors import DegenerateReeb, PoleAtSample, SingularMatrix
+from matrix_oracle import apply, inverse
 
 
 def root_data_volume(rd, b_prime, v) -> PiScalar:
@@ -21,14 +22,16 @@ def root_data_volume(rd, b_prime, v) -> PiScalar:
             / prod_roots root(w^-1 (v - (p(w^-1 v)/p(w^-1 b')) b')).
 
     Raises DegenerateReeb when p(w^-1 b') = 0 and PoleAtSample when a root
-    vanishes at its argument."""
+    vanishes at its argument, and SingularMatrix for a singular w."""
     v, b_prime = Vector(v), Vector(b_prime)
     n = rd.codim_half
     p = rd.projection
     total = Fraction(0)
     for w in rd.weyl_reps:
-        inv = w.inverse()
-        wb, wv = inv.apply(b_prime), inv.apply(v)
+        inv = inverse(w)
+        if inv is None:
+            raise SingularMatrix("matrix is singular")
+        wb, wv = apply(inv, b_prime), apply(inv, v)
         pb = p(wb)
         if pb == 0:
             raise DegenerateReeb("Reeb element projects to zero along a Weyl image")

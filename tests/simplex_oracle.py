@@ -10,8 +10,9 @@ so the two can be compared.
 from fractions import Fraction
 from math import factorial
 
-from abbvloc.core import Covector, Matrix, Vector, basis_covector, det
+from abbvloc.core import Covector, Vector, basis_covector
 from abbvloc.errors import InputError, NotSimpleVertex
+from matrix_oracle import elimination_det
 
 
 def omega_h(b: Vector, edges, w: Covector = None) -> Fraction:
@@ -38,7 +39,7 @@ def omega_h(b: Vector, edges, w: Covector = None) -> Fraction:
         w = Covector(w)
         if w(b) != 1:
             raise InputError("auxiliary covector must pair to 1 with the Reeb vector")
-    return det(Matrix([tuple(w)] + [tuple(e) for e in edges]))
+    return elimination_det([w, *edges])
 
 
 def pulling_simplices(vertex_ids, common, actives, section_dim):

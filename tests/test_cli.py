@@ -7,12 +7,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from abbvloc.cli import DH_MAX_ORDER, MAX_SAMPLES, MAX_TRIALS, _load_orbit_system, main
-from abbvloc.core import Covector, Matrix, PiScalar, Vector, rat, rat_str
+import abbvloc.homogeneous
+from abbvloc.cli import DH_MAX_ORDER, MAX_SAMPLES, MAX_TRIALS, _load_cone, _load_orbit_system, main
+from abbvloc.core import Covector, PiScalar, Vector, rat, rat_str
 from abbvloc.engine import OrbitDatum, OrbitSystem, weighted_sphere_system
 from abbvloc.errors import InputError
 from abbvloc.homogeneous import stiefel_so5_so3
-from abbvloc.toric import MAX_VERTICES, enumerate_vertices
+from abbvloc.toric import MAX_VERTICES, GoodCone, enumerate_vertices
+from matrix_oracle import apply
 from test_cli_golden import cube_cone_doc
 from test_cli_golden import sphere_system_doc as weighted_sphere_system_doc
 
@@ -82,7 +84,7 @@ def root_data_doc():
 def input_coordinates(basis, v) -> list:
     """B v as "p/q" strings: the input coordinates of the lattice vector v
     over the lattice basis B (a list of rows)."""
-    return [rat_str(x) for x in Matrix(basis).apply(Vector(v))]
+    return [rat_str(x) for x in apply(basis, Vector(v))]
 
 
 def corrupted_system_doc():
@@ -274,6 +276,15 @@ class TestToricCommands:
             code, expected)
         assert code == 0
 
+    @pytest.mark.parametrize("basis", [[[1, 1], [0, 1]], [[1, 0], [0, 1]], ((1, 0), (0, 1)),
+                                       [["1", "-1"], ["0", "1"]]])
+    def test_cone_from_plain_rows_equals_the_loaded_cone(self, basis):
+        """A lattice basis given to GoodCone as nested lists or tuples, as
+        RootData takes its Weyl representatives."""
+        doc = dict(sphere_cone_doc([1, 2]), lattice_basis=[list(row) for row in basis])
+        cone = GoodCone(dim=2, normals=doc["normals"], reeb=doc["reeb"], lattice_basis=basis)
+        assert cone == _load_cone(doc)
+        assert cone.lattice_basis is None
 
     @pytest.mark.parametrize("command", ["volume-toric", "polytope-volume"])
     def test_vertex_cap_exit_2(self, capsys, tmp_path, command):
@@ -371,18 +382,21 @@ class TestHomogeneousCommands:
         assert json.loads(out)["exact"] == "2/3 * pi^4"
 
     def test_weyl_inverses_once_per_root_datum(self, capsys, monkeypatch):
+        """One reduction of (w | I) per Weyl representative w, whatever the
+        number of samples."""
         calls = []
-        inverse = Matrix.inverse
+        reduce = abbvloc.homogeneous._reduce
 
-        def counting(self):
-            calls.append(self)
-            return inverse(self)
+        def counting(rows, n):
+            calls.append(tuple(tuple(row[:n]) for row in rows))
+            return reduce(rows, n)
 
-        monkeypatch.setattr(Matrix, "inverse", counting)
+        monkeypatch.setattr(abbvloc.homogeneous, "_reduce", counting)
         code, out = run_cli(capsys, "homogeneous", "--b-prime", "1,2,5", "--samples", "10", "--json")
         assert code == 0
         assert json.loads(out)["exact"] == "1/756 * pi^4"
-        assert sorted(map(repr, calls)) == sorted(map(repr, stiefel_so5_so3().weyl_reps))
+        assert len(calls) == 4
+        assert sorted(calls) == sorted(stiefel_so5_so3().weyl_reps)
 
 
 class TestIdentityCommands:

@@ -108,6 +108,14 @@ def simplex_product_cone_doc(a, b, reeb):
     return {"dim": d, "pi_scale_exponent": 1, "normals": normals, "reeb": reeb}
 
 
+def stiefel_root_data_doc(*weyl_reps):
+    """SO(5)/SO(3)'s root data with the identity and the given rows as its
+    Weyl representatives."""
+    identity = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    return {"dim_t": 3, "roots": [["1", "0", "0"], ["1", "1", "0"], ["1", "-1", "0"]],
+            "weyl_reps": [identity, *weyl_reps], "b": ["0", "0", "1"], "p": ["-1", "0", "1"]}
+
+
 def corrupted_system_doc():
     doc = sphere_system_doc([1, 2])
     doc["orbits"] = doc["orbits"][:1]
@@ -132,6 +140,14 @@ FIXTURES = {
     # sections on which the ascending and descending pulling orders share no face
     "cube-5": cube_cone_doc(5),
     "product-3-3": simplex_product_cone_doc(3, 3, ["9", "1/2", "2", "-1/3", "1", "3/2", "-1"]),
+    # matrix-shaped input errors, exit 2; a bad literal is reported before ragged rows
+    **{f"cone-basis-{name}": dict(sphere_cone_doc([1, 2]), lattice_basis=basis)
+       for name, basis in (("empty", []), ("one-row", [[1, 0]]), ("ragged", [[1, 0], [0]]),
+                           ("singular", [[1, 0], [0, 0]]),
+                           ("ragged-bad-literal", [[1, 0], [0], ["x", 1]]))},
+    "roots-weyl-ragged": stiefel_root_data_doc([["0", "1", "0"], ["1", "0"], ["0", "0", "1"]]),
+    "roots-weyl-2x3": stiefel_root_data_doc([["0", "1", "0"], ["1", "0", "0"]]),
+    "roots-weyl-singular": stiefel_root_data_doc([["0", "1", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
 }
 
 # (case id, argv); "@name" is replaced by the path of FIXTURES[name].
@@ -154,6 +170,10 @@ CASES = (
       for command in ("volume-toric", "polytope-volume")),
     *((f"{command}-{name}", (command, "--input", f"@{name}"))
       for name in ("cube-5", "product-3-3") for command in ("polytope-volume", "msy-check")),
+    *((f"volume-toric-basis-{name}", ("volume-toric", "--input", f"@cone-basis-{name}"))
+      for name in ("empty", "one-row", "ragged", "singular", "ragged-bad-literal")),
+    *((f"homogeneous-{name}", ("homogeneous", "--input", f"@roots-{name}", "--b-prime", "0,0,1"))
+      for name in ("weyl-ragged", "weyl-2x3", "weyl-singular")),
     ("localize-sphere", ("localize", "--input", "@sphere-123")),
     ("localize-j", ("localize", "--input", "@sphere-123", "--j", "1,1",
                     "--leaf-integrals", "6,3,2", "--samples", "4")),
@@ -242,6 +262,22 @@ GOLDEN = {
     "polytope-volume-product-3-3@7": (0, "87beb5d63aa3dee5b541519bd7623147fff0deacfbfbb5b7ccd9589aac324b66"),
     "msy-check-product-3-3@42": (0, "39b8e4e249ca009a68afb982f86fcf329560ed06678a42d4e4c0ec4c5f344e55"),
     "msy-check-product-3-3@7": (0, "39b8e4e249ca009a68afb982f86fcf329560ed06678a42d4e4c0ec4c5f344e55"),
+    "volume-toric-basis-empty@42": (2, "25195c5744dd46584a79ed753f754afe501507c0f8284a7f46e5613062f41105"),
+    "volume-toric-basis-empty@7": (2, "25195c5744dd46584a79ed753f754afe501507c0f8284a7f46e5613062f41105"),
+    "volume-toric-basis-one-row@42": (2, "25195c5744dd46584a79ed753f754afe501507c0f8284a7f46e5613062f41105"),
+    "volume-toric-basis-one-row@7": (2, "25195c5744dd46584a79ed753f754afe501507c0f8284a7f46e5613062f41105"),
+    "volume-toric-basis-ragged@42": (2, "4e113417a9225295c8783cad3e8c7c22b3087235546b7c7182a3b815b9e283b4"),
+    "volume-toric-basis-ragged@7": (2, "4e113417a9225295c8783cad3e8c7c22b3087235546b7c7182a3b815b9e283b4"),
+    "volume-toric-basis-singular@42": (2, "fcc10f8ed7776bd2129be7e2e630d4c244a422cdac6be4dbd004a2cbbaff9429"),
+    "volume-toric-basis-singular@7": (2, "fcc10f8ed7776bd2129be7e2e630d4c244a422cdac6be4dbd004a2cbbaff9429"),
+    "volume-toric-basis-ragged-bad-literal@42": (2, "12d1596a38431cac2f3c6b651ec832a9e08839a2ee90f582f057177c857922d1"),
+    "volume-toric-basis-ragged-bad-literal@7": (2, "12d1596a38431cac2f3c6b651ec832a9e08839a2ee90f582f057177c857922d1"),
+    "homogeneous-weyl-ragged@42": (2, "8d378b9710446532e79ca6935ef98f8f35ca771b618f5d6a643f85b2f031e299"),
+    "homogeneous-weyl-ragged@7": (2, "8d378b9710446532e79ca6935ef98f8f35ca771b618f5d6a643f85b2f031e299"),
+    "homogeneous-weyl-2x3@42": (2, "2f7cd6429c90cd87d4f2dff986b176e7e4ecb5c446ca1fef1066c85105fdec2a"),
+    "homogeneous-weyl-2x3@7": (2, "2f7cd6429c90cd87d4f2dff986b176e7e4ecb5c446ca1fef1066c85105fdec2a"),
+    "homogeneous-weyl-singular@42": (2, "8e2d687f62fa7b1efecd23c18afb1aeb11009aedee12e29844f86cf948cebad9"),
+    "homogeneous-weyl-singular@7": (2, "8e2d687f62fa7b1efecd23c18afb1aeb11009aedee12e29844f86cf948cebad9"),
     "localize-mixed@42": (0, "a8d0d902083a3e6713c63fc95925e6a947f9ce828c2254401e00e6a30983e7a0"),
     "localize-mixed@7": (0, "a8d0d902083a3e6713c63fc95925e6a947f9ce828c2254401e00e6a30983e7a0"),
     "localize-j-mixed@42": (0, "1c448351d48737f40a0f7115165fcac319f5a6b628ef470ab69f83b7448a2428"),
@@ -279,6 +315,14 @@ TEXT_GOLDEN = {
     "msy-check-cube-5": (0, "7302005a209f05cba02b9381f36d6f368c904749d491ff4ca962dbef8416666d"),
     "polytope-volume-product-3-3": (0, "56ef331b507d77162e31adc007a806e13392a03f9666ecbf0a786dd8bb93984d"),
     "msy-check-product-3-3": (0, "aea82dd06587a8e2cc40889b4760a101c5761d33876754f286a8de30eca6cfc8"),
+    "volume-toric-basis-empty": (2, "25195c5744dd46584a79ed753f754afe501507c0f8284a7f46e5613062f41105"),
+    "volume-toric-basis-one-row": (2, "25195c5744dd46584a79ed753f754afe501507c0f8284a7f46e5613062f41105"),
+    "volume-toric-basis-ragged": (2, "4e113417a9225295c8783cad3e8c7c22b3087235546b7c7182a3b815b9e283b4"),
+    "volume-toric-basis-singular": (2, "fcc10f8ed7776bd2129be7e2e630d4c244a422cdac6be4dbd004a2cbbaff9429"),
+    "volume-toric-basis-ragged-bad-literal": (2, "12d1596a38431cac2f3c6b651ec832a9e08839a2ee90f582f057177c857922d1"),
+    "homogeneous-weyl-ragged": (2, "8d378b9710446532e79ca6935ef98f8f35ca771b618f5d6a643f85b2f031e299"),
+    "homogeneous-weyl-2x3": (2, "2f7cd6429c90cd87d4f2dff986b176e7e4ecb5c446ca1fef1066c85105fdec2a"),
+    "homogeneous-weyl-singular": (2, "8e2d687f62fa7b1efecd23c18afb1aeb11009aedee12e29844f86cf948cebad9"),
     "localize-sphere": (0, "3d65b741c14e753018fdf2d7f58f41bd8a00fc249f112b4402059d261217307a"),
     "localize-j": (0, "5dfdd7216838ddc162d56593fff17a5c1b389039eeaf1cdc29e20a12f4afc51b"),
     "dh-sphere": (0, "a22e52a7accdb935a9e3ab6f31a8aee527043381fc3fa599d8be69cff3e43c3c"),

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from abbvloc.core import (
     Covector,
-    Matrix,
     PiScalar,
     Vector,
+    _bareiss,
+    _integer_row,
+    _reduce,
     canonical_multiindex,
     complete_homogeneous,
-    det,
     elementary_symmetric,
     partitions,
     power_sum,
@@ -20,16 +21,19 @@ from abbvloc.core import (
     rat_str,
     s_J,
     smith_normal_form,
-    solve_linear,
 )
-from abbvloc.errors import (
-    MixedPiPowers,
-    NonIntegerMatrix,
-    NonSquareMatrix,
-    SingularMatrix,
-)
-from conftest import make_rng, random_matrix, random_unimodular
+from abbvloc.errors import MixedPiPowers, NonIntegerMatrix, SingularMatrix
 from abbvloc.sampling import sample_rational
+from conftest import make_rng, random_matrix, random_unimodular
+from matrix_oracle import (
+    apply,
+    elimination_det,
+    identity,
+    inverse,
+    leibniz_det,
+    mat_mul,
+    solve,
+)
 
 
 class TestRational:
@@ -102,26 +106,51 @@ class TestVectors:
             Covector([1, 2])(Vector([1, 2, 3]))
 
 
+def kernel_det(rows) -> Fraction:
+    """det by the package's kernel: _bareiss on the rows scaled to integers
+    (_integer_row), over the product of the row scales."""
+    scale, ints = 1, []
+    for row in rows:
+        row_scale, row_ints = _integer_row([rat(x) for x in row])
+        scale *= row_scale
+        ints.append(row_ints)
+    return Fraction(_bareiss(ints), scale)
+
+
+def kernel_reduce(rows, rhs_columns) -> list:
+    """M^-1 R by the package's kernel: _reduce of the augmented rows (M | R)
+    to (T I | T M^-1 R), read back over T.  Raises SingularMatrix."""
+    n = len(rows)
+    a, t = _reduce([[rat(x) for x in r] + [rat(x) for x in c]
+                    for r, c in zip(rows, rhs_columns)], n)
+    return [[Fraction(x, t) for x in row[n:]] for row in a]
+
+
+def kernel_solve(rows, rhs) -> list:
+    return [x for (x,) in kernel_reduce(rows, [[b] for b in rhs])]
+
+
+def kernel_inverse(rows) -> list:
+    return kernel_reduce(rows, identity(len(rows)))
+
+
 class TestDeterminant:
     def test_identity(self):
-        assert det(Matrix.identity(3)) == 1
+        assert kernel_det(identity(3)) == 1
 
     def test_transposition_sign(self):
-        assert det(Matrix([[0, 1], [1, 0]])) == -1
+        assert kernel_det([[0, 1], [1, 0]]) == -1
 
     def test_cofactor_example(self):
-        assert det(Matrix([[2, 1], [1, 1]])) == 1
+        assert kernel_det([[2, 1], [1, 1]]) == 1
 
-    def test_non_square(self):
-        with pytest.raises(NonSquareMatrix):
-            det(Matrix([[1, 2, 3], [4, 5, 6]]))
+    def test_rational_rows(self):
+        assert kernel_det([["1/2", 1], [0, "2/3"]]) == Fraction(1, 3)
 
     def test_permutation_matrices(self):
-        import itertools
-
         for perm in itertools.permutations(range(4)):
-            m = Matrix([[1 if j == perm[i] else 0 for j in range(4)] for i in range(4)])
-            assert det(m) in (1, -1)
+            m = [[1 if j == perm[i] else 0 for j in range(4)] for i in range(4)]
+            assert kernel_det(m) == leibniz_det(m) in (1, -1)
 
     def test_multiplicative(self):
         rng = make_rng(11)
@@ -129,31 +158,23 @@ class TestDeterminant:
             for _ in range(3):
                 a = random_matrix(n, rng)
                 b = random_matrix(n, rng)
-                assert det(a * b) == det(a) * det(b)
+                assert kernel_det(mat_mul(a, b)) == kernel_det(a) * kernel_det(b)
 
     def test_alternating_and_linear(self):
         rng = make_rng(13)
         for _ in range(10):
-            a = random_matrix(3, rng)
-            rows = [list(r) for r in a.rows]
-            swapped = Matrix([rows[1], rows[0], rows[2]])
-            assert det(swapped) == -det(a)
+            rows = random_matrix(3, rng)
+            swapped = [rows[1], rows[0], rows[2]]
+            assert kernel_det(swapped) == -kernel_det(rows)
             c = sample_rational(rng)
-            scaled = Matrix([[c * x for x in rows[0]], rows[1], rows[2]])
-            assert det(scaled) == c * det(a)
+            scaled = [[c * x for x in rows[0]], rows[1], rows[2]]
+            assert kernel_det(scaled) == c * kernel_det(rows)
 
-
-def leibniz_det(rows) -> Fraction:
-    """The permutation sum over Fractions: the independent oracle for det."""
-    n = len(rows)
-    total = Fraction(0)
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(1 for i, j in itertools.combinations(range(n), 2) if perm[i] > perm[j])
-        term = Fraction(-1) ** inversions
-        for i, j in enumerate(perm):
-            term *= rows[i][j]
-        total += term
-    return total
+    def test_dimension_9_equals_elimination(self):
+        rng = make_rng(37)
+        for _ in range(3):
+            rows = random_matrix(9, rng)
+            assert kernel_det(rows) == elimination_det(rows)
 
 
 # zeros are drawn often so that zero pivots and row swaps occur
@@ -180,9 +201,10 @@ class TestDeterminantOracle:
     def test_det_equals_permutation_sum(self, rows, multiple):
         if multiple is not None and len(rows) >= 2:
             rows[-1] = [multiple * x for x in rows[0]]  # singular by construction
-        value = det(Matrix(rows))
+        rows = [[rat(x) for x in r] for r in rows]
+        value = kernel_det(rows)
         assert type(value) is Fraction
-        assert value == leibniz_det([[rat(x) for x in r] for r in rows])
+        assert value == leibniz_det(rows) == elimination_det(rows)
 
 
 class TestCovectorOracle:
@@ -210,33 +232,31 @@ class TestCovectorOracle:
 
 class TestSolve:
     def test_identity(self):
-        assert solve_linear(Matrix.identity(2), [3, 5]) == Vector([3, 5])
+        assert kernel_solve(identity(2), [3, 5]) == [3, 5]
 
     def test_diagonal(self):
-        x = solve_linear(Matrix([[2, 0], [0, 4]]), [1, 1])
-        assert x == Vector([Fraction(1, 2), Fraction(1, 4)])
+        assert kernel_solve([[2, 0], [0, 4]], [1, 1]) == [Fraction(1, 2), Fraction(1, 4)]
 
     def test_hand_elimination(self):
-        x = solve_linear(Matrix([[1, 1], [1, -1]]), [1, 0])
-        assert x == Vector([Fraction(1, 2), Fraction(1, 2)])
+        assert kernel_solve([[1, 1], [1, -1]], [1, 0]) == [Fraction(1, 2), Fraction(1, 2)]
 
     def test_singular(self):
-        with pytest.raises(SingularMatrix):
-            solve_linear(Matrix([[1, 2], [2, 4]]), [1, 1])
+        with pytest.raises(SingularMatrix, match="matrix is singular"):
+            kernel_solve([[1, 2], [2, 4]], [1, 1])
 
     def test_round_trip(self):
         rng = make_rng(17)
         for n in range(1, 7):
             for _ in range(4):
                 a = random_matrix(n, rng, allow_zero=False)
-                rhs = Vector([sample_rational(rng) for _ in range(n)])
-                assert a.apply(solve_linear(a, rhs)) == rhs
+                rhs = [sample_rational(rng) for _ in range(n)]
+                assert apply(a, kernel_solve(a, rhs)) == rhs
 
     def test_inverse_round_trip(self):
         rng = make_rng(19)
         for n in range(1, 7):
             a = random_matrix(n, rng, allow_zero=False)
-            assert a * a.inverse() == Matrix.identity(n)
+            assert mat_mul(a, kernel_inverse(a)) == identity(n)
 
 
 def matrices(min_rows=1, max_rows=6, extra_cols=0, entries=st.integers(-3, 3)):
@@ -251,54 +271,32 @@ def matrices(min_rows=1, max_rows=6, extra_cols=0, entries=st.integers(-3, 3)):
 
 
 class TestElimination:
-    """solve_linear and inverse invert what they are given, and refuse
-    exactly the singular matrices."""
+    """_reduce solves and inverts what it is given, and refuses exactly the
+    matrices that the Fraction oracle finds singular."""
 
     @settings(max_examples=150, deadline=None)
     @given(matrices(), st.lists(st.integers(-5, 5), min_size=6, max_size=6))
     def test_solve_round_trip(self, rows, rhs):
-        a = Matrix(rows)
-        b = Vector(rhs[: a.nrows])
-        if det(a) == 0:
+        b = rhs[: len(rows)]
+        if elimination_det(rows) == 0:
             with pytest.raises(SingularMatrix):
-                solve_linear(a, b)
+                kernel_solve(rows, b)
         else:
-            assert a.apply(solve_linear(a, b)) == b
+            assert apply(rows, kernel_solve(rows, b)) == b
 
     @settings(max_examples=150, deadline=None)
     @given(matrices())
     def test_inverse_round_trip(self, rows):
-        a = Matrix(rows)
-        if det(a) == 0:
+        if elimination_det(rows) == 0:
             with pytest.raises(SingularMatrix):
-                a.inverse()
+                kernel_inverse(rows)
         else:
-            assert a * a.inverse() == Matrix.identity(a.nrows)
-
-
-def gauss_jordan(rows, ncols):
-    """Reduced row echelon form over Fractions, pivot = first nonzero at or
-    below: the independent oracle for the integer elimination."""
-    a = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        a[r] = [x / a[r][col] for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-    return a, pivots
+            assert mat_mul(rows, kernel_inverse(rows)) == identity(len(rows))
 
 
 class TestEliminationOracle:
-    """solve_linear and inverse equal a Fraction Gauss-Jordan elimination
-    on rational matrices."""
+    """_reduce equals a Fraction Gauss-Jordan elimination on rational
+    matrices, as a solve and as an inverse."""
 
     @settings(max_examples=200, deadline=None)
     @given(matrices(extra_cols=1, entries=rationals))
@@ -306,26 +304,24 @@ class TestEliminationOracle:
     @example([[0, Fraction(2, 3), Fraction(5, 7)], [Fraction(3, 5), 0, Fraction(-1, 2)]])
     def test_solve_equals_gauss_jordan(self, rows):
         n = len(rows)
-        reduced, pivots = gauss_jordan(rows, n)
-        m, rhs = Matrix([r[:n] for r in rows]), [r[n] for r in rows]
-        if len(pivots) < n:
+        m, rhs = [r[:n] for r in rows], [r[n] for r in rows]
+        expected = solve(m, rhs)
+        if expected is None:
             with pytest.raises(SingularMatrix):
-                solve_linear(m, rhs)
+                kernel_solve(m, rhs)
         else:
-            assert solve_linear(m, rhs) == Vector([r[n] for r in reduced])
+            assert kernel_solve(m, rhs) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(matrices(entries=rationals))
     @example([[Fraction(1, 2), Fraction(2, 3)], [Fraction(3, 4), Fraction(5, 6)]])
     def test_inverse_equals_gauss_jordan(self, rows):
-        n = len(rows)
-        identity = [[int(i == j) for j in range(n)] for i in range(n)]
-        reduced, pivots = gauss_jordan([r + e for r, e in zip(rows, identity)], n)
-        if len(pivots) < n:
+        expected = inverse(rows)
+        if expected is None:
             with pytest.raises(SingularMatrix):
-                Matrix(rows).inverse()
+                kernel_inverse(rows)
         else:
-            assert Matrix(rows).inverse() == Matrix([r[n:] for r in reduced])
+            assert kernel_inverse(rows) == expected
 
 
 class TestSmithNormalForm:
@@ -362,7 +358,7 @@ class TestSmithNormalForm:
             rows = [[(rng.next_u64() % 7) - 3 for _ in range(4)] for _ in range(3)]
             left = random_unimodular(3, rng)
             right = random_unimodular(4, rng)
-            transformed = (left * Matrix(rows) * right).rows
+            transformed = mat_mul(mat_mul(left, rows), right)
             assert smith_normal_form(transformed) == smith_normal_form(rows)
 
     def test_direct_summand_iff_all_ones(self):
@@ -372,7 +368,7 @@ class TestSmithNormalForm:
         for _ in range(10):
             u = random_unimodular(4, rng)
             r = 1 + rng.next_u64() % 3
-            rows = [list(row) for row in u.rows[: r + 1]]
+            rows = [list(row) for row in u[: r + 1]]
             assert set(smith_normal_form(rows)) == {1}
             rows[0] = [2 * x for x in rows[0]]
             assert set(smith_normal_form(rows)) != {1}

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abbvloc.core import Covector, Matrix, PiScalar, Vector, det
+from abbvloc.core import Covector, PiScalar, Vector
 from abbvloc.engine import check_v_independence
 from abbvloc.errors import PoleAtSample
 from abbvloc.polytope import HPolytope, sample_lawrence, triangulation_volume
@@ -29,6 +29,7 @@ from abbvloc.sampling import sample_independent, sample_positive_rational, sampl
 from abbvloc.toric import GoodCone, orbit_system_from_cone, toric_volume
 from conftest import make_rng, random_unimodular
 from functional_oracle import assert_sample_lawrence_matches
+from matrix_oracle import apply, elimination_det, inverse
 from simplex_oracle import base_first, simplex_volume
 from toric_det_oracle import toric_volume_by_fraction_dets
 from vertex_oracle import assert_facet_sets_by_pairing
@@ -204,14 +205,14 @@ def case_cone(kind, a, b, seed):
 def assert_walk_rows_equal_inverse(cone):
     """The walk's moment (row 0) and weights (rows 1..n) are the rows of
     the inverse of (b | normals in facet-index order), and abs_delta is the
-    absolute value of its determinant."""
+    absolute value of its determinant, both by the Fraction oracle."""
     for orbit in cone.orbits:
         columns = [cone.reeb, *(cone.normals[i] for i in orbit.facet_indices)]
-        m = Matrix(zip(*columns))
-        inverse = m.inverse()
-        assert orbit.vertex == Covector(inverse.rows[0])
-        assert orbit.weights == tuple(Covector(row) for row in inverse.rows[1:])
-        assert orbit.abs_delta == abs(det(m))
+        m = list(zip(*columns))
+        rows = inverse(m)
+        assert orbit.vertex == Covector(rows[0])
+        assert orbit.weights == tuple(Covector(row) for row in rows[1:])
+        assert orbit.abs_delta == abs(elimination_det(m))
 
 
 class TestGeneratedCones:
@@ -294,8 +295,8 @@ class TestGeneratedCones:
 def lattice_basis_cone(cone, seed):
     """The same cone given in the coordinates of a random unimodular basis."""
     basis = random_unimodular(cone.dim, make_rng(seed))
-    return GoodCone(dim=cone.dim, normals=tuple(basis.apply(v) for v in cone.normals),
-                    reeb=basis.apply(cone.reeb), lattice_basis=basis)
+    return GoodCone(dim=cone.dim, normals=tuple(apply(basis, v) for v in cone.normals),
+                    reeb=apply(basis, cone.reeb), lattice_basis=basis)
 
 
 # cube cones and Delta^a x Delta^b at integer and rational Reeb vectors, and

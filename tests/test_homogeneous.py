@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from abbvloc.core import Covector, Matrix, PiScalar, Vector
+from abbvloc.core import Covector, PiScalar, Vector
 from abbvloc.errors import DegenerateReeb, InputError, PoleAtSample
 from abbvloc.homogeneous import (
     RootData,
@@ -88,7 +88,7 @@ class TestRootDataEngine:
             RootData(
                 dim_t=2,
                 roots_quotient=(Covector([1, 0]),),
-                weyl_reps=(Matrix.identity(2),),
+                weyl_reps=(((1, 0), (0, 1)),),
                 b=Vector([0, 1]),
                 projection=Covector([1, 0]),
             )
@@ -98,7 +98,7 @@ class TestRootDataEngine:
             RootData(
                 dim_t=3,
                 roots_quotient=(Covector([1, 0, 0]),),
-                weyl_reps=(Matrix.identity(2),),
+                weyl_reps=(((1, 0), (0, 1)),),
                 b=Vector([0, 0, 1]),
                 projection=Covector([-1, 0, 1]),
             )

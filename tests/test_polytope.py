@@ -50,8 +50,8 @@ def cube_polytope():
 
 def count_det_calls(monkeypatch) -> list:
     """Route every binding of the determinant kernel core._bareiss in the
-    package (``core.det`` calls it too) through a counter; returns the list
-    that collects one entry per call."""
+    package through a counter; returns the list that collects one entry
+    per call."""
     import abbvloc
 
     calls = []

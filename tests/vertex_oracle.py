@@ -10,8 +10,8 @@ can be compared, and the pairing that checks the walk's facet sets.
 import itertools
 from fractions import Fraction
 
-from abbvloc.core import Covector, Matrix, Vector, solve_linear
-from abbvloc.errors import SingularMatrix
+from abbvloc.core import Covector, Vector
+from matrix_oracle import solve
 
 
 def vertices_from_halfspaces(normals, reeb) -> list:
@@ -27,10 +27,10 @@ def vertices_from_halfspaces(normals, reeb) -> list:
     seen = {}
     for subset in itertools.combinations(range(len(normals)), d - 1):
         rows = [normals[i] for i in subset] + [reeb]
-        try:
-            phi = Covector(solve_linear(Matrix(rows), rhs))
-        except SingularMatrix:
+        solution = solve(rows, rhs)
+        if solution is None:
             continue
+        phi = Covector(solution)
         values = [phi(v) for v in normals]
         if any(val > 0 for val in values):
             continue
