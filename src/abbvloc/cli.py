@@ -71,8 +71,9 @@ DEFAULT_SAMPLES = 10
 # Python's 4300-digit printing limit is refused by rat_str (exit 2).
 DH_MAX_ORDER = 1000
 # Highest `--samples`.  The costliest sample is `volume-toric`'s on cube
-# cone 10 (1024 vertices, the most toric.MAX_VERTICES admits): about 1.9 s
-# for its determinant formula, so 25 samples take about 50 s.
+# cone 10 (1024 vertices, the most toric.MAX_VERTICES admits): about 1.3 s
+# for its determinant formula, with its share of the rejected pole draws,
+# so 25 samples take about 32 s.
 MAX_SAMPLES = 25
 # Highest `check-w1 --trials`.  At the largest `--m`, 13, the identity is
 # checked for 101 multiindices on `--trials` vectors each: 500 take 33 s.

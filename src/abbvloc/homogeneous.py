@@ -19,7 +19,7 @@ from math import factorial
 
 from .core import Covector, PiScalar, Record, Vector, _reduce, rat
 from .engine import OrbitDatum, OrbitSystem, localize_volume
-from .errors import DegenerateReeb, InputError, PoleAtSample
+from .errors import DegenerateReeb, InputError, PoleAtSample, SingularMatrix
 
 
 class RootData(Record):
@@ -75,7 +75,8 @@ def root_data_system(rd: RootData, b_prime: Vector) -> OrbitSystem:
     together with the orientation of the root product relative to the
     transverse weights, as pinned by the Stiefel closed form.  Raises
     DegenerateReeb when q(b') = 0 for some representative, and InputError
-    (the OrbitSystem validation) for no roots, no representatives or a
+    for a singular representative (naming its index in ``weyl_reps``) and,
+    by the OrbitSystem validation, for no roots, no representatives or a
     root proportional to p.
 
     >>> system = root_data_system(stiefel_so5_so3(), Vector([0, 0, 1]))
@@ -88,9 +89,12 @@ def root_data_system(rd: RootData, b_prime: Vector) -> OrbitSystem:
     n = rd.dim_t
     identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     orbits = []
-    for w in rd.weyl_reps:
+    for k, w in enumerate(rd.weyl_reps):
         # (w | I) reduced to (T I | T w^-1): the columns of w^-1
-        a, t = _reduce([row + e for row, e in zip(w, identity)], n)
+        try:
+            a, t = _reduce([row + e for row, e in zip(w, identity)], n)
+        except SingularMatrix:
+            raise InputError(f"weyl_reps[{k}] is singular") from None
         columns = tuple(zip(*([Fraction(x, t) for x in row[n:]] for row in a)))
         q = Covector(rd.projection(c) for c in columns)
         qb = q(b_prime)

@@ -418,15 +418,23 @@ def toric_volume(cone: GoodCone, v: Vector) -> PiScalar:
     Each vertex contributes det(v, v_S)^n / (|det(b, v_S)| * prod_i
     det(b, ..., v at slot i, ...)), with the active normals v_S in
     facet-index order: reordering them changes the numerator and the n
-    slot determinants by the same sign to the n-th power.  The
-    determinants run on integers, one ``core._bareiss`` each, on the
-    vertex's ``cone.integer_columns`` (L_b b, v_S) taken as rows (det M =
-    det M^T) with L_v v, v scaled once per call, in the slot.  The
-    numerator carries L_v^n and the slot product (L_b L_v)^n, so L_v
-    cancels and each term is multiplied by L_b^n.  Computed determinant by
-    determinant, without the inverse that the orbit-data route reads off
-    the walk, so the two routes cross-check each other; |det(b, v_S)| is
-    read from ``cone.orbits``.
+    slot determinants by the same sign to the n-th power.  Moving v from
+    slot i to slot 1 gives
+
+        det(b, v_s1, ..., v, ..., v_sn) = (-1)^(i-1) det(b, v, v_T),
+
+    with T = S minus s_i, the edge of the section that leaves facet s_i at
+    the vertex.  So a slot determinant depends only on its edge, and both
+    ends of the edge read the one E(T) = det(L_b b, L_v v, v_T) that the
+    call takes on first use and keeps until it returns.  The determinants
+    run on integers, one ``core._bareiss`` each: the numerator per vertex
+    and E(T) per edge, on the vertex's ``cone.integer_columns`` (L_b b,
+    v_S) taken as rows (det M = det M^T) with L_v v, v scaled once per
+    call.  The numerator carries L_v^n and the slot product (L_b L_v)^n,
+    so L_v cancels and each term is multiplied by L_b^n.  Computed
+    determinant by determinant, without the inverse that the orbit-data
+    route reads off the walk, so the two routes cross-check each other;
+    |det(b, v_S)| is read from ``cone.orbits``.
     """
     v = Vector(v)
     if len(v) != cone.dim:
@@ -434,18 +442,26 @@ def toric_volume(cone: GoodCone, v: Vector) -> PiScalar:
     n = cone.codim_half
     e = cone.pi_scale_exponent
     _, vi = _integer_row(v)
+    edges = {}
     total = Fraction(0)
     for orbit, (scales, columns) in zip(cone.orbits, cone.integer_columns):
-        numerator = _bareiss([list(vi), *map(list, columns[1:])])
+        b, *normals = columns
+        numerator = _bareiss([list(vi), *map(list, normals)])
+        facets = orbit.facet_indices
         denom = 1
         for i in range(1, n + 1):
-            slot = _bareiss([list(vi) if j == i else list(c) for j, c in enumerate(columns)])
+            edge = facets[:i - 1] + facets[i:]
+            slot = edges.get(edge)
+            if slot is None:
+                slot = edges[edge] = _bareiss(
+                    [list(b), list(vi), *map(list, normals[:i - 1]), *map(list, normals[i:])]
+                )
             if slot == 0:
                 raise PoleAtSample(
                     f"det(b, ..., v, ...) vanishes at slot {i} of vertex "
                     f"{tuple(orbit.vertex)}"
                 )
-            denom *= slot
+            denom *= slot if i % 2 else -slot
         delta = orbit.abs_delta
         total += Fraction((numerator * scales[0]) ** n * delta.denominator,
                           delta.numerator * denom)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import factorial
 
 from abbvloc.core import PiScalar, Vector
-from abbvloc.errors import DegenerateReeb, PoleAtSample, SingularMatrix
+from abbvloc.errors import DegenerateReeb, InputError, PoleAtSample
 from matrix_oracle import apply, inverse
 
 
@@ -22,15 +22,16 @@ def root_data_volume(rd, b_prime, v) -> PiScalar:
             / prod_roots root(w^-1 (v - (p(w^-1 v)/p(w^-1 b')) b')).
 
     Raises DegenerateReeb when p(w^-1 b') = 0 and PoleAtSample when a root
-    vanishes at its argument, and SingularMatrix for a singular w."""
+    vanishes at its argument, and InputError naming the index of a
+    singular w."""
     v, b_prime = Vector(v), Vector(b_prime)
     n = rd.codim_half
     p = rd.projection
     total = Fraction(0)
-    for w in rd.weyl_reps:
+    for k, w in enumerate(rd.weyl_reps):
         inv = inverse(w)
         if inv is None:
-            raise SingularMatrix("matrix is singular")
+            raise InputError(f"weyl_reps[{k}] is singular")
         wb, wv = apply(inv, b_prime), apply(inv, v)
         pb = p(wb)
         if pb == 0:

@@ -276,8 +276,8 @@ GOLDEN = {
     "homogeneous-weyl-ragged@7": (2, "8d378b9710446532e79ca6935ef98f8f35ca771b618f5d6a643f85b2f031e299"),
     "homogeneous-weyl-2x3@42": (2, "2f7cd6429c90cd87d4f2dff986b176e7e4ecb5c446ca1fef1066c85105fdec2a"),
     "homogeneous-weyl-2x3@7": (2, "2f7cd6429c90cd87d4f2dff986b176e7e4ecb5c446ca1fef1066c85105fdec2a"),
-    "homogeneous-weyl-singular@42": (2, "8e2d687f62fa7b1efecd23c18afb1aeb11009aedee12e29844f86cf948cebad9"),
-    "homogeneous-weyl-singular@7": (2, "8e2d687f62fa7b1efecd23c18afb1aeb11009aedee12e29844f86cf948cebad9"),
+    "homogeneous-weyl-singular@42": (2, "d1db7cee3d30bad8fa1a701b02e6b12ee36f311d1acfef83ed2b44b16ca86dd2"),
+    "homogeneous-weyl-singular@7": (2, "d1db7cee3d30bad8fa1a701b02e6b12ee36f311d1acfef83ed2b44b16ca86dd2"),
     "localize-mixed@42": (0, "a8d0d902083a3e6713c63fc95925e6a947f9ce828c2254401e00e6a30983e7a0"),
     "localize-mixed@7": (0, "a8d0d902083a3e6713c63fc95925e6a947f9ce828c2254401e00e6a30983e7a0"),
     "localize-j-mixed@42": (0, "1c448351d48737f40a0f7115165fcac319f5a6b628ef470ab69f83b7448a2428"),
@@ -322,7 +322,7 @@ TEXT_GOLDEN = {
     "volume-toric-basis-ragged-bad-literal": (2, "12d1596a38431cac2f3c6b651ec832a9e08839a2ee90f582f057177c857922d1"),
     "homogeneous-weyl-ragged": (2, "8d378b9710446532e79ca6935ef98f8f35ca771b618f5d6a643f85b2f031e299"),
     "homogeneous-weyl-2x3": (2, "2f7cd6429c90cd87d4f2dff986b176e7e4ecb5c446ca1fef1066c85105fdec2a"),
-    "homogeneous-weyl-singular": (2, "8e2d687f62fa7b1efecd23c18afb1aeb11009aedee12e29844f86cf948cebad9"),
+    "homogeneous-weyl-singular": (2, "d1db7cee3d30bad8fa1a701b02e6b12ee36f311d1acfef83ed2b44b16ca86dd2"),
     "localize-sphere": (0, "3d65b741c14e753018fdf2d7f58f41bd8a00fc249f112b4402059d261217307a"),
     "localize-j": (0, "5dfdd7216838ddc162d56593fff17a5c1b389039eeaf1cdc29e20a12f4afc51b"),
     "dh-sphere": (0, "a22e52a7accdb935a9e3ab6f31a8aee527043381fc3fa599d8be69cff3e43c3c"),

@@ -309,6 +309,22 @@ ORACLE_CONES = [
     lattice_basis_cone(cube_cone_k(3, [Fraction(9, 2), 1, Fraction(-1, 3), 2]), 6),
 ]
 
+
+def edge_pole_samples(cone) -> list:
+    """For every edge T of the section and every facet t in T, the sample
+    b + v_t: det(b, b + v_t, v_T) = det(b, v_t, v_T) = 0, so the slot
+    determinant that both ends of T share vanishes."""
+    samples = []
+    for first, second in cone.edges:
+        edge = set(cone.orbits[first].facet_indices) & set(cone.orbits[second].facet_indices)
+        for t in sorted(edge):
+            samples.append([x + y for x, y in zip(cone.reeb, cone.normals[t])])
+    return samples
+
+
+# every edge of cube cone 3 and of the Delta^1 x Delta^2 cone zeroed in turn
+EDGE_POLE_SAMPLES = [(index, v) for index in (1, 4) for v in edge_pole_samples(ORACLE_CONES[index])]
+
 # small rationals with zero and negative entries: slot determinants vanish often
 SAMPLE_ENTRIES = st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3),
                                   Fraction(5, 4), 7])
@@ -331,6 +347,15 @@ class TestToricDeterminantOracle:
         v = data.draw(st.lists(SAMPLE_ENTRIES, min_size=cone.dim, max_size=cone.dim))
         assert (toric_volume_or_pole(toric_volume, cone, v)
                 == toric_volume_or_pole(toric_volume_by_fraction_dets, cone, v))
+
+    @pytest.mark.parametrize("index, v", EDGE_POLE_SAMPLES)
+    def test_shared_edge_poles(self, index, v):
+        """A sample that zeros one edge's determinant is a pole at the first
+        vertex and slot on a vanishing edge, as the Fraction formula says."""
+        cone = ORACLE_CONES[index]
+        result = toric_volume_or_pole(toric_volume, cone, v)
+        assert result[0] == "pole"
+        assert result == toric_volume_or_pole(toric_volume_by_fraction_dets, cone, v)
 
     def test_both_outcomes_occur(self):
         """The oracle comparison meets poles and values on these cones."""

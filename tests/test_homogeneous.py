@@ -188,3 +188,16 @@ class TestRootDataSystem:
         rd = RootData(fixture.dim_t, roots, fixture.weyl_reps, fixture.b, fixture.projection)
         with pytest.raises(InputError):
             root_data_system(rd, Vector([1, 2, 5]))
+
+    def test_singular_weyl_representative_named(self):
+        """A singular representative is an input error that names its index,
+        raised as the oracle raises it."""
+        fixture = stiefel_so5_so3()
+        singular = ((0, 1, 0), (0, 1, 0), (0, 0, 1))
+        for k in range(len(fixture.weyl_reps) + 1):
+            reps = fixture.weyl_reps[:k] + (singular,) + fixture.weyl_reps[k:]
+            rd = RootData(fixture.dim_t, fixture.roots_quotient, reps, fixture.b,
+                          fixture.projection)
+            for volume in (homogeneous_volume, root_data_volume):
+                with pytest.raises(InputError, match=rf"^weyl_reps\[{k}\] is singular$"):
+                    volume(rd, Vector([0, 0, 1]), Vector([1, 2, 5]))

@@ -1,5 +1,8 @@
 import collections
+import importlib.util
 import itertools
+import json
+import os
 import sys
 from fractions import Fraction
 from math import gcd, prod
@@ -9,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from abbvloc import core, toric
+from abbvloc.cli import main
 from abbvloc.core import Covector, PiScalar, Vector
 from abbvloc.engine import check_v_independence, localize_volume
 from abbvloc.errors import (
@@ -31,8 +35,11 @@ from abbvloc.toric import (
 from conftest import make_rng, random_unimodular, random_weights
 from matrix_oracle import apply
 from test_engine import sphere_closed_form
-from test_generated_cones import MSY_CONES, assert_walk_rows_equal_inverse, cube_cone_k
+from test_generated_cones import MSY_CONES, assert_walk_rows_equal_inverse, case_cone, cube_cone_k
 from vertex_oracle import vertices_from_halfspaces
+
+BENCH_INPUTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "bench", "inputs.py")
 
 
 def nonpole_cone_sample(cone, rng):
@@ -324,10 +331,14 @@ class TestToricVolume:
 
     def test_determinants_independent_of_the_walk(self, monkeypatch):
         """toric_volume makes no _pivot or _reduce call and reads no orbit
-        weights: it takes n + 1 integer determinants per vertex, one
-        _bareiss each."""
-        cone = cube_cone_k(4)
-        v = nonpole_cone_sample(cone, make_rng(3))
+        weights: it takes one integer determinant per vertex, the numerator,
+        and one per edge, which the slot determinants at both of its ends
+        share, one _bareiss each."""
+        cases = []
+        for cone, vertices, edges in ((cube_cone_k(4), 16, 32),
+                                      (case_cone("product", 2, 2, 3)[0], 9, 18)):
+            cases.append((cone, nonpole_cone_sample(cone, make_rng(3)), vertices, edges))
+            assert (len(cone.orbits), len(cone.edges)) == (vertices, edges)
         calls = collections.Counter()
 
         def counted(name, real):
@@ -349,11 +360,38 @@ class TestToricVolume:
             return build(orbit)
 
         monkeypatch.setattr(toric.ToricOrbit, "weights", property(weights))
-        value = toric_volume(cone, v)
-        assert calls == {"_bareiss": 16 * 5}
-        # the counters see the orbit-data route, which reads the weights
-        assert localize_volume(orbit_system_from_cone(cone), v) == value
-        assert calls["weights"] == 16 and calls["_pivot"] == calls["_reduce"] == 0
+        for cone, v, vertices, edges in cases:
+            calls.clear()
+            value = toric_volume(cone, v)
+            assert calls == {"_bareiss": vertices + edges}
+            # the counters see the orbit-data route, which reads the weights
+            assert localize_volume(orbit_system_from_cone(cone), v) == value
+            assert calls["weights"] == vertices and calls["_pivot"] == calls["_reduce"] == 0
+
+    def test_volume_toric_cli_determinant_count(self, monkeypatch, tmp_path, capsys):
+        """volume-toric on the benchmark's cube cone 4 takes 48 determinants
+        per sample, 16 vertices plus 32 edges: 480 at the 10 samples the
+        orbit-data route accepted (800 when each vertex took its n + 1)."""
+        spec = importlib.util.spec_from_file_location("_abbvloc_bench_inputs", BENCH_INPUTS)
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        doc, _ = inputs.cube_cone(4, 1)
+        path = tmp_path / "cube-4.json"
+        path.write_text(json.dumps(doc))
+        calls = collections.Counter()
+        real = core._bareiss
+
+        def counted(a):
+            calls["_bareiss"] += 1
+            return real(a)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("abbvloc") and getattr(module, "_bareiss", None) is real:
+                monkeypatch.setattr(module, "_bareiss", counted)
+        assert main(["volume-toric", "--input", str(path), "--json", "--seed", "42"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"][1]["detail"] == "10 samples compared"
+        assert calls == {"_bareiss": 480}
 
     def test_pole_detection(self):
         cone = weighted_sphere_cone([1, 2])
