@@ -549,8 +549,75 @@ def _cmd_check_v_independence(args) -> dict:
 # argument parsing
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+# One row per subcommand, in the order help lists them: name -> (handler,
+# help, whether it takes --samples, its own arguments as (flag, keywords of
+# add_argument)).  Every subcommand also takes --json and --seed.
+_COMMANDS = {
+    "volume-sphere": (_cmd_volume_sphere, "volume of a weighted odd sphere", True, (
+        ("--weights", dict(required=True, help="comma-separated positive rationals")),
+    )),
+    "volume-toric": (_cmd_volume_toric, "volume from a moment cone", True, (
+        ("--input", dict(required=True, help="cone JSON file or - for stdin")),
+    )),
+    "lawrence": (_cmd_lawrence, "section volume by the vertex formula", False, (
+        ("--input", dict(required=True, help="cone or polytope JSON file")),
+    )),
+    "polytope-volume": (_cmd_polytope_volume, "section volume by triangulation", False, (
+        ("--input", dict(required=True, help="cone or polytope JSON file")),
+    )),
+    "msy-check": (_cmd_msy_check, "cone volume vs section volume bridge", False, (
+        ("--input", dict(required=True, help="cone JSON file")),
+    )),
+    "localize": (_cmd_localize, "localized sum over an orbit system", True, (
+        ("--input", dict(required=True, help="orbit system JSON file")),
+        ("--j", dict(default=None, help="multiindex for characteristic mode")),
+        ("--leaf-integrals", dict(default=None, help="per-orbit rational integrals")),
+    )),
+    "dh": (_cmd_dh, "Duistermaat-Heckman series coefficients", False, (
+        ("--input", dict(required=True, help="orbit system JSON file")),
+        ("--order", dict(type=int, default=4, help="highest coefficient order, from the "
+                         f"complex codimension to {DH_MAX_ORDER}")),
+    )),
+    "stiefel": (_cmd_stiefel, "volume of the deformed SO(5)/SO(3)", False, (
+        ("--w", dict(required=True, help="Reeb deformation x,y,z")),
+    )),
+    "homogeneous": (_cmd_homogeneous, "volume from root data", True, (
+        ("--input", dict(default=None, help="root data JSON file")),
+        ("--fixture", dict(default="stiefel-so5-so3", help="built-in fixture name")),
+        ("--b-prime", dict(required=True, help="deformed Reeb element")),
+    )),
+    "check-w1": (_cmd_check_w1, "elementary symmetric polynomial identity", False, (
+        ("--m", dict(type=int, required=True, help="degree (number of values minus one)")),
+        ("--trials", dict(type=int, default=50,
+                          help=f"random weight vectors per multiindex, at most {MAX_TRIALS}")),
+    )),
+    "secondary": (_cmd_secondary, "secondary characteristic number", True, (
+        ("--weights", dict(required=True, help="comma-separated distinct positive rationals")),
+        ("--j", dict(required=True, help="multiindex, complex degree = codimension")),
+    )),
+    "check-v-independence": (_cmd_check_v_independence, "resample a localized volume", True, (
+        ("--input", dict(required=True, help="orbit system JSON file")),
+    )),
+}
+
+
+class _ParseError(Exception):
+    """Raised by a one-subcommand parser instead of printing an error."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """A parser that holds one subcommand.  Its error messages would list
+    only that subcommand, so it prints none and raises _ParseError for the
+    full parser to parse the same argv again."""
+
+    def error(self, message):
+        raise _ParseError(message)
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone."""
+    parser_class = argparse.ArgumentParser if command is None else _OneCommandParser
+    parser = parser_class(
         prog="abbvloc",
         description=(
             "Exact localized sums over closed orbits: sphere and toric "
@@ -560,8 +627,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help, samples=False):
+    for name in _COMMANDS if command is None else (command,):
+        handler, help, samples, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -571,63 +638,23 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--samples", type=int, default=DEFAULT_SAMPLES,
                 help=f"pole-free sample vectors that must agree, from 2 to {MAX_SAMPLES}",
             )
-        return p
-
-    p = add("volume-sphere", _cmd_volume_sphere, "volume of a weighted odd sphere", samples=True)
-    p.add_argument("--weights", required=True, help="comma-separated positive rationals")
-
-    p = add("volume-toric", _cmd_volume_toric, "volume from a moment cone", samples=True)
-    p.add_argument("--input", required=True, help="cone JSON file or - for stdin")
-
-    p = add("lawrence", _cmd_lawrence, "section volume by the vertex formula")
-    p.add_argument("--input", required=True, help="cone or polytope JSON file")
-
-    p = add("polytope-volume", _cmd_polytope_volume, "section volume by triangulation")
-    p.add_argument("--input", required=True, help="cone or polytope JSON file")
-
-    p = add("msy-check", _cmd_msy_check, "cone volume vs section volume bridge")
-    p.add_argument("--input", required=True, help="cone JSON file")
-
-    p = add("localize", _cmd_localize, "localized sum over an orbit system", samples=True)
-    p.add_argument("--input", required=True, help="orbit system JSON file")
-    p.add_argument("--j", default=None, help="multiindex for characteristic mode")
-    p.add_argument("--leaf-integrals", default=None, help="per-orbit rational integrals")
-
-    p = add("dh", _cmd_dh, "Duistermaat-Heckman series coefficients")
-    p.add_argument("--input", required=True, help="orbit system JSON file")
-    p.add_argument(
-        "--order", type=int, default=4,
-        help=f"highest coefficient order, from the complex codimension to {DH_MAX_ORDER}",
-    )
-
-    p = add("stiefel", _cmd_stiefel, "volume of the deformed SO(5)/SO(3)")
-    p.add_argument("--w", required=True, help="Reeb deformation x,y,z")
-
-    p = add("homogeneous", _cmd_homogeneous, "volume from root data", samples=True)
-    p.add_argument("--input", default=None, help="root data JSON file")
-    p.add_argument("--fixture", default="stiefel-so5-so3", help="built-in fixture name")
-    p.add_argument("--b-prime", required=True, help="deformed Reeb element")
-
-    p = add("check-w1", _cmd_check_w1, "elementary symmetric polynomial identity")
-    p.add_argument("--m", type=int, required=True, help="degree (number of values minus one)")
-    p.add_argument(
-        "--trials", type=int, default=50,
-        help=f"random weight vectors per multiindex, at most {MAX_TRIALS}",
-    )
-
-    p = add("secondary", _cmd_secondary, "secondary characteristic number", samples=True)
-    p.add_argument("--weights", required=True, help="comma-separated distinct positive rationals")
-    p.add_argument("--j", required=True, help="multiindex, complex degree = codimension")
-
-    p = add("check-v-independence", _cmd_check_v_independence, "resample a localized volume", samples=True)
-    p.add_argument("--input", required=True, help="orbit system JSON file")
-
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; return its exit code.
+
+    When argv names a subcommand, only that subcommand's parser is built.
+    The parser of every subcommand is built only to print top-level help or
+    a parse error, so those read as they always have."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    try:
+        args = _build_parser(command).parse_args(argv)
+    except _ParseError:
+        args = _build_parser().parse_args(argv)
     try:
         if args.seed is None:
             args.seed = _default_seed()

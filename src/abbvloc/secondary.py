@@ -103,9 +103,9 @@ def check_w1_identity(m: int, J, w) -> bool:
     w = [rat(x) for x in w]
     if len(w) != m + 1:
         raise InputError(f"need {m + 1} values, got {len(w)}")
-    if len(set(w)) != len(w):
-        raise InputError("values must be pairwise distinct")
     _, W = _integer_row(w)
+    if len(set(W)) != len(W):  # w -> L w is injective, and ints hash cheaply
+        raise InputError("values must be pairwise distinct")
     num, den = 0, 1
     for k, wk in enumerate(W):
         rest = W[:k] + W[k + 1:]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 from collections import Counter
@@ -8,7 +9,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import abbvloc.homogeneous
-from abbvloc.cli import DH_MAX_ORDER, MAX_SAMPLES, MAX_TRIALS, _load_cone, _load_orbit_system, main
+from abbvloc.cli import (DH_MAX_ORDER, MAX_SAMPLES, MAX_TRIALS, _COMMANDS, _build_parser,
+                         _load_cone, _load_orbit_system, main)
 from abbvloc.core import Covector, PiScalar, Vector, rat, rat_str
 from abbvloc.engine import OrbitDatum, OrbitSystem, weighted_sphere_system
 from abbvloc.errors import InputError
@@ -778,6 +780,53 @@ class TestExitContract:
         error = json.loads(out)["error"]
         assert error["type"] == "InputError"
         assert error["message"].startswith("the exact value is too large to print")
+
+
+COMMANDS = ["volume-sphere", "volume-toric", "lawrence", "polytope-volume", "msy-check",
+            "localize", "dh", "stiefel", "homogeneous", "check-w1", "secondary",
+            "check-v-independence"]
+UNSAMPLED_COMMANDS = ["lawrence", "polytope-volume", "msy-check", "dh", "stiefel", "check-w1"]
+# argv on which argparse prints help or an error and exits
+PARSER_EXITS = (
+    [[command, *tail] for command in COMMANDS
+     for tail in (["-h"], [], ["--seed", "x"], ["--bogus"])]
+    + [[command, "--samples", "4"] for command in UNSAMPLED_COMMANDS]
+    + [[], ["-h"], ["nope"], ["--json"], ["stiefel", "--w", "-1,2,5"],
+       ["volume-toric", "--input", "x", "--bogus"]]
+)
+
+
+def exit_outcome(capsys, call, argv) -> tuple:
+    """(exit code, stdout, stderr) of call(argv), which must exit."""
+    with pytest.raises(SystemExit) as info:
+        call(argv)
+    out, err = capsys.readouterr()
+    return info.value.code, out, err
+
+
+class TestArgumentParsing:
+    @pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
+    def test_main_prints_what_the_full_parser_prints(self, capsys, argv):
+        want = exit_outcome(capsys, lambda a: _build_parser().parse_args(a), argv)
+        assert exit_outcome(capsys, main, argv) == want
+
+    def test_a_job_builds_the_top_level_parser_and_its_own_subparser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        code, _ = run_cli(capsys, "stiefel", "--w", "1,2,5", "--json")
+        assert code == 0
+        assert built == ["abbvloc", "abbvloc stiefel"]
+
+    def test_each_handler_is_named_after_its_command(self):
+        assert list(_COMMANDS) == COMMANDS
+        for name, (handler, *_) in _COMMANDS.items():
+            assert handler.__name__ == "_cmd_" + name.replace("-", "_")
 
 
 REEB_ENTRIES = ["0", "1", "-1", "2", "3", "1/2", "-3/2", "5/2"]

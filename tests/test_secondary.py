@@ -112,13 +112,16 @@ class TestW1Identity:
                     w = random_weights(m + 1, seed=m * 100 + trial)
                     assert check_w1_identity(m, J, w)
 
-    def test_repeated_values_rejected(self):
-        with pytest.raises(InputError):
-            check_w1_identity(1, (1,), [1, 1])
+    @pytest.mark.parametrize("w", [[1, 1], [Fraction(1, 2), "2/4"], ["1/3", "-2/3", "1/3"]])
+    def test_repeated_values_rejected(self, w):
+        with pytest.raises(InputError, match="values must be pairwise distinct"):
+            check_w1_identity(len(w) - 1, (1,), w)
 
-    def test_length_checked(self):
-        with pytest.raises(InputError):
-            check_w1_identity(2, (1, 1), [1, 2])
+    @pytest.mark.parametrize("w", [[1, 2], [1, 1]])
+    def test_length_checked(self, w):
+        # before distinctness
+        with pytest.raises(InputError, match="need 3 values, got 2"):
+            check_w1_identity(2, (1, 1), w)
 
     def test_lhs_actually_depends_on_structure(self):
         # sanity: the identity is nontrivial, both sides equal a nonzero value
