@@ -83,10 +83,6 @@ MAX_TRIALS = 500
 _MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError)
 
 
-class _CliInputError(InputError):
-    """Input problems detected at the CLI layer; reported as InputError."""
-
-
 def _default_seed() -> int:
     raw = os.environ.get("ABBVLOC_SEED")
     if raw is None:
@@ -94,28 +90,28 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError as exc:
-        raise _CliInputError(f"ABBVLOC_SEED must be an integer, got {raw!r}") from exc
+        raise InputError(f"ABBVLOC_SEED must be an integer, got {raw!r}") from exc
 
 
 def _rat_list(text: str) -> list:
     try:
         return [rat(part) for part in text.split(",") if part.strip() != ""]
     except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise _CliInputError(f"cannot parse rational list {text!r}") from exc
+        raise InputError(f"cannot parse rational list {text!r}") from exc
 
 
 def _int_list(text: str) -> list:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise _CliInputError(f"cannot parse integer list {text!r}") from exc
+        raise InputError(f"cannot parse integer list {text!r}") from exc
 
 
 def _multiindex(text: str) -> tuple:
     try:
         return canonical_multiindex(_int_list(text))
     except ValueError as exc:
-        raise _CliInputError(f"bad multiindex {text!r}: {exc}") from exc
+        raise InputError(f"bad multiindex {text!r}: {exc}") from exc
 
 
 def _load_json(path: str) -> dict:
@@ -126,9 +122,9 @@ def _load_json(path: str) -> dict:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an integer over 4300 digits
-        raise _CliInputError(f"cannot read JSON input {path!r}: {exc}") from exc
+        raise InputError(f"cannot read JSON input {path!r}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise _CliInputError(f"JSON input {path!r} must be an object, not {type(doc).__name__}")
+        raise InputError(f"JSON input {path!r} must be an object, not {type(doc).__name__}")
     return doc
 
 
@@ -190,8 +186,8 @@ def _load_orbit_system(doc) -> OrbitSystem:
         # bound also caps the cost of the advisory decimal.
         for pi_power in (_integer(o["length"]["pi_power"]) for o in doc["orbits"]):
             if abs(pi_power) > dim_t:
-                raise _CliInputError(f"orbit length pi_power {pi_power} is out of range: "
-                                     f"|pi_power| must be at most dim_t = {dim_t}")
+                raise InputError(f"orbit length pi_power {pi_power} is out of range: "
+                                 f"|pi_power| must be at most dim_t = {dim_t}")
         return OrbitSystem(
             dim_t=dim_t,
             b=_vector(doc["b"], memo),
@@ -199,7 +195,7 @@ def _load_orbit_system(doc) -> OrbitSystem:
             orbits=orbits,
         )
     except _MALFORMED as exc:
-        raise _CliInputError(f"malformed orbit system document: {exc}") from exc
+        raise InputError(f"malformed orbit system document: {exc}") from exc
 
 
 def _load_cone(doc) -> GoodCone:
@@ -214,7 +210,7 @@ def _load_cone(doc) -> GoodCone:
             pi_scale_exponent=_integer(doc.get("pi_scale_exponent", 1)),
         )
     except _MALFORMED as exc:
-        raise _CliInputError(f"malformed cone document: {exc}") from exc
+        raise InputError(f"malformed cone document: {exc}") from exc
 
 
 def _load_root_data(doc) -> RootData:
@@ -228,7 +224,7 @@ def _load_root_data(doc) -> RootData:
             projection=_vector(doc["p"], memo),
         )
     except _MALFORMED as exc:
-        raise _CliInputError(f"malformed root data document: {exc}") from exc
+        raise InputError(f"malformed root data document: {exc}") from exc
 
 
 def _load_section(doc) -> HPolytope:
@@ -240,10 +236,10 @@ def _load_section(doc) -> HPolytope:
         reeb = _vector(doc["reeb"], memo)
         dim = _integer(doc["dim"])
         if dim != len(reeb):
-            raise _CliInputError(f"dim is {dim} but the Reeb vector has {len(reeb)} entries")
+            raise InputError(f"dim is {dim} but the Reeb vector has {len(reeb)} entries")
         return HPolytope.from_halfspaces(normals=normals, reeb=reeb)
     except _MALFORMED as exc:
-        raise _CliInputError(f"malformed polytope document: {exc}") from exc
+        raise InputError(f"malformed polytope document: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +293,7 @@ def _run_independence(system, samples, seed) -> tuple:
     try:
         outcome = check_v_independence(system, samples=samples, seed=seed)
     except InconsistentSamples as exc:
-        return [], PiScalar.zero(), _check("v-independence", False, str(exc))
+        return (), PiScalar.zero(), _check("v-independence", False, str(exc))
     detail = f"{len(outcome.samples_used)} samples, {outcome.rejected_poles} poles rejected"
     return outcome.samples_used, outcome.value, _check("v-independence", True, detail)
 
@@ -414,7 +410,7 @@ def _cmd_localize(args) -> dict:
         return _report("localize", value, [independence])
     J = _multiindex(args.j)
     if args.leaf_integrals is None:
-        raise _CliInputError("characteristic mode requires --leaf-integrals")
+        raise InputError("characteristic mode requires --leaf-integrals")
     leaf = [PiScalar(c, 0) for c in _rat_list(args.leaf_integrals)]
     value, independence = _resample(
         lambda v: localize_characteristic(system, J, leaf, v),
@@ -429,11 +425,11 @@ def _cmd_dh(args) -> dict:
     system = _load_orbit_system(_load_json(args.input))
     n = system.codim_half
     if args.order < n:
-        raise _CliInputError(
+        raise InputError(
             f"--order must be at least the complex codimension {n}, got {args.order}"
         )
     if args.order > DH_MAX_ORDER:
-        raise _CliInputError(f"--order must be at most {DH_MAX_ORDER}, got {args.order}")
+        raise InputError(f"--order must be at most {DH_MAX_ORDER}, got {args.order}")
     outcome = sample_independent(
         lambda v: dh_series(system, v, args.order), system.dim_t, 1, args.seed
     )
@@ -458,7 +454,7 @@ def _cmd_dh(args) -> dict:
 def _cmd_stiefel(args) -> dict:
     w = _rat_list(args.w)
     if len(w) != 3:
-        raise _CliInputError("--w must have exactly three entries")
+        raise InputError("--w must have exactly three entries")
     closed = stiefel_closed_form(w)
     try:
         outcome = sample_independent(lambda v: stiefel_four_sum(w, v), 3, 2, args.seed)
@@ -480,7 +476,7 @@ def _cmd_homogeneous(args) -> dict:
     elif args.fixture == "stiefel-so5-so3":
         rd = stiefel_so5_so3()
     else:
-        raise _CliInputError(f"unknown fixture {args.fixture!r}")
+        raise InputError(f"unknown fixture {args.fixture!r}")
     system = root_data_system(rd, Vector(_rat_list(args.b_prime)))
     value, independence = _resample(
         lambda v: localize_volume(system, v), rd.dim_t, args.samples, args.seed
@@ -491,16 +487,16 @@ def _cmd_homogeneous(args) -> dict:
 def _cmd_check_w1(args) -> dict:
     m = args.m
     if m < 1:
-        raise _CliInputError("--m must be a positive integer")
+        raise InputError("--m must be a positive integer")
     if m >= len(POSITIVE_POOL):
-        raise _CliInputError(
+        raise InputError(
             f"--m must be below {len(POSITIVE_POOL)}: it needs m + 1 distinct values "
             f"from a pool of {len(POSITIVE_POOL)}"
         )
     if args.trials < 1:
-        raise _CliInputError("--trials must be a positive integer")
+        raise InputError("--trials must be a positive integer")
     if args.trials > MAX_TRIALS:
-        raise _CliInputError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
+        raise InputError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     rng = SplitMix64(args.seed)
     checks = []
     all_ok = True
@@ -601,6 +597,19 @@ _COMMANDS = {
 }
 
 
+class _Store(argparse.Action):
+    """argparse's store action, reading ``--option=--`` as Python 3.13 does:
+    3.10-3.12 drop the ``--`` and store an empty list, which no handler
+    takes.  A string option stores ``"--"``; a typed one is a parse error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == []:
+            if self.type is not None:
+                raise argparse.ArgumentError(self, f"invalid {self.type.__name__} value: '--'")
+            values = "--"
+        setattr(namespace, self.dest, values)
+
+
 class _ParseError(Exception):
     """Raised by a one-subcommand parser instead of printing an error."""
 
@@ -631,6 +640,7 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
         handler, help, samples, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
+        p.register("action", None, _Store)  # every option but --json
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--seed", type=int, default=None, help="sampling seed (default 42, env ABBVLOC_SEED)")
         if samples:
@@ -660,16 +670,13 @@ def main(argv=None) -> int:
             args.seed = _default_seed()
         if "samples" in vars(args):
             if args.samples < 2:
-                raise _CliInputError("need at least 2 samples")
+                raise InputError("need at least 2 samples")
             if args.samples > MAX_SAMPLES:
-                raise _CliInputError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
+                raise InputError(f"--samples must be at most {MAX_SAMPLES}, got {args.samples}")
         report = args.handler(args)
         return _emit(report, args.json)
     except LocalizationError as exc:
-        name = type(exc).__name__
-        if name.startswith("_"):
-            name = "InputError"
-        error = {"error": {"type": name, "message": str(exc)}}
+        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stdout.write(json.dumps(error, sort_keys=True) + "\n")
         return 2
 

@@ -1,97 +1,20 @@
 """Exact volumes of the compact hyperplane section of a moment cone.
 
-Two independent routes compute the section's volume under the lattice
-measure: Lawrence's vertex formula and a pulling triangulation.  The bridge
-identity ties both to the localized volume of the cone.
+Two independent routes compute the volume of a section (``toric.HPolytope``,
+which the vertex walk fills) under the lattice measure: Lawrence's vertex
+formula and a pulling triangulation.  The bridge identity ties both to the
+localized volume of the cone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
-from math import factorial, prod
+from math import factorial
 
-from .core import Covector, PiScalar, Record, Vector, _bareiss, _integer_row, _reduce, rat
-from .errors import EdgeConstantFunctional, InputError
+from .core import Covector, PiScalar, Record, Vector, _integer_row, _reduce, rat
+from .errors import EdgeConstantFunctional
 from .sampling import SampleOutcome, sample_independent
-from .toric import GoodCone, _bounded_edges, _integer_columns, _walk, toric_volume
-
-
-class HPolytope(Record):
-    """The section {phi : phi(v_i) <= 0, phi(reeb) = 1} as the vertex walk
-    (``toric._walk``) found it: its vertices, sorted, and in vertex order
-    the facets each vertex lies on (``facet_sets``).  The walk proves every
-    vertex simple, on n facets whose normals form a basis with b.  A
-    section built ``from_cone`` takes the cone's edge map and integer
-    columns, which the cone's enumeration built once."""
-
-    normals: tuple
-    reeb: Vector
-    vertices: tuple
-    facet_sets: tuple
-
-    @classmethod
-    def from_cone(cls, cone: GoodCone) -> "HPolytope":
-        p = cls(
-            normals=cone.normals,
-            reeb=cone.reeb,
-            vertices=tuple(o.vertex for o in cone.orbits),
-            facet_sets=tuple(frozenset(o.facet_indices) for o in cone.orbits),
-        )
-        # the cone built both once; fill the cached properties below with them
-        object.__setattr__(p, "edges", cone.edges)
-        object.__setattr__(p, "integer_columns", cone.integer_columns)
-        return p
-
-    @classmethod
-    def from_halfspaces(cls, normals, reeb) -> "HPolytope":
-        """The section of a bare document, its vertices found by the same
-        pivoting walk as a cone's, without the goodness test.  Raises
-        InputError for a Reeb vector of fewer than 2 entries, whose section
-        is a point, and NotSimpleVertex at a vertex on more than n facets;
-        boundedness is checked by ``edges``."""
-        normals = tuple(Vector(v) for v in normals)
-        reeb = Vector(reeb)
-        if len(reeb) < 2:
-            raise InputError("the Reeb vector must have at least 2 entries")
-        if any(len(v) != len(reeb) for v in normals):
-            raise InputError("normals and reeb must have the same dimension")
-        _, found = _walk(normals, reeb)
-        if not found:
-            raise InputError("hyperplane section has no vertices")
-        found = sorted(((phi, frozenset(labels) - {-1}) for phi, labels, *_ in found),
-                       key=lambda pair: tuple(pair[0]))
-        return cls(
-            normals=normals,
-            reeb=reeb,
-            vertices=tuple(phi for phi, _ in found),
-            facet_sets=tuple(facets for _, facets in found),
-        )
-
-    @property
-    def section_dim(self) -> int:
-        return len(self.reeb) - 1
-
-    @cached_property
-    def edges(self) -> tuple:
-        """The sorted pairs a < b of vertex indices joined by an edge; raises
-        UnboundedSection unless the section is bounded."""
-        return _bounded_edges(self.vertices, self.facet_sets)
-
-    @cached_property
-    def integer_columns(self) -> tuple:
-        """For each vertex on the facets S, in vertex order, the columns of
-        (b | v_S) with the normals in facet-index order, each scaled to
-        integers, and their scales (``toric._integer_columns``)."""
-        return _integer_columns(self.reeb, self.normals, self.facet_sets)
-
-    @cached_property
-    def abs_dets(self) -> tuple:
-        """|det(b, v_S)| for each vertex on the facets S, in vertex order:
-        one ``core._bareiss`` of the integer columns over the product of
-        their scales, not read from the walk's dictionaries."""
-        return tuple(Fraction(abs(_bareiss([list(c) for c in columns])), prod(scales))
-                     for scales, columns in self.integer_columns)
+from .toric import GoodCone, HPolytope, toric_volume
 
 
 class LinearFunctional(Record):
@@ -217,14 +140,14 @@ class MsyCheck(Record):
 
 def msy_check(cone: GoodCone, seed: int = 42) -> MsyCheck:
     """Compare the localized cone volume with 2 pi^(n+1) times the section
-    volume, with the pi grading reconciled through the cone's lattice
-    scale exponent.  The cone volume is taken at the first pole-free sample
+    volume, with the pi grading reconciled through the cone's
+    ``two_pi_exponent`` k: the section side is 2^k pi^(n+k) times the
+    section volume.  The cone volume is taken at the first pole-free sample
     and the section volume at the first functional accepted by
     ``sample_lawrence``, each drawn from its own stream seeded with
     ``seed``."""
     lhs = sample_independent(lambda v: toric_volume(cone, v), cone.dim, 1, seed).value
-    vol_h = sample_lawrence(HPolytope.from_cone(cone), 1, seed).value
-    n = cone.codim_half
-    e = cone.pi_scale_exponent
-    rhs = PiScalar(Fraction(2) ** ((n + 1) * e - n) * vol_h, (n + 1) * e)
+    vol_h = sample_lawrence(cone.section, 1, seed).value
+    k = cone.two_pi_exponent
+    rhs = PiScalar(Fraction(2) ** k * vol_h, cone.codim_half + k)
     return MsyCheck(lhs=lhs, rhs=rhs, equal=lhs == rhs, section_volume=vol_h)

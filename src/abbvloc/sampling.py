@@ -14,6 +14,8 @@ from .core import Record, Vector
 from .errors import AllSamplesPoles, InconsistentSamples, PoleAtSample
 
 POLE_RETRY_BUDGET = 100
+# Draws sample_distinct_positive makes before it gives up on a count.
+DISTINCT_DRAW_BUDGET = 1000
 
 SAMPLE_POOL = tuple(
     Fraction(p, q) * s
@@ -62,13 +64,14 @@ def sample_positive_rational(rng: SplitMix64) -> Fraction:
     return rng.choice(POSITIVE_POOL)
 
 
-def sample_distinct_positive(count: int, rng: SplitMix64, budget: int = 1000) -> tuple:
-    """Draw ``count`` pairwise-distinct positive rationals.
+def sample_distinct_positive(count: int, rng: SplitMix64) -> tuple:
+    """Draw ``count`` pairwise-distinct positive rationals in at most
+    DISTINCT_DRAW_BUDGET draws.
 
     The pool's entries are distinct, so a draw is new exactly when its pool
     index is: the picked indices are kept in a set."""
     picked, seen = [], set()
-    for _ in range(budget):
+    for _ in range(DISTINCT_DRAW_BUDGET):
         i = rng.next_u64() % len(POSITIVE_POOL)
         if i not in seen:
             seen.add(i)
@@ -79,20 +82,12 @@ def sample_distinct_positive(count: int, rng: SplitMix64, budget: int = 1000) ->
 
 
 class SampleOutcome(Record):
-    """Result of a sample-independence check: the one mutable record, so
-    it is unhashable, and each instance starts its own ``samples_used``."""
+    """Result of a sample-independence check: the common value, the
+    pole-free vectors it was taken at, and the draws rejected as poles."""
 
     value: object
-    samples_used: list = None
-    rejected_poles: int = 0
-
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __post_init__(self):
-        if self.samples_used is None:
-            self.samples_used = []
+    samples_used: tuple
+    rejected_poles: int
 
 
 def sample_independent(evaluate, dim: int, samples: int, seed: int) -> SampleOutcome:
@@ -106,22 +101,20 @@ def sample_independent(evaluate, dim: int, samples: int, seed: int) -> SampleOut
     pole-free value.
     """
     rng = SplitMix64(seed)
-    outcome = SampleOutcome(value=None)
+    first, used, poles = None, [], 0
     budget = max(POLE_RETRY_BUDGET, samples)
     for _ in range(budget):
         v = sample_vector(dim, rng)
         try:
             value = evaluate(v)
         except PoleAtSample:
-            outcome.rejected_poles += 1
+            poles += 1
             continue
-        if not outcome.samples_used:
-            outcome.value = value
-        elif value != outcome.value:
-            raise InconsistentSamples(outcome.value, value, outcome.samples_used[0], v)
-        outcome.samples_used.append(v)
-        if len(outcome.samples_used) == samples:
-            return outcome
-    raise AllSamplesPoles(
-        f"only {len(outcome.samples_used)} pole-free samples found in {budget} draws"
-    )
+        if not used:
+            first = value
+        elif value != first:
+            raise InconsistentSamples(first, value, used[0], v)
+        used.append(v)
+        if len(used) == samples:
+            return SampleOutcome(value=first, samples_used=tuple(used), rejected_poles=poles)
+    raise AllSamplesPoles(f"only {len(used)} pole-free samples found in {budget} draws")

@@ -11,16 +11,17 @@ lattice direct-summand condition on its moment row, which holds the
 n x n minors of v_S (Smith normal form is computed only to report a
 violation), and the vertices are turned into orbit data (lengths,
 moments, weights, the weights built on first read) or fed directly into
-the determinant volume formula.  Boundedness is read off the edges,
-which ``_bounded_edges`` finds from the vertices' facet sets.  Errors come
-in the order NotSimpleVertex, GoodnessViolation, UnboundedSection.
+the determinant volume formula.  The sorted vertices and their facet sets
+are the cone's section, an ``HPolytope``, whose edges ``_bounded_edges``
+finds; boundedness is read off them.  Errors come in the order
+NotSimpleVertex, GoodnessViolation, UnboundedSection.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 from .core import (
     Covector,
@@ -73,8 +74,7 @@ class GoodCone(Record):
 
     The vertex data does not depend on any sample vector, so the cone
     holds it: ``orbits`` is enumerated on first use and kept for the
-    cone's lifetime, with the section's ``edges`` and the determinant
-    routes' ``integer_columns``.
+    cone's lifetime, with the ``section`` that the enumeration built.
     """
 
     dim: int
@@ -137,21 +137,20 @@ class GoodCone(Record):
         """
         return enumerate_vertices(self)
 
-    @property
-    def edges(self) -> tuple:
-        """The sorted pairs a < b of indices into ``orbits`` joined by an
-        edge of the section: the map enumerate_vertices checked
-        boundedness with, kept from the enumeration that filled ``orbits``."""
-        self.orbits  # enumerate_vertices keeps the map in _edges
-        return self._edges
-
     @cached_property
-    def integer_columns(self) -> tuple:
-        """For each orbit, in orbit order, the integer columns of (b | v_S)
-        and their scales (``_integer_columns``): b times the lcm L_b of its
-        denominators, then the active normals in facet-index order, which
-        are integer.  Built once per cone for the determinant routes."""
-        return _integer_columns(self.reeb, self.normals, [o.facet_indices for o in self.orbits])
+    def section(self) -> HPolytope:
+        """The hyperplane section that enumerate_vertices built from
+        ``orbits`` and read the edges of, kept with them: its ``edges`` and
+        ``integer_columns`` are computed once per cone."""
+        self.orbits  # enumerate_vertices fills this slot
+        return self.__dict__["section"]
+
+    @property
+    def two_pi_exponent(self) -> int:
+        """k = e - (1 - e) n for pi_scale_exponent e: each orbit length is
+        (2 pi)^k / |det(b, v_S)|, so a volume carries 2^k pi^(n + k)."""
+        e = self.pi_scale_exponent
+        return e - (1 - e) * self.codim_half
 
 
 class ToricOrbit(Record):
@@ -177,18 +176,79 @@ class ToricOrbit(Record):
         return tuple(Covector(Fraction(x, self.t) for x in row) for row in self.weight_rows)
 
 
-def _integer_columns(reeb, normals, facet_sets) -> tuple:
-    """For each facet set S: (scales, columns), the columns of (b | v_S)
-    with the normals in facet-index order, each scaled to a tuple of ints
-    by the lcm of its denominators, and those lcms.  So |det(b, v_S)| is
-    |det(columns)| / prod(scales)."""
-    b = _integer_row(reeb)
-    rows = [_integer_row(v) for v in normals]
-    out = []
-    for facets in facet_sets:
-        scaled = [b, *(rows[i] for i in sorted(facets))]
-        out.append((tuple(s for s, _ in scaled), tuple(tuple(c) for _, c in scaled)))
-    return tuple(out)
+class HPolytope(Record):
+    """The section {phi : phi(v_i) <= 0, phi(reeb) = 1} as the vertex walk
+    (``_walk``) found it: its vertices, sorted, and in vertex order the
+    facets each vertex lies on (``facet_sets``).  The walk proves every
+    vertex simple, on n facets whose normals form a basis with b.  A cone's
+    section is ``GoodCone.section``, which ``from_cone`` returns."""
+
+    normals: tuple
+    reeb: Vector
+    vertices: tuple
+    facet_sets: tuple
+
+    @classmethod
+    def from_cone(cls, cone: GoodCone) -> HPolytope:
+        return cone.section
+
+    @classmethod
+    def from_halfspaces(cls, normals, reeb) -> HPolytope:
+        """The section of a bare document, its vertices found by the same
+        pivoting walk as a cone's, without the goodness test.  Raises
+        InputError for a Reeb vector of fewer than 2 entries, whose section
+        is a point, and NotSimpleVertex at a vertex on more than n facets;
+        boundedness is checked by ``edges``."""
+        normals = tuple(Vector(v) for v in normals)
+        reeb = Vector(reeb)
+        if len(reeb) < 2:
+            raise InputError("the Reeb vector must have at least 2 entries")
+        if any(len(v) != len(reeb) for v in normals):
+            raise InputError("normals and reeb must have the same dimension")
+        _, found = _walk(normals, reeb)
+        if not found:
+            raise InputError("hyperplane section has no vertices")
+        found = sorted(((phi, frozenset(labels) - {-1}) for phi, labels, *_ in found),
+                       key=lambda pair: tuple(pair[0]))
+        return cls(
+            normals=normals,
+            reeb=reeb,
+            vertices=tuple(phi for phi, _ in found),
+            facet_sets=tuple(facets for _, facets in found),
+        )
+
+    @property
+    def section_dim(self) -> int:
+        return len(self.reeb) - 1
+
+    @cached_property
+    def edges(self) -> tuple:
+        """The sorted pairs a < b of vertex indices joined by an edge; raises
+        UnboundedSection unless the section is bounded."""
+        return _bounded_edges(self.vertices, self.facet_sets)
+
+    @cached_property
+    def integer_columns(self) -> tuple:
+        """For each vertex on the facets S, in vertex order: (scales,
+        columns), the columns of (b | v_S) with the normals in facet-index
+        order, each scaled to a tuple of ints by the lcm of its
+        denominators, and those lcms.  So |det(b, v_S)| is |det(columns)| /
+        prod(scales)."""
+        b = _integer_row(self.reeb)
+        rows = [_integer_row(v) for v in self.normals]
+        out = []
+        for facets in self.facet_sets:
+            scaled = [b, *(rows[i] for i in sorted(facets))]
+            out.append((tuple(s for s, _ in scaled), tuple(tuple(c) for _, c in scaled)))
+        return tuple(out)
+
+    @cached_property
+    def abs_dets(self) -> tuple:
+        """|det(b, v_S)| for each vertex on the facets S, in vertex order:
+        one ``core._bareiss`` of the integer columns over the product of
+        their scales, not read from the walk's dictionaries."""
+        return tuple(Fraction(abs(_bareiss([list(c) for c in columns])), prod(scales))
+                     for scales, columns in self.integer_columns)
 
 
 def _point_str(phi) -> str:
@@ -353,8 +413,8 @@ def enumerate_vertices(cone: GoodCone) -> tuple:
     nontrivial recession cone).  InputError when the section has more than
     MAX_VERTICES vertices.
 
-    Enumerates afresh on every call, and keeps the edge map it checks
-    boundedness with on the cone (``cone.edges``); callers read
+    Enumerates afresh on every call, and keeps the section whose edges it
+    checks boundedness with on the cone (``cone.section``); callers read
     ``cone.orbits``, which calls this once per cone and keeps the result.
     """
     n = cone.codim_half
@@ -383,8 +443,14 @@ def enumerate_vertices(cone: GoodCone) -> tuple:
         for facets, phi, order, a, t in bases
     ]
     result = tuple(sorted(orbits, key=lambda o: tuple(o.vertex)))
-    edges = _bounded_edges([o.vertex for o in result], [o.facet_indices for o in result])
-    object.__setattr__(cone, "_edges", edges)
+    section = HPolytope(
+        normals=cone.normals,
+        reeb=cone.reeb,
+        vertices=tuple(o.vertex for o in result),
+        facet_sets=tuple(frozenset(o.facet_indices) for o in result),
+    )
+    section.edges  # raises UnboundedSection
+    object.__setattr__(cone, "section", section)
     return result
 
 
@@ -401,11 +467,10 @@ def orbit_system_from_cone(cone: GoodCone) -> OrbitSystem:
     exactly the geometric ones.
     """
     n = cone.codim_half
-    e = cone.pi_scale_exponent
-    pi_len = e - (1 - e) * n
+    k = cone.two_pi_exponent
     orbits = []
     for orbit in cone.orbits:
-        length = PiScalar(Fraction(2) ** pi_len / orbit.abs_delta, pi_len)
+        length = PiScalar(Fraction(2) ** k / orbit.abs_delta, k)
         orbits.append(OrbitDatum(length=length, moment=orbit.vertex, weights=orbit.weights))
     return OrbitSystem(
         dim_t=cone.dim, b=cone.reeb, codim_half=n, orbits=tuple(orbits)
@@ -428,9 +493,9 @@ def toric_volume(cone: GoodCone, v: Vector) -> PiScalar:
     ends of the edge read the one E(T) = det(L_b b, L_v v, v_T) that the
     call takes on first use and keeps until it returns.  The determinants
     run on integers, one ``core._bareiss`` each: the numerator per vertex
-    and E(T) per edge, on the vertex's ``cone.integer_columns`` (L_b b,
-    v_S) taken as rows (det M = det M^T) with L_v v, v scaled once per
-    call.  The numerator carries L_v^n and the slot product (L_b L_v)^n,
+    and E(T) per edge, on the vertex's integer columns (L_b b, v_S) in
+    ``cone.section`` taken as rows (det M = det M^T) with L_v v, v scaled
+    once per call.  The numerator carries L_v^n and the slot product (L_b L_v)^n,
     so L_v cancels and each term is multiplied by L_b^n.  Computed
     determinant by determinant, without the inverse that the orbit-data
     route reads off the walk, so the two routes cross-check each other;
@@ -440,11 +505,10 @@ def toric_volume(cone: GoodCone, v: Vector) -> PiScalar:
     if len(v) != cone.dim:
         raise InputError("sample vector has wrong dimension")
     n = cone.codim_half
-    e = cone.pi_scale_exponent
     _, vi = _integer_row(v)
     edges = {}
     total = Fraction(0)
-    for orbit, (scales, columns) in zip(cone.orbits, cone.integer_columns):
+    for orbit, (scales, columns) in zip(cone.orbits, cone.section.integer_columns):
         b, *normals = columns
         numerator = _bareiss([list(vi), *map(list, normals)])
         facets = orbit.facet_indices
@@ -465,8 +529,8 @@ def toric_volume(cone: GoodCone, v: Vector) -> PiScalar:
         delta = orbit.abs_delta
         total += Fraction((numerator * scales[0]) ** n * delta.denominator,
                           delta.numerator * denom)
-    scale = e - (1 - e) * n
-    return PiScalar(Fraction(2) ** scale * total / factorial(n), n + scale)
+    k = cone.two_pi_exponent
+    return PiScalar(Fraction(2) ** k * total / factorial(n), n + k)
 
 
 # ---------------------------------------------------------------------------

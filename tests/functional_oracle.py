@@ -54,7 +54,7 @@ def assert_sample_lawrence_matches(p, seed: int, count: int) -> int:
         outcome = polytope.sample_lawrence(p, count, seed)
     accepted = [(i, f) for i, f in enumerate(calls) if f is not None]
     assert accepted == [(i, f) for i, f, _ in expected]
-    assert outcome.samples_used == [(*f.u, f.d_shift) for _, f, _ in expected]
+    assert outcome.samples_used == tuple((*f.u, f.d_shift) for _, f, _ in expected)
     assert {outcome.value} == {volume for _, _, volume in expected}
     assert outcome.rejected_poles == index + 1 - count == len(calls) - count
     return outcome.rejected_poles

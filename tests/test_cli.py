@@ -829,6 +829,70 @@ class TestArgumentParsing:
             assert handler.__name__ == "_cmd_" + name.replace("-", "_")
 
 
+# valid options for each subcommand; {cone} and {system} are document paths
+VALID_OPTIONS = {
+    "volume-sphere": ["--weights=1,2"],
+    "volume-toric": ["--input={cone}"],
+    "lawrence": ["--input={cone}"],
+    "polytope-volume": ["--input={cone}"],
+    "msy-check": ["--input={cone}"],
+    "localize": ["--input={system}", "--j=1", "--leaf-integrals=1,2"],
+    "dh": ["--input={system}"],
+    "stiefel": ["--w=1,2,5"],
+    "homogeneous": ["--b-prime=1,2,5"],
+    "check-w1": ["--m=1"],
+    "secondary": ["--weights=1,2", "--j=1"],
+    "check-v-independence": ["--input={system}"],
+}
+
+
+def dash_cases() -> list:
+    """(command, flag, whether the flag takes an int) for every option of
+    every subcommand but --json."""
+    cases = []
+    for command, (_, _, samples, arguments) in _COMMANDS.items():
+        cases += [(command, "--seed", True)] + [(command, "--samples", True)] * samples
+        cases += [(command, flag, options.get("type") is int) for flag, options in arguments]
+    return cases
+
+
+def cli_outcome(capsys, argv) -> tuple:
+    """(exit code, stdout, stderr) of main(argv), whether it returns or exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestDashValue:
+    """``--option=--`` reads as on Python 3.13 on every Python: argparse
+    3.10-3.12 drop the ``--``, and the handler used to get an empty list."""
+
+    @pytest.mark.parametrize("command, flag, typed", dash_cases(), ids=str)
+    def test_exits_2_without_a_traceback(self, capsys, tmp_path, monkeypatch, command, flag, typed):
+        monkeypatch.chdir(tmp_path)  # no file named "--"
+        paths = {"cone": write_json(tmp_path, "cone.json", sphere_cone_doc([1, 2])),
+                 "system": write_json(tmp_path, "system.json", sphere_system_doc())}
+        valid = [option.format(**paths) for option in VALID_OPTIONS[command]]
+        assert cli_outcome(capsys, [command, *valid, "--json"])[0] == 0
+        others = [option for option in valid if not option.startswith(flag + "=")]
+        code, out, err = cli_outcome(capsys, [command, *others, f"{flag}=--", "--json"])
+        assert code == 2
+        if typed:
+            assert out == ""
+            assert err.endswith(f"abbvloc {command}: error: argument {flag}: invalid int value: '--'\n")
+        else:
+            assert err == ""
+            assert out.count("\n") == 1
+            assert json.loads(out)["error"]["type"] == "InputError"
+
+    def test_every_option_is_covered(self):
+        assert sorted(VALID_OPTIONS) == sorted(_COMMANDS)
+        assert len(dash_cases()) == 12 + 6 + 19  # --seed, --samples, the commands' own
+
+
 REEB_ENTRIES = ["0", "1", "-1", "2", "3", "1/2", "-3/2", "5/2"]
 
 

@@ -315,7 +315,7 @@ def edge_pole_samples(cone) -> list:
     b + v_t: det(b, b + v_t, v_T) = det(b, v_t, v_T) = 0, so the slot
     determinant that both ends of T share vanishes."""
     samples = []
-    for first, second in cone.edges:
+    for first, second in cone.section.edges:
         edge = set(cone.orbits[first].facet_indices) & set(cone.orbits[second].facet_indices)
         for t in sorted(edge):
             samples.append([x + y for x, y in zip(cone.reeb, cone.normals[t])])

@@ -314,6 +314,27 @@ class TestHPolytope:
         assert calls == []
         assert len(p.vertices) == len(q.vertices) == 16
 
+    def test_one_class_under_every_name(self):
+        import abbvloc
+        from abbvloc import polytope, toric
+
+        assert abbvloc.HPolytope is polytope.HPolytope is toric.HPolytope
+
+    def test_the_cone_keeps_one_section(self):
+        """from_cone returns the section the enumeration built, with the
+        cone's sorted vertices and their facet sets."""
+        for cone in fixture_cones():
+            section = HPolytope.from_cone(cone)
+            assert section is cone.section is HPolytope.from_cone(cone)
+            assert section.vertices == tuple(o.vertex for o in cone.orbits)
+            assert section.facet_sets == tuple(frozenset(o.facet_indices) for o in cone.orbits)
+
+    def test_polytope_binds_no_private_toric_name(self):
+        from abbvloc import polytope, toric
+
+        assert [name for name, value in vars(polytope).items()
+                if name.startswith("_") and getattr(value, "__module__", None) == toric.__name__] == []
+
     def test_standalone_enumeration_keeps_non_simple_vertices(self):
         normals = (
             Vector([1, 0, -1]),
@@ -353,9 +374,9 @@ class TestMsyBridge:
         assert result.lhs.pi_power == 0
 
     def test_one_edge_map_per_cone(self, monkeypatch):
-        """The enumeration's edge map serves the section built from the
-        cone: msy_check and further Lawrence values build no second one."""
-        from abbvloc import polytope, toric
+        """The enumeration's edge map serves the cone's section: msy_check
+        and further Lawrence values build no second one."""
+        from abbvloc import toric
 
         calls = []
         real = toric._bounded_edges
@@ -364,13 +385,12 @@ class TestMsyBridge:
             calls.append(args)
             return real(*args)
 
-        for module in (toric, polytope):
-            monkeypatch.setattr(module, "_bounded_edges", counted)
+        monkeypatch.setattr(toric, "_bounded_edges", counted)
         cone = cube_cone_k(3)
         assert msy_check(cone, seed=5).equal
         p = HPolytope.from_cone(cone)
         assert sample_lawrence(p, 2, seed=9).value == triangulation_volume(p)
-        assert p.edges is cone.edges
+        assert p is cone.section
         assert len(calls) == 1
         # a bare section has no cone and builds its own map, once
         q = HPolytope.from_halfspaces(cone.normals, cone.reeb)

@@ -13,7 +13,7 @@ from abbvloc.sampling import (
 
 def draws(seed, dim, count):
     rng = SplitMix64(seed)
-    return [sample_vector(dim, rng) for _ in range(count)]
+    return tuple(sample_vector(dim, rng) for _ in range(count))
 
 
 class FakeEvaluate:
@@ -46,14 +46,14 @@ class TestSampleIndependent:
         outcome = sample_independent(evaluate, 2, 3, seed=11)
         expected = draws(11, 2, 6)
         assert outcome.rejected_poles == 3
-        assert outcome.samples_used == [expected[1], expected[4], expected[5]]
+        assert outcome.samples_used == (expected[1], expected[4], expected[5])
         assert evaluate.calls == 6
 
     def test_one_sample_is_first_pole_free_value(self):
         evaluate = FakeEvaluate(poles={0, 1}, values={2: 5, 3: 6})
         outcome = sample_independent(evaluate, 2, 1, seed=1)
         assert outcome.value == 5
-        assert outcome.samples_used == [draws(1, 2, 3)[2]]
+        assert outcome.samples_used == (draws(1, 2, 3)[2],)
         assert evaluate.calls == 3
 
     def test_mismatch_carries_first_disagreeing_pair(self):

@@ -294,6 +294,24 @@ class TestOrbitData:
         for orbit, datum in zip(orbits, system.orbits):
             assert Covector(datum.moment) == orbit.vertex
 
+    @pytest.mark.parametrize("e", [0, 1])
+    def test_every_route_reads_the_two_pi_exponent(self, e):
+        """k = e - (1 - e) n: each orbit length is (2 pi)^k / |det(b, v_S)|,
+        and the determinant formula and both sides of the bridge carry
+        pi^(n + k)."""
+        from abbvloc.polytope import msy_check
+
+        for dim in (2, 3, 4):
+            cone = weighted_sphere_cone([1, 2, 3, 5][:dim], pi_scale_exponent=e)
+            n = dim - 1
+            k = cone.two_pi_exponent
+            assert k == (n + 1) * e - n
+            for orbit, datum in zip(cone.orbits, orbit_system_from_cone(cone).orbits):
+                assert datum.length == PiScalar(Fraction(2) ** k / orbit.abs_delta, k)
+            assert toric_volume(cone, nonpole_cone_sample(cone, make_rng(dim))).pi_power == n + k
+            result = msy_check(cone, seed=dim)
+            assert result.equal and result.rhs.pi_power == n + k
+
 
 class TestToricVolume:
     def test_weighted_s3_value(self):
@@ -338,7 +356,7 @@ class TestToricVolume:
         for cone, vertices, edges in ((cube_cone_k(4), 16, 32),
                                       (case_cone("product", 2, 2, 3)[0], 9, 18)):
             cases.append((cone, nonpole_cone_sample(cone, make_rng(3)), vertices, edges))
-            assert (len(cone.orbits), len(cone.edges)) == (vertices, edges)
+            assert (len(cone.orbits), len(cone.section.edges)) == (vertices, edges)
         calls = collections.Counter()
 
         def counted(name, real):
