@@ -229,7 +229,7 @@ def _load_root_data(doc) -> RootData:
 
 def _load_section(doc) -> HPolytope:
     if "pi_scale_exponent" in doc or "lattice_basis" in doc:
-        return HPolytope.from_cone(_load_cone(doc))
+        return _load_cone(doc).section
     memo = {}
     try:
         normals = tuple(_vector(v, memo) for v in doc["normals"])
@@ -406,6 +406,8 @@ def _cmd_msy_check(args) -> dict:
 def _cmd_localize(args) -> dict:
     system = _load_orbit_system(_load_json(args.input))
     if args.j is None:
+        if args.leaf_integrals is not None:
+            raise InputError("--leaf-integrals requires --j")
         _, value, independence = _run_independence(system, args.samples, args.seed)
         return _report("localize", value, [independence])
     J = _multiindex(args.j)
@@ -472,8 +474,10 @@ def _cmd_stiefel(args) -> dict:
 
 def _cmd_homogeneous(args) -> dict:
     if args.input is not None:
+        if args.fixture is not None:
+            raise InputError("--input and --fixture exclude each other")
         rd = _load_root_data(_load_json(args.input))
-    elif args.fixture == "stiefel-so5-so3":
+    elif args.fixture in (None, "stiefel-so5-so3"):
         rd = stiefel_so5_so3()
     else:
         raise InputError(f"unknown fixture {args.fixture!r}")
@@ -579,7 +583,7 @@ _COMMANDS = {
     )),
     "homogeneous": (_cmd_homogeneous, "volume from root data", True, (
         ("--input", dict(default=None, help="root data JSON file")),
-        ("--fixture", dict(default="stiefel-so5-so3", help="built-in fixture name")),
+        ("--fixture", dict(default=None, help="built-in fixture name")),
         ("--b-prime", dict(required=True, help="deformed Reeb element")),
     )),
     "check-w1": (_cmd_check_w1, "elementary symmetric polynomial identity", False, (

@@ -457,16 +457,6 @@ def smith_normal_form(mat) -> tuple:
     return tuple(divisors)
 
 
-def integer_gcd(entries) -> int:
-    g = 0
-    for e in entries:
-        q = rat(e)
-        if q.denominator != 1:
-            raise NonIntegerMatrix(f"entry {q} is not an integer")
-        g = gcd(g, abs(q.numerator))
-    return g
-
-
 # ---------------------------------------------------------------------------
 # symmetric polynomials
 
@@ -594,7 +584,6 @@ __all__ = [
     "complete_homogeneous",
     "elementary_symmetric",
     "factorial",
-    "integer_gcd",
     "partitions",
     "power_sum",
     "rat",

@@ -51,7 +51,7 @@ def triangulation_volume(p: HPolytope, order=None) -> Fraction:
     unless the section is bounded.
 
     >>> from abbvloc.toric import weighted_sphere_cone
-    >>> triangulation_volume(HPolytope.from_cone(weighted_sphere_cone([1, 2, 3])))
+    >>> triangulation_volume(weighted_sphere_cone([1, 2, 3]).section)
     Fraction(1, 12)
     """
     n = p.section_dim

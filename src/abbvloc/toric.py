@@ -9,11 +9,11 @@ of (b | v_S), so its rows are the moment and the weights of the orbit
 data; no inverse is computed.  Each vertex is validated against the
 lattice direct-summand condition on its moment row, which holds the
 n x n minors of v_S (Smith normal form is computed only to report a
-violation), and the vertices are turned into orbit data (lengths,
-moments, weights, the weights built on first read) or fed directly into
-the determinant volume formula.  The sorted vertices and their facet sets
-are the cone's section, an ``HPolytope``, whose edges ``_bounded_edges``
-finds; boundedness is read off them.  Errors come in the order
+violation).  One ``ToricOrbit`` per vertex, sorted by vertex, makes up
+the cone's section, an ``HPolytope``, whose edges ``_bounded_edges``
+finds; boundedness is read off them.  The orbits are turned into orbit
+data (lengths, moments, weights, the weights built on first read) or fed
+directly into the determinant volume formula.  Errors come in the order
 NotSimpleVertex, GoodnessViolation, UnboundedSection.
 """
 
@@ -35,7 +35,6 @@ from .core import (
     _primitive,
     _reduce,
     basis_vector,
-    integer_gcd,
     rat,
     rat_str,
     smith_normal_form,
@@ -73,8 +72,8 @@ class GoodCone(Record):
     multiples of pi^0 in lattice-normalized units.
 
     The vertex data does not depend on any sample vector, so the cone
-    holds it: ``orbits`` is enumerated on first use and kept for the
-    cone's lifetime, with the ``section`` that the enumeration built.
+    holds it: ``section`` is enumerated on first use and kept for the
+    cone's lifetime.
     """
 
     dim: int
@@ -95,11 +94,8 @@ class GoodCone(Record):
             raise InputError("normals and reeb must have the cone dimension")
         if len(normals) < d:
             raise InputError(f"need at least {d} facet normals, got {len(normals)}")
-        basis = self.lattice_basis
-        if basis is not None:
-            basis = tuple(tuple(rat(e) for e in r) for r in basis)
-        if basis is not None and basis != tuple(tuple(int(i == j) for j in range(d))
-                                                for i in range(d)):
+        if self.lattice_basis is not None:
+            basis = tuple(tuple(rat(e) for e in r) for r in self.lattice_basis)
             if not (len(basis) == d and all(len(r) == d for r in basis)):
                 raise InputError("lattice_basis must be a square matrix of the cone dimension")
             # one reduction of (B | v_1 ... v_m b) to (T I | T B^-1 (v_1 ... v_m b))
@@ -113,7 +109,7 @@ class GoodCone(Record):
         for i, v in enumerate(normals):
             if any(e.denominator != 1 for e in v):
                 raise InputError(f"normal {i} is not an integer lattice vector")
-            g = integer_gcd(v)
+            g = gcd(*(e.numerator for e in v))
             if g == 0:
                 raise InputError(f"normal {i} is zero")
             if g != 1:
@@ -129,21 +125,15 @@ class GoodCone(Record):
         return self.dim - 1
 
     @cached_property
-    def orbits(self) -> tuple:
-        """The section's vertices as ToricOrbits, sorted by vertex.
-
-        Computed by enumerate_vertices on first access.  An enumeration
-        that raises is not stored, so every access raises the same error.
-        """
-        return enumerate_vertices(self)
-
-    @cached_property
     def section(self) -> HPolytope:
-        """The hyperplane section that enumerate_vertices built from
-        ``orbits`` and read the edges of, kept with them: its ``edges`` and
-        ``integer_columns`` are computed once per cone."""
-        self.orbits  # enumerate_vertices fills this slot
-        return self.__dict__["section"]
+        """The hyperplane section, its orbits found by enumerate_vertices on
+        first access and its edges read to raise UnboundedSection unless it
+        is bounded, so its ``edges`` and ``integer_columns`` are computed
+        once per cone.  A section that raises is not stored, so every
+        access raises the same error."""
+        section = HPolytope(self.normals, self.reeb, enumerate_vertices(self))
+        section.edges  # raises UnboundedSection
+        return section
 
     @property
     def two_pi_exponent(self) -> int:
@@ -158,39 +148,38 @@ class ToricOrbit(Record):
 
     ``facet_indices`` are the facets through the vertex, in increasing
     order, and ``abs_delta`` is |det(b, v_S)| for their normals v_S.
-    ``weight_rows`` are rows 1..n of the walk's dictionary T (b | v_S)^-1
-    with the normals in that order, as tuples of ints, and ``t`` is T;
-    row 0 is ``vertex``.
+    ``rows`` are the n + 1 rows of the walk's dictionary T (b | v_S)^-1
+    with the normals in that order, as tuples of ints, and ``t`` is T:
+    row 0 is the moment row, ``vertex`` = L_b row 0 / T for the lcm L_b of
+    b's denominators, and rows 1..n are the weights.  The walk scales each
+    normal to a primitive integer row, so ``abs_delta`` and ``rows`` are
+    those of the primitive normals; a cone's normals are primitive already.
     """
 
     vertex: Covector
     facet_indices: tuple
     abs_delta: Fraction
-    weight_rows: tuple
+    rows: tuple
     t: int
 
     @cached_property
     def weights(self) -> tuple:
         """Rows 1..n of the inverse of (b | v_S) as Covectors, built on
         first read: only the orbit-data route reads them."""
-        return tuple(Covector(Fraction(x, self.t) for x in row) for row in self.weight_rows)
+        return tuple(Covector(Fraction(x, self.t) for x in row) for row in self.rows[1:])
 
 
 class HPolytope(Record):
     """The section {phi : phi(v_i) <= 0, phi(reeb) = 1} as the vertex walk
-    (``_walk``) found it: its vertices, sorted, and in vertex order the
-    facets each vertex lies on (``facet_sets``).  The walk proves every
-    vertex simple, on n facets whose normals form a basis with b.  A cone's
-    section is ``GoodCone.section``, which ``from_cone`` returns."""
+    (``_walk``) found it: one ToricOrbit per vertex, sorted by vertex, from
+    which its ``vertices`` and, in vertex order, the facets each vertex
+    lies on (``facet_sets``) are read.  The walk proves every vertex
+    simple, on n facets whose normals form a basis with b.  A cone's
+    section is ``GoodCone.section``."""
 
     normals: tuple
     reeb: Vector
-    vertices: tuple
-    facet_sets: tuple
-
-    @classmethod
-    def from_cone(cls, cone: GoodCone) -> HPolytope:
-        return cone.section
+    orbits: tuple
 
     @classmethod
     def from_halfspaces(cls, normals, reeb) -> HPolytope:
@@ -205,21 +194,22 @@ class HPolytope(Record):
             raise InputError("the Reeb vector must have at least 2 entries")
         if any(len(v) != len(reeb) for v in normals):
             raise InputError("normals and reeb must have the same dimension")
-        _, found = _walk(normals, reeb)
+        scale, found = _walk(normals, reeb)
         if not found:
             raise InputError("hyperplane section has no vertices")
-        found = sorted(((phi, frozenset(labels) - {-1}) for phi, labels, *_ in found),
-                       key=lambda pair: tuple(pair[0]))
-        return cls(
-            normals=normals,
-            reeb=reeb,
-            vertices=tuple(phi for phi, _ in found),
-            facet_sets=tuple(facets for _, facets in found),
-        )
+        return cls(normals, reeb, _sorted_orbits(scale, found))
 
     @property
     def section_dim(self) -> int:
         return len(self.reeb) - 1
+
+    @cached_property
+    def vertices(self) -> tuple:
+        return tuple(o.vertex for o in self.orbits)
+
+    @cached_property
+    def facet_sets(self) -> tuple:
+        return tuple(frozenset(o.facet_indices) for o in self.orbits)
 
     @cached_property
     def edges(self) -> tuple:
@@ -237,8 +227,8 @@ class HPolytope(Record):
         b = _integer_row(self.reeb)
         rows = [_integer_row(v) for v in self.normals]
         out = []
-        for facets in self.facet_sets:
-            scaled = [b, *(rows[i] for i in sorted(facets))]
+        for orbit in self.orbits:
+            scaled = [b, *(rows[i] for i in orbit.facet_indices)]
             out.append((tuple(s for s, _ in scaled), tuple(tuple(c) for _, c in scaled)))
         return tuple(out)
 
@@ -392,9 +382,26 @@ def _walk(normals, reeb) -> tuple:
     return scale, found
 
 
+def _sorted_orbits(scale, found) -> tuple:
+    """The vertices that ``_walk`` found, with its ``scale``, as ToricOrbits
+    sorted by vertex: each dictionary's rows put in facet-index order, the
+    Reeb vector's row first, and abs_delta = |T| / scale."""
+    orbits = []
+    for phi, labels, a, t in found:
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        orbits.append(ToricOrbit(
+            vertex=phi,
+            facet_indices=tuple(labels[i] for i in order[1:]),
+            abs_delta=Fraction(abs(t), scale),
+            rows=tuple(tuple(a[i]) for i in order),
+            t=t,
+        ))
+    return tuple(sorted(orbits, key=lambda o: tuple(o.vertex)))
+
+
 def enumerate_vertices(cone: GoodCone) -> tuple:
     """All vertices of the hyperplane section {phi(b) = 1, phi(v_i) <= 0},
-    with their orbit data.
+    as ToricOrbits sorted by vertex.
 
     ``_walk`` finds them by an integer pivoting walk from a dual-simplex
     start.  Each vertex's moment (the vertex) and weights are the rows of
@@ -409,49 +416,24 @@ def enumerate_vertices(cone: GoodCone) -> tuple:
     walk stops there), GoodnessViolation at the first vertex in sorted
     facet order whose moment row has gcd above 1 (reported with the
     divisors of ``smith_normal_form``), UnboundedSection for an empty
-    section or for an edge with one vertex (for a simple section, a
-    nontrivial recession cone).  InputError when the section has more than
-    MAX_VERTICES vertices.
+    section.  InputError when the section has more than MAX_VERTICES
+    vertices.  An edge with one vertex (for a simple section, a nontrivial
+    recession cone) is reported by the section's ``edges``.
 
-    Enumerates afresh on every call, and keeps the section whose edges it
-    checks boundedness with on the cone (``cone.section``); callers read
-    ``cone.orbits``, which calls this once per cone and keeps the result.
+    Enumerates afresh on every call; callers read ``cone.section``, which
+    calls this once per cone and keeps the result.
     """
-    n = cone.codim_half
     scale, found = _walk(cone.normals, cone.reeb)
     if not found:
         raise UnboundedSection("no vertex satisfies the facet inequalities")
-    bases = []
-    for phi, labels, a, t in found:
-        order = sorted(range(n + 1), key=labels.__getitem__)
-        bases.append((tuple(labels[i] for i in order[1:]), phi, order, a, t))
-    bases.sort(key=lambda basis: basis[0])
-    for facets, _, order, a, _ in bases:
-        if gcd(*a[order[0]]) != 1:
-            divisors = smith_normal_form([cone.normals[i] for i in facets])
+    orbits = _sorted_orbits(scale, found)
+    for orbit in sorted(orbits, key=lambda o: o.facet_indices):
+        if gcd(*orbit.rows[0]) != 1:
+            divisors = smith_normal_form([cone.normals[i] for i in orbit.facet_indices])
             raise GoodnessViolation(
-                f"facets {facets} span a sublattice with divisors {divisors}"
+                f"facets {orbit.facet_indices} span a sublattice with divisors {divisors}"
             )
-    orbits = [
-        ToricOrbit(
-            vertex=phi,
-            facet_indices=facets,
-            abs_delta=Fraction(abs(t), scale),
-            weight_rows=tuple(tuple(a[i]) for i in order[1:]),
-            t=t,
-        )
-        for facets, phi, order, a, t in bases
-    ]
-    result = tuple(sorted(orbits, key=lambda o: tuple(o.vertex)))
-    section = HPolytope(
-        normals=cone.normals,
-        reeb=cone.reeb,
-        vertices=tuple(o.vertex for o in result),
-        facet_sets=tuple(frozenset(o.facet_indices) for o in result),
-    )
-    section.edges  # raises UnboundedSection
-    object.__setattr__(cone, "section", section)
-    return result
+    return orbits
 
 
 def orbit_system_from_cone(cone: GoodCone) -> OrbitSystem:
@@ -469,7 +451,7 @@ def orbit_system_from_cone(cone: GoodCone) -> OrbitSystem:
     n = cone.codim_half
     k = cone.two_pi_exponent
     orbits = []
-    for orbit in cone.orbits:
+    for orbit in cone.section.orbits:
         length = PiScalar(Fraction(2) ** k / orbit.abs_delta, k)
         orbits.append(OrbitDatum(length=length, moment=orbit.vertex, weights=orbit.weights))
     return OrbitSystem(
@@ -499,7 +481,7 @@ def toric_volume(cone: GoodCone, v: Vector) -> PiScalar:
     so L_v cancels and each term is multiplied by L_b^n.  Computed
     determinant by determinant, without the inverse that the orbit-data
     route reads off the walk, so the two routes cross-check each other;
-    |det(b, v_S)| is read from ``cone.orbits``.
+    |det(b, v_S)| is read from the section's orbits.
     """
     v = Vector(v)
     if len(v) != cone.dim:
@@ -508,7 +490,8 @@ def toric_volume(cone: GoodCone, v: Vector) -> PiScalar:
     _, vi = _integer_row(v)
     edges = {}
     total = Fraction(0)
-    for orbit, (scales, columns) in zip(cone.orbits, cone.section.integer_columns):
+    section = cone.section
+    for orbit, (scales, columns) in zip(section.orbits, section.integer_columns):
         b, *normals = columns
         numerator = _bareiss([list(vi), *map(list, normals)])
         facets = orbit.facet_indices

@@ -324,6 +324,17 @@ class TestOrbitSystemCommands:
         assert code == 0
         assert json.loads(out)["exact"] == "9/2 * pi^0"
 
+    @pytest.mark.parametrize("leaf", ["3,3/2", "garbage"])
+    def test_leaf_integrals_without_j_exit_2(self, capsys, tmp_path, leaf):
+        path = write_json(tmp_path, "sys.json", sphere_system_doc())
+        code, out = run_cli(capsys, "localize", "--input", path, f"--leaf-integrals={leaf}",
+                            "--json")
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == {
+            "type": "InputError", "message": "--leaf-integrals requires --j",
+        }
+
     def test_check_v_independence_pass(self, capsys, tmp_path):
         path = write_json(tmp_path, "sys.json", sphere_system_doc())
         code, out = run_cli(capsys, "check-v-independence", "--input", path)
@@ -382,6 +393,21 @@ class TestHomogeneousCommands:
         )
         assert code == 0
         assert json.loads(out)["exact"] == "2/3 * pi^4"
+
+    @pytest.mark.parametrize("fixture", ["stiefel-so5-so3", "nonsense"])
+    def test_input_and_fixture_exit_2(self, capsys, tmp_path, fixture):
+        path = write_json(tmp_path, "roots.json", root_data_doc())
+        code, out = run_cli(capsys, "homogeneous", "--input", path, f"--fixture={fixture}",
+                            "--b-prime", "1,2,5", "--json")
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == {
+            "type": "InputError", "message": "--input and --fixture exclude each other",
+        }
+
+    def test_named_fixture_equals_the_default(self, capsys):
+        argv = ("homogeneous", "--b-prime", "1,2,5", "--json")
+        assert run_cli(capsys, *argv, "--fixture", "stiefel-so5-so3") == run_cli(capsys, *argv)
 
     def test_weyl_inverses_once_per_root_datum(self, capsys, monkeypatch):
         """One reduction of (w | I) per Weyl representative w, whatever the

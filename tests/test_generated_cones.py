@@ -206,7 +206,7 @@ def assert_walk_rows_equal_inverse(cone):
     """The walk's moment (row 0) and weights (rows 1..n) are the rows of
     the inverse of (b | normals in facet-index order), and abs_delta is the
     absolute value of its determinant, both by the Fraction oracle."""
-    for orbit in cone.orbits:
+    for orbit in cone.section.orbits:
         columns = [cone.reeb, *(cone.normals[i] for i in orbit.facet_indices)]
         m = list(zip(*columns))
         rows = inverse(m)
@@ -221,7 +221,7 @@ class TestGeneratedCones:
     def test_all_routes_equal_closed_form(self, kind, a, b, seed):
         cone, closed = case_cone(kind, a, b, seed)
         n = cone.codim_half
-        p = HPolytope.from_cone(cone)
+        p = cone.section
         last = base_first(len(p.vertices), len(p.vertices) - 1)
         assert triangulation_volume(p) == closed
         assert triangulation_volume(p, order=last) == closed
@@ -243,13 +243,13 @@ class TestGeneratedCones:
             if kind == "polygon":
                 continue
             for seed in (3, 8, 11):
-                p = HPolytope.from_cone(case_cone(kind, a, b, seed)[0])
+                p = case_cone(kind, a, b, seed)[0].section
                 rejected += assert_sample_lawrence_matches(p, seed, 3)
         assert rejected > 0
 
     @pytest.mark.parametrize("kind, a, b", CASES, ids=[f"{k}-{a}-{b}" for k, a, b in CASES])
     def test_triangulation_matches_explicit_simplices_at_every_base(self, kind, a, b):
-        p = HPolytope.from_cone(case_cone(kind, a, b, 5)[0])
+        p = case_cone(kind, a, b, 5)[0].section
         for base in range(len(p.vertices)):
             order = base_first(len(p.vertices), base)
             assert triangulation_volume(p, order=order) == simplex_volume(p, order)
@@ -257,25 +257,26 @@ class TestGeneratedCones:
     @pytest.mark.parametrize("kind, a, b", CASES, ids=[f"{k}-{a}-{b}" for k, a, b in CASES])
     def test_descending_order_matches_explicit_simplices(self, kind, a, b):
         """The order polytope-volume's alternate triangulation pulls in."""
-        p = HPolytope.from_cone(case_cone(kind, a, b, 5)[0])
+        p = case_cone(kind, a, b, 5)[0].section
         order = range(len(p.vertices) - 1, -1, -1)
         assert triangulation_volume(p, order=order) == simplex_volume(p, order)
 
     @pytest.mark.parametrize("kind, a, b", CASES, ids=[f"{k}-{a}-{b}" for k, a, b in CASES])
     def test_walk_rows_equal_inverse(self, kind, a, b):
         cone = case_cone(kind, a, b, 5)[0]
-        assert len(cone.orbits) == (len(SMOOTH_POLYGONS[a]) if kind == "polygon"
-                                    else 2**a if kind == "cube" else (a + 1) * (b + 1))
+        assert len(cone.section.orbits) == (len(SMOOTH_POLYGONS[a]) if kind == "polygon"
+                                            else 2**a if kind == "cube" else (a + 1) * (b + 1))
         assert_walk_rows_equal_inverse(cone)
 
     @pytest.mark.parametrize("kind, a, b", CASES, ids=[f"{k}-{a}-{b}" for k, a, b in CASES])
     def test_facet_sets_equal_the_pairing(self, kind, a, b):
         cone = case_cone(kind, a, b, 5)[0]
-        p = HPolytope.from_cone(cone)
+        p = cone.section
         assert_facet_sets_by_pairing(p)
         q = HPolytope.from_halfspaces(cone.normals, cone.reeb)
         assert_facet_sets_by_pairing(q)
-        assert (q.vertices, q.facet_sets) == (p.vertices, p.facet_sets)
+        # one builder: the same orbits, dictionary rows and T as the cone's
+        assert q == p
 
     @pytest.mark.parametrize("index", range(len(SMOOTH_POLYGONS)))
     def test_polygons_are_smooth(self, index):
@@ -315,8 +316,9 @@ def edge_pole_samples(cone) -> list:
     b + v_t: det(b, b + v_t, v_T) = det(b, v_t, v_T) = 0, so the slot
     determinant that both ends of T share vanishes."""
     samples = []
+    orbits = cone.section.orbits
     for first, second in cone.section.edges:
-        edge = set(cone.orbits[first].facet_indices) & set(cone.orbits[second].facet_indices)
+        edge = set(orbits[first].facet_indices) & set(orbits[second].facet_indices)
         for t in sorted(edge):
             samples.append([x + y for x, y in zip(cone.reeb, cone.normals[t])])
     return samples

@@ -25,7 +25,7 @@ from abbvloc.polytope import (
     triangulation_volume,
 )
 from abbvloc.sampling import sample_vector
-from abbvloc.toric import simplex_cone, weighted_sphere_cone
+from abbvloc.toric import enumerate_vertices, simplex_cone, weighted_sphere_cone
 from conftest import make_rng
 from functional_oracle import assert_sample_lawrence_matches
 from simplex_oracle import base_first, omega_h, simplex_volume
@@ -37,15 +37,15 @@ from vertex_oracle import assert_facet_sets_by_pairing, vertices_from_halfspaces
 
 
 def segment_polytope():
-    return HPolytope.from_cone(weighted_sphere_cone([1, 2]))
+    return weighted_sphere_cone([1, 2]).section
 
 
 def triangle_polytope():
-    return HPolytope.from_cone(simplex_cone(3))
+    return simplex_cone(3).section
 
 
 def cube_polytope():
-    return HPolytope.from_cone(cube_cone())
+    return cube_cone().section
 
 
 def count_det_calls(monkeypatch) -> list:
@@ -132,7 +132,7 @@ class TestTriangulation:
 
     def test_matches_explicit_simplices_at_every_base(self):
         for p in (segment_polytope(), triangle_polytope(), cube_polytope(),
-                  tesseract_polytope(), HPolytope.from_cone(weighted_sphere_cone([2, 3, 7]))):
+                  tesseract_polytope(), weighted_sphere_cone([2, 3, 7]).section):
             count = len(p.vertices)
             for order in [None, range(count - 1, -1, -1),
                           *(base_first(count, base) for base in range(count))]:
@@ -141,7 +141,7 @@ class TestTriangulation:
     def test_one_determinant_per_vertex(self, monkeypatch):
         """The cube 6 section has 64 vertices and 6! = 720 pulling simplices
         per base; the face recursion takes one determinant per vertex."""
-        p = HPolytope.from_cone(cube_cone_k(6))
+        p = cube_cone_k(6).section
         calls = count_det_calls(monkeypatch)
         # Reeb (7, 1, ..., 1): the integral of (7 + sum x)^-7 over [0, 1]^6
         # is 6!/13!, the Beta integral of x^6 (1 - x)^6 times 6!/6!
@@ -156,7 +156,7 @@ class TestTriangulation:
         and every proper face from its smallest took 165 and 486.  A face's
         apex is its first vertex in the order, so the order's last vertex
         is never one."""
-        p = HPolytope.from_cone(cube_cone_k(k))
+        p = cube_cone_k(k).section
         p.abs_dets  # before counting
         count = len(p.vertices)
         apexes = []
@@ -200,7 +200,7 @@ class TestLawrence:
         cone = cube_cone_k(3, [Fraction(9, 2), Fraction(1, 3), Fraction(-2, 5), 2])
         scaled = [v.scaled(Fraction(2 * k + 1, k + 2)) for k, v in enumerate(cone.normals)]
         p = HPolytope.from_halfspaces(scaled, cone.reeb)
-        volume = triangulation_volume(HPolytope.from_cone(cone))
+        volume = triangulation_volume(cone.section)
         assert triangulation_volume(p) == volume
         assert sample_lawrence(p, 3, seed=4).value == volume
         f = LinearFunctional(u=Vector([Fraction(1, 2), Fraction(-3, 7), 2, Fraction(5, 3)]),
@@ -217,7 +217,7 @@ class TestLawrence:
         for p in (
             segment_polytope(),
             triangle_polytope(),
-            HPolytope.from_cone(simplex_cone(4)),
+            simplex_cone(4).section,
             cube_polytope(),
             tesseract_polytope(),
         ):
@@ -230,7 +230,7 @@ class TestLawrence:
         """Each functional is one n+2-coordinate draw: the same (u, d) as
         the deleted u-then-d retry loop, at the same draw index."""
         for k in (2, 3, 4):
-            assert_sample_lawrence_matches(HPolytope.from_cone(cube_cone_k(k)), seed, 5)
+            assert_sample_lawrence_matches(cube_cone_k(k).section, seed, 5)
         assert_sample_lawrence_matches(triangle_polytope(), seed, 5)
 
     def test_edge_constant_functional_is_a_pole(self, capsys, tmp_path, monkeypatch):
@@ -272,7 +272,7 @@ class TestLawrence:
 class TestHPolytope:
     def test_halfspace_enumeration_matches_cone_route(self):
         cone = weighted_sphere_cone([2, 3, 7])
-        p = HPolytope.from_cone(cone)
+        p = cone.section
         q = HPolytope.from_halfspaces(cone.normals, cone.reeb)
         assert sorted(tuple(v) for v in p.vertices) == sorted(tuple(v) for v in q.vertices)
 
@@ -280,7 +280,7 @@ class TestHPolytope:
         for p in (segment_polytope(), triangle_polytope(), cube_polytope(), tesseract_polytope()):
             assert_facet_sets_by_pairing(p)
         for cone in fixture_cones():
-            assert_facet_sets_by_pairing(HPolytope.from_cone(cone))
+            assert_facet_sets_by_pairing(cone.section)
             assert_facet_sets_by_pairing(HPolytope.from_halfspaces(cone.normals, cone.reeb))
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -300,7 +300,7 @@ class TestHPolytope:
         evaluates no Covector, from a cone that holds its orbits or from
         bare halfspaces."""
         cone = cube_cone_k(4)
-        cone.orbits
+        cone.section
         calls = []
         pair = Covector.__call__
 
@@ -309,7 +309,7 @@ class TestHPolytope:
             return pair(self, v)
 
         monkeypatch.setattr(Covector, "__call__", counting)
-        p = HPolytope.from_cone(cone)
+        p = cone.section
         q = HPolytope.from_halfspaces(cone.normals, cone.reeb)
         assert calls == []
         assert len(p.vertices) == len(q.vertices) == 16
@@ -321,13 +321,16 @@ class TestHPolytope:
         assert abbvloc.HPolytope is polytope.HPolytope is toric.HPolytope
 
     def test_the_cone_keeps_one_section(self):
-        """from_cone returns the section the enumeration built, with the
-        cone's sorted vertices and their facet sets."""
+        """The cone keeps the section that enumerate_vertices found the
+        orbits of, with its sorted vertices and their facet sets read off
+        them."""
         for cone in fixture_cones():
-            section = HPolytope.from_cone(cone)
-            assert section is cone.section is HPolytope.from_cone(cone)
-            assert section.vertices == tuple(o.vertex for o in cone.orbits)
-            assert section.facet_sets == tuple(frozenset(o.facet_indices) for o in cone.orbits)
+            section = cone.section
+            assert section is cone.section
+            assert section.orbits == enumerate_vertices(cone)
+            assert section.vertices == tuple(o.vertex for o in section.orbits)
+            assert section.facet_sets == tuple(frozenset(o.facet_indices)
+                                               for o in section.orbits)
 
     def test_polytope_binds_no_private_toric_name(self):
         from abbvloc import polytope, toric
@@ -388,7 +391,7 @@ class TestMsyBridge:
         monkeypatch.setattr(toric, "_bounded_edges", counted)
         cone = cube_cone_k(3)
         assert msy_check(cone, seed=5).equal
-        p = HPolytope.from_cone(cone)
+        p = cone.section
         assert sample_lawrence(p, 2, seed=9).value == triangulation_volume(p)
         assert p is cone.section
         assert len(calls) == 1

@@ -5,12 +5,16 @@ missing, unknown or surplus field with TypeError, compares and hashes by
 its field tuple, prints as ``Name(field=value, ...)``, and is frozen.
 """
 
+import ast
 import copy
+import inspect
 import pickle
 from fractions import Fraction
 
 import pytest
 
+import abbvloc
+from abbvloc import cli, core, engine, homogeneous, polytope, sampling, secondary, toric
 from abbvloc.core import PiScalar
 from abbvloc.engine import OrbitDatum, OrbitSystem, weighted_sphere_system
 from abbvloc.homogeneous import RootData, stiefel_so5_so3
@@ -28,7 +32,7 @@ def _cases():
     """(class, field values in field order) for each of the 11 records."""
     sphere = weighted_sphere_system([1, 2])
     cone = simplex_cone(2)
-    section = HPolytope.from_cone(cone)
+    section = cone.section
     root_data = stiefel_so5_so3()
     return [
         (PiScalar, {"coeff": Fraction(3, 2), "pi_power": 2}),
@@ -36,9 +40,9 @@ def _cases():
         (OrbitSystem, _fields(sphere, ("dim_t", "b", "codim_half", "orbits"))),
         (GoodCone, _fields(cone, ("dim", "normals", "reeb", "lattice_basis",
                                   "pi_scale_exponent"))),
-        (ToricOrbit, _fields(cone.orbits[0], ("vertex", "facet_indices", "abs_delta",
-                                              "weight_rows", "t"))),
-        (HPolytope, _fields(section, ("normals", "reeb", "vertices", "facet_sets"))),
+        (ToricOrbit, _fields(section.orbits[0], ("vertex", "facet_indices", "abs_delta",
+                                                 "rows", "t"))),
+        (HPolytope, _fields(section, ("normals", "reeb", "orbits"))),
         (LinearFunctional, {"u": (1, -2, 3), "d_shift": Fraction(1, 2)}),
         (MsyCheck, {"lhs": PiScalar(2, 2), "rhs": PiScalar(2, 2), "equal": True,
                     "section_volume": Fraction(1)}),
@@ -130,3 +134,23 @@ def test_repr_strings():
         "section_volume=Fraction(1, 1))"
     )
 
+
+
+@pytest.mark.parametrize("module", [abbvloc, cli, core, engine, homogeneous, polytope,
+                                    sampling, secondary, toric],
+                         ids=lambda module: module.__name__)
+def test_records_are_written_only_by_their_own_construction(module):
+    """Every ``object.__setattr__`` in the package writes into ``self``
+    from ``Record.__init__`` or a ``__post_init__``, and no code reads or
+    writes an instance's ``__dict__`` by key."""
+    tree = ast.parse(inspect.getsource(module))
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        for node in ast.walk(function):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and ast.unparse(node.func) == "object.__setattr__"):
+                assert function.name in ("__init__", "__post_init__"), ast.unparse(node)
+                assert ast.unparse(node.args[0]) == "self", ast.unparse(node)
+            if isinstance(node, ast.Subscript):
+                assert not ast.unparse(node.value).endswith("__dict__"), ast.unparse(node)

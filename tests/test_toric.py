@@ -203,8 +203,15 @@ class TestVertexEnumeration:
             enumerate_vertices(cone)
 
     def test_unbounded_section_with_vertex(self):
-        with pytest.raises(UnboundedSection):
-            enumerate_vertices(unbounded_cone())
+        """The walk finds the vertex; the section's edges report the ray."""
+        cone = unbounded_cone()
+        assert [tuple(o.vertex) for o in enumerate_vertices(cone)] == [(1, -1)]
+        with pytest.raises(UnboundedSection) as info:
+            cone.section
+        assert str(info.value) == (
+            "the section is unbounded: the edge that leaves facet 1 at vertex "
+            "(1, -1) has no second vertex"
+        )
 
     def test_no_vertex_at_all(self):
         cone = GoodCone(
@@ -224,8 +231,8 @@ class TestVertexEnumeration:
 
         monkeypatch.setattr(toric, "enumerate_vertices", counting)
         cone = cube_cone()
-        assert cone.orbits == enumerate_vertices(cone)
-        assert cone.orbits is cone.orbits
+        assert cone.section.orbits == enumerate_vertices(cone)
+        assert cone.section.orbits is cone.section.orbits
         assert calls == [cone]
 
     @pytest.mark.parametrize(
@@ -237,10 +244,16 @@ class TestVertexEnumeration:
         messages = []
         for _ in range(2):
             with pytest.raises(error) as info:
-                cone.orbits
+                cone.section
             messages.append(str(info.value))
         assert messages[0] == messages[1]
-        assert "orbits" not in vars(cone)
+        assert "section" not in vars(cone)
+
+    def test_the_section_is_the_cones_only_cache(self):
+        for cone in fixture_cones():
+            cone.section.edges
+            cone.section.integer_columns
+            assert set(vars(cone)) == {*GoodCone._fields, "section"}
 
     def test_permuting_normals_is_irrelevant(self):
         base = weighted_sphere_cone([2, 3, 5])
@@ -306,7 +319,7 @@ class TestOrbitData:
             n = dim - 1
             k = cone.two_pi_exponent
             assert k == (n + 1) * e - n
-            for orbit, datum in zip(cone.orbits, orbit_system_from_cone(cone).orbits):
+            for orbit, datum in zip(cone.section.orbits, orbit_system_from_cone(cone).orbits):
                 assert datum.length == PiScalar(Fraction(2) ** k / orbit.abs_delta, k)
             assert toric_volume(cone, nonpole_cone_sample(cone, make_rng(dim))).pi_power == n + k
             result = msy_check(cone, seed=dim)
@@ -356,7 +369,7 @@ class TestToricVolume:
         for cone, vertices, edges in ((cube_cone_k(4), 16, 32),
                                       (case_cone("product", 2, 2, 3)[0], 9, 18)):
             cases.append((cone, nonpole_cone_sample(cone, make_rng(3)), vertices, edges))
-            assert (len(cone.orbits), len(cone.section.edges)) == (vertices, edges)
+            assert (len(cone.section.orbits), len(cone.section.edges)) == (vertices, edges)
         calls = collections.Counter()
 
         def counted(name, real):
@@ -515,7 +528,7 @@ class TestBoundednessOracle:
     @example(cube_cone())
     def test_enumeration_matches_recession_scan(self, cone):
         try:
-            orbits = enumerate_vertices(cone)
+            orbits = cone.section.orbits
         except (NotSimpleVertex, GoodnessViolation):
             return  # raised before any boundedness test
         except UnboundedSection as exc:
@@ -539,7 +552,7 @@ class TestBoundednessOracle:
             for a, b in itertools.combinations(range(len(orbits)), 2)
             if len(facets[a] & facets[b]) == n - 1
         ]
-        edges = HPolytope.from_cone(cone).edges
+        edges = cone.section.edges
         assert list(edges) == pairwise
         for index in range(len(orbits)):
             assert sum(index in e for e in edges) == n
@@ -682,5 +695,6 @@ class TestPivotingWalk:
         cone = cube_cone()
         scaled = [v.scaled(Fraction(k + 1, 3)) for k, v in enumerate(cone.normals)]
         p = HPolytope.from_halfspaces(scaled, cone.reeb)
-        assert p.vertices == tuple(o.vertex for o in cone.orbits)
-        assert p.edges == HPolytope.from_cone(cone).edges
+        assert p.vertices == tuple(o.vertex for o in cone.section.orbits)
+        assert p.orbits == cone.section.orbits
+        assert p.edges == cone.section.edges

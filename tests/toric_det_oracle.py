@@ -27,7 +27,7 @@ def toric_volume_by_fraction_dets(cone, v) -> PiScalar:
     n = cone.codim_half
     e = cone.pi_scale_exponent
     total = Fraction(0)
-    for orbit in cone.orbits:
+    for orbit in cone.section.orbits:
         columns = [cone.reeb] + [cone.normals[i] for i in orbit.facet_indices]
         numerator = det_with_column(columns, 0, v) ** n
         denom = orbit.abs_delta
