@@ -11,10 +11,7 @@ from .core import (
     PiScalar,
     Rational,
     Vector,
-    complete_homogeneous,
-    elementary_symmetric,
     partitions,
-    power_sum,
     rat,
     s_J,
     smith_normal_form,
@@ -26,8 +23,6 @@ from .engine import (
     dh_series,
     localize_characteristic,
     localize_volume,
-    localized_sum,
-    residue_pattern_system,
     weighted_sphere_system,
 )
 from .errors import (

@@ -404,23 +404,25 @@ def _cmd_msy_check(args) -> dict:
 
 
 def _cmd_localize(args) -> dict:
+    """localize, and check-v-independence, which is localize without --j."""
     system = _load_orbit_system(_load_json(args.input))
-    if args.j is None:
-        if args.leaf_integrals is not None:
+    j, leaf_integrals = getattr(args, "j", None), getattr(args, "leaf_integrals", None)
+    if j is None:
+        if leaf_integrals is not None:
             raise InputError("--leaf-integrals requires --j")
         _, value, independence = _run_independence(system, args.samples, args.seed)
-        return _report("localize", value, [independence])
-    J = _multiindex(args.j)
-    if args.leaf_integrals is None:
+        return _report(args.command, value, [independence])
+    J = _multiindex(j)
+    if leaf_integrals is None:
         raise InputError("characteristic mode requires --leaf-integrals")
-    leaf = [PiScalar(c, 0) for c in _rat_list(args.leaf_integrals)]
+    leaf = [PiScalar(c, 0) for c in _rat_list(leaf_integrals)]
     value, independence = _resample(
         lambda v: localize_characteristic(system, J, leaf, v),
         system.dim_t,
         args.samples,
         args.seed,
     )
-    return _report("localize", value, [independence], multiindex=list(J))
+    return _report(args.command, value, [independence], multiindex=list(J))
 
 
 def _cmd_dh(args) -> dict:
@@ -539,12 +541,6 @@ def _cmd_secondary(args) -> dict:
     )
 
 
-def _cmd_check_v_independence(args) -> dict:
-    system = _load_orbit_system(_load_json(args.input))
-    _, value, independence = _run_independence(system, args.samples, args.seed)
-    return _report("check-v-independence", value, [independence])
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -595,7 +591,7 @@ _COMMANDS = {
         ("--weights", dict(required=True, help="comma-separated distinct positive rationals")),
         ("--j", dict(required=True, help="multiindex, complex degree = codimension")),
     )),
-    "check-v-independence": (_cmd_check_v_independence, "resample a localized volume", True, (
+    "check-v-independence": (_cmd_localize, "resample a localized volume", True, (
         ("--input", dict(required=True, help="orbit system JSON file")),
     )),
 }

@@ -17,11 +17,10 @@ and an ``exec`` of each class's generated methods.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-from .errors import InputError, MixedPiPowers, NonIntegerMatrix, SingularMatrix
+from .errors import InputError, NonIntegerMatrix, SingularMatrix
 
 Rational = Fraction
 
@@ -134,12 +133,7 @@ class PiScalar(Record):
     """An exact value ``coeff * pi**pi_power``.
 
     Zero is canonicalized to pi power 0, so equality of PiScalars is plain
-    field equality.  Addition is only defined between equal pi powers (or
-    with zero); anything else raises MixedPiPowers rather than silently
-    producing a float.
-
-    >>> PiScalar(2, 1) + PiScalar(Fraction(1, 2), 1)
-    PiScalar(5/2 * pi^1)
+    field equality.
     """
 
     coeff: Fraction
@@ -157,44 +151,6 @@ class PiScalar(Record):
     @property
     def is_zero(self) -> bool:
         return self.coeff == 0
-
-    def __add__(self, other: "PiScalar") -> "PiScalar":
-        if not isinstance(other, PiScalar):
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.pi_power != other.pi_power:
-            raise MixedPiPowers(
-                f"cannot add pi^{self.pi_power} term to pi^{other.pi_power} term"
-            )
-        return PiScalar(self.coeff + other.coeff, self.pi_power)
-
-    def __neg__(self) -> "PiScalar":
-        return PiScalar(-self.coeff, self.pi_power)
-
-    def __sub__(self, other: "PiScalar") -> "PiScalar":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, PiScalar):
-            return PiScalar(self.coeff * other.coeff, self.pi_power + other.pi_power)
-        return PiScalar(self.coeff * rat(other), self.pi_power)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, PiScalar):
-            if other.is_zero:
-                raise ZeroDivisionError("division by zero PiScalar")
-            return PiScalar(self.coeff / other.coeff, self.pi_power - other.pi_power)
-        return PiScalar(self.coeff / rat(other), self.pi_power)
-
-    def __pow__(self, k: int) -> "PiScalar":
-        if k < 0:
-            raise ValueError("negative powers of PiScalar are not supported")
-        return PiScalar(self.coeff**k, self.pi_power * k)
 
     def exact_str(self) -> str:
         return f"{rat_str(self.coeff)} * pi^{self.pi_power}"
@@ -217,24 +173,10 @@ class PiScalar(Record):
 
 
 class _ExactTuple(tuple):
-    """Immutable tuple of rationals with elementwise arithmetic."""
+    """Immutable tuple of rationals, negated and scaled elementwise."""
 
     def __new__(cls, entries):
         return super().__new__(cls, tuple(rat(e) for e in entries))
-
-    @property
-    def dim(self) -> int:
-        return len(self)
-
-    def __add__(self, other):
-        if type(other) is not type(self) or len(other) != len(self):
-            return NotImplemented
-        return type(self)(a + b for a, b in zip(self, other))
-
-    def __sub__(self, other):
-        if type(other) is not type(self) or len(other) != len(self):
-            return NotImplemented
-        return type(self)(a - b for a, b in zip(self, other))
 
     def __neg__(self):
         return type(self)(-a for a in self)
@@ -490,48 +432,6 @@ def _s_J_integer(J, ints) -> int:
     return num
 
 
-def elementary_symmetric(k: int, xs) -> Fraction:
-    """s_k(xs) = S_k / L^k from the integer expansion of prod(1 + L x_i t)
-    (see _expand); zero for k > len(xs).
-
-    >>> elementary_symmetric(2, [1, 2, 3])
-    Fraction(11, 1)
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    scale, ints = _integer_row([rat(x) for x in xs])
-    coeffs = _expand(ints)
-    if k >= len(coeffs):
-        return Fraction(0)
-    return Fraction(coeffs[k], scale**k)
-
-
-def complete_homogeneous(k: int, xs) -> Fraction:
-    """h_k(xs) as the literal sum of all degree-k monomials.
-
-    Deliberately brute force: this is the independent oracle against which
-    the localized series identities are checked.
-    """
-    if k < 0:
-        return Fraction(0)
-    if k == 0:
-        return Fraction(1)
-    xs = [rat(x) for x in xs]
-    total = Fraction(0)
-    for combo in itertools.combinations_with_replacement(xs, k):
-        term = Fraction(1)
-        for x in combo:
-            term *= x
-        total += term
-    return total
-
-
-def power_sum(k: int, xs) -> Fraction:
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return sum((rat(x) ** k for x in xs), Fraction(0))
-
-
 def canonical_multiindex(J) -> tuple:
     """Sorted-ascending copy of a multiindex; entries must be positive ints."""
     J = tuple(int(j) for j in J)
@@ -581,11 +481,8 @@ __all__ = [
     "basis_covector",
     "basis_vector",
     "canonical_multiindex",
-    "complete_homogeneous",
-    "elementary_symmetric",
     "factorial",
     "partitions",
-    "power_sum",
     "rat",
     "rat_str",
     "s_J",

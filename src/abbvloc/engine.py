@@ -159,22 +159,6 @@ def _orbit_term(orbit: OrbitDatum, v: Vector, scaled: tuple, l: Fraction,
     return Fraction(num * s ** (len(weights) - power - sum(J)), den)
 
 
-def localized_sum(system: OrbitSystem, v: Vector, numerator) -> PiScalar:
-    """The generic localized sum (-2 pi)^n * sum_k l_k num_k(v) / prod_j a_j^k(v).
-
-    ``numerator`` is called as numerator(k, orbit, v) and must return an
-    exact rational.  The sign (-1)^n is absorbed into the coefficient.
-    """
-    v, scaled = _scaled(system, v)
-    n = system.codim_half
-    pi_len = _pi_grading(o.length for o in system.orbits)
-    total = Fraction(0)
-    for k, orbit in enumerate(system.orbits):
-        l = orbit.length.coeff * rat(numerator(k, orbit, v))
-        total += _orbit_term(orbit, v, scaled, l)
-    return PiScalar(Fraction(-2) ** n * total, n + pi_len)
-
-
 def localize_volume(system: OrbitSystem, v: Vector) -> PiScalar:
     """Volume as (pi^n / n!) * sum_k l_k moment_k(v)^n / prod_j a_j^k(v)."""
     v, scaled = _scaled(system, v)
@@ -286,35 +270,3 @@ def weighted_sphere_system(weights) -> OrbitSystem:
             )
         )
     return OrbitSystem(dim_t=d, b=Vector(w), codim_half=n, orbits=tuple(orbits))
-
-
-def residue_pattern_system(n: int) -> OrbitSystem:
-    """Round-sphere weight pattern on n+1 coordinates with unit lengths.
-
-    Orbit k has moment e_k^* and weights e_k^* - e_j^* (j != k), so the
-    localized series coefficients reduce to the classical residue sums
-    sum_k v_k^s / prod_{j != k} (v_k - v_j) checked against complete
-    homogeneous polynomials.
-    """
-    if n < 1:
-        raise InputError("n must be positive")
-    d = n + 1
-    ones = Vector([1] * d)
-    orbits = []
-    for k in range(d):
-        alphas = []
-        for j in range(d):
-            if j == k:
-                continue
-            entries = [Fraction(0)] * d
-            entries[k] = Fraction(1)
-            entries[j] = Fraction(-1)
-            alphas.append(Covector(entries))
-        orbits.append(
-            OrbitDatum(
-                length=PiScalar(1, 0),
-                moment=basis_covector(d, k),
-                weights=tuple(alphas),
-            )
-        )
-    return OrbitSystem(dim_t=d, b=ones, codim_half=n, orbits=tuple(orbits))

@@ -60,10 +60,6 @@ def sample_vector(dim: int, rng: SplitMix64) -> Vector:
     return Vector(sample_rational(rng) for _ in range(dim))
 
 
-def sample_positive_rational(rng: SplitMix64) -> Fraction:
-    return rng.choice(POSITIVE_POOL)
-
-
 def sample_distinct_positive(count: int, rng: SplitMix64) -> tuple:
     """Draw ``count`` pairwise-distinct positive rationals in at most
     DISTINCT_DRAW_BUDGET draws.

@@ -481,7 +481,8 @@ def toric_volume(cone: GoodCone, v: Vector) -> PiScalar:
     so L_v cancels and each term is multiplied by L_b^n.  Computed
     determinant by determinant, without the inverse that the orbit-data
     route reads off the walk, so the two routes cross-check each other;
-    |det(b, v_S)| is read from the section's orbits.
+    |det(b, v_S)| is the section's ``abs_dets``, taken from the normals and
+    not from the walk's ``abs_delta``, which the orbit lengths read.
     """
     v = Vector(v)
     if len(v) != cone.dim:
@@ -491,7 +492,8 @@ def toric_volume(cone: GoodCone, v: Vector) -> PiScalar:
     edges = {}
     total = Fraction(0)
     section = cone.section
-    for orbit, (scales, columns) in zip(section.orbits, section.integer_columns):
+    for orbit, (scales, columns), delta in zip(section.orbits, section.integer_columns,
+                                                section.abs_dets):
         b, *normals = columns
         numerator = _bareiss([list(vi), *map(list, normals)])
         facets = orbit.facet_indices
@@ -509,7 +511,6 @@ def toric_volume(cone: GoodCone, v: Vector) -> PiScalar:
                     f"{tuple(orbit.vertex)}"
                 )
             denom *= slot if i % 2 else -slot
-        delta = orbit.abs_delta
         total += Fraction((numerator * scales[0]) ** n * delta.denominator,
                           delta.numerator * denom)
     k = cone.two_pi_exponent

@@ -4,14 +4,25 @@ The package evaluates every localized sum through one integer kernel
 (``engine._orbit_term`` on ``OrbitDatum.integer_rows``) and tests the w1
 identity on integers (``secondary.check_w1_identity``).  This module keeps
 the literal ``Fraction`` forms of both loops, one covector pairing and one
-``s_J`` call at a time, so the two can be compared.
+``s_J`` call at a time, so the two can be compared.  It also keeps the
+residue-pattern orbit system and the brute-force complete homogeneous
+polynomials that its Duistermaat-Heckman coefficients are checked against.
 """
 
+import itertools
 from fractions import Fraction
 from math import factorial
 
-from abbvloc.core import PiScalar, Vector, canonical_multiindex, rat, s_J
-from abbvloc.engine import _pi_grading
+from abbvloc.core import (
+    Covector,
+    PiScalar,
+    Vector,
+    basis_covector,
+    canonical_multiindex,
+    rat,
+    s_J,
+)
+from abbvloc.engine import OrbitDatum, OrbitSystem, _pi_grading
 from abbvloc.errors import InputError, PoleAtSample
 
 
@@ -26,17 +37,6 @@ def orbit_term(orbit, v, l) -> tuple:
         values.append(a)
         product *= a
     return l / product, values
-
-
-def localized_sum(system, v, numerator) -> PiScalar:
-    v = Vector(v)
-    n = system.codim_half
-    pi_len = _pi_grading(o.length for o in system.orbits)
-    total = Fraction(0)
-    for k, orbit in enumerate(system.orbits):
-        l = orbit.length.coeff * rat(numerator(k, orbit, v))
-        total += orbit_term(orbit, v, l)[0]
-    return PiScalar(Fraction(-2) ** n * total, n + pi_len)
 
 
 def localize_volume(system, v) -> PiScalar:
@@ -92,3 +92,43 @@ def check_w1_identity(m, J, w) -> bool:
             prod_d *= d
         lhs += s_J(J, diffs) * prod_w / prod_d
     return lhs == s_J(J, w)
+
+
+def complete_homogeneous(k: int, xs) -> Fraction:
+    """h_k(xs) as the literal sum of all degree-k monomials; 0 for k < 0.
+
+    >>> complete_homogeneous(2, [1, 2])
+    Fraction(7, 1)
+    """
+    if k < 0:
+        return Fraction(0)
+    total = Fraction(0)
+    for combo in itertools.combinations_with_replacement([rat(x) for x in xs], k):
+        term = Fraction(1)
+        for x in combo:
+            term *= x
+        total += term
+    return total
+
+
+def residue_pattern_system(n: int) -> OrbitSystem:
+    """Round-sphere weight pattern on n+1 coordinates with unit lengths.
+
+    Orbit k has moment e_k^* and weights e_k^* - e_j^* (j != k), so the
+    localized series coefficients reduce to the classical residue sums
+    sum_k v_k^s / prod_{j != k} (v_k - v_j) = h_{s-n}(v).
+    """
+    if n < 1:
+        raise InputError("n must be positive")
+    d = n + 1
+    orbits = []
+    for k in range(d):
+        alphas = []
+        for j in range(d):
+            if j != k:
+                entries = [Fraction(0)] * d
+                entries[k], entries[j] = Fraction(1), Fraction(-1)
+                alphas.append(Covector(entries))
+        orbits.append(OrbitDatum(length=PiScalar(1, 0), moment=basis_covector(d, k),
+                                 weights=tuple(alphas)))
+    return OrbitSystem(dim_t=d, b=Vector([1] * d), codim_half=n, orbits=tuple(orbits))

@@ -94,5 +94,6 @@ def simplex_volume(p, order=None) -> Fraction:
     total = Fraction(0)
     for simplex in pulling_simplices(ids, frozenset(), p.facet_sets, n):
         base = p.vertices[simplex[-1]]
-        total += abs(omega_h(p.reeb, [p.vertices[i] - base for i in simplex[:-1]]))
+        total += abs(omega_h(p.reeb, [[x - y for x, y in zip(p.vertices[i], base)]
+                                      for i in simplex[:-1]]))
     return total / factorial(n)

@@ -13,15 +13,13 @@ from abbvloc.core import (
     _integer_row,
     _reduce,
     canonical_multiindex,
-    complete_homogeneous,
-    elementary_symmetric,
     partitions,
-    power_sum,
     rat,
     rat_str,
     s_J,
     smith_normal_form,
 )
+from abbvloc.engine import _pi_grading
 from abbvloc.errors import MixedPiPowers, NonIntegerMatrix, SingularMatrix
 from abbvloc.sampling import sample_rational
 from conftest import make_rng, random_matrix, random_unimodular
@@ -34,6 +32,7 @@ from matrix_oracle import (
     mat_mul,
     solve,
 )
+from orbit_oracle import complete_homogeneous
 
 
 class TestRational:
@@ -53,24 +52,12 @@ class TestPiScalar:
         assert PiScalar(0, 7) == PiScalar(0, 0)
         assert PiScalar(0, 7).pi_power == 0
 
-    def test_add_same_power(self):
-        assert PiScalar(2, 1) + PiScalar(Fraction(1, 2), 1) == PiScalar(Fraction(5, 2), 1)
-
-    def test_add_with_zero(self):
-        assert PiScalar(0, 0) + PiScalar(3, 2) == PiScalar(3, 2)
-        assert PiScalar(3, 2) + PiScalar(0, 0) == PiScalar(3, 2)
-
     def test_mixed_powers_raise(self):
+        """A sum of PiScalars has one pi power; zero terms carry none."""
+        assert _pi_grading([PiScalar(0, 0), PiScalar(3, 2)]) == 2
+        assert _pi_grading([PiScalar(0, 5)]) == 0
         with pytest.raises(MixedPiPowers):
-            PiScalar(1, 1) + PiScalar(1, 2)
-
-    def test_ring_ops(self):
-        a = PiScalar(Fraction(2, 3), 2)
-        assert a * PiScalar(3, 1) == PiScalar(2, 3)
-        assert a * 3 == PiScalar(2, 2)
-        assert a / PiScalar(2, 2) == PiScalar(Fraction(1, 3), 0)
-        assert a**2 == PiScalar(Fraction(4, 9), 4)
-        assert -a + a == PiScalar(0, 0)
+            _pi_grading([PiScalar(1, 1), PiScalar(1, 2)])
 
     def test_exact_str(self):
         assert PiScalar(1, 2).exact_str() == "1 * pi^2"
@@ -96,8 +83,8 @@ class TestVectors:
             v = Vector([sample_rational(rng) for _ in range(3)])
             w = Vector([sample_rational(rng) for _ in range(3)])
             c = sample_rational(rng)
-            assert (a + b)(v) == a(v) + b(v)
-            assert a(v + w) == a(v) + a(w)
+            assert Covector(x + y for x, y in zip(a, b))(v) == a(v) + b(v)
+            assert a(Vector(x + y for x, y in zip(v, w))) == a(v) + a(w)
             assert a.scaled(c)(v) == c * a(v)
             assert a(v.scaled(c)) == c * a(v)
 
@@ -374,13 +361,18 @@ class TestSmithNormalForm:
             assert set(smith_normal_form(rows)) != {1}
 
 
+def elementary(k, xs) -> Fraction:
+    """e_k(xs) as s_J((k,), xs), with e_0 = 1."""
+    return s_J((k,), xs) if k else Fraction(1)
+
+
 class TestSymmetricPolynomials:
     def test_elementary_examples(self):
-        assert elementary_symmetric(1, [1, 2, 3]) == 6
-        assert elementary_symmetric(3, [1, 2, 3]) == 6
-        assert elementary_symmetric(2, [1, 2, 3]) == 11
-        assert elementary_symmetric(0, [1, 2, 3]) == 1
-        assert elementary_symmetric(4, [1, 2, 3]) == 0
+        assert elementary(1, [1, 2, 3]) == 6
+        assert elementary(3, [1, 2, 3]) == 6
+        assert elementary(2, [1, 2, 3]) == 11
+        assert elementary(0, [1, 2, 3]) == 1
+        assert elementary(4, [1, 2, 3]) == 0
 
     def test_complete_examples(self):
         assert complete_homogeneous(0, [5, 7]) == 1
@@ -406,9 +398,9 @@ class TestSymmetricPolynomials:
         for _ in range(10):
             xs = [sample_rational(rng) for _ in range(6)]
             for k in range(1, 7):
-                lhs = k * elementary_symmetric(k, xs)
+                lhs = k * elementary(k, xs)
                 rhs = sum(
-                    (-1) ** (i - 1) * elementary_symmetric(k - i, xs) * power_sum(i, xs)
+                    (-1) ** (i - 1) * elementary(k - i, xs) * sum(x**i for x in xs)
                     for i in range(1, k + 1)
                 )
                 assert lhs == rhs
@@ -420,7 +412,7 @@ class TestSymmetricPolynomials:
             for k in range(1, 7):
                 total = sum(
                     (-1) ** i
-                    * elementary_symmetric(i, xs)
+                    * elementary(i, xs)
                     * complete_homogeneous(k - i, xs)
                     for i in range(0, k + 1)
                 )
@@ -450,13 +442,13 @@ class TestSymmetricOracle:
     """The integer expansion equals the brute-force subset sums."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 9), mixed_values)
-    @example(0, [])
+    @given(st.integers(1, 9), mixed_values)
     @example(2, [])
     @example(3, [Fraction(1, 2), Fraction(-2, 3), 0, Fraction(5, 7)])
     @example(5, [Fraction(1, 2), 3])
+    @example(9, [Fraction(1, 3)] * 7)
     def test_elementary_equals_subset_sum(self, k, xs):
-        value = elementary_symmetric(k, xs)
+        value = s_J((k,), xs)
         assert type(value) is Fraction
         assert value == brute_elementary(k, [Fraction(x) for x in xs])
 

@@ -4,7 +4,8 @@ from math import factorial
 
 import pytest
 
-from abbvloc.core import Covector, PiScalar, Vector, complete_homogeneous
+import orbit_oracle
+from abbvloc.core import Covector, PiScalar, Vector
 from abbvloc.engine import (
     OrbitDatum,
     OrbitSystem,
@@ -12,8 +13,6 @@ from abbvloc.engine import (
     dh_series,
     localize_characteristic,
     localize_volume,
-    localized_sum,
-    residue_pattern_system,
     weighted_sphere_system,
 )
 from abbvloc.errors import (
@@ -25,6 +24,7 @@ from abbvloc.errors import (
 )
 from abbvloc.sampling import sample_independent, sample_vector
 from conftest import make_rng, random_weights
+from orbit_oracle import complete_homogeneous, residue_pattern_system
 
 
 def sphere_closed_form(weights):
@@ -121,21 +121,23 @@ class TestOrbitSystemInvariants:
 
 
 class TestLocalizedSum:
+    """localize_volume term by term: l_k moment_k(v)^n / (n! prod_j a_j^k(v))."""
+
     def test_single_term(self):
         system = single_orbit_system()
-        # weight evaluates to 1 at (1, 1)
-        value = localized_sum(system, Vector([1, 1]), lambda k, o, v: 1)
-        assert value == PiScalar(-4, 2)
+        # at (1, 1): l = 2, moment = 1, weight = 1, n = 1
+        assert localize_volume(system, Vector([1, 1])) == PiScalar(2, 2)
 
     def test_zero_numerator(self):
-        system = weighted_sphere_system([1, 2])
-        value = localized_sum(system, Vector([1, 0]), lambda k, o, v: 0)
-        assert value == PiScalar(0, 0)
+        orbit = OrbitDatum(PiScalar(2, 1), Covector([0, 1]), (Covector([1, -1]),))
+        system = OrbitSystem(dim_t=2, b=Vector([1, 1]), codim_half=1, orbits=(orbit,))
+        # the moment vanishes at (1, 0), so the only term is 0
+        assert localize_volume(system, Vector([1, 0])) == PiScalar(0, 0)
 
     def test_pole_at_sample(self):
         system = single_orbit_system()
         with pytest.raises(PoleAtSample):
-            localized_sum(system, Vector([1, 2]), lambda k, o, v: 1)
+            localize_volume(system, Vector([1, 2]))
 
     def test_mixed_pi_powers(self):
         orbits = (
@@ -144,7 +146,7 @@ class TestLocalizedSum:
         )
         system = OrbitSystem(dim_t=2, b=Vector([1, 2]), codim_half=1, orbits=orbits)
         with pytest.raises(MixedPiPowers):
-            localized_sum(system, Vector([1, 1]), lambda k, o, v: 1)
+            localize_volume(system, Vector([1, 1]))
 
 
 class TestSphereVolume:
@@ -193,7 +195,8 @@ class TestSphereVolume:
             )
             rng = make_rng(7)
             v = nonpole_sample(system, rng)
-            assert localize_volume(scaled, v) == localize_volume(system, v) * (c**-n)
+            volume = localize_volume(system, v)
+            assert localize_volume(scaled, v) == PiScalar(volume.coeff * c**-n, volume.pi_power)
 
 
 class TestVIndependence:
@@ -215,17 +218,13 @@ class TestVIndependence:
         assert err.value_a != err.value_b
 
     def test_numerator_mode(self):
-        # volume numerator through the generic sum: differs from the
-        # volume only by the constant (-2)^n n!, so still v-independent
+        # the Fraction oracle's volume sum, sampled outside the engine's
+        # check, gives the same v-independent value
         system = weighted_sphere_system([1, 2])
-        n = system.codim_half
         outcome = sample_independent(
-            lambda v: localized_sum(system, v, lambda k, o, v: o.moment(v) ** n),
-            system.dim_t,
-            6,
-            seed=9,
+            lambda v: orbit_oracle.localize_volume(system, v), system.dim_t, 6, seed=9
         )
-        assert outcome.value == PiScalar(-2, 2)
+        assert outcome.value == PiScalar(1, 2)
 
     def test_requires_two_samples(self):
         with pytest.raises(InputError):
@@ -274,8 +273,8 @@ class TestDHSeries:
         v = Vector([1, 2])
         coeffs = dh_series(system, v, 2)
         # s = 1 gives h_0 = 1, s = 2 gives h_1 = 3
-        assert coeffs[1] * factorial(1) == PiScalar(1, 1)
-        assert coeffs[2] * factorial(2) == PiScalar(3, 1)
+        assert coeffs[1] == PiScalar(Fraction(1, factorial(1)), 1)
+        assert coeffs[2] == PiScalar(Fraction(3, factorial(2)), 1)
 
     def test_residue_identity_vs_bruteforce(self):
         for n in range(1, 5):
@@ -284,8 +283,8 @@ class TestDHSeries:
             v = nonpole_sample(system, rng)
             coeffs = dh_series(system, v, n + 4)
             for s in range(n + 5):
-                expected = complete_homogeneous(s - n, v)
-                assert coeffs[s] * factorial(s) == PiScalar(expected, n)
+                expected = complete_homogeneous(s - n, v) / factorial(s)
+                assert coeffs[s] == PiScalar(expected, n)
 
     def test_pole_raises(self):
         system = residue_pattern_system(2)

@@ -25,7 +25,7 @@ from abbvloc.core import Covector, PiScalar, Vector
 from abbvloc.engine import check_v_independence
 from abbvloc.errors import PoleAtSample
 from abbvloc.polytope import HPolytope, sample_lawrence, triangulation_volume
-from abbvloc.sampling import sample_independent, sample_positive_rational, sample_rational
+from abbvloc.sampling import POSITIVE_POOL, sample_independent, sample_rational
 from abbvloc.toric import GoodCone, orbit_system_from_cone, toric_volume
 from conftest import make_rng, random_unimodular
 from functional_oracle import assert_sample_lawrence_matches
@@ -114,7 +114,7 @@ def seeded_reeb(parts, seed):
             if x != 0:
                 block.append(x)
         blocks.append(block)
-    b0 = sample_positive_rational(rng) - sum(min([0, *block]) for block in blocks)
+    b0 = rng.choice(POSITIVE_POOL) - sum(min([0, *block]) for block in blocks)
     return [b0] + [x for block in blocks for x in block]
 
 
@@ -167,7 +167,7 @@ def polygon_reeb(polygon, seed):
         if x != 0:
             bs.append(x)
     low = min(bs[0] * x + bs[1] * y for x, y in polygon)
-    return [sample_positive_rational(rng) - min(low, 0)] + bs
+    return [rng.choice(POSITIVE_POOL) - min(low, 0)] + bs
 
 
 def polygon_closed_form(polygon, reeb):

@@ -6,7 +6,6 @@ from abbvloc.sampling import (
     SplitMix64,
     sample_distinct_positive,
     sample_independent,
-    sample_positive_rational,
     sample_vector,
 )
 
@@ -85,7 +84,7 @@ def distinct_positive_by_value(count, rng, budget=1000):
     oracle for its draws."""
     picked = []
     for _ in range(budget):
-        c = sample_positive_rational(rng)
+        c = rng.choice(POSITIVE_POOL)
         if c not in picked:
             picked.append(c)
         if len(picked) == count:

@@ -364,12 +364,14 @@ class TestToricVolume:
         """toric_volume makes no _pivot or _reduce call and reads no orbit
         weights: it takes one integer determinant per vertex, the numerator,
         and one per edge, which the slot determinants at both of its ends
-        share, one _bareiss each."""
+        share, one _bareiss each.  The section's |det(b, v_S)| are taken
+        once per section, before counting."""
         cases = []
         for cone, vertices, edges in ((cube_cone_k(4), 16, 32),
                                       (case_cone("product", 2, 2, 3)[0], 9, 18)):
             cases.append((cone, nonpole_cone_sample(cone, make_rng(3)), vertices, edges))
             assert (len(cone.section.orbits), len(cone.section.edges)) == (vertices, edges)
+            cone.section.abs_dets
         calls = collections.Counter()
 
         def counted(name, real):
@@ -402,7 +404,8 @@ class TestToricVolume:
     def test_volume_toric_cli_determinant_count(self, monkeypatch, tmp_path, capsys):
         """volume-toric on the benchmark's cube cone 4 takes 48 determinants
         per sample, 16 vertices plus 32 edges: 480 at the 10 samples the
-        orbit-data route accepted (800 when each vertex took its n + 1)."""
+        orbit-data route accepted (800 when each vertex took its n + 1), and
+        16 more once per cone for the section's |det(b, v_S)|: 496."""
         spec = importlib.util.spec_from_file_location("_abbvloc_bench_inputs", BENCH_INPUTS)
         inputs = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(inputs)
@@ -422,7 +425,41 @@ class TestToricVolume:
         assert main(["volume-toric", "--input", str(path), "--json", "--seed", "42"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["checks"][1]["detail"] == "10 samples compared"
-        assert calls == {"_bareiss": 480}
+        assert calls == {"_bareiss": 496}
+
+    @staticmethod
+    def corrupt_abs_delta(monkeypatch, factors):
+        """Make the walk report |det(b, v_S)| times factors(index) at the
+        vertex of each index, as a faulty walk would."""
+        real = toric.enumerate_vertices
+
+        def corrupted(cone):
+            return tuple(toric.ToricOrbit(o.vertex, o.facet_indices, o.abs_delta * factors(i),
+                                          o.rows, o.t)
+                         for i, o in enumerate(real(cone)))
+
+        monkeypatch.setattr(toric, "enumerate_vertices", corrupted)
+
+    def test_one_corrupted_abs_delta_splits_the_two_routes(self, monkeypatch):
+        """The orbit lengths read the walk's abs_delta and toric_volume reads
+        the section's abs_dets, so a wrong value at one vertex is on one
+        route only."""
+        self.corrupt_abs_delta(monkeypatch, lambda i: 2 if i == 0 else 1)
+        cone = cube_cone_k(4)
+        v = nonpole_cone_sample(cone, make_rng(3))
+        assert toric_volume(cone, v) != localize_volume(orbit_system_from_cone(cone), v)
+
+    def test_volume_toric_cli_fails_on_a_walk_that_scales_abs_delta(
+            self, monkeypatch, tmp_path, capsys):
+        """Every |det(b, v_S)| doubled keeps the orbit sum v-independent (at
+        half the volume), so only the two-route check can catch it."""
+        self.corrupt_abs_delta(monkeypatch, lambda i: 2)
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps({"dim": 3, "normals": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+                                    "reeb": [1, 2, 5]}))
+        assert main(["volume-toric", "--input", str(path), "--json", "--seed", "42"]) == 1
+        independence, two_route = json.loads(capsys.readouterr().out)["checks"]
+        assert independence["pass"] and not two_route["pass"]
 
     def test_pole_detection(self):
         cone = weighted_sphere_cone([1, 2])
