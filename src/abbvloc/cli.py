@@ -70,10 +70,10 @@ DEFAULT_SAMPLES = 10
 # about 0.3 s on the (1, 2) sphere.  Below the cap, a coefficient past
 # Python's 4300-digit printing limit is refused by rat_str (exit 2).
 DH_MAX_ORDER = 1000
-# Highest `--samples`.  The costliest sample is `volume-toric`'s on cube
-# cone 10 (1024 vertices, the most toric.MAX_VERTICES admits): about 1.3 s
-# for its determinant formula, with its share of the rejected pole draws,
-# so 25 samples take about 32 s.
+# Highest `--samples`.  `volume-toric` timed cold (Python 3.11, Intel Xeon):
+# cube cone 10 (1024 vertices, toric.MAX_VERTICES) has 7 pole-free samples
+# in 100 draws, 3.8 s at `--samples 7`; a sphere cone of 40 weights takes
+# 38 s at `--samples 25`.  Nothing caps the dimension, which sets a sample's cost.
 MAX_SAMPLES = 25
 # Highest `check-w1 --trials`.  At the largest `--m`, 13, the identity is
 # checked for 101 multiindices on `--trials` vectors each: 500 take 33 s.

@@ -9,9 +9,9 @@ localized volume of the cone.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
-from .core import Covector, PiScalar, Record, Vector, _integer_row, _reduce, rat
+from .core import Covector, PiScalar, Record, Vector, rat
 from .errors import EdgeConstantFunctional
 from .sampling import SampleOutcome, sample_independent
 from .toric import GoodCone, HPolytope, toric_volume
@@ -82,40 +82,39 @@ def triangulation_volume(p: HPolytope, order=None) -> Fraction:
 def lawrence_volume(p: HPolytope, f: LinearFunctional) -> Fraction:
     """Lawrence's vertex formula for the section volume.
 
-    At each vertex the functional's direction u is expanded in the basis
-    (b, active normals); the vertex contributes f(vertex)^n divided by
-    |det(b, normals)| (``p.abs_dets``) times the product of the normal
-    coefficients.  A zero coefficient means f is constant along the
-    corresponding edge and the functional must be resampled.
-
-    The expansion is one ``core._reduce`` of the integer columns
-    (``p.integer_columns``, scales s_j) augmented by L_u u: it gives T and
-    T gamma'_j with gamma_j = s_j gamma'_j / L_u, so the product of the n
-    normal coefficients is prod_j (s_j T gamma'_j) / (T L_u)^n.
+    At each vertex a on the facets S, the functional's direction u is
+    expanded in the basis (b, v_S): the vertex contributes f(a)^n divided
+    by |det(b, v_S)| (``p.abs_dets``) times the product of the normals'
+    coefficients gamma_j.  These are read off the edges, without
+    elimination: the edge that leaves facet j at a ends at a vertex c, and
+    c - a vanishes on b and on the other normals at a, so f(c) - f(a) =
+    gamma_j c(v_j) with c(v_j) != 0.  So gamma_j = 0, and f must be
+    redrawn (EdgeConstantFunctional), exactly when f is constant on an edge.
     """
     n = p.section_dim
-    edges = p.edges
     values = [f(phi) for phi in p.vertices]
-    for a, b_idx in edges:
-        if values[a] == values[b_idx]:
+    return sum(value**n / (delta * prod(gammas.values())) for value, delta, gammas
+               in zip(values, p.abs_dets, _edge_coefficients(p, values))) / factorial(n)
+
+
+def _edge_coefficients(p: HPolytope, values) -> list:
+    """{j: gamma_j} for each vertex, from the values f(vertex).  Every edge
+    is checked before any coefficient is computed, so a rejected functional
+    costs one comparison per edge."""
+    vertices, facet_sets = p.vertices, p.facet_sets
+    for a, c in p.edges:
+        if values[a] == values[c]:
             raise EdgeConstantFunctional(
-                f"functional constant on edge {tuple(p.vertices[a])} -- "
-                f"{tuple(p.vertices[b_idx])}"
+                f"functional constant on edge {tuple(vertices[a])} -- {tuple(vertices[c])}"
             )
-    scale_u, u = _integer_row(f.u)
-    total = Fraction(0)
-    for phi, (scales, columns), value, delta in zip(p.vertices, p.integer_columns, values,
-                                                     p.abs_dets):
-        a, t = _reduce([[*row, x] for row, x in zip(zip(*columns), u)], n + 1)
-        coeff_product = 1
-        for s, row in zip(scales[1:], a[1:]):
-            if row[-1] == 0:
-                raise EdgeConstantFunctional(
-                    f"functional has a zero edge coefficient at vertex {tuple(phi)}"
-                )
-            coeff_product *= s * row[-1]
-        total += value**n * (t * scale_u) ** n / (delta * coeff_product)
-    return total / factorial(n)
+    gammas = [{} for _ in vertices]
+    for a, c in p.edges:
+        rise = values[c] - values[a]
+        (j,) = facet_sets[a] - facet_sets[c]
+        (k,) = facet_sets[c] - facet_sets[a]
+        gammas[a][j] = rise / vertices[c](p.normals[j])
+        gammas[c][k] = -rise / vertices[a](p.normals[k])
+    return gammas
 
 
 def sample_lawrence(p: HPolytope, samples: int, seed: int) -> SampleOutcome:

@@ -223,7 +223,7 @@ class HPolytope(Record):
         columns), the columns of (b | v_S) with the normals in facet-index
         order, each scaled to a tuple of ints by the lcm of its
         denominators, and those lcms.  So |det(b, v_S)| is |det(columns)| /
-        prod(scales)."""
+        prod(scales).  Read by ``abs_dets`` and ``toric_volume`` alone."""
         b = _integer_row(self.reeb)
         rows = [_integer_row(v) for v in self.normals]
         out = []

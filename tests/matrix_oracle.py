@@ -6,6 +6,8 @@ Gauss-Jordan step) and ``_reduce`` (the Gauss-Jordan reduction by that
 step).  This module shares no code with them: every routine below works
 on ``Fraction`` rows, divides as it goes and pivots on the first nonzero
 entry.  A matrix is a sequence of rows; every result is a list of lists.
+``solve`` also checks Lawrence's coefficients, which the package reads off
+the section's edges without elimination.
 """
 
 import itertools

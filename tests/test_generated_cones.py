@@ -24,12 +24,19 @@ from hypothesis import strategies as st
 from abbvloc.core import Covector, PiScalar, Vector
 from abbvloc.engine import check_v_independence
 from abbvloc.errors import PoleAtSample
-from abbvloc.polytope import HPolytope, sample_lawrence, triangulation_volume
+from abbvloc.polytope import (
+    HPolytope,
+    LinearFunctional,
+    _edge_coefficients,
+    lawrence_volume,
+    sample_lawrence,
+    triangulation_volume,
+)
 from abbvloc.sampling import POSITIVE_POOL, sample_independent, sample_rational
 from abbvloc.toric import GoodCone, orbit_system_from_cone, toric_volume
 from conftest import make_rng, random_unimodular
 from functional_oracle import assert_sample_lawrence_matches
-from matrix_oracle import apply, elimination_det, inverse
+from matrix_oracle import apply, elimination_det, inverse, solve
 from simplex_oracle import base_first, simplex_volume
 from toric_det_oracle import toric_volume_by_fraction_dets
 from vertex_oracle import assert_facet_sets_by_pairing
@@ -233,6 +240,25 @@ class TestGeneratedCones:
         assert toric.value == localized
         orbits = check_v_independence(orbit_system_from_cone(cone), samples=2, seed=seed)
         assert orbits.value == localized
+
+    @pytest.mark.parametrize("kind, a, b", CASES, ids=[f"{k}-{a}-{b}" for k, a, b in CASES])
+    def test_edge_coefficients_equal_the_expansion(self, kind, a, b):
+        """Each coefficient gamma_j that Lawrence's formula reads off the
+        section's edges is the j-th coordinate of u in (b, v_S), solved by
+        Fraction elimination.  Also on the bare section with the first
+        normal scaled by 3/2 (non-primitive, rational), where gamma_j
+        shrinks by 2/3 and |det(b, v_S)| grows by 3/2: both volumes stay."""
+        cone, closed = case_cone(kind, a, b, 3)
+        normals = [cone.normals[0].scaled(Fraction(3, 2)), *cone.normals[1:]]
+        (*u, d), = sample_lawrence(cone.section, 1, 3).samples_used
+        f = LinearFunctional(u, d)
+        for p in (cone.section, HPolytope.from_halfspaces(normals, cone.reeb)):
+            values = [f(phi) for phi in p.vertices]
+            for orbit, gammas in zip(p.orbits, _edge_coefficients(p, values)):
+                columns = [p.reeb, *(p.normals[j] for j in orbit.facet_indices)]
+                expansion = solve(list(zip(*columns)), f.u)
+                assert gammas == dict(zip(orbit.facet_indices, expansion[1:]))
+            assert lawrence_volume(p, f) == triangulation_volume(p) == closed
 
     def test_lawrence_draws_equal_the_retry_loop(self):
         """On every cube and Delta^a x Delta^b case at three seeds, the

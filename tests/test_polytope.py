@@ -31,8 +31,8 @@ from functional_oracle import assert_sample_lawrence_matches
 from simplex_oracle import base_first, omega_h, simplex_volume
 from test_cli import section_documents
 from test_cli_golden import cube_cone_doc
-from test_generated_cones import cube_cone_k
-from test_toric import cube_cone, fixture_cones
+from test_generated_cones import case_cone, cube_cone_k
+from test_toric import count_kernel_calls, cube_cone, fixture_cones
 from vertex_oracle import assert_facet_sets_by_pairing, vertices_from_halfspaces
 
 
@@ -196,7 +196,8 @@ class TestLawrence:
 
     def test_rational_normals_and_reeb(self):
         """Rescaling each normal of a bare section by a rational leaves both
-        volumes unchanged: the columns' scales and L_u are divided out."""
+        volumes unchanged: each edge coefficient shrinks by the factor by
+        which |det(b, v_S)| grows."""
         cone = cube_cone_k(3, [Fraction(9, 2), Fraction(1, 3), Fraction(-2, 5), 2])
         scaled = [v.scaled(Fraction(2 * k + 1, k + 2)) for k, v in enumerate(cone.normals)]
         p = HPolytope.from_halfspaces(scaled, cone.reeb)
@@ -259,6 +260,21 @@ class TestLawrence:
         coeff = Fraction(json.loads(capsys.readouterr().out)["coeff"])
         assert coeff == Fraction(factorial(6), factorial(13))
         assert len(calls) == 64
+
+    def test_no_elimination(self, monkeypatch):
+        """lawrence_volume makes no _reduce, _pivot or _bareiss call and
+        reads no orbit weights: the normals' coefficients come off the
+        section's edges, and |det(b, v_S)| and the edges are taken once per
+        section, before counting."""
+        cases = []
+        for p in (cube_cone_k(4).section, case_cone("product", 2, 3, 3)[0].section):
+            p.abs_dets, p.edges
+            (*u, d), = sample_lawrence(p, 1, seed=5).samples_used
+            cases.append((p, LinearFunctional(u, d), triangulation_volume(p)))
+        calls = count_kernel_calls(monkeypatch)
+        for p, f, volume in cases:
+            assert lawrence_volume(p, f) == volume
+        assert calls == {}
 
     def test_functional_independence(self):
         p = cube_polytope()

@@ -52,6 +52,34 @@ def nonpole_cone_sample(cone, rng):
             continue
 
 
+def count_kernel_calls(monkeypatch) -> collections.Counter:
+    """Route every binding of the elimination kernels core._pivot,
+    core._reduce and core._bareiss in the package, and every read of
+    ToricOrbit.weights, through one counter, which is returned."""
+    calls = collections.Counter()
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in ("_pivot", "_reduce", "_bareiss"):
+        real = getattr(core, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("abbvloc") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted(name, real))
+
+    build = toric.ToricOrbit.weights.func
+
+    def weights(orbit):
+        calls["weights"] += 1
+        return build(orbit)
+
+    monkeypatch.setattr(toric.ToricOrbit, "weights", property(weights))
+    return calls
+
+
 def goodness_violating_cone():
     # the vertex where the first two facets meet has active normals
     # spanning an index-2 sublattice
@@ -372,27 +400,7 @@ class TestToricVolume:
             cases.append((cone, nonpole_cone_sample(cone, make_rng(3)), vertices, edges))
             assert (len(cone.section.orbits), len(cone.section.edges)) == (vertices, edges)
             cone.section.abs_dets
-        calls = collections.Counter()
-
-        def counted(name, real):
-            def wrapper(*args):
-                calls[name] += 1
-                return real(*args)
-            return wrapper
-
-        for name in ("_pivot", "_reduce", "_bareiss"):
-            real = getattr(core, name)
-            for module_name, module in list(sys.modules.items()):
-                if module_name.startswith("abbvloc") and getattr(module, name, None) is real:
-                    monkeypatch.setattr(module, name, counted(name, real))
-
-        build = toric.ToricOrbit.weights.func
-
-        def weights(orbit):
-            calls["weights"] += 1
-            return build(orbit)
-
-        monkeypatch.setattr(toric.ToricOrbit, "weights", property(weights))
+        calls = count_kernel_calls(monkeypatch)
         for cone, v, vertices, edges in cases:
             calls.clear()
             value = toric_volume(cone, v)
