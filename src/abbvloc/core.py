@@ -1,5 +1,6 @@
 """Exact computation substrate: rationals, pi-graded scalars, vectors and
 covectors, the integer elimination kernels (``_bareiss`` for determinants,
+``_cofactors`` for a determinant as a linear form in its last row,
 ``_pivot`` and ``_reduce`` for Gauss-Jordan steps and reductions), Smith
 normal form, symmetric polynomials, and ``Record``, the frozen-record base
 of the package's value classes.  Matrices are plain tuples of rows.
@@ -258,6 +259,64 @@ def _bareiss(a) -> int:
                 row[j] = (row[j] * pivot - f * top[j]) // prev
         prev = pivot
     return sign * a[n - 1][n - 1] if n else 1
+
+
+def _cofactors(rows) -> list:
+    """The integer covector c with c . x = det(rows; x) for n integer rows
+    of length n + 1 (a list of lists) and every x: the cofactors of the
+    row x appended last.
+
+    The forward elimination of ``_bareiss`` runs on the n rows, with a
+    zero pivot swapped with the first row below that has a nonzero entry
+    in its column, and a column without one swapped with the first later
+    column that has one; c is zero when none has (the rows have rank below
+    n).  Each swap flips the sign.  The last pivot, signed, is the
+    cofactor of the column left unpivoted.  The rows c is orthogonal to
+    span the eliminated rows, which stay integer combinations of them, so
+    back substitution through the pivots gives the other cofactors, every
+    division exact.  The rows are consumed.
+
+    >>> _cofactors([[1, 2, 3], [0, 1, 4]])
+    [5, -4, 1]
+    >>> _cofactors([[0, 1, 0], [1, 0, 0]])  # a row swap
+    [0, 0, -1]
+    >>> _cofactors([[0, 0, 1], [0, 2, 0]])  # a column swap
+    [-2, 0, 0]
+    """
+    a = rows
+    n = len(a)
+    order = list(range(n + 1))  # the coordinate at each column
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if piv is None:
+                piv, j = next(((i, j) for j in range(k + 1, n + 1) for i in range(k, n)
+                               if a[i][j] != 0), (None, None))
+                if piv is None:
+                    return [0] * (n + 1)
+                for row in a:
+                    row[k], row[j] = row[j], row[k]
+                order[k], order[j] = order[j], order[k]
+                sign = -sign
+            if piv != k:
+                a[k], a[piv] = a[piv], a[k]
+                sign = -sign
+        top, pivot = a[k], a[k][k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n + 1):
+                row[j] = (row[j] * pivot - f * top[j]) // prev
+        prev = pivot
+    y = [0] * n + [sign * prev]
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        y[i] = -sum(row[j] * y[j] for j in range(i + 1, n + 1)) // row[i]
+    c = [0] * (n + 1)
+    for coordinate, value in zip(order, y):
+        c[coordinate] = value
+    return c
 
 
 def _integer_row(row) -> tuple:

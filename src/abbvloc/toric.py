@@ -12,9 +12,10 @@ n x n minors of v_S (Smith normal form is computed only to report a
 violation).  One ``ToricOrbit`` per vertex, sorted by vertex, makes up
 the cone's section, an ``HPolytope``, whose edges ``_bounded_edges``
 finds; boundedness is read off them.  The orbits are turned into orbit
-data (lengths, moments, weights, the weights built on first read) or fed
-directly into the determinant volume formula.  Errors come in the order
-NotSimpleVertex, GoodnessViolation, UnboundedSection.
+data (lengths, moments, weights, the weights built on first read), and
+the section's normals into the determinant volume formula, through one
+integer covector of minors per vertex taken once per section.  Errors
+come in the order NotSimpleVertex, GoodnessViolation, UnboundedSection.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, prod
+from operator import mul
 
 from .core import (
     Covector,
@@ -29,6 +31,7 @@ from .core import (
     Record,
     Vector,
     _bareiss,
+    _cofactors,
     _column,
     _integer_row,
     _pivot,
@@ -128,9 +131,9 @@ class GoodCone(Record):
     def section(self) -> HPolytope:
         """The hyperplane section, its orbits found by enumerate_vertices on
         first access and its edges read to raise UnboundedSection unless it
-        is bounded, so its ``edges`` and ``integer_columns`` are computed
-        once per cone.  A section that raises is not stored, so every
-        access raises the same error."""
+        is bounded, so its ``edges``, ``integer_columns`` and
+        ``minor_forms`` are computed once per cone.  A section that raises
+        is not stored, so every access raises the same error."""
         section = HPolytope(self.normals, self.reeb, enumerate_vertices(self))
         section.edges  # raises UnboundedSection
         return section
@@ -223,7 +226,7 @@ class HPolytope(Record):
         columns), the columns of (b | v_S) with the normals in facet-index
         order, each scaled to a tuple of ints by the lcm of its
         denominators, and those lcms.  So |det(b, v_S)| is |det(columns)| /
-        prod(scales).  Read by ``abs_dets`` and ``toric_volume`` alone."""
+        prod(scales).  Read by ``abs_dets`` and ``minor_forms`` alone."""
         b = _integer_row(self.reeb)
         rows = [_integer_row(v) for v in self.normals]
         out = []
@@ -239,6 +242,45 @@ class HPolytope(Record):
         their scales, not read from the walk's dictionaries."""
         return tuple(Fraction(abs(_bareiss([list(c) for c in columns])), prod(scales))
                      for scales, columns in self.integer_columns)
+
+    @cached_property
+    def minor_forms(self) -> tuple:
+        """What ``toric_volume`` reads of the section, taken once from the
+        integer columns and from no walk dictionary: (forms, at_reeb,
+        slots, edges).
+
+        Per vertex on the facets S, in vertex order: ``forms`` holds the
+        integer covector N_S with N_S(x) = det(x, v_S) for the integer
+        columns v_S of the normals, one ``core._cofactors`` each;
+        ``at_reeb`` holds N_S(L_b b); ``slots`` holds, for each slot, the
+        index into ``edges`` of the edge that leaves the slot's facet.  Per
+        edge T, in the order of ``edges``: (S, S', d), its ends S < S',
+        and with s the facet that T leaves at slot i of S, d = (-1)^i
+        N_S'(v_s).  The three-term (Plucker) relation in the plane that
+        v_T's span leaves gives, exactly and for every x,
+
+            det(L_b b, x, v_T) = (N_S'(L_b b) N_S(x) - N_S(L_b b) N_S'(x)) / d,
+
+        and d is never 0: were v_s and v_s' equal on ker(v_T), S and S'
+        would be one vertex.  Raises UnboundedSection as ``edges`` does."""
+        forms, at_reeb = [], []
+        for _, (b, *normals) in self.integer_columns:
+            form = _cofactors([list(c) for c in normals])
+            if len(normals) % 2:
+                form = [-x for x in form]  # det(x, v_S) = (-1)^n det(v_S; x)
+            forms.append(tuple(form))
+            at_reeb.append(sum(map(mul, form, b)))
+        slots = [[None] * len(o.facet_indices) for o in self.orbits]
+        edges = []
+        for e, (first, second) in enumerate(self.edges):
+            left, right = self.orbits[first].facet_indices, self.orbits[second].facet_indices
+            (s,) = self.facet_sets[first] - self.facet_sets[second]
+            (t,) = self.facet_sets[second] - self.facet_sets[first]
+            i, j = left.index(s), right.index(t)
+            slots[first][i] = slots[second][j] = e
+            d = sum(map(mul, forms[second], self.integer_columns[first][1][1 + i]))
+            edges.append((first, second, -d if i % 2 == 0 else d))  # i counts from 0
+        return tuple(forms), tuple(at_reeb), tuple(map(tuple, slots)), tuple(edges)
 
 
 def _point_str(phi) -> str:
@@ -460,7 +502,8 @@ def orbit_system_from_cone(cone: GoodCone) -> OrbitSystem:
 
 
 def toric_volume(cone: GoodCone, v: Vector) -> PiScalar:
-    """Volume by the vertex determinant formula, evaluated verbatim.
+    """Volume by the vertex determinant formula (Martelli-Sparks-Yau, CMP
+    268, 2006).
 
     Each vertex contributes det(v, v_S)^n / (|det(b, v_S)| * prod_i
     det(b, ..., v at slot i, ...)), with the active normals v_S in
@@ -471,48 +514,45 @@ def toric_volume(cone: GoodCone, v: Vector) -> PiScalar:
         det(b, v_s1, ..., v, ..., v_sn) = (-1)^(i-1) det(b, v, v_T),
 
     with T = S minus s_i, the edge of the section that leaves facet s_i at
-    the vertex.  So a slot determinant depends only on its edge, and both
-    ends of the edge read the one E(T) = det(L_b b, L_v v, v_T) that the
-    call takes on first use and keeps until it returns.  The determinants
-    run on integers, one ``core._bareiss`` each: the numerator per vertex
-    and E(T) per edge, on the vertex's integer columns (L_b b, v_S) in
-    ``cone.section`` taken as rows (det M = det M^T) with L_v v, v scaled
-    once per call.  The numerator carries L_v^n and the slot product (L_b L_v)^n,
-    so L_v cancels and each term is multiplied by L_b^n.  Computed
-    determinant by determinant, without the inverse that the orbit-data
-    route reads off the walk, so the two routes cross-check each other;
-    |det(b, v_S)| is the section's ``abs_dets``, taken from the normals and
-    not from the walk's ``abs_delta``, which the orbit lengths read.
+    the vertex, so both ends of an edge read one E(T) = det(L_b b, L_v v,
+    v_T).  Every determinant is linear in v, so the section takes each
+    vertex's integer covector N_S(x) = det(x, v_S) once
+    (``HPolytope.minor_forms``), and a sample costs one dot product per
+    vertex, the numerator N_S(L_v v), and one exact integer combination of
+    two of them per edge, E(T); no elimination.  The numerator carries
+    L_v^n and the slot product (L_b L_v)^n, so L_v cancels and each term
+    is multiplied by L_b^n; |det(b, v_S)| is |N_S(L_b b)| / L_b, as a
+    cone's normals are integers.  The first pole in vertex order, then
+    slot order, raises PoleAtSample.  Everything is read off the normals,
+    not off the walk's dictionaries or its ``abs_delta``, which the
+    orbit-data route reads, so the two routes cross-check each other.
     """
     v = Vector(v)
     if len(v) != cone.dim:
         raise InputError("sample vector has wrong dimension")
     n = cone.codim_half
     _, vi = _integer_row(v)
-    edges = {}
-    total = Fraction(0)
+    lb, _ = _integer_row(cone.reeb)
     section = cone.section
-    for orbit, (scales, columns), delta in zip(section.orbits, section.integer_columns,
-                                                section.abs_dets):
-        b, *normals = columns
-        numerator = _bareiss([list(vi), *map(list, normals)])
-        facets = orbit.facet_indices
+    forms, at_reeb, slots, edges = section.minor_forms
+    at_v = [sum(map(mul, form, vi)) for form in forms]
+    dets = [(at_reeb[second] * at_v[first] - at_reeb[first] * at_v[second]) // d
+            for first, second, d in edges]
+    denoms = []
+    for orbit, vertex_slots in zip(section.orbits, slots):
         denom = 1
-        for i in range(1, n + 1):
-            edge = facets[:i - 1] + facets[i:]
-            slot = edges.get(edge)
-            if slot is None:
-                slot = edges[edge] = _bareiss(
-                    [list(b), list(vi), *map(list, normals[:i - 1]), *map(list, normals[i:])]
-                )
+        for i, e in enumerate(vertex_slots, 1):
+            slot = dets[e]
             if slot == 0:
                 raise PoleAtSample(
                     f"det(b, ..., v, ...) vanishes at slot {i} of vertex "
                     f"{tuple(orbit.vertex)}"
                 )
             denom *= slot if i % 2 else -slot
-        total += Fraction((numerator * scales[0]) ** n * delta.denominator,
-                          delta.numerator * denom)
+        denoms.append(denom)
+    # summed only once no slot vanishes, so a pole draw costs no Fraction
+    total = sum(Fraction((numerator * lb) ** n * lb, abs(reeb) * denom)
+                for numerator, reeb, denom in zip(at_v, at_reeb, denoms))
     k = cone.two_pi_exponent
     return PiScalar(Fraction(2) ** k * total / factorial(n), n + k)
 

@@ -1,9 +1,9 @@
 """Plain ``Fraction`` matrix arithmetic, as an oracle for the integer kernels.
 
-The package eliminates with three integer kernels in ``core``: ``_bareiss``
-(forward fraction-free determinants), ``_pivot`` (one fraction-free
-Gauss-Jordan step) and ``_reduce`` (the Gauss-Jordan reduction by that
-step).  This module shares no code with them: every routine below works
+The package eliminates with four integer kernels in ``core``: ``_bareiss``
+(forward fraction-free determinants), ``_cofactors`` (a determinant as a
+linear form in its last row), ``_pivot`` (one fraction-free Gauss-Jordan
+step) and ``_reduce`` (the Gauss-Jordan reduction by that step).  This module shares no code with them: every routine below works
 on ``Fraction`` rows, divides as it goes and pivots on the first nonzero
 entry.  A matrix is a sequence of rows; every result is a list of lists.
 ``solve`` also checks Lawrence's coefficients, which the package reads off

@@ -10,6 +10,7 @@ from abbvloc.core import (
     PiScalar,
     Vector,
     _bareiss,
+    _cofactors,
     _integer_row,
     _reduce,
     canonical_multiindex,
@@ -309,6 +310,53 @@ class TestEliminationOracle:
                 kernel_inverse(rows)
         else:
             assert kernel_inverse(rows) == expected
+
+
+def assert_cofactors_equal_elimination(rows, xs) -> list:
+    """c . x = det(rows; x) by the Fraction oracle, for each basis vector
+    (so c is the cofactor row) and each x in xs; returns c."""
+    n = len(rows)
+    c = _cofactors([list(r) for r in rows])
+    assert len(c) == n + 1 and all(type(x) is int for x in c)
+    for x in [*identity(n + 1), *xs]:
+        assert sum(a * b for a, b in zip(c, x)) == elimination_det([*rows, x])
+    return c
+
+
+class TestCofactors:
+    """_cofactors is the determinant with an appended row of unknowns, as
+    the Fraction oracle eliminates it."""
+
+    # zeros are drawn often so that row and column swaps occur
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(min_rows=0, max_rows=6, extra_cols=1,
+                    entries=st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5])),
+           st.lists(st.integers(-9, 9), min_size=7, max_size=7))
+    def test_equals_elimination_det(self, rows, x):
+        assert_cofactors_equal_elimination(rows, [x[: len(rows) + 1]])
+
+    @pytest.mark.parametrize("rows, expected", [
+        # a zero pivot with a nonzero entry below it: a row swap
+        ([[0, 1, 2], [3, 4, 5]], [-3, 6, -3]),
+        # column 0 is zero: a column swap at the first step
+        ([[0, 1, 2], [0, 3, 5]], [-1, 0, 0]),
+        # a column swap, then a row swap to the pivot it brings
+        ([[0, 0, 1], [0, 2, 0]], [-2, 0, 0]),
+        # column 1 is cleared below the first pivot: a column swap at step 1
+        ([[1, 2, 3, 4], [2, 4, 1, 0], [3, 6, 2, 1]], [2, -1, 0, 0]),
+        # rank below n: the zero covector
+        ([[1, 2, 3], [2, 4, 6]], [0, 0, 0]),
+        ([], [1]),
+    ])
+    def test_swaps_and_rank(self, rows, expected):
+        assert assert_cofactors_equal_elimination(rows, []) == expected
+
+    def test_dimension_9_equals_elimination(self):
+        rng = make_rng(41)
+        entries = range(-4, 5)
+        for _ in range(3):
+            rows = [[rng.choice(entries) for _ in range(10)] for _ in range(9)]
+            assert_cofactors_equal_elimination(rows, [[rng.choice(entries) for _ in range(10)]])
 
 
 class TestSmithNormalForm:

@@ -16,6 +16,7 @@ and both closed forms below are that integral.  The localized cone volume
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -396,6 +397,45 @@ class TestToricDeterminantOracle:
                 assert result == toric_volume_or_pole(toric_volume_by_fraction_dets, cone, v)
                 outcomes.add(isinstance(result, tuple))
         assert outcomes == {True, False}
+
+
+# the cases' cones at a seeded Reeb vector, and cube cones 2-5 at the default one
+FORM_CONES = [(f"{k}-{a}-{b}", lambda k=k, a=a, b=b: case_cone(k, a, b, 3)[0])
+              for k, a, b in CASES] + [(f"cube-{k}-default", lambda k=k: cube_cone_k(k))
+                                        for k in range(2, 6)]
+
+
+class TestMinorForms:
+    """The section's covectors N_S(x) = det(x, v_S) and the per-edge
+    three-term relation that toric_volume evaluates, against determinants
+    of the Fraction oracle."""
+
+    @pytest.mark.parametrize("build", [b for _, b in FORM_CONES], ids=[i for i, _ in FORM_CONES])
+    def test_edge_relation_equals_the_determinant(self, build):
+        cone = build()
+        p = cone.section
+        forms, at_reeb, slots, edges = p.minor_forms
+        b = p.integer_columns[0][1][0]  # L_b b
+        rng = make_rng(29)
+        xs = [[rng.choice(range(-7, 8)) for _ in range(cone.dim)] for _ in range(3)]
+        for orbit, form, reeb in zip(p.orbits, forms, at_reeb):
+            normals = [cone.normals[i] for i in orbit.facet_indices]
+            assert reeb == elimination_det([b, *normals])
+            for x in xs:
+                assert sum(map(mul, form, x)) == elimination_det([x, *normals])
+        assert [e[:2] for e in edges] == list(p.edges)
+        for e, (first, second, d) in enumerate(edges):
+            left, right = p.orbits[first].facet_indices, p.orbits[second].facet_indices
+            edge = [i for i in left if i in right]
+            (i,) = [i for i, f in enumerate(left, 1) if f not in right]
+            (j,) = [j for j, f in enumerate(right, 1) if f not in left]
+            assert slots[first][i - 1] == slots[second][j - 1] == e
+            assert d != 0
+            for x in xs:
+                combination = (at_reeb[second] * sum(map(mul, forms[first], x))
+                               - at_reeb[first] * sum(map(mul, forms[second], x)))
+                assert combination % d == 0
+                assert combination // d == elimination_det([b, x, *(cone.normals[t] for t in edge)])
 
 
 def det3(r0, r1, r2):

@@ -35,7 +35,13 @@ from abbvloc.toric import (
 from conftest import make_rng, random_unimodular, random_weights
 from matrix_oracle import apply
 from test_engine import sphere_closed_form
-from test_generated_cones import MSY_CONES, assert_walk_rows_equal_inverse, case_cone, cube_cone_k
+from test_generated_cones import (
+    MSY_CONES,
+    assert_walk_rows_equal_inverse,
+    case_cone,
+    cube_cone_k,
+    toric_volume_or_pole,
+)
 from vertex_oracle import vertices_from_halfspaces
 
 BENCH_INPUTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -54,8 +60,9 @@ def nonpole_cone_sample(cone, rng):
 
 def count_kernel_calls(monkeypatch) -> collections.Counter:
     """Route every binding of the elimination kernels core._pivot,
-    core._reduce and core._bareiss in the package, and every read of
-    ToricOrbit.weights, through one counter, which is returned."""
+    core._reduce, core._bareiss and core._cofactors in the package, and
+    every read of ToricOrbit.weights, through one counter, which is
+    returned."""
     calls = collections.Counter()
 
     def counted(name, real):
@@ -64,7 +71,7 @@ def count_kernel_calls(monkeypatch) -> collections.Counter:
             return real(*args)
         return wrapper
 
-    for name in ("_pivot", "_reduce", "_bareiss"):
+    for name in ("_pivot", "_reduce", "_bareiss", "_cofactors"):
         real = getattr(core, name)
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("abbvloc") and getattr(module, name, None) is real:
@@ -389,51 +396,49 @@ class TestToricVolume:
             assert outcome.value == toric_volume(cone, outcome.samples_used[0])
 
     def test_determinants_independent_of_the_walk(self, monkeypatch):
-        """toric_volume makes no _pivot or _reduce call and reads no orbit
-        weights: it takes one integer determinant per vertex, the numerator,
-        and one per edge, which the slot determinants at both of its ends
-        share, one _bareiss each.  The section's |det(b, v_S)| are taken
-        once per section, before counting."""
+        """toric_volume eliminates once per section and never per sample:
+        one _cofactors per vertex on its first call, for the vertex's
+        covector N_S, and no elimination kernel at all on the next.  It
+        makes no _pivot or _reduce call, takes no _bareiss (the section's
+        abs_dets are not read) and reads no orbit weights."""
         cases = []
         for cone, vertices, edges in ((cube_cone_k(4), 16, 32),
                                       (case_cone("product", 2, 2, 3)[0], 9, 18)):
-            cases.append((cone, nonpole_cone_sample(cone, make_rng(3)), vertices, edges))
+            rng = make_rng(3)
+            samples = [sample_vector(cone.dim, rng) for _ in range(2)]
             assert (len(cone.section.orbits), len(cone.section.edges)) == (vertices, edges)
-            cone.section.abs_dets
+            cases.append((cone, samples, vertices))
         calls = count_kernel_calls(monkeypatch)
-        for cone, v, vertices, edges in cases:
+        for cone, (first, second), vertices in cases:
             calls.clear()
-            value = toric_volume(cone, v)
-            assert calls == {"_bareiss": vertices + edges}
+            values = [toric_volume_or_pole(toric_volume, cone, v) for v in (first, second)]
+            assert calls == {"_cofactors": vertices}
+            calls.clear()
+            assert [toric_volume_or_pole(toric_volume, cone, v) for v in (second, first)] \
+                == values[::-1]
+            assert calls == {}
+            assert len(cone.section.minor_forms[3]) == len(cone.section.edges)
             # the counters see the orbit-data route, which reads the weights
-            assert localize_volume(orbit_system_from_cone(cone), v) == value
-            assert calls["weights"] == vertices and calls["_pivot"] == calls["_reduce"] == 0
+            orbit_system_from_cone(cone)
+            assert calls == {"weights": vertices}
 
-    def test_volume_toric_cli_determinant_count(self, monkeypatch, tmp_path, capsys):
-        """volume-toric on the benchmark's cube cone 4 takes 48 determinants
-        per sample, 16 vertices plus 32 edges: 480 at the 10 samples the
-        orbit-data route accepted (800 when each vertex took its n + 1), and
-        16 more once per cone for the section's |det(b, v_S)|: 496."""
+    def test_volume_toric_cli_kernel_count(self, monkeypatch, tmp_path, capsys):
+        """volume-toric on the benchmark's cube cone 4 eliminates for its
+        determinants once per section, one _cofactors per vertex: 16 at the
+        10 samples the orbit-data route accepted, against 496 _bareiss
+        (16 vertices plus 32 edges per sample, and the section's 16
+        |det(b, v_S)|) when each sample eliminated afresh."""
         spec = importlib.util.spec_from_file_location("_abbvloc_bench_inputs", BENCH_INPUTS)
         inputs = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(inputs)
         doc, _ = inputs.cube_cone(4, 1)
         path = tmp_path / "cube-4.json"
         path.write_text(json.dumps(doc))
-        calls = collections.Counter()
-        real = core._bareiss
-
-        def counted(a):
-            calls["_bareiss"] += 1
-            return real(a)
-
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("abbvloc") and getattr(module, "_bareiss", None) is real:
-                monkeypatch.setattr(module, "_bareiss", counted)
+        calls = count_kernel_calls(monkeypatch)
         assert main(["volume-toric", "--input", str(path), "--json", "--seed", "42"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["checks"][1]["detail"] == "10 samples compared"
-        assert calls == {"_bareiss": 496}
+        assert calls["_cofactors"] == 16 and calls["_bareiss"] == calls["_reduce"] == 0
 
     @staticmethod
     def corrupt_abs_delta(monkeypatch, factors):

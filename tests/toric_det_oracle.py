@@ -4,7 +4,8 @@ This is ``toric.toric_volume`` as it stood before its determinants moved
 onto the integer columns the cone keeps: every determinant is a rational
 determinant of (b | v_S) with one column replaced by v, here taken by the
 Fraction elimination of ``matrix_oracle``, which shares no code with the
-package's ``_bareiss``.  ``toric_volume`` must give the same PiScalar, and
+package's ``_cofactors`` or the three-term relation that ``toric_volume``
+evaluates per edge.  ``toric_volume`` must give the same PiScalar, and
 raise the same PoleAtSample at the same slot of the same vertex.
 """
 
