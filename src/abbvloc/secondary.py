@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import prod
 
-from .core import PiScalar, Record, Vector, _integer_row, _s_J_integer, canonical_multiindex, rat, s_J
+from .core import PiScalar, Record, Vector, _expand, _integer_row, canonical_multiindex, rat, s_J
 from .engine import OrbitSystem, localize_characteristic, weighted_sphere_system
 from .errors import InputError
 
@@ -84,33 +84,43 @@ def asuke_closed_form(f: WeightedSphereFoliation, J) -> Fraction:
     return s1 * s_J(J, f.w) / top
 
 
-def check_w1_identity(m: int, J, w) -> bool:
-    """Exact test of the elementary symmetric polynomial identity
+def check_w1_identity(m: int, Js, w) -> list:
+    """Exact test, for each multiindex J in Js, of the elementary symmetric
+    polynomial identity
 
         sum_k s_J((w_j - w_k)_{j != k}) prod_{j != k} w_j
                 / prod_{j != k} (w_j - w_k)  =  s_J(w_0, ..., w_m).
 
-    The weights must be pairwise distinct so no denominator vanishes.
+    Returns one verdict per J, in the order of Js.  The weights must be
+    pairwise distinct so no denominator vanishes.
 
     Both sides are homogeneous of degree |J| in w, so w is scaled to the
     integers W = L w (L the lcm of its denominators) and the identity is
-    tested on W: the k-th term is N_k / Q_k with N_k = s_J(d) prod_{j != k}
-    W_j from one integer expansion of prod_j (1 + d_j t) over the
-    differences d, Q_k = prod_j d_j, and the sum is compared with s_J(W)
-    by cross-multiplying.
+    tested on W.  The vector's expansions are taken once for every J:
+    S^(k) = _expand of the differences d = (W_j - W_k)_{j != k}, P_k =
+    prod_{j != k} W_j, Q_k = prod_j d_j and D = prod_k Q_k, and J holds
+    when sum_k s_J(S^(k)) P_k (D / Q_k) - s_J(_expand(W)) D = 0.
     """
-    J = canonical_multiindex(J)
+    Js = [canonical_multiindex(J) for J in Js]
     w = [rat(x) for x in w]
     if len(w) != m + 1:
         raise InputError(f"need {m + 1} values, got {len(w)}")
     _, W = _integer_row(w)
     if len(set(W)) != len(W):  # w -> L w is injective, and ints hash cheaply
         raise InputError("values must be pairwise distinct")
-    num, den = 0, 1
-    for k, wk in enumerate(W):
-        rest = W[:k] + W[k + 1:]
-        diffs = [x - wk for x in rest]
-        q = prod(diffs)
-        num = num * q + _s_J_integer(J, diffs) * prod(rest) * den
-        den *= q
-    return num == _s_J_integer(J, W) * den
+    rests = [W[:k] + W[k + 1:] for k in range(len(W))]
+    diffs = [[x - wk for x in rest] for wk, rest in zip(W, rests)]
+    qs = [prod(d) for d in diffs]
+    D = prod(qs)
+    pad = [0] * max((j for J in Js for j in J), default=0)  # s_j = 0 past the degree
+    terms = [(_expand(d) + pad, prod(rest) * (D // q)) for d, rest, q in zip(diffs, rests, qs)]
+    terms.append((_expand(W) + pad, -D))
+    verdicts = []
+    for J in Js:
+        total = 0
+        for S, c in terms:
+            for j in J:
+                c *= S[j]
+            total += c
+        verdicts.append(total == 0)
+    return verdicts

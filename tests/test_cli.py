@@ -8,13 +8,16 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import abbvloc.cli
 import abbvloc.homogeneous
 from abbvloc.cli import (DH_MAX_ORDER, MAX_SAMPLES, MAX_TRIALS, _COMMANDS, _build_parser,
                          _load_cone, _load_orbit_system, main)
-from abbvloc.core import Covector, PiScalar, Vector, rat, rat_str
+from abbvloc.core import Covector, PiScalar, Vector, partitions, rat, rat_str
 from abbvloc.engine import OrbitDatum, OrbitSystem, weighted_sphere_system
 from abbvloc.errors import InputError
 from abbvloc.homogeneous import stiefel_so5_so3
+from abbvloc.sampling import SplitMix64, sample_distinct_positive
+from abbvloc.secondary import check_w1_identity
 from abbvloc.toric import MAX_VERTICES, GoodCone, enumerate_vertices
 from matrix_oracle import apply
 from test_cli_golden import cube_cone_doc
@@ -434,6 +437,47 @@ class TestIdentityCommands:
         )
         assert code == 0
         assert "[FAIL]" not in out
+
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    def test_check_w1_checks_every_partition_on_each_drawn_vector(self, capsys, monkeypatch, seed):
+        draws, calls = [], []
+
+        def draw(count, rng):
+            draws.append(sample_distinct_positive(count, rng))
+            return draws[-1]
+
+        def check(m, Js, w):
+            calls.append((m, list(Js), w))
+            return check_w1_identity(m, Js, w)
+
+        monkeypatch.setattr(abbvloc.cli, "sample_distinct_positive", draw)
+        monkeypatch.setattr(abbvloc.cli, "check_w1_identity", check)
+        code, out = run_cli(capsys, "check-w1", "--m", "5", "--trials", "7", "--seed", str(seed), "--json")
+        assert code == 0
+        rng = SplitMix64(seed)
+        assert draws == [sample_distinct_positive(6, rng) for _ in range(7)]
+        assert len(partitions(5)) == 7
+        assert calls == [(5, partitions(5), w) for w in draws]
+        checks = json.loads(out)["checks"]
+        assert [(c["name"], c["pass"]) for c in checks] == [
+            (f"identity for J={list(J)}", True) for J in partitions(5)
+        ]
+
+    def test_check_w1_fails_the_one_multiindex_that_fails_on_one_vector(self, capsys, monkeypatch):
+        vectors = []
+
+        def check(m, Js, w):
+            vectors.append(w)
+            verdicts = check_w1_identity(m, Js, w)
+            return [ok and not (J == (2, 3) and len(vectors) == 4) for J, ok in zip(Js, verdicts)]
+
+        monkeypatch.setattr(abbvloc.cli, "check_w1_identity", check)
+        code, out = run_cli(capsys, "check-w1", "--m", "5", "--trials", "7", "--seed", "3", "--json")
+        assert code == 1
+        assert len(vectors) == 7
+        report = json.loads(out)
+        assert report["exact"] == "0 * pi^0"
+        assert [c["name"] for c in report["checks"] if not c["pass"]] == ["identity for J=[2, 3]"]
 
     def test_secondary(self, capsys):
         code, out = run_cli(capsys, "secondary", "--weights", "1,2", "--j", "1", "--json")

@@ -105,24 +105,32 @@ class TestW1IdentityEqualsTheOracle:
         pool = SAMPLE_POOL + (Fraction(0),)
         verdicts = set()
         for m in range(1, 9):
+            Js = [J for degree in range(m + 3) for J in partitions(degree)]
             for trial in range(12):
                 w = []
                 while len(w) < m + 1:
                     x = rng.choice(pool)
                     if x not in w:
                         w.append(x)
-                degree = 1 + rng.next_u64() % (m + 2)
-                J = rng.choice(partitions(degree))
-                got = check_w1_identity(m, J, w)
-                assert got == orbit_oracle.check_w1_identity(m, J, w)
-                verdicts.add(got)
+                got = check_w1_identity(m, Js, w)
+                assert got == [orbit_oracle.check_w1_identity(m, J, w) for J in Js], (m, w)
+                verdicts.update(got)
         assert verdicts == {True, False}
 
     def test_every_partition_on_negative_and_zero_values(self):
         w = [Fraction(-1, 2), 0, 3, Fraction(-7, 3), 5]
-        for degree in range(1, 7):
-            for J in partitions(degree):
-                assert check_w1_identity(4, J, w) == orbit_oracle.check_w1_identity(4, J, w)
+        Js = [J for degree in range(7) for J in partitions(degree)]
+        assert check_w1_identity(4, Js, w) == [orbit_oracle.check_w1_identity(4, J, w) for J in Js]
+
+    def test_a_verdict_ignores_the_other_multiindices(self):
+        # alone, among every partition of degree 0..6, and in reversed order
+        w = [Fraction(1, 3), -2, 7, Fraction(5, 2)]
+        Js = [J for degree in range(7) for J in partitions(degree)]
+        together = check_w1_identity(3, Js, w)
+        assert set(together) == {True, False}
+        assert together == [check_w1_identity(3, [J], w)[0] for J in Js]
+        assert check_w1_identity(3, Js[::-1], w) == together[::-1]
+        assert check_w1_identity(3, [], w) == []
 
 
 class TestCallCounts:
@@ -141,5 +149,6 @@ class TestCallCounts:
         calls = []
         for module in (core, secondary):
             monkeypatch.setattr(module, "s_J", lambda *args: calls.append(1))
-        assert check_w1_identity(3, (1, 2), [1, 2, 5, 7])
+        assert check_w1_identity(3, [(1, 2)], [1, 2, 5, 7]) == [True]
+        assert check_w1_identity(3, partitions(3), [1, 2, 5, 7]) == [True, True, True]
         assert calls == []
