@@ -17,6 +17,7 @@ from .core import (
     smith_normal_form,
 )
 from .engine import (
+    LeafIntegrals,
     OrbitDatum,
     OrbitSystem,
     check_v_independence,

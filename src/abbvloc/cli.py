@@ -33,6 +33,7 @@ from math import factorial
 
 from .core import PiScalar, Vector, canonical_multiindex, partitions, rat, rat_str
 from .engine import (
+    LeafIntegrals,
     OrbitDatum,
     OrbitSystem,
     check_v_independence,
@@ -129,25 +130,34 @@ def _load_json(path: str) -> dict:
     return doc
 
 
-def _rational(x, memo: dict) -> Fraction:
-    """``rat(x)``, with each distinct string parsed once per document.
+class _Literals(dict):
+    """The values of one document's literals: ``literals[x]`` is ``rat(x)``,
+    with each distinct string parsed once, at its first lookup, so a hit
+    costs one dict lookup in C.  The loaders make one per document and keep
+    none across calls.  Only strings are kept: ``true`` hashes equal to
+    ``1``, and ``rat`` must see it each time to refuse it."""
 
-    ``memo`` maps the document's string literals to their values; the
-    loaders make one per document and keep none across calls.  Only strings
-    are looked up: ``true`` hashes equal to ``1``, and ``rat`` refuses it."""
-    if type(x) is str:
-        q = memo.get(x)
-        if q is None:
-            q = memo[x] = rat(x)
+    def __missing__(self, x):
+        q = rat(x)
+        if type(x) is str:
+            self[x] = q
         return q
-    return rat(x)
 
 
-def _vector(doc, memo: dict) -> list:
-    """A JSON array of rationals as a list of Fractions."""
+def _rational(x, memo: _Literals) -> Fraction:
+    """``rat(x)``, with a string looked up in the document's literals."""
+    return memo[x] if type(x) is str else rat(x)
+
+
+def _vector(doc, memo: _Literals) -> list:
+    """A JSON array of rationals as a list of Fractions, in one pass."""
     if not isinstance(doc, list):
         raise TypeError(f"expected a JSON array, got {type(doc).__name__}")
-    return [_rational(x, memo) for x in doc]
+    try:
+        return list(map(memo.__getitem__, doc))
+    except TypeError:
+        # an unhashable literal fails in the lookup: let rat word the error
+        return [_rational(x, memo) for x in doc]
 
 
 def _integer(doc) -> int:
@@ -158,7 +168,7 @@ def _integer(doc) -> int:
     return q.numerator
 
 
-def _matrix(doc, memo: dict) -> tuple:
+def _matrix(doc, memo: _Literals) -> tuple:
     """A JSON array of rows of rationals as a tuple of row tuples.  Every
     row is parsed before the widths are compared, so a bad literal is
     reported before ragged rows."""
@@ -171,7 +181,7 @@ def _matrix(doc, memo: dict) -> tuple:
 
 
 def _load_orbit_system(doc) -> OrbitSystem:
-    memo = {}
+    memo = _Literals()
     try:
         orbits = tuple(
             OrbitDatum(
@@ -200,7 +210,7 @@ def _load_orbit_system(doc) -> OrbitSystem:
 
 
 def _load_cone(doc) -> GoodCone:
-    memo = {}
+    memo = _Literals()
     try:
         basis = doc.get("lattice_basis")
         return GoodCone(
@@ -215,7 +225,7 @@ def _load_cone(doc) -> GoodCone:
 
 
 def _load_root_data(doc) -> RootData:
-    memo = {}
+    memo = _Literals()
     try:
         return RootData(
             dim_t=_integer(doc["dim_t"]),
@@ -231,7 +241,7 @@ def _load_root_data(doc) -> RootData:
 def _load_section(doc) -> HPolytope:
     if "pi_scale_exponent" in doc or "lattice_basis" in doc:
         return _load_cone(doc).section
-    memo = {}
+    memo = _Literals()
     try:
         normals = tuple(_vector(v, memo) for v in doc["normals"])
         reeb = _vector(doc["reeb"], memo)
@@ -416,7 +426,7 @@ def _cmd_localize(args) -> dict:
     J = _multiindex(j)
     if leaf_integrals is None:
         raise InputError("characteristic mode requires --leaf-integrals")
-    leaf = [PiScalar(c, 0) for c in _rat_list(leaf_integrals)]
+    leaf = LeafIntegrals(PiScalar(c, 0) for c in _rat_list(leaf_integrals))
     value, independence = _resample(
         lambda v: localize_characteristic(system, J, leaf, v),
         system.dim_t,

@@ -177,7 +177,12 @@ class _ExactTuple(tuple):
     """Immutable tuple of rationals, negated and scaled elementwise."""
 
     def __new__(cls, entries):
-        return super().__new__(cls, tuple(rat(e) for e in entries))
+        entries = tuple(entries)
+        # entries that are all Fractions already are kept as they are: the
+        # type test runs in C, where a rat call per entry would not
+        if not set(map(type, entries)) <= {Fraction}:
+            entries = tuple(map(rat, entries))
+        return super().__new__(cls, entries)
 
     def __neg__(self):
         return type(self)(-a for a in self)
@@ -221,10 +226,6 @@ class Covector(_ExactTuple):
 
 def basis_vector(dim: int, j: int) -> Vector:
     return Vector(Fraction(1 if i == j else 0) for i in range(dim))
-
-
-def basis_covector(dim: int, j: int) -> Covector:
-    return Covector(Fraction(1 if i == j else 0) for i in range(dim))
 
 
 def _bareiss(a) -> int:
@@ -491,12 +492,21 @@ def _s_J_integer(J, ints) -> int:
     return num
 
 
-def canonical_multiindex(J) -> tuple:
-    """Sorted-ascending copy of a multiindex; entries must be positive ints."""
+class Multiindex(tuple):
+    """A multiindex in canonical form: positive ints, ascending.  Only
+    canonical_multiindex and partitions build one, so a sum evaluated at
+    many samples validates its multiindex once."""
+
+
+def canonical_multiindex(J) -> Multiindex:
+    """Sorted-ascending copy of a multiindex; entries must be positive ints.
+    A Multiindex is canonical already and comes back as it is."""
+    if type(J) is Multiindex:
+        return J
     J = tuple(int(j) for j in J)
     if any(j < 1 for j in J):
         raise ValueError("multiindex entries must be positive integers")
-    return tuple(sorted(J))
+    return Multiindex(sorted(J))
 
 
 def s_J(J, xs) -> Fraction:
@@ -516,14 +526,15 @@ def s_J(J, xs) -> Fraction:
 
 
 def partitions(m: int) -> list:
-    """All ascending multiindices with entry sum m (partitions of m)."""
+    """All ascending multiindices with entry sum m (partitions of m), each
+    a Multiindex."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     out = []
 
     def extend(prefix, remaining, least):
         if remaining == 0:
-            out.append(tuple(prefix))
+            out.append(Multiindex(prefix))
             return
         for part in range(least, remaining + 1):
             extend(prefix + [part], remaining - part, part)
@@ -534,10 +545,10 @@ def partitions(m: int) -> list:
 
 __all__ = [
     "Covector",
+    "Multiindex",
     "PiScalar",
     "Rational",
     "Vector",
-    "basis_covector",
     "basis_vector",
     "canonical_multiindex",
     "factorial",

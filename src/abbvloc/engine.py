@@ -22,7 +22,6 @@ from .core import (
     Vector,
     _integer_row,
     _s_J_integer,
-    basis_covector,
     canonical_multiindex,
     rat,
 )
@@ -31,7 +30,13 @@ from .sampling import SampleOutcome, sample_independent
 
 
 class OrbitDatum(Record):
-    """One isolated closed orbit: length, moment functional, weight list."""
+    """One isolated closed orbit: length, moment functional, weight list.
+
+    Construction also builds ``integer_rows``, the moment and then the
+    weights as integer rows (D, ((i, A_i), ...)), which the localized sums
+    read: A_i are the nonzero entries of the covector times D, the lcm of
+    their denominators, so a sphere weight keeps 2 of its d entries.
+    """
 
     length: PiScalar
     moment: Covector
@@ -39,21 +44,19 @@ class OrbitDatum(Record):
 
     def __post_init__(self):
         # a Covector is kept as it is handed in: its entries are rationals
-        object.__setattr__(self, "weights", tuple(
-            w if isinstance(w, Covector) else Covector(w) for w in self.weights))
-        if not isinstance(self.moment, Covector):
-            object.__setattr__(self, "moment", Covector(self.moment))
+        weights = tuple(w if isinstance(w, Covector) else Covector(w) for w in self.weights)
+        moment = self.moment if isinstance(self.moment, Covector) else Covector(self.moment)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "moment", moment)
+        object.__setattr__(self, "integer_rows", tuple(map(_sparse_row, (moment, *weights))))
 
-    @cached_property
-    def integer_rows(self) -> tuple:
-        """The moment and then the weights as integer rows (D, ((i, A_i), ...)):
-        D is the lcm of the covector's denominators and A_i the nonzero
-        entries of D times it, so a sphere weight keeps 2 of its d entries."""
-        rows = []
-        for covector in (self.moment, *self.weights):
-            scale, ints = _integer_row(covector)
-            rows.append((scale, tuple((i, a) for i, a in enumerate(ints) if a)))
-        return tuple(rows)
+
+def _sparse_row(covector: Covector) -> tuple:
+    """(D, ((i, A_i), ...)): the nonzero entries e_i, found first, and then
+    scaled to the integers A_i = D e_i, D the lcm of their denominators."""
+    nonzero = [(i, e.numerator, e.denominator) for i, e in enumerate(covector) if e]
+    scale = lcm(*[q for _, _, q in nonzero])
+    return scale, tuple([(i, p * (scale // q)) for i, p, q in nonzero])
 
 
 class OrbitSystem(Record):
@@ -104,6 +107,24 @@ class OrbitSystem(Record):
                         f"orbit {k}: weight {j} does not annihilate the Reeb vector"
                     )
 
+    @cached_property
+    def length_pi_power(self) -> int:
+        """The common pi power of the orbit lengths, read at the first
+        evaluation of a sum that needs it and kept; MixedPiPowers, raised
+        there, is not kept."""
+        return _pi_grading(o.length for o in self.orbits)
+
+
+class LeafIntegrals(tuple):
+    """Leaf integrals, one PiScalar per orbit, whose common pi power
+    ``pi_power`` is read at its first use and kept.  localize_characteristic
+    builds one from any sequence; a caller that sums at many samples builds
+    it once and passes it."""
+
+    @cached_property
+    def pi_power(self) -> int:
+        return _pi_grading(self)
+
 
 def _pi_grading(scalars) -> int:
     powers = {s.pi_power for s in scalars if not s.is_zero}
@@ -114,25 +135,26 @@ def _pi_grading(scalars) -> int:
 
 def _scaled(system: OrbitSystem, v) -> tuple:
     """(v, (s, V)): v as a Vector, and v = V / s with V integral."""
-    v = Vector(v)
+    if type(v) is not Vector:
+        v = Vector(v)
     if len(v) != system.dim_t:
         raise ValueError(f"dimension mismatch: {system.dim_t} vs {len(v)}")
     return v, _integer_row(v)
 
 
-def _orbit_term(orbit: OrbitDatum, v: Vector, scaled: tuple, l: Fraction,
-                power: int = 0, J: tuple = ()) -> Fraction:
-    """l * moment(v)^power * s_J(a(v)) / prod_j a_j(v) for one orbit, as one
-    reduced Fraction: the per-orbit kernel of every localized sum.
+def _orbit_term(orbit: OrbitDatum, v: Vector, V: list, l: Fraction,
+                power: int = 0, J: tuple = ()) -> tuple:
+    """(P, Q) with l * moment(v)^power * s_J(a(v)) / prod_j a_j(v) equal to
+    s^(n - power - |J|) P / Q for one orbit: the per-orbit kernel of every
+    localized sum, on Python ints.
 
-    ``scaled`` is (s, V) with v = V / s and V integral (see _integer_row).
-    A row (D, A) of orbit.integer_rows pairs with V to the integer A.V, and
-    the covector's value at v is A.V / (D s).  With power + |J| at most the
-    weight count n, s appears only as s^(n - power - |J|) in the numerator;
-    it cancels from the volume term (power = n).  Raises PoleAtSample when
-    a weight vanishes at v.
+    v = V / s with V integral (see _integer_row).  A row (D, A) of
+    orbit.integer_rows pairs with V to the integer A.V, and the covector's
+    value at v is A.V / (D s).  The power of s is the same for every orbit
+    of a sum, so the sums add the (P, Q) unreduced and apply it once; it
+    is s^0 in the volume term (power = n).  Raises PoleAtSample when a
+    weight vanishes at v.
     """
-    s, V = scaled
     (d0, mu), *weights = orbit.integer_rows
     num, den = l.numerator, l.denominator
     values = []
@@ -156,39 +178,58 @@ def _orbit_term(orbit: OrbitDatum, v: Vector, scaled: tuple, l: Fraction,
         e = lcm(*(d for d, _ in weights))
         num *= _s_J_integer(J, [a * (e // d) for a, (d, _) in zip(values, weights)])
         den *= e ** sum(J)
-    return Fraction(num * s ** (len(weights) - power - sum(J)), den)
+    return num, den
+
+
+def _add(num: int, den: int, p: int, q: int) -> tuple:
+    """num / den + p / q, unreduced."""
+    return num * q + p * den, den * q
 
 
 def localize_volume(system: OrbitSystem, v: Vector) -> PiScalar:
     """Volume as (pi^n / n!) * sum_k l_k moment_k(v)^n / prod_j a_j^k(v)."""
-    v, scaled = _scaled(system, v)
+    v, (_, V) = _scaled(system, v)
     n = system.codim_half
-    pi_len = _pi_grading(o.length for o in system.orbits)
-    total = Fraction(0)
+    pi_len = system.length_pi_power
+    num, den = 0, 1
     for orbit in system.orbits:
-        total += _orbit_term(orbit, v, scaled, orbit.length.coeff, power=n)
-    return PiScalar(total / factorial(n), n + pi_len)
+        num, den = _add(num, den, *_orbit_term(orbit, v, V, orbit.length.coeff, power=n))
+    return PiScalar(Fraction(num, den * factorial(n)), n + pi_len)
 
 
 def dh_series(system: OrbitSystem, v: Vector, order: int) -> list:
     """Duistermaat-Heckman coefficients c_0 .. c_order.
 
-    c_s = pi^n sum_k l_k moment_k(v)^s / (s! prod_j a_j^k(v)).  The series
-    is returned as exact coefficients and never summed numerically.
+    c_t = pi^n sum_k l_k moment_k(v)^t / (t! prod_j a_j^k(v)).  The series
+    is returned as exact coefficients and never summed numerically.  With
+    moment_k(v) = m_k / (D_k s) and the kernel's (P_k, Q_k), c_t is
+    s^(n - t) sum_k P_k m_k^t / (Q_k D_k^t) / t!, each sum added on ints.
     """
     if order < 0:
         raise InputError("order must be nonnegative")
-    v, scaled = _scaled(system, v)
+    v, (s, V) = _scaled(system, v)
     n = system.codim_half
-    pi_len = _pi_grading(o.length for o in system.orbits)
-    pieces = [
-        (_orbit_term(orbit, v, scaled, orbit.length.coeff), orbit.moment(v))
-        for orbit in system.orbits
-    ]
+    pi_len = system.length_pi_power
+    terms = []
+    for orbit in system.orbits:
+        p, q = _orbit_term(orbit, v, V, orbit.length.coeff)
+        d0, mu = orbit.integer_rows[0]
+        m = 0
+        for i, x in mu:
+            m += x * V[i]
+        terms.append([p, q, m, d0])
     coeffs = []
-    for s in range(order + 1):
-        total = sum((base * mv**s for base, mv in pieces), Fraction(0))
-        coeffs.append(PiScalar(total / factorial(s), n + pi_len))
+    for t in range(order + 1):
+        num, den = 0, 1
+        for term in terms:
+            p, q, m, d0 = term
+            num, den = _add(num, den, p, q)
+            term[0], term[1] = p * m, q * d0
+        if t <= n:
+            value = Fraction(num * s ** (n - t), den * factorial(t))
+        else:
+            value = Fraction(num, den * s ** (t - n) * factorial(t))
+        coeffs.append(PiScalar(value, n + pi_len))
     return coeffs
 
 
@@ -196,21 +237,24 @@ def localize_characteristic(system: OrbitSystem, J, leaf_integrals, v: Vector) -
     """sum_k leaf_k * s_J(weights at v) / s_top(weights at v).
 
     With J = (n,) the ratio is identically 1 and the result is the plain
-    sum of the leaf integrals, independent of v.
+    sum of the leaf integrals, independent of v.  J is canonicalized and
+    the leaf integrals' pi power read here unless they come as a
+    Multiindex and a LeafIntegrals, which carry them.
     """
-    v, scaled = _scaled(system, v)
+    v, (s, V) = _scaled(system, v)
     n = system.codim_half
     J = canonical_multiindex(J)
     if sum(J) > n:
         raise InputError(f"multiindex degree {sum(J)} exceeds codim_half {n}")
-    leaf_integrals = list(leaf_integrals)
+    if type(leaf_integrals) is not LeafIntegrals:
+        leaf_integrals = LeafIntegrals(leaf_integrals)
     if len(leaf_integrals) != len(system.orbits):
         raise InputError("need one leaf integral per orbit")
-    pi_leaf = _pi_grading(leaf_integrals)
-    total = Fraction(0)
+    pi_leaf = leaf_integrals.pi_power
+    num, den = 0, 1
     for orbit, leaf in zip(system.orbits, leaf_integrals):
-        total += _orbit_term(orbit, v, scaled, leaf.coeff, J=J)
-    return PiScalar(total, pi_leaf)
+        num, den = _add(num, den, *_orbit_term(orbit, v, V, leaf.coeff, J=J))
+    return PiScalar(Fraction(num * s ** (n - sum(J)), den), pi_leaf)
 
 
 def check_v_independence(system: OrbitSystem, samples: int = 10,
@@ -250,23 +294,17 @@ def weighted_sphere_system(weights) -> OrbitSystem:
     if len(set(w)) == 1:
         raise InputError("all weights equal: closed orbits are not isolated")
     d = len(w)
-    n = d - 1
+    zero, minus_one = Fraction(0), Fraction(-1)
     orbits = []
-    for k in range(d):
-        moment = basis_covector(d, k).scaled(1 / w[k])
+    for k, wk in enumerate(w):
+        # the moment has one nonzero entry and each weight two
+        moment = [zero] * d
+        moment[k] = 1 / wk
         alphas = []
-        for j in range(d):
-            if j == k:
-                continue
-            entries = [Fraction(0)] * d
-            entries[k] = w[j] / w[k]
-            entries[j] = Fraction(-1)
-            alphas.append(Covector(entries))
-        orbits.append(
-            OrbitDatum(
-                length=PiScalar(2 / w[k], 1),
-                moment=moment,
-                weights=tuple(alphas),
-            )
-        )
-    return OrbitSystem(dim_t=d, b=Vector(w), codim_half=n, orbits=tuple(orbits))
+        for j, wj in enumerate(w):
+            if j != k:
+                entries = [zero] * d
+                entries[k], entries[j] = wj / wk, minus_one
+                alphas.append(Covector(entries))
+        orbits.append(OrbitDatum(PiScalar(2 / wk, 1), Covector(moment), tuple(alphas)))
+    return OrbitSystem(dim_t=d, b=Vector(w), codim_half=d - 1, orbits=tuple(orbits))

@@ -18,7 +18,7 @@ from functools import cached_property
 from math import prod
 
 from .core import PiScalar, Record, Vector, _expand, _integer_row, canonical_multiindex, rat, s_J
-from .engine import OrbitSystem, localize_characteristic, weighted_sphere_system
+from .engine import LeafIntegrals, OrbitSystem, localize_characteristic, weighted_sphere_system
 from .errors import InputError
 
 
@@ -50,6 +50,11 @@ class WeightedSphereFoliation(Record):
         on the foliation."""
         return weighted_sphere_system(self.w)
 
+    @cached_property
+    def leaf_integrals(self) -> LeafIntegrals:
+        """u1_leaf_integrals as pi^0 scalars, built on first use and kept."""
+        return LeafIntegrals(PiScalar(c, 0) for c in u1_leaf_integrals(self))
+
 
 def u1_leaf_integrals(f: WeightedSphereFoliation) -> list:
     """Integral of the transgression form over each coordinate circle:
@@ -69,8 +74,7 @@ def asuke_number(f: WeightedSphereFoliation, J, v: Vector) -> Fraction:
         raise InputError(
             f"multiindex degree {sum(J)} differs from complex codimension {f.m}"
         )
-    leaf = [PiScalar(c, 0) for c in u1_leaf_integrals(f)]
-    value = localize_characteristic(f.system, J, leaf, Vector(v))
+    value = localize_characteristic(f.system, J, f.leaf_integrals, v)
     if value.pi_power != 0 and not value.is_zero:
         raise InputError("secondary number acquired an unexpected pi grading")
     return value.coeff
@@ -91,8 +95,10 @@ def check_w1_identity(m: int, Js, w) -> list:
         sum_k s_J((w_j - w_k)_{j != k}) prod_{j != k} w_j
                 / prod_{j != k} (w_j - w_k)  =  s_J(w_0, ..., w_m).
 
-    Returns one verdict per J, in the order of Js.  The weights must be
-    pairwise distinct so no denominator vanishes.
+    Returns one verdict per J, in the order of Js.  Each J is
+    canonicalized, which returns a Multiindex (what partitions gives) as it
+    is, so check-w1 validates its partitions once, where they are built.
+    The weights must be pairwise distinct so no denominator vanishes.
 
     Both sides are homogeneous of degree |J| in w, so w is scaled to the
     integers W = L w (L the lcm of its denominators) and the identity is

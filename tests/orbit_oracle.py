@@ -4,7 +4,8 @@ The package evaluates every localized sum through one integer kernel
 (``engine._orbit_term`` on ``OrbitDatum.integer_rows``) and tests the w1
 identity on integers (``secondary.check_w1_identity``).  This module keeps
 the literal ``Fraction`` forms of both loops, one covector pairing and one
-``s_J`` call at a time, so the two can be compared.  It also keeps the
+``s_J`` call at a time, so the two can be compared, and the dense form of
+the integer rows, which the package builds from the nonzero entries only.  It also keeps the
 residue-pattern orbit system and the brute-force complete homogeneous
 polynomials that its Duistermaat-Heckman coefficients are checked against.
 """
@@ -17,13 +18,29 @@ from abbvloc.core import (
     Covector,
     PiScalar,
     Vector,
-    basis_covector,
+    _integer_row,
     canonical_multiindex,
     rat,
     s_J,
 )
 from abbvloc.engine import OrbitDatum, OrbitSystem, _pi_grading
 from abbvloc.errors import InputError, PoleAtSample
+
+
+def basis_covector(dim: int, j: int) -> Covector:
+    """The coordinate functional e_j^* on a torus algebra of dimension dim."""
+    return Covector(Fraction(1 if i == j else 0) for i in range(dim))
+
+
+def integer_rows(orbit) -> tuple:
+    """The moment and then the weights as rows (D, ((i, A_i), ...)): each
+    covector scaled to integers over all its entries, D the lcm of all its
+    denominators, and then its zero entries dropped."""
+    rows = []
+    for covector in (orbit.moment, *orbit.weights):
+        scale, ints = _integer_row(covector)
+        rows.append((scale, tuple((i, a) for i, a in enumerate(ints) if a)))
+    return tuple(rows)
 
 
 def orbit_term(orbit, v, l) -> tuple:

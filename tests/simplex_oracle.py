@@ -10,9 +10,10 @@ so the two can be compared.
 from fractions import Fraction
 from math import factorial
 
-from abbvloc.core import Covector, Vector, basis_covector
+from abbvloc.core import Covector, Vector
 from abbvloc.errors import InputError, NotSimpleVertex
 from matrix_oracle import elimination_det
+from orbit_oracle import basis_covector
 
 
 def omega_h(b: Vector, edges, w: Covector = None) -> Fraction:

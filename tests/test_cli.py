@@ -1314,6 +1314,17 @@ class TestOrbitSystemLoader:
             assert code == 2
             assert json.loads(out)["error"] == {"type": "InputError", "message": want}
 
+    @pytest.mark.parametrize("literal", [[1], {"p": 1}, None])
+    def test_an_unhashable_or_null_literal_is_refused_by_rat(self, literal):
+        # rows are read by dictionary lookups, which cannot hash a list or
+        # an object: the message must still be the one rat gives
+        doc = weighted_sphere_system_doc(["1", "2", "3"])
+        doc["orbits"][1]["weights"][0][2] = literal
+        with pytest.raises(InputError) as exc:
+            _load_orbit_system(doc)
+        assert str(exc.value) == entrywise_system(doc)
+        assert "cannot interpret" in str(exc.value)
+
     def test_each_distinct_literal_is_parsed_once(self, monkeypatch):
         weights = ["1", "2", "3", "5", "7", "11", "13", "1/2", "1/3", "2/5", "7/4", "9/2"]
         doc = weighted_sphere_system_doc(weights)

@@ -4,17 +4,24 @@
 localize_characteristic) and ``secondary.check_w1_identity`` run on Python
 ints; ``orbit_oracle`` keeps the literal Fraction loops.  Both must give the
 same value at every sample, and raise PoleAtSample with the same message at
-the same samples.
+the same samples.  ``OrbitDatum.integer_rows``, built from the nonzero
+entries alone, must equal the oracle's dense rows with their zeros dropped.
 """
 
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orbit_oracle
-from abbvloc import core, secondary
-from abbvloc.core import PiScalar, Vector, partitions
+from abbvloc import core, engine, secondary
+from abbvloc.cli import _load_orbit_system
+from abbvloc.core import PiScalar, Vector, canonical_multiindex, partitions
 from abbvloc.engine import (
+    OrbitDatum,
+    check_v_independence,
     dh_series,
     localize_characteristic,
     localize_volume,
@@ -25,6 +32,7 @@ from abbvloc.sampling import SAMPLE_POOL, sample_vector
 from abbvloc.secondary import check_w1_identity
 from abbvloc.toric import orbit_system_from_cone
 from conftest import make_rng, random_weights
+from test_cli_golden import sphere_system_doc
 from test_generated_cones import CASES, case_cone
 
 
@@ -34,6 +42,14 @@ def outcome(fn, *args):
         return fn(*args)
     except PoleAtSample as exc:
         return ("pole", str(exc))
+
+
+def pole_free_sample(system, rng):
+    """The first sample drawn from rng at which the oracle volume has no pole."""
+    while True:
+        v = sample_vector(system.dim_t, rng)
+        if not isinstance(outcome(orbit_oracle.localize_volume, system, v), tuple):
+            return v
 
 
 SYSTEMS = {
@@ -98,6 +114,39 @@ class TestIntegerRows:
         orbit = weighted_sphere_system([1, 2, 3]).orbits[0]
         assert orbit.integer_rows is orbit.integer_rows
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 6), count=st.integers(0, 4))
+    def test_rows_equal_the_dense_oracle(self, data, dim, count):
+        entry = st.one_of(
+            st.sampled_from(["0", "0/7", "-0", " 0 "]),
+            st.integers(-9, 9).map(str),
+            st.fractions(min_value=-20, max_value=20, max_denominator=12).map(str),
+        )
+        covector = st.lists(entry, min_size=dim, max_size=dim)
+        moment = data.draw(covector)
+        weights = [data.draw(covector) for _ in range(count)]
+        orbit = OrbitDatum(PiScalar(1, 1), moment, tuple(weights))
+        assert orbit.integer_rows == orbit_oracle.integer_rows(orbit)
+
+
+positive_rationals = st.builds(Fraction, st.integers(1, 40), st.integers(1, 6))
+
+
+class TestSphereSystems:
+    @settings(max_examples=25, deadline=None)
+    @given(w=st.lists(positive_rationals, min_size=2, max_size=16, unique=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_builder_and_loader_agree_with_the_oracle(self, w, seed):
+        built = weighted_sphere_system(w)
+        loaded = _load_orbit_system(sphere_system_doc(w))
+        assert built == loaded
+        assert [o.integer_rows for o in built.orbits] == [o.integer_rows for o in loaded.orbits]
+        v = pole_free_sample(built, make_rng(seed))
+        d = len(w)
+        want = PiScalar(Fraction(2, factorial(d - 1) * prod(w)), d)
+        assert orbit_oracle.localize_volume(built, v) == want
+        assert localize_volume(built, v) == localize_volume(loaded, v) == want
+
 
 class TestW1IdentityEqualsTheOracle:
     def test_seeded_values_and_multiindices(self):
@@ -122,6 +171,20 @@ class TestW1IdentityEqualsTheOracle:
         Js = [J for degree in range(7) for J in partitions(degree)]
         assert check_w1_identity(4, Js, w) == [orbit_oracle.check_w1_identity(4, J, w) for J in Js]
 
+    def test_multiindices_are_canonicalized_or_refused(self):
+        w = [1, 2, 5, Fraction(7, 2)]
+        Js = [(2, 1), ["1", 1, True], (1, 1), (4,)]
+        assert check_w1_identity(3, Js, w) == check_w1_identity(3, [(1, 2), (1, 1, 1), (1, 1), (4,)], w)
+        for J in ((1, 2, 0), (-1, 4)):
+            with pytest.raises(ValueError, match="positive integers"):
+                check_w1_identity(3, [(1, 2), J], w)
+
+    def test_partitions_are_canonical_already(self):
+        # check-w1 validates its multiindices once, where partitions builds
+        # them: canonicalizing one again returns it as it is
+        for J in partitions(6):
+            assert canonical_multiindex(J) is J
+
     def test_a_verdict_ignores_the_other_multiindices(self):
         # alone, among every partition of degree 0..6, and in reversed order
         w = [Fraction(1, 3), -2, 7, Fraction(5, 2)]
@@ -144,6 +207,28 @@ class TestCallCounts:
         calls.clear()
         localize_volume(system, v)
         assert calls == []
+
+    def test_one_fraction_per_localized_sum(self, monkeypatch):
+        system = weighted_sphere_system(random_weights(12, seed=12))
+        v = pole_free_sample(system, make_rng(12))
+        leaf = [PiScalar(k + 1, 0) for k in range(12)]
+        volume = orbit_oracle.localize_volume(system, v)
+        characteristic = orbit_oracle.localize_characteristic(system, (1, 10), leaf, v)
+        calls = []
+        monkeypatch.setattr(engine, "Fraction", lambda *args: calls.append(args) or Fraction(*args))
+        assert localize_volume(system, v) == volume
+        assert len(calls) == 1
+        calls.clear()
+        assert localize_characteristic(system, (1, 10), leaf, v) == characteristic
+        assert len(calls) == 1
+
+    def test_lengths_are_graded_once_per_system(self, monkeypatch):
+        system = weighted_sphere_system(random_weights(6, seed=6))
+        calls = []
+        original = engine._pi_grading
+        monkeypatch.setattr(engine, "_pi_grading", lambda scalars: calls.append(1) or original(scalars))
+        assert len(check_v_independence(system, samples=10, seed=6).samples_used) == 10
+        assert calls == [1]
 
     def test_check_w1_identity_calls_no_s_J(self, monkeypatch):
         calls = []
