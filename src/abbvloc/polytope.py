@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, prod
+from operator import mul
 
-from .core import Covector, PiScalar, Record, Vector, rat
+from .core import PiScalar, Record, Vector, _integer_row, rat
 from .errors import EdgeConstantFunctional
 from .sampling import SampleOutcome, sample_independent
 from .toric import GoodCone, HPolytope, toric_volume
@@ -26,9 +27,6 @@ class LinearFunctional(Record):
     def __post_init__(self):
         object.__setattr__(self, "u", Vector(self.u))
         object.__setattr__(self, "d_shift", rat(self.d_shift))
-
-    def __call__(self, phi: Covector) -> Fraction:
-        return phi(self.u) + self.d_shift
 
 
 def triangulation_volume(p: HPolytope, order=None) -> Fraction:
@@ -80,41 +78,50 @@ def triangulation_volume(p: HPolytope, order=None) -> Fraction:
 
 
 def lawrence_volume(p: HPolytope, f: LinearFunctional) -> Fraction:
-    """Lawrence's vertex formula for the section volume.
+    """Lawrence's vertex formula for the section volume (Lawrence, Math.
+    Comp. 57, 1991), on integers.
 
     At each vertex a on the facets S, the functional's direction u is
     expanded in the basis (b, v_S): the vertex contributes f(a)^n divided
-    by |det(b, v_S)| (``p.abs_dets``) times the product of the normals'
-    coefficients gamma_j.  These are read off the edges, without
-    elimination: the edge that leaves facet j at a ends at a vertex c, and
-    c - a vanishes on b and on the other normals at a, so f(c) - f(a) =
-    gamma_j c(v_j) with c(v_j) != 0.  So gamma_j = 0, and f must be
-    redrawn (EdgeConstantFunctional), exactly when f is constant on an edge.
+    by |det(b, v_S)| times the product of the normals' coefficients
+    gamma_j.  These are read off the edges, without elimination: the edge
+    that leaves facet j at a ends at a vertex c, and c - a vanishes on b
+    and on the other normals at a, so f(c) - f(a) = gamma_j c(v_j) with
+    c(v_j) != 0.  So gamma_j = 0, and f must be redrawn
+    (EdgeConstantFunctional), exactly when f is constant on an edge.
+
+    The section's ``lawrence_form`` holds each vertex as a = P_a / Q_a on
+    integers.  With (U, D) = L (u, d) for the lcm L of f's denominators,
+    F_a = U . P_a + D Q_a is L Q_a f(a), one dot product per vertex, and
+    per edge e = (a, c), R_e = F_c Q_a - F_a Q_c = L Q_a Q_c (f(c) - f(a)).
+    With c(v_j) = P_c . N_j / (Q_c L_j) for normal j = N_j / L_j,
+
+        gamma_j = +-R_e L_j / (L Q_a P_c . N_j),
+
+    the sign -1 where a is the edge's second end, so that
+
+        f(a)^n / (|det(b, v_S)| prod_j gamma_j)
+            = F_a^n prod_j (P_c . N_j / L_j) / (|det(b, v_S)| prod_e +-R_e)
+            = F_a^n w_a / (z_a prod_e R_e):
+
+    L^n and Q_a^n cancel, and the form's integer pair (w_a, z_a) carries
+    the rest.  The first R_e = 0 in edge order raises; otherwise each
+    vertex term is one Fraction, and the terms are summed once.
     """
     n = p.section_dim
-    values = [f(phi) for phi in p.vertices]
-    return sum(value**n / (delta * prod(gammas.values())) for value, delta, gammas
-               in zip(values, p.abs_dets, _edge_coefficients(p, values))) / factorial(n)
-
-
-def _edge_coefficients(p: HPolytope, values) -> list:
-    """{j: gamma_j} for each vertex, from the values f(vertex).  Every edge
-    is checked before any coefficient is computed, so a rejected functional
-    costs one comparison per edge."""
-    vertices, facet_sets = p.vertices, p.facet_sets
-    for a, c in p.edges:
-        if values[a] == values[c]:
-            raise EdgeConstantFunctional(
-                f"functional constant on edge {tuple(vertices[a])} -- {tuple(vertices[c])}"
-            )
-    gammas = [{} for _ in vertices]
-    for a, c in p.edges:
-        rise = values[c] - values[a]
-        (j,) = facet_sets[a] - facet_sets[c]
-        (k,) = facet_sets[c] - facet_sets[a]
-        gammas[a][j] = rise / vertices[c](p.normals[j])
-        gammas[c][k] = -rise / vertices[a](p.normals[k])
-    return gammas
+    scales, rows, slots, weights = p.lawrence_form
+    _, (*u, d) = _integer_row((*f.u, f.d_shift))
+    if len(u) != len(p.reeb):
+        raise ValueError(f"dimension mismatch: {len(p.reeb)} vs {len(u)}")
+    at = [sum(map(mul, u, row)) + d * q for q, row in zip(scales, rows)]
+    rises = [at[c] * scales[a] - at[a] * scales[c] for a, c in p.edges]
+    if 0 in rises:
+        a, c = p.edges[rises.index(0)]
+        raise EdgeConstantFunctional(
+            f"functional constant on edge {tuple(p.vertices[a])} -- {tuple(p.vertices[c])}"
+        )
+    return sum(Fraction(value**n * w, z * prod(map(rises.__getitem__, slot)))
+               for value, slot, (w, z) in zip(at, slots, weights)) / factorial(n)
 
 
 def sample_lawrence(p: HPolytope, samples: int, seed: int) -> SampleOutcome:

@@ -14,7 +14,8 @@ the cone's section, an ``HPolytope``, whose edges ``_bounded_edges``
 finds; boundedness is read off them.  The orbits are turned into orbit
 data (lengths, moments, weights, the weights built on first read), and
 the section's normals into the determinant volume formula, through one
-integer covector of minors per vertex taken once per section.  Errors
+integer covector of minors per vertex taken once per section, and its
+vertices and edges into one integer form for Lawrence's formula.  Errors
 come in the order NotSimpleVertex, GoodnessViolation, UnboundedSection.
 """
 
@@ -131,9 +132,9 @@ class GoodCone(Record):
     def section(self) -> HPolytope:
         """The hyperplane section, its orbits found by enumerate_vertices on
         first access and its edges read to raise UnboundedSection unless it
-        is bounded, so its ``edges``, ``integer_columns`` and
-        ``minor_forms`` are computed once per cone.  A section that raises
-        is not stored, so every access raises the same error."""
+        is bounded, so its ``edges``, ``integer_columns``, ``minor_forms``
+        and ``lawrence_form`` are computed once per cone.  A section that
+        raises is not stored, so every access raises the same error."""
         section = HPolytope(self.normals, self.reeb, enumerate_vertices(self))
         section.edges  # raises UnboundedSection
         return section
@@ -281,6 +282,43 @@ class HPolytope(Record):
             d = sum(map(mul, forms[second], self.integer_columns[first][1][1 + i]))
             edges.append((first, second, -d if i % 2 == 0 else d))  # i counts from 0
         return tuple(forms), tuple(at_reeb), tuple(map(tuple, slots)), tuple(edges)
+
+    @cached_property
+    def lawrence_form(self) -> tuple:
+        """What ``polytope.lawrence_volume`` reads of the section, taken once
+        from the vertices, the normals, ``abs_dets`` and ``edges`` by integer
+        dot products: (scales, rows, slots, weights).
+
+        Per vertex a, in vertex order: a = P_a / Q_a with ``scales`` holding
+        Q_a and ``rows`` the integer row P_a (``core._integer_row``);
+        ``slots`` holds the indices into ``edges`` of its n edges; and
+        ``weights`` holds one integer pair (w_a, z_a) with
+
+            w_a / z_a = +-prod_j (P_c . N_j / L_j) / |det(b, v_S)|,
+
+        for normal j = N_j / L_j, the product over the edges (a, c) that
+        leave facet j at a, and one sign -1 for each edge whose second end
+        is a.  P_c . N_j / L_j = Q_c c(v_j) is never 0: c is off facet j.
+        Raises UnboundedSection as ``edges`` does."""
+        vertices = [_integer_row(phi) for phi in self.vertices]
+        normals = [_integer_row(v) for v in self.normals]
+        facet_sets = self.facet_sets
+        slots = [[] for _ in vertices]
+        nums, dens = [1] * len(vertices), [1] * len(vertices)
+        for e, (a, c) in enumerate(self.edges):
+            for near, far, sign in ((a, c, 1), (c, a, -1)):
+                (j,) = facet_sets[near] - facet_sets[far]
+                scale, row = normals[j]
+                slots[near].append(e)
+                nums[near] *= sign * sum(map(mul, vertices[far][1], row))
+                dens[near] *= scale
+        weights = []
+        for num, den, delta in zip(nums, dens, self.abs_dets):
+            w, z = num * delta.denominator, den * delta.numerator
+            g = gcd(w, z)
+            weights.append((w // g, z // g))
+        return (tuple(q for q, _ in vertices), tuple(tuple(row) for _, row in vertices),
+                tuple(map(tuple, slots)), tuple(weights))
 
 
 def _point_str(phi) -> str:

@@ -1,4 +1,9 @@
-"""Draw-and-retry oracle for Lawrence's functionals.
+"""Oracles for Lawrence's formula and its functionals.
+
+``fraction_lawrence`` is Lawrence's vertex formula on Fractions: the
+values f(a) by Covector pairings and one Fraction coefficient gamma_j per
+edge end, which ``polytope.lawrence_volume`` replaced by the section's
+integer form.
 
 The package draws each functional f = (u, d) as one sample of n+2
 coordinates through ``sampling.sample_independent``, with an edge-constant
@@ -8,12 +13,45 @@ Lawrence's formula accepted them, and checks that both accept the same
 functionals at the same draw indices.
 """
 
+from fractions import Fraction
+from math import factorial, prod
 from unittest import mock
 
 from abbvloc import polytope
 from abbvloc.errors import EdgeConstantFunctional, PoleAtSample
 from abbvloc.polytope import LinearFunctional, lawrence_volume
 from abbvloc.sampling import SplitMix64, sample_rational, sample_vector
+
+
+def edge_coefficients(p, values) -> list:
+    """{j: gamma_j} for each vertex, from the values f(vertex): the edge
+    (a, c) that leaves facet j at a gives gamma_j = (f(c) - f(a)) / c(v_j).
+    Every edge is checked before any coefficient is computed, so a
+    rejected functional costs one comparison per edge."""
+    vertices, facet_sets = p.vertices, p.facet_sets
+    for a, c in p.edges:
+        if values[a] == values[c]:
+            raise EdgeConstantFunctional(
+                f"functional constant on edge {tuple(vertices[a])} -- {tuple(vertices[c])}"
+            )
+    gammas = [{} for _ in vertices]
+    for a, c in p.edges:
+        rise = values[c] - values[a]
+        (j,) = facet_sets[a] - facet_sets[c]
+        (k,) = facet_sets[c] - facet_sets[a]
+        gammas[a][j] = rise / vertices[c](p.normals[j])
+        gammas[c][k] = -rise / vertices[a](p.normals[k])
+    return gammas
+
+
+def fraction_lawrence(p, f) -> Fraction:
+    """Lawrence's volume of the section p at f on Fractions: the sum over
+    vertices a of f(a)^n / (|det(b, v_S)| prod_j gamma_j) / n!, with
+    f(a) = a(u) + d."""
+    n = p.section_dim
+    values = [phi(f.u) + f.d_shift for phi in p.vertices]
+    return sum(value**n / (delta * prod(gammas.values())) for value, delta, gammas
+               in zip(values, p.abs_dets, edge_coefficients(p, values))) / factorial(n)
 
 
 def random_functional(p, rng, budget: int = 100) -> tuple:

@@ -28,7 +28,6 @@ from abbvloc.errors import PoleAtSample
 from abbvloc.polytope import (
     HPolytope,
     LinearFunctional,
-    _edge_coefficients,
     lawrence_volume,
     sample_lawrence,
     triangulation_volume,
@@ -36,7 +35,7 @@ from abbvloc.polytope import (
 from abbvloc.sampling import POSITIVE_POOL, sample_independent, sample_rational
 from abbvloc.toric import GoodCone, orbit_system_from_cone, toric_volume
 from conftest import make_rng, random_unimodular
-from functional_oracle import assert_sample_lawrence_matches
+from functional_oracle import assert_sample_lawrence_matches, edge_coefficients, fraction_lawrence
 from matrix_oracle import apply, elimination_det, inverse, solve
 from simplex_oracle import base_first, simplex_volume
 from toric_det_oracle import toric_volume_by_fraction_dets
@@ -244,22 +243,25 @@ class TestGeneratedCones:
 
     @pytest.mark.parametrize("kind, a, b", CASES, ids=[f"{k}-{a}-{b}" for k, a, b in CASES])
     def test_edge_coefficients_equal_the_expansion(self, kind, a, b):
-        """Each coefficient gamma_j that Lawrence's formula reads off the
+        """Each coefficient gamma_j that the Fraction oracle reads off the
         section's edges is the j-th coordinate of u in (b, v_S), solved by
-        Fraction elimination.  Also on the bare section with the first
-        normal scaled by 3/2 (non-primitive, rational), where gamma_j
-        shrinks by 2/3 and |det(b, v_S)| grows by 3/2: both volumes stay."""
+        Fraction elimination, and lawrence_volume's integer form gives the
+        oracle's volume at the same f.  On the cone's section, on the bare
+        section of the same halfspaces, and on the bare section with the
+        first normal scaled by 3/2 (non-primitive, rational), where gamma_j
+        shrinks by 2/3 and |det(b, v_S)| grows by 3/2: the volumes stay."""
         cone, closed = case_cone(kind, a, b, 3)
         normals = [cone.normals[0].scaled(Fraction(3, 2)), *cone.normals[1:]]
         (*u, d), = sample_lawrence(cone.section, 1, 3).samples_used
         f = LinearFunctional(u, d)
-        for p in (cone.section, HPolytope.from_halfspaces(normals, cone.reeb)):
-            values = [f(phi) for phi in p.vertices]
-            for orbit, gammas in zip(p.orbits, _edge_coefficients(p, values)):
+        for p in (cone.section, HPolytope.from_halfspaces(cone.normals, cone.reeb),
+                  HPolytope.from_halfspaces(normals, cone.reeb)):
+            values = [phi(f.u) + f.d_shift for phi in p.vertices]
+            for orbit, gammas in zip(p.orbits, edge_coefficients(p, values)):
                 columns = [p.reeb, *(p.normals[j] for j in orbit.facet_indices)]
                 expansion = solve(list(zip(*columns)), f.u)
                 assert gammas == dict(zip(orbit.facet_indices, expansion[1:]))
-            assert lawrence_volume(p, f) == triangulation_volume(p) == closed
+            assert lawrence_volume(p, f) == fraction_lawrence(p, f) == triangulation_volume(p) == closed
 
     def test_lawrence_draws_equal_the_retry_loop(self):
         """On every cube and Delta^a x Delta^b case at three seeds, the

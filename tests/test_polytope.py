@@ -1,10 +1,12 @@
 import json
 import sys
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from abbvloc.cli import main
 from abbvloc.core import Covector, PiScalar, Vector, rat
@@ -24,10 +26,10 @@ from abbvloc.polytope import (
     sample_lawrence,
     triangulation_volume,
 )
-from abbvloc.sampling import sample_vector
+from abbvloc.sampling import POSITIVE_POOL, SAMPLE_POOL, sample_vector
 from abbvloc.toric import enumerate_vertices, simplex_cone, weighted_sphere_cone
 from conftest import make_rng
-from functional_oracle import assert_sample_lawrence_matches
+from functional_oracle import assert_sample_lawrence_matches, fraction_lawrence
 from simplex_oracle import base_first, omega_h, simplex_volume
 from test_cli import section_documents
 from test_cli_golden import cube_cone_doc
@@ -64,6 +66,20 @@ def count_det_calls(monkeypatch) -> list:
     for name, module in list(sys.modules.items()):
         if name.startswith("abbvloc") and getattr(module, "_bareiss", None) is real:
             monkeypatch.setattr(module, "_bareiss", counted)
+    return calls
+
+
+def count_pairings(monkeypatch) -> list:
+    """Route Covector.__call__ through a counter; returns the list that
+    collects the argument of each call."""
+    calls = []
+    pair = Covector.__call__
+
+    def counting(self, v):
+        calls.append(v)
+        return pair(self, v)
+
+    monkeypatch.setattr(Covector, "__call__", counting)
     return calls
 
 
@@ -214,6 +230,11 @@ class TestLawrence:
         with pytest.raises(EdgeConstantFunctional):
             lawrence_volume(triangle_polytope(), f)
 
+    def test_functional_of_wrong_length_rejected(self):
+        f = LinearFunctional(u=Vector([1, 2]), d_shift=0)
+        with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+            lawrence_volume(triangle_polytope(), f)
+
     def test_matches_triangulation_randomized(self):
         for p in (
             segment_polytope(),
@@ -262,19 +283,71 @@ class TestLawrence:
         assert len(calls) == 64
 
     def test_no_elimination(self, monkeypatch):
-        """lawrence_volume makes no _reduce, _pivot or _bareiss call and
-        reads no orbit weights: the normals' coefficients come off the
-        section's edges, and |det(b, v_S)| and the edges are taken once per
-        section, before counting."""
+        """Once |det(b, v_S)| and the edges are taken, building the
+        section's integer form and evaluating a functional makes no _reduce,
+        _pivot or _bareiss call, pairs no Covector and reads no orbit
+        weights: the normals' coefficients come off the section's edges."""
         cases = []
         for p in (cube_cone_k(4).section, case_cone("product", 2, 3, 3)[0].section):
             p.abs_dets, p.edges
             (*u, d), = sample_lawrence(p, 1, seed=5).samples_used
+            p.__dict__.pop("lawrence_form")
             cases.append((p, LinearFunctional(u, d), triangulation_volume(p)))
         calls = count_kernel_calls(monkeypatch)
+        pairings = count_pairings(monkeypatch)
         for p, f, volume in cases:
             assert lawrence_volume(p, f) == volume
         assert calls == {}
+        assert pairings == []
+
+    def test_one_form_per_section(self, monkeypatch):
+        """sample_lawrence builds the section's integer form once, however
+        many functionals it draws and rejects."""
+        built = []
+        build = HPolytope.lawrence_form.func
+
+        def counting(p):
+            built.append(p)
+            return build(p)
+
+        form = cached_property(counting)
+        form.__set_name__(HPolytope, "lawrence_form")
+        monkeypatch.setattr(HPolytope, "lawrence_form", form)
+        p = cube_cone_k(3).section
+        outcome = sample_lawrence(p, 20, seed=1)
+        assert outcome.rejected_poles > 0
+        assert sample_lawrence(p, 5, seed=2).value == outcome.value
+        assert built == [p]
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=section_documents(), data=st.data())
+    def test_integer_form_equals_the_fraction_oracle(self, doc, data):
+        """On the bare sections that test_bare_document_facet_sets_equal_the_pairing
+        draws, each normal scaled by a positive rational (so normals are
+        rational or non-primitive), at functionals drawn from SAMPLE_POOL:
+        lawrence_volume equals the Fraction oracle, or both raise
+        EdgeConstantFunctional with the same message."""
+        scales = data.draw(st.lists(st.sampled_from(POSITIVE_POOL), min_size=len(doc["normals"]),
+                                    max_size=len(doc["normals"])))
+        normals = [Vector(rat(x) * s for x in v) for v, s in zip(doc["normals"], scales)]
+        reeb = Vector(rat(x) for x in doc["reeb"])
+        try:
+            p = HPolytope.from_halfspaces(normals, reeb)
+            p.edges
+        except LocalizationError:
+            return
+        for _ in range(5):
+            *u, d = data.draw(st.lists(st.sampled_from(SAMPLE_POOL), min_size=len(reeb) + 1,
+                                       max_size=len(reeb) + 1))
+            f = LinearFunctional(u, d)
+            try:
+                expected = fraction_lawrence(p, f)
+            except EdgeConstantFunctional as error:
+                with pytest.raises(EdgeConstantFunctional) as raised:
+                    lawrence_volume(p, f)
+                assert str(raised.value) == str(error)
+            else:
+                assert lawrence_volume(p, f) == expected == triangulation_volume(p)
 
     def test_functional_independence(self):
         p = cube_polytope()
@@ -317,14 +390,7 @@ class TestHPolytope:
         bare halfspaces."""
         cone = cube_cone_k(4)
         cone.section
-        calls = []
-        pair = Covector.__call__
-
-        def counting(self, v):
-            calls.append(v)
-            return pair(self, v)
-
-        monkeypatch.setattr(Covector, "__call__", counting)
+        calls = count_pairings(monkeypatch)
         p = cone.section
         q = HPolytope.from_halfspaces(cone.normals, cone.reeb)
         assert calls == []
