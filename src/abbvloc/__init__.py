@@ -14,7 +14,6 @@ from .core import (
     partitions,
     rat,
     s_J,
-    smith_normal_form,
 )
 from .engine import (
     LeafIntegrals,

@@ -73,7 +73,7 @@ DEFAULT_SAMPLES = 10
 DH_MAX_ORDER = 1000
 # Highest `--samples`.  `volume-toric` timed cold (Python 3.11, Intel Xeon):
 # cube cone 10 (1024 vertices, toric.MAX_VERTICES) has 7 pole-free samples
-# in 100 draws, 1.0 s at `--samples 7`; a sphere cone of 40 weights takes
+# in 100 draws, 0.8 s at `--samples 7`; a sphere cone of 40 weights takes
 # 0.4 s at `--samples 25`.  Nothing caps the dimension, which sets a sample's cost.
 MAX_SAMPLES = 25
 # Highest `check-w1 --trials`.  At the largest `--m`, 13, every vector is an

@@ -1,9 +1,9 @@
 """Exact computation substrate: rationals, pi-graded scalars, vectors and
 covectors, the integer elimination kernels (``_bareiss`` for determinants,
 ``_cofactors`` for a determinant as a linear form in its last row,
-``_pivot`` and ``_reduce`` for Gauss-Jordan steps and reductions), Smith
-normal form, symmetric polynomials, and ``Record``, the frozen-record base
-of the package's value classes.  Matrices are plain tuples of rows.
+``_pivot`` and ``_reduce`` for Gauss-Jordan steps and reductions),
+symmetric polynomials, and ``Record``, the frozen-record base of the
+package's value classes.  Matrices are plain tuples of rows.
 
 All arithmetic is exact.  Rationals are ``fractions.Fraction`` (arbitrary
 precision, always reduced, positive denominator), and scalars that carry a
@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-from .errors import InputError, NonIntegerMatrix, SingularMatrix
+from .errors import InputError, SingularMatrix
 
 Rational = Fraction
 
@@ -376,89 +376,6 @@ def _reduce(rows, n: int) -> tuple:
     return a, t
 
 
-def _as_int_rows(mat) -> list:
-    rows = []
-    for row in mat:
-        out = []
-        for e in row:
-            q = rat(e)
-            if q.denominator != 1:
-                raise NonIntegerMatrix(f"entry {q} is not an integer")
-            out.append(q.numerator)
-        rows.append(out)
-    return rows
-
-
-def smith_normal_form(mat) -> tuple:
-    """Elementary divisors d_1 | d_2 | ... of an integer matrix.
-
-    Returns min(rows, cols) nonnegative integers, zeros trailing.  The
-    divisors are invariant under unimodular row and column operations.
-
-    >>> smith_normal_form([[2, 0], [0, 3]])
-    (1, 6)
-    """
-    a = _as_int_rows(mat)
-    m = len(a)
-    n = len(a[0]) if m else 0
-    size = min(m, n)
-    t = 0
-    while t < size:
-        # locate a nonzero entry of least magnitude in the trailing block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
-        if bj != t:
-            for row in a:
-                row[t], row[bj] = row[bj], row[t]
-        while True:
-            # clear column t below the pivot
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t] != 0:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            # clear row t right of the pivot
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] -= q * row[t]
-                    if a[t][j] != 0:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-            if not dirty:
-                break
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        # pivot must divide the rest of the block
-        fix = next(
-            (
-                (i, j)
-                for i in range(t + 1, m)
-                for j in range(t + 1, n)
-                if a[i][j] % a[t][t] != 0
-            ),
-            None,
-        )
-        if fix is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[fix[0]])]
-            continue
-        t += 1
-    divisors = [abs(a[i][i]) for i in range(t)] + [0] * (size - t)
-    return tuple(divisors)
-
-
 # ---------------------------------------------------------------------------
 # symmetric polynomials
 
@@ -556,5 +473,4 @@ __all__ = [
     "rat",
     "rat_str",
     "s_J",
-    "smith_normal_form",
 ]

@@ -151,9 +151,9 @@ def _orbit_term(orbit: OrbitDatum, v: Vector, V: list, l: Fraction,
     v = V / s with V integral (see _integer_row).  A row (D, A) of
     orbit.integer_rows pairs with V to the integer A.V, and the covector's
     value at v is A.V / (D s).  The power of s is the same for every orbit
-    of a sum, so the sums add the (P, Q) unreduced and apply it once; it
-    is s^0 in the volume term (power = n).  Raises PoleAtSample when a
-    weight vanishes at v.
+    of a sum, so the sums add the (P, Q) unreduced (``_sum``) and apply it
+    once; it is s^0 in the volume term (power = n).  Raises PoleAtSample
+    when a weight vanishes at v.
     """
     (d0, mu), *weights = orbit.integer_rows
     num, den = l.numerator, l.denominator
@@ -181,9 +181,18 @@ def _orbit_term(orbit: OrbitDatum, v: Vector, V: list, l: Fraction,
     return num, den
 
 
-def _add(num: int, den: int, p: int, q: int) -> tuple:
-    """num / den + p / q, unreduced."""
-    return num * q + p * den, den * q
+def _sum(terms: list) -> tuple:
+    """(P, Q) with P / Q the sum of the p / q of terms, a nonempty list, unreduced.
+
+    The terms are added pairwise, as a product tree, so each addition
+    multiplies integers of like size; a running sum would multiply each
+    term by the product of all the denominators before it.
+    """
+    while len(terms) > 1:
+        pairs = iter(terms)
+        odd = terms[len(terms) & ~1:]
+        terms = [(p * s + r * q, q * s) for (p, q), (r, s) in zip(pairs, pairs)] + odd
+    return terms[0]
 
 
 def localize_volume(system: OrbitSystem, v: Vector) -> PiScalar:
@@ -191,9 +200,8 @@ def localize_volume(system: OrbitSystem, v: Vector) -> PiScalar:
     v, (_, V) = _scaled(system, v)
     n = system.codim_half
     pi_len = system.length_pi_power
-    num, den = 0, 1
-    for orbit in system.orbits:
-        num, den = _add(num, den, *_orbit_term(orbit, v, V, orbit.length.coeff, power=n))
+    num, den = _sum([_orbit_term(orbit, v, V, orbit.length.coeff, power=n)
+                     for orbit in system.orbits])
     return PiScalar(Fraction(num, den * factorial(n)), n + pi_len)
 
 
@@ -220,10 +228,9 @@ def dh_series(system: OrbitSystem, v: Vector, order: int) -> list:
         terms.append([p, q, m, d0])
     coeffs = []
     for t in range(order + 1):
-        num, den = 0, 1
+        num, den = _sum([(p, q) for p, q, _, _ in terms])
         for term in terms:
             p, q, m, d0 = term
-            num, den = _add(num, den, p, q)
             term[0], term[1] = p * m, q * d0
         if t <= n:
             value = Fraction(num * s ** (n - t), den * factorial(t))
@@ -251,9 +258,8 @@ def localize_characteristic(system: OrbitSystem, J, leaf_integrals, v: Vector) -
     if len(leaf_integrals) != len(system.orbits):
         raise InputError("need one leaf integral per orbit")
     pi_leaf = leaf_integrals.pi_power
-    num, den = 0, 1
-    for orbit, leaf in zip(system.orbits, leaf_integrals):
-        num, den = _add(num, den, *_orbit_term(orbit, v, V, leaf.coeff, J=J))
+    num, den = _sum([_orbit_term(orbit, v, V, leaf.coeff, J=J)
+                     for orbit, leaf in zip(system.orbits, leaf_integrals)])
     return PiScalar(Fraction(num * s ** (n - sum(J)), den), pi_leaf)
 
 

@@ -13,10 +13,6 @@ class SingularMatrix(LocalizationError):
     """Linear solve or inversion hit a zero determinant."""
 
 
-class NonIntegerMatrix(LocalizationError):
-    """An integer matrix was required (Smith normal form, lattice tests)."""
-
-
 class MixedPiPowers(LocalizationError):
     """Addition of pi-graded scalars with different pi powers."""
 

@@ -8,15 +8,16 @@ by one fraction-free pivot each.  A vertex's dictionary is the adjugate
 of (b | v_S), so its rows are the moment and the weights of the orbit
 data; no inverse is computed.  Each vertex is validated against the
 lattice direct-summand condition on its moment row, which holds the
-n x n minors of v_S (Smith normal form is computed only to report a
-violation).  One ``ToricOrbit`` per vertex, sorted by vertex, makes up
-the cone's section, an ``HPolytope``, whose edges ``_bounded_edges``
-finds; boundedness is read off them.  The orbits are turned into orbit
-data (lengths, moments, weights, the weights built on first read), and
-the section's normals into the determinant volume formula, through one
-integer covector of minors per vertex taken once per section, and its
-vertices and edges into one integer form for Lawrence's formula.  Errors
-come in the order NotSimpleVertex, GoodnessViolation, UnboundedSection.
+n x n minors of v_S: their gcd is the index of the sublattice that v_S
+spans, which a violation reports.  One ``ToricOrbit`` per vertex, sorted
+by vertex, makes up the cone's section, an ``HPolytope``, whose edges
+``_bounded_edges`` finds; boundedness is read off them.  The orbits are
+turned into orbit data (lengths, moments, weights, the weights built on
+first read), and the section's normals into the determinant volume
+formula, through one integer covector of minors per vertex taken once
+per section, and its vertices and edges into one integer form for
+Lawrence's formula.  Errors come in the order NotSimpleVertex,
+GoodnessViolation, UnboundedSection.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .core import (
     basis_vector,
     rat,
     rat_str,
-    smith_normal_form,
 )
 from .engine import OrbitDatum, OrbitSystem
 from .errors import (
@@ -54,8 +54,9 @@ from .errors import (
 )
 
 # The walk refuses a section with more vertices than this.  Cube cone 10
-# (1,024 vertices) runs polytope-volume in about 2.5 s, and every route after
-# the walk costs at least a determinant per vertex.
+# (1,024 vertices) runs polytope-volume, and lawrence on its bare section, in
+# about 0.5 s cold (Python 3.11, Intel Xeon), and every route after the walk
+# costs at least a determinant per vertex.
 MAX_VERTICES = 1024
 
 
@@ -490,15 +491,15 @@ def enumerate_vertices(cone: GoodCone) -> tuple:
     inverse is computed, and the weights are kept as integer rows until
     first read (``ToricOrbit.weights``).  A is the adjugate of (b | v_S),
     so its moment row holds the n x n minors of v_S up to sign, whose gcd
-    is the product d_1 ... d_n of the Smith divisors: the active normals
-    span a direct summand exactly when that gcd is 1.  Errors, in this
+    is the index of the sublattice that the active normals span: they
+    span a direct summand exactly when that index is 1.  Errors, in this
     order of precedence: NotSimpleVertex at a vertex on extra facets (the
     walk stops there), GoodnessViolation at the first vertex in sorted
-    facet order whose moment row has gcd above 1 (reported with the
-    divisors of ``smith_normal_form``), UnboundedSection for an empty
-    section.  InputError when the section has more than MAX_VERTICES
-    vertices.  An edge with one vertex (for a simple section, a nontrivial
-    recession cone) is reported by the section's ``edges``.
+    facet order whose moment row has gcd above 1 (reported with that
+    index), UnboundedSection for an empty section.  InputError when the
+    section has more than MAX_VERTICES vertices.  An edge with one vertex
+    (for a simple section, a nontrivial recession cone) is reported by the
+    section's ``edges``.
 
     Enumerates afresh on every call; callers read ``cone.section``, which
     calls this once per cone and keeps the result.
@@ -508,10 +509,10 @@ def enumerate_vertices(cone: GoodCone) -> tuple:
         raise UnboundedSection("no vertex satisfies the facet inequalities")
     orbits = _sorted_orbits(scale, found)
     for orbit in sorted(orbits, key=lambda o: o.facet_indices):
-        if gcd(*orbit.rows[0]) != 1:
-            divisors = smith_normal_form([cone.normals[i] for i in orbit.facet_indices])
+        index = gcd(*orbit.rows[0])
+        if index != 1:
             raise GoodnessViolation(
-                f"facets {orbit.facet_indices} span a sublattice with divisors {divisors}"
+                f"facets {orbit.facet_indices} span a sublattice of index {index}"
             )
     return orbits
 

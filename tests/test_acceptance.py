@@ -305,5 +305,5 @@ def test_criterion_10_goodness_validation():
     report(
         10,
         accepted == 10,
-        f"{accepted} good cones accepted, non-primitive and divisor-2 cones rejected",
+        f"{accepted} good cones accepted, non-primitive and index-2 cones rejected",
     )

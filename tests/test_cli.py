@@ -24,6 +24,22 @@ from test_cli_golden import cube_cone_doc
 from test_cli_golden import sphere_system_doc as weighted_sphere_system_doc
 
 
+# Cones that fail the goodness test, keyed by the index of the sublattice
+# that the active normals of their first failing vertex span: (that
+# vertex's facets, the cone document).
+NOT_GOOD_CONES = {
+    2: ((0, 1), {"dim": 3, "pi_scale_exponent": 1,
+                 "normals": [[-1, 1, 0], [-1, -1, 0], [0, 0, -1]], "reeb": ["1", "0", "1"]}),
+    3: ((1, 2), {"dim": 3, "pi_scale_exponent": 1,
+                 "normals": [[3, -3, 2], [0, -1, 2], [3, -2, 1], [-3, -1, -3]],
+                 "reeb": ["3", "1", "2"]}),
+    # Smith divisors (1, 2, 2)
+    4: ((0, 1, 2), {"dim": 4, "pi_scale_exponent": 1,
+                    "normals": [[-1, 0, 0, 0], [-1, -2, 0, 0], [-1, 0, -2, 0], [0, 0, 0, -1]],
+                    "reeb": ["1", "1", "1", "1"]}),
+}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -249,23 +265,23 @@ class TestToricCommands:
         assert code == 0
         assert sorted(read.values()) == [1] * 8 * reads
 
+    @pytest.mark.parametrize("index", [1, 2, 3, 4])
     @pytest.mark.parametrize("command", ["volume-toric", "msy-check", "lawrence", "polytope-volume"])
-    def test_smith_normal_form_only_on_goodness_violation(self, capsys, monkeypatch, tmp_path,
-                                                         command):
-        import abbvloc.toric as toric
-
-        calls = []
-        real = toric.smith_normal_form
-        monkeypatch.setattr(toric, "smith_normal_form", lambda m: calls.append(m) or real(m))
-        path = write_json(tmp_path, "cube.json", cube_cone_doc(3))
-        assert run_cli(capsys, command, "--input", path, "--json")[0] == 0
-        assert calls == []
-        bad = {"dim": 3, "pi_scale_exponent": 1,
-               "normals": [[-1, 1, 0], [-1, -1, 0], [0, 0, -1]], "reeb": ["1", "0", "1"]}
-        code, out = run_cli(capsys, command, "--input", write_json(tmp_path, "bad.json", bad),
-                            "--json")
-        assert code == 2 and json.loads(out)["error"]["type"] == "GoodnessViolation"
-        assert len(calls) == 1
+    def test_goodness_violation_names_the_index(self, capsys, tmp_path, command, index):
+        """Cube 3 is good; each cone of NOT_GOOD_CONES exits 2 naming the
+        index of the sublattice that its first failing vertex's normals span."""
+        facets, doc = ((), cube_cone_doc(3)) if index == 1 else NOT_GOOD_CONES[index]
+        code = main([command, "--input", write_json(tmp_path, "cone.json", doc), "--json"])
+        out, err = capsys.readouterr()
+        assert err == ""
+        if index == 1:
+            assert code == 0
+            return
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "message": f"facets {facets} span a sublattice of index {index}",
+            "type": "GoodnessViolation",
+        }
 
     @pytest.mark.parametrize("basis", [[[1, 2, 0], [0, 1, 0], [-1, 0, 1]],
                                        [[0, 1, 0], [0, 0, -1], [1, 3, 1]]])

@@ -251,10 +251,10 @@ GOLDEN = {
     "lawrence-product-2-2@7": (0, "00b43a869fe8c96b992a1786fc16b373b455cf3a7cb03d6c7517c1d757a03069"),
     "polytope-volume-product-2-2@42": (0, "71c30324fc092dec95ad5af0ad4e2ffe5e64b982893da43a2ffd2644b72d3120"),
     "polytope-volume-product-2-2@7": (0, "71c30324fc092dec95ad5af0ad4e2ffe5e64b982893da43a2ffd2644b72d3120"),
-    "volume-toric-not-good@42": (2, "6eee297ed67254ffcd62c0bf7ba20c8b3b3887e6ead627453278869cd7ee797b"),
-    "volume-toric-not-good@7": (2, "6eee297ed67254ffcd62c0bf7ba20c8b3b3887e6ead627453278869cd7ee797b"),
-    "polytope-volume-not-good@42": (2, "6eee297ed67254ffcd62c0bf7ba20c8b3b3887e6ead627453278869cd7ee797b"),
-    "polytope-volume-not-good@7": (2, "6eee297ed67254ffcd62c0bf7ba20c8b3b3887e6ead627453278869cd7ee797b"),
+    "volume-toric-not-good@42": (2, "706eb500ff24b4769d6e28223b5286b416a90e3a2b5edd7fc356ba5144c43b19"),
+    "volume-toric-not-good@7": (2, "706eb500ff24b4769d6e28223b5286b416a90e3a2b5edd7fc356ba5144c43b19"),
+    "polytope-volume-not-good@42": (2, "706eb500ff24b4769d6e28223b5286b416a90e3a2b5edd7fc356ba5144c43b19"),
+    "polytope-volume-not-good@7": (2, "706eb500ff24b4769d6e28223b5286b416a90e3a2b5edd7fc356ba5144c43b19"),
     "polytope-volume-cube-5@42": (0, "32c224c46d4588ab58f9c8e6ab41a73d22d6e7d50fbf51b2923be5435484a192"),
     "polytope-volume-cube-5@7": (0, "32c224c46d4588ab58f9c8e6ab41a73d22d6e7d50fbf51b2923be5435484a192"),
     "msy-check-cube-5@42": (0, "6b93f89d0cbbcd775aa8ffd0f59dc81bd567fea899d03acac1250133ac177b62"),
@@ -310,8 +310,8 @@ TEXT_GOLDEN = {
     "msy-check-product-2-2": (0, "f8e5feecb31ea4966d2a709c0bdc616ad80db4f686457e5796a76c6cd5f39f0e"),
     "lawrence-product-2-2": (0, "e1c7ce180061a353dcde0dae9ba979735bb5726ba19e7c30772246827ef3aca1"),
     "polytope-volume-product-2-2": (0, "924514858c1a218b3e93307b9b959b6bcaafa39f7aa567ec33864c82103e3a51"),
-    "volume-toric-not-good": (2, "6eee297ed67254ffcd62c0bf7ba20c8b3b3887e6ead627453278869cd7ee797b"),
-    "polytope-volume-not-good": (2, "6eee297ed67254ffcd62c0bf7ba20c8b3b3887e6ead627453278869cd7ee797b"),
+    "volume-toric-not-good": (2, "706eb500ff24b4769d6e28223b5286b416a90e3a2b5edd7fc356ba5144c43b19"),
+    "polytope-volume-not-good": (2, "706eb500ff24b4769d6e28223b5286b416a90e3a2b5edd7fc356ba5144c43b19"),
     "polytope-volume-cube-5": (0, "91e8dfc3c6e34251695b051a1e1fb262c299ccaffa1426592d858ecea421fc7c"),
     "msy-check-cube-5": (0, "7302005a209f05cba02b9381f36d6f368c904749d491ff4ca962dbef8416666d"),
     "polytope-volume-product-3-3": (0, "56ef331b507d77162e31adc007a806e13392a03f9666ecbf0a786dd8bb93984d"),

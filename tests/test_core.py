@@ -18,12 +18,12 @@ from abbvloc.core import (
     rat,
     rat_str,
     s_J,
-    smith_normal_form,
 )
 from abbvloc.engine import _pi_grading
-from abbvloc.errors import MixedPiPowers, NonIntegerMatrix, SingularMatrix
+from abbvloc.errors import MixedPiPowers, SingularMatrix
 from abbvloc.sampling import sample_rational
 from conftest import make_rng, random_matrix, random_unimodular
+from lattice_oracle import NonIntegerMatrix, smith_normal_form
 from matrix_oracle import (
     apply,
     elimination_det,

@@ -5,11 +5,11 @@ from functools import cached_property
 from math import factorial
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from abbvloc.cli import main
-from abbvloc.core import Covector, PiScalar, Vector, rat
+from abbvloc.core import Covector, PiScalar, Vector, rat, rat_str
 from abbvloc.errors import (
     AllSamplesPoles,
     EdgeConstantFunctional,
@@ -17,6 +17,7 @@ from abbvloc.errors import (
     LocalizationError,
     NotSimpleVertex,
     PoleAtSample,
+    UnboundedSection,
 )
 from abbvloc.polytope import (
     HPolytope,
@@ -81,6 +82,31 @@ def count_pairings(monkeypatch) -> list:
 
     monkeypatch.setattr(Covector, "__call__", counting)
     return calls
+
+
+@st.composite
+def bounded_section_documents(draw):
+    """Bare documents of dimension 2..4 whose section is bounded and simple
+    by construction, each normal scaled by a POSITIVE_POOL rational.  Either
+    the orthant's normals -e_i with integers -2..2 added above the diagonal,
+    so they stay independent, and the Reeb vector sum_i c_i (-v_i) with
+    c_i in POSITIVE_POOL, positive on every nonzero point of the cone: the
+    section is a simplex.  Or the cube cone's normals -e_i and e_i - e_0
+    with b_0 above minus the sum of the negative b_i: the section is a cube."""
+    d = draw(st.integers(2, 4))
+    positive = st.sampled_from(POSITIVE_POOL)
+    if draw(st.booleans()):
+        normals = [[-1 if i == j else draw(st.integers(-2, 2)) if i < j else 0 for j in range(d)]
+                   for i in range(d)]
+        c = draw(st.lists(positive, min_size=d, max_size=d))
+        reeb = [-sum(ci * v[j] for ci, v in zip(c, normals)) for j in range(d)]
+    else:
+        normals = cube_cone_doc(d - 1)["normals"]
+        tail = draw(st.lists(st.sampled_from(SAMPLE_POOL), min_size=d - 1, max_size=d - 1))
+        reeb = [draw(positive) - sum(min(0, r) for r in tail), *tail]
+    scales = draw(st.lists(positive, min_size=len(normals), max_size=len(normals)))
+    return {"dim": d, "normals": [[rat_str(s * x) for x in v] for v, s in zip(normals, scales)],
+            "reeb": [rat_str(x) for x in reeb]}
 
 
 def tesseract_polytope():
@@ -320,7 +346,7 @@ class TestLawrence:
         assert built == [p]
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(doc=section_documents(), data=st.data())
+    @given(doc=st.one_of(section_documents(), bounded_section_documents()), data=st.data())
     def test_integer_form_equals_the_fraction_oracle(self, doc, data):
         """On the bare sections that test_bare_document_facet_sets_equal_the_pairing
         draws, each normal scaled by a positive rational (so normals are
@@ -334,8 +360,10 @@ class TestLawrence:
         try:
             p = HPolytope.from_halfspaces(normals, reeb)
             p.edges
-        except LocalizationError:
+        except LocalizationError as error:
+            event(f"no bounded section: {type(error).__name__}")
             return
+        event("bounded section")
         for _ in range(5):
             *u, d = data.draw(st.lists(st.sampled_from(SAMPLE_POOL), min_size=len(reeb) + 1,
                                        max_size=len(reeb) + 1))
@@ -373,14 +401,21 @@ class TestHPolytope:
             assert_facet_sets_by_pairing(HPolytope.from_halfspaces(cone.normals, cone.reeb))
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(doc=section_documents())
+    @given(doc=st.one_of(section_documents(), bounded_section_documents()))
     def test_bare_document_facet_sets_equal_the_pairing(self, doc):
         normals = [Vector(rat(x) for x in v) for v in doc["normals"]]
         reeb = Vector(rat(x) for x in doc["reeb"])
         try:
             p = HPolytope.from_halfspaces(normals, reeb)
-        except LocalizationError:
+        except LocalizationError as error:
+            event(f"no bounded section: {type(error).__name__}")
             return
+        try:
+            p.edges
+        except UnboundedSection as error:
+            event(f"no bounded section: {type(error).__name__}")
+        else:
+            event("bounded section")
         assert_facet_sets_by_pairing(p)
         assert p.vertices == tuple(phi for phi, _ in vertices_from_halfspaces(normals, reeb))
 

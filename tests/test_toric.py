@@ -33,6 +33,7 @@ from abbvloc.toric import (
     weighted_sphere_cone,
 )
 from conftest import make_rng, random_unimodular, random_weights
+from lattice_oracle import smith_normal_form
 from matrix_oracle import apply
 from test_engine import sphere_closed_form
 from test_generated_cones import (
@@ -617,6 +618,16 @@ def index_3_cone():
     )
 
 
+def index_4_cone():
+    # the first vertex in sorted facet order, on facets 0, 1 and 2, has
+    # Smith divisors (1, 2, 2): an index-4 sublattice, though no divisor is 4
+    return GoodCone(
+        dim=4,
+        normals=tuple(map(Vector, ([-1, 0, 0, 0], [-1, -2, 0, 0], [-1, 0, -2, 0], [0, 0, 0, -1]))),
+        reeb=Vector([1, 1, 1, 1]),
+    )
+
+
 @st.composite
 def sublattice_cones(draw):
     """Cones of dimension 3..5 with up to d + 3 primitive normals of entries
@@ -640,12 +651,14 @@ def sublattice_cones(draw):
 class TestGoodnessFromMomentRow:
     """The walk's moment row at a vertex on the facets S is the row of
     adj(b | v_S) at b's position: the n x n minors of v_S up to sign, whose
-    gcd is the product of the Smith divisors of v_S."""
+    gcd is the product of the Smith divisors of v_S, the index of the
+    sublattice v_S spans."""
 
     @settings(max_examples=300, deadline=None)
     @given(sublattice_cones())
     @example(goodness_violating_cone())
     @example(index_3_cone())
+    @example(index_4_cone())
     @example(cube_cone())
     def test_moment_row_gcd_is_the_divisor_product(self, cone):
         try:
@@ -655,10 +668,10 @@ class TestGoodnessFromMomentRow:
         first = None
         for facets, row in sorted((tuple(sorted(set(labels) - {-1})), a[labels.index(-1)])
                                   for _, labels, a, _ in found):
-            divisors = core.smith_normal_form([cone.normals[i] for i in facets])
+            divisors = smith_normal_form([cone.normals[i] for i in facets])
             assert gcd(*row) == prod(divisors)
             if first is None and set(divisors) != {1}:
-                first = f"facets {facets} span a sublattice with divisors {divisors}"
+                first = f"facets {facets} span a sublattice of index {prod(divisors)}"
         if first is None:
             try:
                 enumerate_vertices(cone)
