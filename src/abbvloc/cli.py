@@ -622,18 +622,33 @@ class _ParseError(Exception):
 
 
 class _OneCommandParser(argparse.ArgumentParser):
-    """A parser that holds one subcommand.  Its error messages would list
-    only that subcommand, so it prints none and raises _ParseError for the
-    full parser to parse the same argv again."""
+    """The parser of one subcommand, as ``abbvloc <name>``.  Its error
+    messages would not read as the full parser's, so it prints none and
+    raises _ParseError for the full parser to parse the same argv again."""
 
     def error(self, message):
         raise _ParseError(message)
 
 
-def _build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of ``command`` alone."""
-    parser_class = argparse.ArgumentParser if command is None else _OneCommandParser
-    parser = parser_class(
+def _add_arguments(parser, name):
+    """Give ``parser`` the handler, defaults and options of subcommand ``name``."""
+    handler, _, samples, arguments = _COMMANDS[name]
+    parser.set_defaults(handler=handler, command=name)
+    parser.register("action", None, _Store)  # every option but --json
+    parser.add_argument("--json", action="store_true", help="machine-readable output")
+    parser.add_argument("--seed", type=int, default=None, help="sampling seed (default 42, env ABBVLOC_SEED)")
+    if samples:
+        parser.add_argument(
+            "--samples", type=int, default=DEFAULT_SAMPLES,
+            help=f"pole-free sample vectors that must agree, from 2 to {MAX_SAMPLES}",
+        )
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand."""
+    parser = argparse.ArgumentParser(
         prog="abbvloc",
         description=(
             "Exact localized sums over closed orbits: sphere and toric "
@@ -643,20 +658,8 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS if command is None else (command,):
-        handler, help, samples, arguments = _COMMANDS[name]
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(handler=handler)
-        p.register("action", None, _Store)  # every option but --json
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=None, help="sampling seed (default 42, env ABBVLOC_SEED)")
-        if samples:
-            p.add_argument(
-                "--samples", type=int, default=DEFAULT_SAMPLES,
-                help=f"pole-free sample vectors that must agree, from 2 to {MAX_SAMPLES}",
-            )
-        for flag, options in arguments:
-            p.add_argument(flag, **options)
+    for name, (_, help, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help), name)
     return parser
 
 
@@ -667,10 +670,15 @@ def main(argv=None) -> int:
     The parser of every subcommand is built only to print top-level help or
     a parse error, so those read as they always have."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    try:
-        args = _build_parser(command).parse_args(argv)
-    except _ParseError:
+    args = None
+    if argv and argv[0] in _COMMANDS:
+        parser = _OneCommandParser(prog=f"abbvloc {argv[0]}")
+        _add_arguments(parser, argv[0])
+        try:
+            args = parser.parse_args(argv[1:])
+        except _ParseError:
+            pass
+    if args is None:
         args = _build_parser().parse_args(argv)
     try:
         if args.seed is None:

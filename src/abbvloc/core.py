@@ -2,8 +2,10 @@
 covectors, the integer elimination kernels (``_bareiss`` for determinants,
 ``_cofactors`` for a determinant as a linear form in its last row,
 ``_pivot`` and ``_reduce`` for Gauss-Jordan steps and reductions),
-symmetric polynomials, and ``Record``, the frozen-record base of the
-package's value classes.  Matrices are plain tuples of rows.
+``_sum``, the pairwise unreduced sum of integer fractions that the
+localized sums and the pulling triangulation share, symmetric
+polynomials, and ``Record``, the frozen-record base of the package's
+value classes.  Matrices are plain tuples of rows.
 
 All arithmetic is exact.  Rationals are ``fractions.Fraction`` (arbitrary
 precision, always reduced, positive denominator), and scalars that carry a
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from operator import mul
 
 from .errors import InputError, SingularMatrix
 
@@ -335,7 +338,21 @@ def _primitive(row: list) -> list:
 
 def _column(a, v) -> list:
     """A . v, one entry per row of A."""
-    return [sum(x * y for x, y in zip(r, v)) for r in a]
+    return [sum(map(mul, r, v)) for r in a]
+
+
+def _sum(terms: list) -> tuple:
+    """(P, Q) with P / Q the sum of the p / q of terms, a nonempty list, unreduced.
+
+    The terms are added pairwise, as a product tree, so each addition
+    multiplies integers of like size; a running sum would multiply each
+    term by the product of all the denominators before it.
+    """
+    while len(terms) > 1:
+        pairs = iter(terms)
+        odd = terms[len(terms) & ~1:]
+        terms = [(p * s + r * q, q * s) for (p, q), (r, s) in zip(pairs, pairs)] + odd
+    return terms[0]
 
 
 def _pivot(a, t, i, col) -> tuple:

@@ -22,6 +22,7 @@ from .core import (
     Vector,
     _integer_row,
     _s_J_integer,
+    _sum,
     canonical_multiindex,
     rat,
 )
@@ -151,7 +152,7 @@ def _orbit_term(orbit: OrbitDatum, v: Vector, V: list, l: Fraction,
     v = V / s with V integral (see _integer_row).  A row (D, A) of
     orbit.integer_rows pairs with V to the integer A.V, and the covector's
     value at v is A.V / (D s).  The power of s is the same for every orbit
-    of a sum, so the sums add the (P, Q) unreduced (``_sum``) and apply it
+    of a sum, so the sums add the (P, Q) unreduced (``core._sum``) and apply it
     once; it is s^0 in the volume term (power = n).  Raises PoleAtSample
     when a weight vanishes at v.
     """
@@ -179,20 +180,6 @@ def _orbit_term(orbit: OrbitDatum, v: Vector, V: list, l: Fraction,
         num *= _s_J_integer(J, [a * (e // d) for a, (d, _) in zip(values, weights)])
         den *= e ** sum(J)
     return num, den
-
-
-def _sum(terms: list) -> tuple:
-    """(P, Q) with P / Q the sum of the p / q of terms, a nonempty list, unreduced.
-
-    The terms are added pairwise, as a product tree, so each addition
-    multiplies integers of like size; a running sum would multiply each
-    term by the product of all the denominators before it.
-    """
-    while len(terms) > 1:
-        pairs = iter(terms)
-        odd = terms[len(terms) & ~1:]
-        terms = [(p * s + r * q, q * s) for (p, q), (r, s) in zip(pairs, pairs)] + odd
-    return terms[0]
 
 
 def localize_volume(system: OrbitSystem, v: Vector) -> PiScalar:

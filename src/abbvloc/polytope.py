@@ -9,10 +9,10 @@ localized volume of the cone.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, prod
 from operator import mul
 
-from .core import PiScalar, Record, Vector, _integer_row, rat
+from .core import PiScalar, Record, Vector, _integer_row, _sum, rat
 from .errors import EdgeConstantFunctional
 from .sampling import SampleOutcome, sample_independent
 from .toric import GoodCone, HPolytope, toric_volume
@@ -41,8 +41,16 @@ def triangulation_volume(p: HPolytope, order=None) -> Fraction:
     M(section)/n!.  Each flag of faces is one simplex, triangular in the
     coordinates phi(v_j): its lattice measure is the product of the
     heights -beta(v_j) over |det(b, v_S)|.  Faces are memoized by facet
-    set, and each vertex's determinant is read from ``p.abs_dets``.  The
-    result does not depend on the order; two orders are two full
+    set, and each vertex's determinant is read from ``p.abs_dets``.
+
+    The sum runs on integers.  With beta = P / Q and v_j = N_j / L_j
+    (``p.integer_vertices`` and ``p.integer_normals``; nothing of the
+    section's ``lawrence_form``), each M is one reduced integer pair
+    num / den: a face's terms (-P . N_j * num, L_j * den) are added
+    unreduced by ``core._sum`` and the sum is divided by Q with one gcd,
+    so a call builds one Fraction and pairs no Covector.
+
+    The result does not depend on the order; two orders are two full
     triangulations (De Loera, Rambau & Santos 2010, section 4.3), and
     (k, then the rest ascending) pulls the section from vertex k and
     every proper face from its smallest vertex.  Raises UnboundedSection
@@ -55,26 +63,33 @@ def triangulation_volume(p: HPolytope, order=None) -> Fraction:
     n = p.section_dim
     p.edges  # raises UnboundedSection
     facet_sets, dets = p.facet_sets, p.abs_dets
+    vertices, normals = p.integer_vertices, p.integer_normals
     memo = {}
 
     def measure(active, ids):
         base = ids[0]
         if len(active) == n:
-            return 1 / dets[base]
+            return dets[base].denominator, dets[base].numerator
         faces = {}
         for i in ids:
             for j in facet_sets[i] - facet_sets[base]:
                 faces.setdefault(j, []).append(i)
-        apex = p.vertices[base]
-        total = Fraction(0)
+        q, apex = vertices[base]
+        terms = []
         for j, sub in faces.items():
             face = active | {j}
             if face not in memo:
                 memo[face] = measure(face, sub)
-            total -= apex(p.normals[j]) * memo[face]
-        return total
+            num, den = memo[face]
+            scale, row = normals[j]
+            terms.append((-sum(map(mul, apex, row)) * num, scale * den))
+        num, den = _sum(terms)
+        den *= q
+        g = gcd(num, den)
+        return num // g, den // g
 
-    return measure(frozenset(), range(len(p.vertices)) if order is None else order) / factorial(n)
+    num, den = measure(frozenset(), range(len(p.vertices)) if order is None else order)
+    return Fraction(num, den * factorial(n))
 
 
 def lawrence_volume(p: HPolytope, f: LinearFunctional) -> Fraction:

@@ -6,18 +6,20 @@ an integer pivoting walk (``_walk``): a dual simplex from a greedy basis
 finds the first vertex, and each vertex's n edges lead to its neighbours
 by one fraction-free pivot each.  A vertex's dictionary is the adjugate
 of (b | v_S), so its rows are the moment and the weights of the orbit
-data; no inverse is computed.  Each vertex is validated against the
-lattice direct-summand condition on its moment row, which holds the
-n x n minors of v_S: their gcd is the index of the sublattice that v_S
-spans, which a violation reports.  One ``ToricOrbit`` per vertex, sorted
-by vertex, makes up the cone's section, an ``HPolytope``, whose edges
-``_bounded_edges`` finds; boundedness is read off them.  The orbits are
-turned into orbit data (lengths, moments, weights, the weights built on
-first read), and the section's normals into the determinant volume
-formula, through one integer covector of minors per vertex taken once
-per section, and its vertices and edges into one integer form for
-Lawrence's formula.  Errors come in the order NotSimpleVertex,
-GoodnessViolation, UnboundedSection.
+data; no inverse is computed.  From the first vertex on, the walk pivots
+the tableau (A | A.R), the dictionary with its products with every
+normal, so no vertex pairs a normal again.  Each vertex is validated
+against the lattice direct-summand condition on its moment row, which
+holds the n x n minors of v_S: their gcd is the index of the sublattice
+that v_S spans, which a violation reports.  One ``ToricOrbit`` per
+vertex, sorted by vertex, makes up the cone's section, an ``HPolytope``,
+whose edges ``_bounded_edges`` finds; boundedness is read off them.  The
+orbits are turned into orbit data (lengths, moments, weights, the weights
+built on first read), and the section's normals into the determinant
+volume formula, through one integer covector of minors per vertex taken
+once per section, and its vertices and normals into integer rows, which
+Lawrence's formula and the pulling triangulation read.  Errors come in
+the order NotSimpleVertex, GoodnessViolation, UnboundedSection.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .errors import (
 
 # The walk refuses a section with more vertices than this.  Cube cone 10
 # (1,024 vertices) runs polytope-volume, and lawrence on its bare section, in
-# about 0.5 s cold (Python 3.11, Intel Xeon), and every route after the walk
+# about 0.3 s cold (Python 3.11, Intel Xeon), and every route after the walk
 # costs at least a determinant per vertex.
 MAX_VERTICES = 1024
 
@@ -223,6 +225,19 @@ class HPolytope(Record):
         return _bounded_edges(self.vertices, self.facet_sets)
 
     @cached_property
+    def integer_vertices(self) -> tuple:
+        """(Q_a, P_a) for each vertex a = P_a / Q_a, in vertex order: the
+        vertex as a tuple of ints P_a over the lcm Q_a of its denominators
+        (``core._integer_row``)."""
+        return tuple((q, tuple(row)) for q, row in map(_integer_row, self.vertices))
+
+    @cached_property
+    def integer_normals(self) -> tuple:
+        """(L_j, N_j) for each normal j = N_j / L_j, in facet-index order: the
+        normal as a tuple of ints N_j over the lcm L_j of its denominators."""
+        return tuple((q, tuple(row)) for q, row in map(_integer_row, self.normals))
+
+    @cached_property
     def integer_columns(self) -> tuple:
         """For each vertex on the facets S, in vertex order: (scales,
         columns), the columns of (b | v_S) with the normals in facet-index
@@ -230,7 +245,7 @@ class HPolytope(Record):
         denominators, and those lcms.  So |det(b, v_S)| is |det(columns)| /
         prod(scales).  Read by ``abs_dets`` and ``minor_forms`` alone."""
         b = _integer_row(self.reeb)
-        rows = [_integer_row(v) for v in self.normals]
+        rows = self.integer_normals
         out = []
         for orbit in self.orbits:
             scaled = [b, *(rows[i] for i in orbit.facet_indices)]
@@ -287,11 +302,11 @@ class HPolytope(Record):
     @cached_property
     def lawrence_form(self) -> tuple:
         """What ``polytope.lawrence_volume`` reads of the section, taken once
-        from the vertices, the normals, ``abs_dets`` and ``edges`` by integer
-        dot products: (scales, rows, slots, weights).
+        from ``integer_vertices``, ``integer_normals``, ``abs_dets`` and
+        ``edges`` by integer dot products: (scales, rows, slots, weights).
 
         Per vertex a, in vertex order: a = P_a / Q_a with ``scales`` holding
-        Q_a and ``rows`` the integer row P_a (``core._integer_row``);
+        Q_a and ``rows`` the integer row P_a;
         ``slots`` holds the indices into ``edges`` of its n edges; and
         ``weights`` holds one integer pair (w_a, z_a) with
 
@@ -301,8 +316,7 @@ class HPolytope(Record):
         leave facet j at a, and one sign -1 for each edge whose second end
         is a.  P_c . N_j / L_j = Q_c c(v_j) is never 0: c is off facet j.
         Raises UnboundedSection as ``edges`` does."""
-        vertices = [_integer_row(phi) for phi in self.vertices]
-        normals = [_integer_row(v) for v in self.normals]
+        vertices, normals = self.integer_vertices, self.integer_normals
         facet_sets = self.facet_sets
         slots = [[] for _ in vertices]
         nums, dens = [1] * len(vertices), [1] * len(vertices)
@@ -318,7 +332,7 @@ class HPolytope(Record):
             w, z = num * delta.denominator, den * delta.numerator
             g = gcd(w, z)
             weights.append((w // g, z // g))
-        return (tuple(q for q, _ in vertices), tuple(tuple(row) for _, row in vertices),
+        return (tuple(q for q, _ in vertices), tuple(row for _, row in vertices),
                 tuple(map(tuple, slots)), tuple(weights))
 
 
@@ -373,6 +387,15 @@ def _walk(normals, reeb) -> tuple:
     test finds the facet it meets next; an edge that meets none is a ray
     and is skipped (``_bounded_edges`` reports it).
 
+    At the first vertex each row A_i is extended by its products A_i . v_k
+    with all m normals, as in lrs: the tableau (A | A.R), d x (d + m).  A
+    pivot combines whole rows, so it keeps the extension equal to the new
+    dictionary's products, and the walk reads every pairing off it: the
+    top row's entries for the NotSimpleVertex test and row i's for the
+    ratio test along the edge that leaves facet labels[i]; each neighbour
+    is one ``_pivot`` of the tableau.  The dictionary is its first d
+    columns.
+
     Returns (scale, [(vertex, labels, A, T), ...]) in walk order, empty
     when the section has no vertex.  Raises NotSimpleVertex at a vertex
     on more than n facets (a tie in the ratio test leads to one) and
@@ -401,7 +424,7 @@ def _walk(normals, reeb) -> tuple:
         sign = 1 if t > 0 else -1
         basic = set(labels)
         k = next((k for k in range(m) if k not in basic
-                  and sign * sum(x * y for x, y in zip(a[ib], rows[k])) > 0), None)
+                  and sign * sum(map(mul, a[ib], rows[k])) > 0), None)
         if k is None:
             break
         col = _column(a, rows[k])
@@ -410,7 +433,7 @@ def _walk(normals, reeb) -> tuple:
             alpha = sign * col[i]
             if i == ib or alpha <= 0:
                 continue
-            mu = sign * sum(x * y for x, y in zip(a[i], c))
+            mu = sign * sum(map(mul, a[i], c))
             if best is None or mu * best[2] < best[1] * alpha or (
                 mu * best[2] == best[1] * alpha and labels[i] < labels[best[0]]
             ):
@@ -422,33 +445,35 @@ def _walk(normals, reeb) -> tuple:
 
     found = []
     seen = {frozenset(labels)}
-    stack = [(labels, a, t)]
+    stack = [(labels, [r + _column(rows, r) for r in a], t)]
     while stack:
-        labels, a, t = stack.pop()
+        labels, tab, t = stack.pop()
         sign = 1 if t > 0 else -1
-        phi = Covector(Fraction(scale * x, t) for x in a[ib])
+        top = tab[ib]
+        phi = Covector(Fraction(scale * x, t) for x in top[:d])
         basic = frozenset(labels)
         others = [k for k in range(m) if k not in basic]
-        cols = [_column(a, rows[k]) for k in others]
-        if any(col[ib] == 0 for col in cols):
-            active = basic - {-1} | {k for k, col in zip(others, cols) if col[ib] == 0}
+        if any(top[d + k] == 0 for k in others):
+            active = basic - {-1} | {k for k in others if top[d + k] == 0}
             raise NotSimpleVertex(
                 f"vertex {_point_str(phi)} lies on facets {tuple(sorted(active))}, more than {n}"
             )
-        found.append((phi, labels, a, t))
+        found.append((phi, labels, [r[:d] for r in tab], t))
+        heights = [(k, -sign * top[d + k]) for k in others]
         for i in range(d):
             if i == ib:
                 continue
             # along the edge that leaves facet labels[i], facet k is met at
             # the ratio A_b . v_k / A_i . v_k when A_i . v_k has sign -sign(T)
+            row = tab[i]
             best = None
-            for k, col in zip(others, cols):
-                rate = -sign * col[i]
-                if rate > 0 and (best is None or -sign * col[ib] * best[2] < best[1] * rate):
-                    best = (k, -sign * col[ib], rate, col)
+            for k, height in heights:
+                rate = -sign * row[d + k]
+                if rate > 0 and (best is None or height * best[2] < best[1] * rate):
+                    best = (k, height, rate)
             if best is None:
                 continue
-            k, _, _, col = best
+            k = best[0]
             key = basic - {labels[i]} | {k}
             if key in seen:
                 continue
@@ -459,7 +484,7 @@ def _walk(normals, reeb) -> tuple:
                 )
             step = list(labels)
             step[i] = k
-            stack.append((step, *_pivot(a, t, i, col)))
+            stack.append((step, *_pivot(tab, t, i, [r[d + k] for r in tab])))
     return scale, found
 
 

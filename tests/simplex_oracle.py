@@ -1,10 +1,14 @@
-"""Explicit-simplex oracle for the section volume.
+"""Oracles for the section volume by the pulling triangulation.
 
-Lists the pulling triangulation of a simple section simplex by simplex and
-sums the lattice measure ``omega_h`` of each simplex's edge vectors.  The
-package computes the same decomposition as a face recursion
-(``polytope.triangulation_volume``); this module keeps the per-simplex route
-so the two can be compared.
+``simplex_volume`` lists the pulling triangulation of a simple section
+simplex by simplex and sums the lattice measure ``omega_h`` of each
+simplex's edge vectors.  The package computes the same decomposition as a
+face recursion (``polytope.triangulation_volume``); this module keeps the
+per-simplex route so the two can be compared.
+
+``fraction_triangulation`` is that face recursion on Fractions, where the
+package sums integer heights: one Covector pairing of the apex with a
+normal, and two Fraction operations, per face and facet.
 """
 
 from fractions import Fraction
@@ -98,3 +102,40 @@ def simplex_volume(p, order=None) -> Fraction:
         total += abs(omega_h(p.reeb, [[x - y for x, y in zip(p.vertices[i], base)]
                                       for i in simplex[:-1]]))
     return total / factorial(n)
+
+
+def fraction_triangulation(p, order=None) -> Fraction:
+    """The section volume of the HPolytope ``p`` by the pulling triangulation
+    in the vertex order ``order`` (every vertex index once, ascending by
+    default), as ``polytope.triangulation_volume``'s face recursion on
+    Fractions: a face F with apex beta has M(F) = the sum of -beta(v_j) *
+    M(face on one more facet j), a vertex on the facets S has M =
+    1/|det(b, v_S)|, and the volume is M(section)/n!.
+
+    >>> from abbvloc.toric import weighted_sphere_cone
+    >>> fraction_triangulation(weighted_sphere_cone([1, 2, 3]).section)
+    Fraction(1, 12)
+    """
+    n = p.section_dim
+    p.edges  # raises UnboundedSection
+    facet_sets, dets = p.facet_sets, p.abs_dets
+    memo = {}
+
+    def measure(active, ids):
+        base = ids[0]
+        if len(active) == n:
+            return 1 / dets[base]
+        faces = {}
+        for i in ids:
+            for j in facet_sets[i] - facet_sets[base]:
+                faces.setdefault(j, []).append(i)
+        apex = p.vertices[base]
+        total = Fraction(0)
+        for j, sub in faces.items():
+            face = active | {j}
+            if face not in memo:
+                memo[face] = measure(face, sub)
+            total -= apex(p.normals[j]) * memo[face]
+        return total
+
+    return measure(frozenset(), range(len(p.vertices)) if order is None else order) / factorial(n)

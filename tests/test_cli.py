@@ -896,7 +896,7 @@ class TestArgumentParsing:
         want = exit_outcome(capsys, lambda a: _build_parser().parse_args(a), argv)
         assert exit_outcome(capsys, main, argv) == want
 
-    def test_a_job_builds_the_top_level_parser_and_its_own_subparser(self, capsys, monkeypatch):
+    def test_a_job_builds_only_its_own_parser(self, capsys, monkeypatch):
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -907,7 +907,14 @@ class TestArgumentParsing:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         code, _ = run_cli(capsys, "stiefel", "--w", "1,2,5", "--json")
         assert code == 0
-        assert built == ["abbvloc", "abbvloc stiefel"]
+        assert built == ["abbvloc stiefel"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_help_is_the_full_parsers_subparser_help(self, capsys, command):
+        (subparsers,) = [action for action in _build_parser()._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        want = subparsers.choices[command].format_help()
+        assert exit_outcome(capsys, main, [command, "--help"]) == (0, want, "")
 
     def test_each_handler_is_named_after_its_command(self):
         """check-v-independence is localize without --j, and shares its handler."""

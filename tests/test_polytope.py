@@ -31,10 +31,10 @@ from abbvloc.sampling import POSITIVE_POOL, SAMPLE_POOL, sample_vector
 from abbvloc.toric import enumerate_vertices, simplex_cone, weighted_sphere_cone
 from conftest import make_rng
 from functional_oracle import assert_sample_lawrence_matches, fraction_lawrence
-from simplex_oracle import base_first, omega_h, simplex_volume
+from simplex_oracle import base_first, fraction_triangulation, omega_h, simplex_volume
 from test_cli import section_documents
 from test_cli_golden import cube_cone_doc
-from test_generated_cones import case_cone, cube_cone_k
+from test_generated_cones import CASES, case_cone, cube_cone_k
 from test_toric import count_kernel_calls, cube_cone, fixture_cones
 from vertex_oracle import assert_facet_sets_by_pairing, vertices_from_halfspaces
 
@@ -153,6 +153,11 @@ class TestOmegaH:
             omega_h(Vector([1, 0]), [Covector([1, 1])])
 
 
+def ascending_and_descending(p) -> list:
+    count = len(p.vertices)
+    return [range(count), range(count - 1, -1, -1)]
+
+
 class TestTriangulation:
     def test_segment(self):
         assert triangulation_volume(segment_polytope()) == Fraction(1, 2)
@@ -197,21 +202,31 @@ class TestTriangulation:
         section and 192 on cube 6.  The section pulled from its last vertex
         and every proper face from its smallest took 165 and 486.  A face's
         apex is its first vertex in the order, so the order's last vertex
-        is never one."""
+        is never one.  The Fraction oracle pairs them as Covectors; the
+        package runs the same recursion on integer heights."""
         p = cube_cone_k(k).section
         p.abs_dets  # before counting
-        count = len(p.vertices)
         apexes = []
         real = Covector.__call__
         monkeypatch.setattr(Covector, "__call__", lambda c, v: apexes.append(c) or real(c, v))
         volumes = []
-        for order in (range(count), range(count - 1, -1, -1)):
+        for order in ascending_and_descending(p):
             apexes.clear()
-            volumes.append(triangulation_volume(p, order=order))
+            volumes.append(fraction_triangulation(p, order=order))
             assert len(apexes) == pairings
             assert apexes[-1] is p.vertices[order[0]]
             assert all(apex is not p.vertices[order[-1]] for apex in apexes)
         assert volumes[0] == volumes[1]
+
+    def test_no_covector_pairing(self, monkeypatch):
+        """The triangulation reads the vertices and normals as integer rows:
+        no Covector.__call__ in either order, with the sections built, and
+        their integer rows taken, under the counter."""
+        calls = count_pairings(monkeypatch)
+        for p in (cube_cone_k(3).section, cube_cone_k(5).section, tesseract_polytope()):
+            for order in ascending_and_descending(p):
+                triangulation_volume(p, order=order)
+        assert calls == []
 
     def test_non_simple_vertex_rejected(self):
         normals = (
@@ -225,6 +240,35 @@ class TestTriangulation:
         with pytest.raises(NotSimpleVertex):
             HPolytope.from_halfspaces(normals, reeb)
 
+
+class TestTriangulationEqualsTheFractionOracle:
+    """triangulation_volume sums integer heights with one Fraction per call;
+    simplex_oracle.fraction_triangulation is the same recursion on Fraction
+    pairings.  Both orders must give the oracle's value."""
+
+    def assert_equal(self, p):
+        for order in ascending_and_descending(p):
+            assert triangulation_volume(p, order=order) == fraction_triangulation(p, order=order)
+
+    @pytest.mark.parametrize("kind, a, b", CASES, ids=[f"{k}-{a}-{b}" for k, a, b in CASES])
+    def test_generated_cones(self, kind, a, b):
+        self.assert_equal(case_cone(kind, a, b, 3)[0].section)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_cube_cones(self, k):
+        self.assert_equal(cube_cone_k(k).section)
+
+    def test_fixtures(self):
+        for p in (segment_polytope(), triangle_polytope(), cube_polytope(),
+                  tesseract_polytope(), weighted_sphere_cone([2, 3, 7]).section):
+            self.assert_equal(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(doc=bounded_section_documents())
+    def test_bounded_sections_with_rational_normals(self, doc):
+        normals = [Vector(rat(x) for x in v) for v in doc["normals"]]
+        p = HPolytope.from_halfspaces(normals, Vector(rat(x) for x in doc["reeb"]))
+        self.assert_equal(p)
 
 class TestLawrence:
     def test_triangle_value(self):
