@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from operator import mul
 
 from .errors import InputError, SingularMatrix
 
@@ -334,11 +333,6 @@ def _primitive(row: list) -> list:
     and rows of gcd 1 come back as they are)."""
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
-
-
-def _column(a, v) -> list:
-    """A . v, one entry per row of A."""
-    return [sum(map(mul, r, v)) for r in a]
 
 
 def _sum(terms: list) -> tuple:

@@ -6,20 +6,21 @@ an integer pivoting walk (``_walk``): a dual simplex from a greedy basis
 finds the first vertex, and each vertex's n edges lead to its neighbours
 by one fraction-free pivot each.  A vertex's dictionary is the adjugate
 of (b | v_S), so its rows are the moment and the weights of the orbit
-data; no inverse is computed.  From the first vertex on, the walk pivots
-the tableau (A | A.R), the dictionary with its products with every
-normal, so no vertex pairs a normal again.  Each vertex is validated
-against the lattice direct-summand condition on its moment row, which
-holds the n x n minors of v_S: their gcd is the index of the sublattice
-that v_S spans, which a violation reports.  One ``ToricOrbit`` per
-vertex, sorted by vertex, makes up the cone's section, an ``HPolytope``,
-whose edges ``_bounded_edges`` finds; boundedness is read off them.  The
-orbits are turned into orbit data (lengths, moments, weights, the weights
-built on first read), and the section's normals into the determinant
-volume formula, through one integer covector of minors per vertex taken
-once per section, and its vertices and normals into integer rows, which
-Lawrence's formula and the pulling triangulation read.  Errors come in
-the order NotSimpleVertex, GoodnessViolation, UnboundedSection.
+data; no inverse is computed.  From its first pivot on, the walk pivots
+one tableau (A | A.b | A.R), the dictionary with its products with b and
+every normal, so neither its start nor a vertex pairs a row with a
+normal.  Each vertex is validated against the lattice direct-summand
+condition on its moment row, which holds the n x n minors of v_S: their
+gcd is the index of the sublattice that v_S spans, which a violation
+reports.  One ``ToricOrbit`` per vertex, sorted by vertex, makes up the
+cone's section, an ``HPolytope``, whose edges ``_bounded_edges`` finds;
+boundedness is read off them.  The orbits are turned into orbit data
+(lengths, moments, weights, the weights built on first read), and the
+section's vertices and normals into integer rows, which the determinants,
+the determinant volume formula (through one integer covector of minors
+per vertex, taken once per section), Lawrence's formula and the pulling
+triangulation read.  Errors come in the order NotSimpleVertex,
+GoodnessViolation, UnboundedSection.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .core import (
     Vector,
     _bareiss,
     _cofactors,
-    _column,
     _integer_row,
     _pivot,
     _primitive,
@@ -135,8 +135,8 @@ class GoodCone(Record):
     def section(self) -> HPolytope:
         """The hyperplane section, its orbits found by enumerate_vertices on
         first access and its edges read to raise UnboundedSection unless it
-        is bounded, so its ``edges``, ``integer_columns``, ``minor_forms``
-        and ``lawrence_form`` are computed once per cone.  A section that
+        is bounded, so its ``edges``, ``abs_dets``, ``minor_forms`` and
+        ``lawrence_form`` are computed once per cone.  A section that
         raises is not stored, so every access raises the same error."""
         section = HPolytope(self.normals, self.reeb, enumerate_vertices(self))
         section.edges  # raises UnboundedSection
@@ -238,38 +238,30 @@ class HPolytope(Record):
         return tuple((q, tuple(row)) for q, row in map(_integer_row, self.normals))
 
     @cached_property
-    def integer_columns(self) -> tuple:
-        """For each vertex on the facets S, in vertex order: (scales,
-        columns), the columns of (b | v_S) with the normals in facet-index
-        order, each scaled to a tuple of ints by the lcm of its
-        denominators, and those lcms.  So |det(b, v_S)| is |det(columns)| /
-        prod(scales).  Read by ``abs_dets`` and ``minor_forms`` alone."""
-        b = _integer_row(self.reeb)
-        rows = self.integer_normals
-        out = []
-        for orbit in self.orbits:
-            scaled = [b, *(rows[i] for i in orbit.facet_indices)]
-            out.append((tuple(s for s, _ in scaled), tuple(tuple(c) for _, c in scaled)))
-        return tuple(out)
-
-    @cached_property
     def abs_dets(self) -> tuple:
         """|det(b, v_S)| for each vertex on the facets S, in vertex order:
-        one ``core._bareiss`` of the integer columns over the product of
-        their scales, not read from the walk's dictionaries."""
-        return tuple(Fraction(abs(_bareiss([list(c) for c in columns])), prod(scales))
-                     for scales, columns in self.integer_columns)
+        one ``core._bareiss`` of b and the normals v_S, each scaled to a row
+        of ints by the lcm of its denominators (``integer_normals``), over
+        the product of those lcms; not read from the walk's dictionaries."""
+        lb, b = _integer_row(self.reeb)
+        normals = self.integer_normals
+        dets = []
+        for orbit in self.orbits:
+            scales, rows = zip(*(normals[i] for i in orbit.facet_indices))
+            dets.append(Fraction(abs(_bareiss([list(b), *map(list, rows)])), lb * prod(scales)))
+        return tuple(dets)
 
     @cached_property
     def minor_forms(self) -> tuple:
-        """What ``toric_volume`` reads of the section, taken once from the
-        integer columns and from no walk dictionary: (forms, at_reeb,
+        """What ``toric_volume`` reads of the section, taken once from b and
+        the integer normals and from no walk dictionary: (forms, at_reeb,
         slots, edges).
 
         Per vertex on the facets S, in vertex order: ``forms`` holds the
         integer covector N_S with N_S(x) = det(x, v_S) for the integer
-        columns v_S of the normals, one ``core._cofactors`` each;
-        ``at_reeb`` holds N_S(L_b b); ``slots`` holds, for each slot, the
+        normals v_S (``integer_normals``), one ``core._cofactors`` each;
+        ``at_reeb`` holds N_S(L_b b) for b scaled to ints by the lcm L_b of
+        its denominators; ``slots`` holds, for each slot, the
         index into ``edges`` of the edge that leaves the slot's facet.  Per
         edge T, in the order of ``edges``: (S, S', d), its ends S < S',
         and with s the facet that T leaves at slot i of S, d = (-1)^i
@@ -280,10 +272,12 @@ class HPolytope(Record):
 
         and d is never 0: were v_s and v_s' equal on ker(v_T), S and S'
         would be one vertex.  Raises UnboundedSection as ``edges`` does."""
+        _, b = _integer_row(self.reeb)
+        normals = self.integer_normals
         forms, at_reeb = [], []
-        for _, (b, *normals) in self.integer_columns:
-            form = _cofactors([list(c) for c in normals])
-            if len(normals) % 2:
+        for orbit in self.orbits:
+            form = _cofactors([list(normals[i][1]) for i in orbit.facet_indices])
+            if len(orbit.facet_indices) % 2:
                 form = [-x for x in form]  # det(x, v_S) = (-1)^n det(v_S; x)
             forms.append(tuple(form))
             at_reeb.append(sum(map(mul, form, b)))
@@ -295,7 +289,7 @@ class HPolytope(Record):
             (t,) = self.facet_sets[second] - self.facet_sets[first]
             i, j = left.index(s), right.index(t)
             slots[first][i] = slots[second][j] = e
-            d = sum(map(mul, forms[second], self.integer_columns[first][1][1 + i]))
+            d = sum(map(mul, forms[second], normals[s][1]))
             edges.append((first, second, -d if i % 2 == 0 else d))  # i counts from 0
         return tuple(forms), tuple(at_reeb), tuple(map(tuple, slots)), tuple(edges)
 
@@ -378,23 +372,24 @@ def _walk(normals, reeb) -> tuple:
     the fraction-free Gauss-Jordan step that ``core._reduce`` repeats,
     moves it to a neighbouring basis.
 
+    The walk pivots one tableau from its first step, as in lrs: each row
+    A_i of the dictionary extended by its products A_i . b and A_i . v_k
+    with all m normals, (A | A.b | A.R), d x (d + 1 + m), starting at
+    A = I.  A pivot combines whole rows, so it keeps the extension equal
+    to the new dictionary's products, and every pairing is read off it;
+    the dictionary is its first d columns.
+
     The first basis pivots the columns (b, v_1, ..., v_m) greedily into the
     identity's positions.  A dual simplex with Bland's rule then
-    maximizes phi(c), c = b + sum of the first basis's normals, at which
-    every A_i . c / T is 1: it ends at a vertex, or at a violated facet
-    that no row can repair, which proves the section empty.  From the
-    first vertex each of the n edges drops one facet, and an integer ratio
-    test finds the facet it meets next; an edge that meets none is a ray
-    and is skipped (``_bounded_edges`` reports it).
-
-    At the first vertex each row A_i is extended by its products A_i . v_k
-    with all m normals, as in lrs: the tableau (A | A.R), d x (d + m).  A
-    pivot combines whole rows, so it keeps the extension equal to the new
-    dictionary's products, and the walk reads every pairing off it: the
-    top row's entries for the NotSimpleVertex test and row i's for the
-    ratio test along the edge that leaves facet labels[i]; each neighbour
-    is one ``_pivot`` of the tableau.  The dictionary is its first d
-    columns.
+    maximizes phi(c), c = b + sum of the first basis's normals, so that
+    A_i . c is a sum of tableau entries and every A_i . c / T is 1 at the
+    start: it ends at a vertex, or at a violated facet that no row can
+    repair, which proves the section empty.  From the first vertex each of
+    the n edges drops one facet, and an integer ratio test finds the facet
+    it meets next; an edge that meets none is a ray and is skipped
+    (``_bounded_edges`` reports it).  The top row's entries give the
+    NotSimpleVertex test and row i's the ratio test along the edge that
+    leaves facet labels[i]; each neighbour is one ``_pivot``.
 
     Returns (scale, [(vertex, labels, A, T), ...]) in walk order, empty
     when the section has no vertex.  Raises NotSimpleVertex at a vertex
@@ -405,47 +400,48 @@ def _walk(normals, reeb) -> tuple:
     scale, b = _integer_row(reeb)
     rows = [_primitive(_integer_row(v)[1]) for v in normals]
     m = len(rows)
-    a = [[int(i == j) for j in range(d)] for i in range(d)]
+    w = d + 1  # column w + label holds A . b (label -1) or A . v_label
+    tab = [[int(i == j) for j in range(d)] + [x, *(v[i] for v in rows)]
+           for i, x in enumerate(b)]
     t = 1
     labels = [None] * d
-    for label, v in [(-1, b), *enumerate(rows)]:
-        col = _column(a, v)
+    for label in range(-1, m):
+        col = [r[w + label] for r in tab]
         i = next((i for i in range(d) if labels[i] is None and col[i]), None)
         if i is not None:
-            a, t = _pivot(a, t, i, col)
+            tab, t = _pivot(tab, t, i, col)
             labels[i] = label
     if -1 not in labels or None in labels:
         return scale, []
 
     n = d - 1
     ib = labels.index(-1)
-    c = [sum(x) for x in zip(b, *(rows[k] for k in labels if k >= 0))]
+    c = [w + k for k in labels]  # the columns that sum to A . c
     while True:
         sign = 1 if t > 0 else -1
         basic = set(labels)
-        k = next((k for k in range(m) if k not in basic
-                  and sign * sum(map(mul, a[ib], rows[k])) > 0), None)
+        k = next((k for k in range(m) if k not in basic and sign * tab[ib][w + k] > 0), None)
         if k is None:
             break
-        col = _column(a, rows[k])
+        col = [r[w + k] for r in tab]
         best = None
         for i in range(d):
             alpha = sign * col[i]
             if i == ib or alpha <= 0:
                 continue
-            mu = sign * sum(map(mul, a[i], c))
+            mu = sign * sum(tab[i][j] for j in c)
             if best is None or mu * best[2] < best[1] * alpha or (
                 mu * best[2] == best[1] * alpha and labels[i] < labels[best[0]]
             ):
                 best = (i, mu, alpha)
         if best is None:
             return scale, []
-        a, t = _pivot(a, t, best[0], col)
+        tab, t = _pivot(tab, t, best[0], col)
         labels[best[0]] = k
 
     found = []
     seen = {frozenset(labels)}
-    stack = [(labels, [r + _column(rows, r) for r in a], t)]
+    stack = [(labels, tab, t)]
     while stack:
         labels, tab, t = stack.pop()
         sign = 1 if t > 0 else -1
@@ -453,13 +449,13 @@ def _walk(normals, reeb) -> tuple:
         phi = Covector(Fraction(scale * x, t) for x in top[:d])
         basic = frozenset(labels)
         others = [k for k in range(m) if k not in basic]
-        if any(top[d + k] == 0 for k in others):
-            active = basic - {-1} | {k for k in others if top[d + k] == 0}
+        if any(top[w + k] == 0 for k in others):
+            active = basic - {-1} | {k for k in others if top[w + k] == 0}
             raise NotSimpleVertex(
                 f"vertex {_point_str(phi)} lies on facets {tuple(sorted(active))}, more than {n}"
             )
         found.append((phi, labels, [r[:d] for r in tab], t))
-        heights = [(k, -sign * top[d + k]) for k in others]
+        heights = [(k, -sign * top[w + k]) for k in others]
         for i in range(d):
             if i == ib:
                 continue
@@ -468,7 +464,7 @@ def _walk(normals, reeb) -> tuple:
             row = tab[i]
             best = None
             for k, height in heights:
-                rate = -sign * row[d + k]
+                rate = -sign * row[w + k]
                 if rate > 0 and (best is None or height * best[2] < best[1] * rate):
                     best = (k, height, rate)
             if best is None:
@@ -484,7 +480,7 @@ def _walk(normals, reeb) -> tuple:
                 )
             step = list(labels)
             step[i] = k
-            stack.append((step, *_pivot(tab, t, i, [r[d + k] for r in tab])))
+            stack.append((step, *_pivot(tab, t, i, [r[w + k] for r in tab])))
     return scale, found
 
 

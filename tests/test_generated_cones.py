@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abbvloc.core import Covector, PiScalar, Vector
+from abbvloc.core import Covector, PiScalar, Vector, _integer_row
 from abbvloc.engine import check_v_independence
 from abbvloc.errors import PoleAtSample
 from abbvloc.polytope import (
@@ -417,12 +417,13 @@ class TestMinorForms:
         cone = build()
         p = cone.section
         forms, at_reeb, slots, edges = p.minor_forms
-        b = p.integer_columns[0][1][0]  # L_b b
+        lb, b = _integer_row(cone.reeb)  # L_b b
         rng = make_rng(29)
         xs = [[rng.choice(range(-7, 8)) for _ in range(cone.dim)] for _ in range(3)]
-        for orbit, form, reeb in zip(p.orbits, forms, at_reeb):
+        for orbit, form, reeb, abs_det in zip(p.orbits, forms, at_reeb, p.abs_dets):
             normals = [cone.normals[i] for i in orbit.facet_indices]
             assert reeb == elimination_det([b, *normals])
+            assert abs_det == Fraction(abs(reeb), lb)  # _bareiss against _cofactors
             for x in xs:
                 assert sum(map(mul, form, x)) == elimination_det([x, *normals])
         assert [e[:2] for e in edges] == list(p.edges)

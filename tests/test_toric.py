@@ -41,6 +41,8 @@ from test_generated_cones import (
     assert_walk_rows_equal_inverse,
     case_cone,
     cube_cone_k,
+    seeded_reeb,
+    simplex_product_cone,
     toric_volume_or_pole,
 )
 from vertex_oracle import vertices_from_halfspaces
@@ -288,7 +290,8 @@ class TestVertexEnumeration:
     def test_the_section_is_the_cones_only_cache(self):
         for cone in fixture_cones():
             cone.section.edges
-            cone.section.integer_columns
+            cone.section.abs_dets
+            cone.section.minor_forms
             assert set(vars(cone)) == {*GoodCone._fields, "section"}
 
     def test_permuting_normals_is_irrelevant(self):
@@ -706,6 +709,10 @@ def fixture_cones():
     return cones
 
 
+def halfspaces(cone) -> tuple:
+    return cone.normals, cone.reeb
+
+
 class TestPivotingWalk:
     @pytest.mark.parametrize("index", range(len(fixture_cones())))
     def test_rows_equal_inverse_on_fixtures(self, index):
@@ -734,6 +741,31 @@ class TestPivotingWalk:
         calls.clear()
         orbit_system_from_cone(cone)
         assert calls["_reduce"] == 0
+
+    @pytest.mark.parametrize("build", [
+        lambda: halfspaces(cube_cone_k(4)),
+        lambda: halfspaces(simplex_product_cone(2, 3, seeded_reeb([2, 3], 5))),
+        # a hexagon whose start takes four dual-simplex pivots to its first vertex
+        lambda: ([Vector(v) for v in ([1, 3, -2], [-1, -1, -2], [0, -3, -2], [0, 3, -2],
+                                      [-2, -1, -2], [-2, 3, -1])], Vector([0, 0, 1])),
+    ], ids=["cube-4", "product-2x3", "hexagon"])
+    def test_every_pivot_moves_the_whole_tableau(self, monkeypatch, build):
+        """From its greedy basis on, the walk pivots the tableau (A | A.b |
+        A.R), d + 1 + m wide, and never a bare d-column dictionary; each of
+        these starts makes a dual-simplex pivot."""
+        normals, reeb = build()
+        d, m = len(reeb), len(normals)
+        widths = []
+
+        def spy(a, t, i, col):
+            widths.append(len(a[0]))
+            return core._pivot(a, t, i, col)
+
+        monkeypatch.setattr(toric, "_pivot", spy)
+        scale, found = toric._walk(normals, reeb)
+        assert set(widths) == {d + 1 + m}
+        # d greedy pivots, one per vertex after the first, the rest dual simplex
+        assert len(widths) > d + len(found) - 1
 
     def test_empty_section_of_full_rank(self):
         # phi >= 0 and phi(b) = -phi_0 - phi_1 = 1: the dual simplex proves

@@ -6,17 +6,18 @@ package finds the same vertices by a pivoting walk over the section's
 edges (``toric._walk``); this module keeps the C(m, d-1) subset route so
 the two can be compared, and the pairing that checks the walk's facet sets.
 
-``repairing_walk`` is the same walk without the tableau: at each vertex
-it pairs every nonbasic normal with the adjugate again, one
-``core._column`` per facet, where ``toric._walk`` reads the products from
-the augmented rows (A | A.R) that it pivots.  Both must return the same
-vertices, labels, dictionaries and T, in the same order.
+``repairing_walk`` is the same walk without the tableau: its start and
+every vertex pair the normals with the bare dictionary A again, one
+``_column`` per normal, where ``toric._walk`` reads the products from the
+tableau (A | A.b | A.R) that it pivots from its first step.  Both must
+return the same vertices, labels, dictionaries and T, in the same order.
 """
 
 import itertools
 from fractions import Fraction
+from operator import mul
 
-from abbvloc.core import Covector, Vector, _column, _integer_row, _pivot, _primitive
+from abbvloc.core import Covector, Vector, _integer_row, _pivot, _primitive
 from abbvloc.errors import InputError, NotSimpleVertex
 from abbvloc.toric import MAX_VERTICES, _point_str
 from matrix_oracle import solve
@@ -58,6 +59,11 @@ def assert_facet_sets_by_pairing(p):
         assert all(value <= 0 for value in values)
         assert facets == frozenset(i for i, value in enumerate(values) if value == 0)
         assert len(facets) == n
+
+
+def _column(a, v) -> list:
+    """A . v, one entry per row of A."""
+    return [sum(map(mul, r, v)) for r in a]
 
 
 def repairing_walk(normals, reeb) -> tuple:
