@@ -1,7 +1,7 @@
 """Exact computation substrate: rationals, pi-graded scalars, vectors and
-covectors, the integer elimination kernels (``_bareiss`` for determinants,
-``_cofactors`` for a determinant as a linear form in its last row,
-``_pivot`` and ``_reduce`` for Gauss-Jordan steps and reductions),
+covectors, the integer elimination kernels (``_cofactors`` for a
+determinant as a linear form in its last row, ``_pivot`` and ``_reduce``
+for Gauss-Jordan steps and reductions),
 ``_sum``, the pairwise unreduced sum of integer fractions that the
 localized sums and the pulling triangulation share, symmetric
 polynomials, and ``Record``, the frozen-record base of the package's
@@ -230,54 +230,22 @@ def basis_vector(dim: int, j: int) -> Vector:
     return Vector(Fraction(1 if i == j else 0) for i in range(dim))
 
 
-def _bareiss(a) -> int:
-    """The determinant of the square integer rows a, a list of lists (1
-    when a is empty), by forward fraction-free elimination (Bareiss 1968).
-
-    Step k updates the rows below the pivot row in place, a_ij <- (a_ij
-    a_kk - a_ik a_kj) / (previous pivot), and every division is exact; a
-    zero pivot is swapped with the first row below that has a nonzero
-    entry in its column, and a column without one means det = 0.  The
-    rows are consumed: pass copies of rows kept elsewhere.
-
-    >>> _bareiss([[0, 2, 1], [3, 1, 0], [1, 1, 1]])
-    -4
-    >>> _bareiss([[1, 2, 3], [2, 4, 6], [3, 6, 10]])
-    0
-    """
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        top, pivot = a[k], a[k][k]
-        for row in a[k + 1:]:
-            f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - f * top[j]) // prev
-        prev = pivot
-    return sign * a[n - 1][n - 1] if n else 1
-
-
 def _cofactors(rows) -> list:
     """The integer covector c with c . x = det(rows; x) for n integer rows
     of length n + 1 (a list of lists) and every x: the cofactors of the
     row x appended last.
 
-    The forward elimination of ``_bareiss`` runs on the n rows, with a
-    zero pivot swapped with the first row below that has a nonzero entry
-    in its column, and a column without one swapped with the first later
-    column that has one; c is zero when none has (the rows have rank below
-    n).  Each swap flips the sign.  The last pivot, signed, is the
-    cofactor of the column left unpivoted.  The rows c is orthogonal to
-    span the eliminated rows, which stay integer combinations of them, so
-    back substitution through the pivots gives the other cofactors, every
-    division exact.  The rows are consumed.
+    Forward fraction-free elimination (Bareiss 1968) runs on the n rows:
+    step k updates the rows below the pivot row in place, a_ij <- (a_ij
+    a_kk - a_ik a_kj) / (previous pivot), every division exact.  A zero
+    pivot is swapped with the first row below that has a nonzero entry in
+    its column, and a column without one with the first later column that
+    has one; c is zero when none has (the rows have rank below n).  Each
+    swap flips the sign.  The last pivot, signed, is the cofactor of the
+    column left unpivoted.  The rows c is orthogonal to span the eliminated
+    rows, which stay integer combinations of them, so back substitution
+    through the pivots gives the other cofactors, every division exact.
+    The rows are consumed.
 
     >>> _cofactors([[1, 2, 3], [0, 1, 4]])
     [5, -4, 1]

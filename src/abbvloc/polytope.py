@@ -40,13 +40,14 @@ def triangulation_volume(p: HPolytope, order=None) -> Fraction:
     a vertex on the facets S has M = 1/|det(b, v_S)|, and the volume is
     M(section)/n!.  Each flag of faces is one simplex, triangular in the
     coordinates phi(v_j): its lattice measure is the product of the
-    heights -beta(v_j) over |det(b, v_S)|.  Faces are memoized by facet
-    set, and each vertex's determinant is read from ``p.abs_dets``.
+    heights -beta(v_j) over |det(b, v_S)|, which scaling a normal by a
+    positive factor leaves as it is.  Faces are memoized by facet set, and
+    each vertex's determinant is the walk's (``p.abs_dets``).
 
-    The sum runs on integers.  With beta = P / Q and v_j = N_j / L_j
-    (``p.integer_vertices`` and ``p.integer_normals``; nothing of the
-    section's ``lawrence_form``), each M is one reduced integer pair
-    num / den: a face's terms (-P . N_j * num, L_j * den) are added
+    The sum runs on integers.  With beta = P / Q and v_j the primitive
+    normal rows (``p.integer_vertices`` and ``p.integer_normals``; nothing
+    of the section's ``lawrence_form``), each M is one reduced integer pair
+    num / den: a face's terms (-P . v_j * num, den) are added
     unreduced by ``core._sum`` and the sum is divided by Q with one gcd,
     so a call builds one Fraction and pairs no Covector.
 
@@ -81,8 +82,7 @@ def triangulation_volume(p: HPolytope, order=None) -> Fraction:
             if face not in memo:
                 memo[face] = measure(face, sub)
             num, den = memo[face]
-            scale, row = normals[j]
-            terms.append((-sum(map(mul, apex, row)) * num, scale * den))
+            terms.append((-sum(map(mul, apex, normals[j])) * num, den))
         num, den = _sum(terms)
         den *= q
         g = gcd(num, den)
@@ -109,14 +109,18 @@ def lawrence_volume(p: HPolytope, f: LinearFunctional) -> Fraction:
     integers.  With (U, D) = L (u, d) for the lcm L of f's denominators,
     F_a = U . P_a + D Q_a is L Q_a f(a), one dot product per vertex, and
     per edge e = (a, c), R_e = F_c Q_a - F_a Q_c = L Q_a Q_c (f(c) - f(a)).
-    With c(v_j) = P_c . N_j / (Q_c L_j) for normal j = N_j / L_j,
+    The normals are read as their primitive rows v_j (``integer_normals``)
+    and |det(b, v_S)| as the walk's (``abs_dets``): scaling a normal by a
+    positive factor scales its gamma_j by the inverse factor and the
+    determinant by the factor, so the term does not change.  With
+    c(v_j) = P_c . v_j / Q_c,
 
-        gamma_j = +-R_e L_j / (L Q_a P_c . N_j),
+        gamma_j = +-R_e / (L Q_a P_c . v_j),
 
     the sign -1 where a is the edge's second end, so that
 
         f(a)^n / (|det(b, v_S)| prod_j gamma_j)
-            = F_a^n prod_j (P_c . N_j / L_j) / (|det(b, v_S)| prod_e +-R_e)
+            = F_a^n prod_j (P_c . v_j) / (|det(b, v_S)| prod_e +-R_e)
             = F_a^n w_a / (z_a prod_e R_e):
 
     L^n and Q_a^n cancel, and the form's integer pair (w_a, z_a) carries

@@ -16,18 +16,19 @@ reports.  One ``ToricOrbit`` per vertex, sorted by vertex, makes up the
 cone's section, an ``HPolytope``, whose edges ``_bounded_edges`` finds;
 boundedness is read off them.  The orbits are turned into orbit data
 (lengths, moments, weights, the weights built on first read), and the
-section's vertices and normals into integer rows, which the determinants,
-the determinant volume formula (through one integer covector of minors
-per vertex, taken once per section), Lawrence's formula and the pulling
-triangulation read.  Errors come in the order NotSimpleVertex,
-GoodnessViolation, UnboundedSection.
+section's vertices and normals into integer rows, the normals primitive
+as the walk pivots them, which the determinant volume formula (through
+one integer covector of minors per vertex, taken once per section),
+Lawrence's formula and the pulling triangulation read; the latter two
+read each vertex's |det(b, v_S)| off the walk.  Errors come in the order
+NotSimpleVertex, GoodnessViolation, UnboundedSection.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd, prod
+from math import factorial, gcd
 from operator import mul
 
 from .core import (
@@ -35,7 +36,6 @@ from .core import (
     PiScalar,
     Record,
     Vector,
-    _bareiss,
     _cofactors,
     _integer_row,
     _pivot,
@@ -57,8 +57,9 @@ from .errors import (
 
 # The walk refuses a section with more vertices than this.  Cube cone 10
 # (1,024 vertices) runs polytope-volume, and lawrence on its bare section, in
-# about 0.3 s cold (Python 3.11, Intel Xeon), and every route after the walk
-# costs at least a determinant per vertex.
+# about 0.3 s cold (Python 3.11, Intel Xeon).  The polytope routes read each
+# vertex's determinant off the walk, but every route after it still costs at
+# least a dot product per vertex, and volume-toric an elimination per vertex.
 MAX_VERTICES = 1024
 
 
@@ -135,9 +136,9 @@ class GoodCone(Record):
     def section(self) -> HPolytope:
         """The hyperplane section, its orbits found by enumerate_vertices on
         first access and its edges read to raise UnboundedSection unless it
-        is bounded, so its ``edges``, ``abs_dets``, ``minor_forms`` and
-        ``lawrence_form`` are computed once per cone.  A section that
-        raises is not stored, so every access raises the same error."""
+        is bounded, so its ``edges``, ``minor_forms`` and ``lawrence_form``
+        are computed once per cone.  A section that raises is not stored,
+        so every access raises the same error."""
         section = HPolytope(self.normals, self.reeb, enumerate_vertices(self))
         section.edges  # raises UnboundedSection
         return section
@@ -233,33 +234,28 @@ class HPolytope(Record):
 
     @cached_property
     def integer_normals(self) -> tuple:
-        """(L_j, N_j) for each normal j = N_j / L_j, in facet-index order: the
-        normal as a tuple of ints N_j over the lcm L_j of its denominators."""
-        return tuple((q, tuple(row)) for q, row in map(_integer_row, self.normals))
+        """Each normal as the primitive integer row that the walk pivots
+        (``_primitive_rows``), in facet-index order.  Scaling a normal by a
+        positive factor leaves the section as it is, so every route reads
+        these rows in place of the given normals."""
+        return _primitive_rows(self.normals)
 
     @cached_property
     def abs_dets(self) -> tuple:
-        """|det(b, v_S)| for each vertex on the facets S, in vertex order:
-        one ``core._bareiss`` of b and the normals v_S, each scaled to a row
-        of ints by the lcm of its denominators (``integer_normals``), over
-        the product of those lcms; not read from the walk's dictionaries."""
-        lb, b = _integer_row(self.reeb)
-        normals = self.integer_normals
-        dets = []
-        for orbit in self.orbits:
-            scales, rows = zip(*(normals[i] for i in orbit.facet_indices))
-            dets.append(Fraction(abs(_bareiss([list(b), *map(list, rows)])), lb * prod(scales)))
-        return tuple(dets)
+        """|det(b, v_S)| for each vertex on the facets S, in vertex order, with
+        v_S the primitive rows (``integer_normals``): the walk's
+        ``abs_delta``, |T| / L_b, so no determinant is taken."""
+        return tuple(o.abs_delta for o in self.orbits)
 
     @cached_property
     def minor_forms(self) -> tuple:
         """What ``toric_volume`` reads of the section, taken once from b and
-        the integer normals and from no walk dictionary: (forms, at_reeb,
-        slots, edges).
+        the primitive normal rows and from no walk dictionary: (forms,
+        at_reeb, slots, edges).
 
         Per vertex on the facets S, in vertex order: ``forms`` holds the
-        integer covector N_S with N_S(x) = det(x, v_S) for the integer
-        normals v_S (``integer_normals``), one ``core._cofactors`` each;
+        integer covector N_S with N_S(x) = det(x, v_S) for the primitive
+        rows v_S (``integer_normals``), one ``core._cofactors`` each;
         ``at_reeb`` holds N_S(L_b b) for b scaled to ints by the lcm L_b of
         its denominators; ``slots`` holds, for each slot, the
         index into ``edges`` of the edge that leaves the slot's facet.  Per
@@ -276,7 +272,7 @@ class HPolytope(Record):
         normals = self.integer_normals
         forms, at_reeb = [], []
         for orbit in self.orbits:
-            form = _cofactors([list(normals[i][1]) for i in orbit.facet_indices])
+            form = _cofactors([list(normals[i]) for i in orbit.facet_indices])
             if len(orbit.facet_indices) % 2:
                 form = [-x for x in form]  # det(x, v_S) = (-1)^n det(v_S; x)
             forms.append(tuple(form))
@@ -289,7 +285,7 @@ class HPolytope(Record):
             (t,) = self.facet_sets[second] - self.facet_sets[first]
             i, j = left.index(s), right.index(t)
             slots[first][i] = slots[second][j] = e
-            d = sum(map(mul, forms[second], normals[s][1]))
+            d = sum(map(mul, forms[second], normals[s]))
             edges.append((first, second, -d if i % 2 == 0 else d))  # i counts from 0
         return tuple(forms), tuple(at_reeb), tuple(map(tuple, slots)), tuple(edges)
 
@@ -304,26 +300,24 @@ class HPolytope(Record):
         ``slots`` holds the indices into ``edges`` of its n edges; and
         ``weights`` holds one integer pair (w_a, z_a) with
 
-            w_a / z_a = +-prod_j (P_c . N_j / L_j) / |det(b, v_S)|,
+            w_a / z_a = +-prod_j (P_c . v_j) / |det(b, v_S)|,
 
-        for normal j = N_j / L_j, the product over the edges (a, c) that
+        for the primitive rows v_j, the product over the edges (a, c) that
         leave facet j at a, and one sign -1 for each edge whose second end
-        is a.  P_c . N_j / L_j = Q_c c(v_j) is never 0: c is off facet j.
+        is a.  P_c . v_j = Q_c c(v_j) is never 0: c is off facet j.
         Raises UnboundedSection as ``edges`` does."""
         vertices, normals = self.integer_vertices, self.integer_normals
         facet_sets = self.facet_sets
         slots = [[] for _ in vertices]
-        nums, dens = [1] * len(vertices), [1] * len(vertices)
+        nums = [1] * len(vertices)
         for e, (a, c) in enumerate(self.edges):
             for near, far, sign in ((a, c, 1), (c, a, -1)):
                 (j,) = facet_sets[near] - facet_sets[far]
-                scale, row = normals[j]
                 slots[near].append(e)
-                nums[near] *= sign * sum(map(mul, vertices[far][1], row))
-                dens[near] *= scale
+                nums[near] *= sign * sum(map(mul, vertices[far][1], normals[j]))
         weights = []
-        for num, den, delta in zip(nums, dens, self.abs_dets):
-            w, z = num * delta.denominator, den * delta.numerator
+        for num, delta in zip(nums, self.abs_dets):
+            w, z = num * delta.denominator, delta.numerator
             g = gcd(w, z)
             weights.append((w // g, z // g))
         return (tuple(q for q, _ in vertices), tuple(row for _, row in vertices),
@@ -356,6 +350,12 @@ def _bounded_edges(vertices, facet_sets) -> tuple:
                 f"{_point_str(vertices[first])} has no second vertex"
             )
     return tuple(sorted(tuple(pair) for pair in ends.values() if len(pair) == 2))
+
+
+def _primitive_rows(normals) -> tuple:
+    """Each normal as a primitive integer row, a tuple of ints: scaled by
+    the lcm of its denominators, then divided by the gcd of its entries."""
+    return tuple(tuple(_primitive(_integer_row(v)[1])) for v in normals)
 
 
 def _walk(normals, reeb) -> tuple:
@@ -398,7 +398,7 @@ def _walk(normals, reeb) -> tuple:
     """
     d = len(reeb)
     scale, b = _integer_row(reeb)
-    rows = [_primitive(_integer_row(v)[1]) for v in normals]
+    rows = _primitive_rows(normals)
     m = len(rows)
     w = d + 1  # column w + label holds A . b (label -1) or A . v_label
     tab = [[int(i == j) for j in range(d)] + [x, *(v[i] for v in rows)]
@@ -585,7 +585,8 @@ def toric_volume(cone: GoodCone, v: Vector) -> PiScalar:
     cone's normals are integers.  The first pole in vertex order, then
     slot order, raises PoleAtSample.  Everything is read off the normals,
     not off the walk's dictionaries or its ``abs_delta``, which the
-    orbit-data route reads, so the two routes cross-check each other.
+    orbit-data route and the section's ``abs_dets`` read, so this route
+    cross-checks both.
     """
     v = Vector(v)
     if len(v) != cone.dim:

@@ -21,6 +21,7 @@ from abbvloc import polytope
 from abbvloc.errors import EdgeConstantFunctional, PoleAtSample
 from abbvloc.polytope import LinearFunctional, lawrence_volume
 from abbvloc.sampling import SplitMix64, sample_rational, sample_vector
+from matrix_oracle import vertex_dets
 
 
 def edge_coefficients(p, values) -> list:
@@ -47,11 +48,12 @@ def edge_coefficients(p, values) -> list:
 def fraction_lawrence(p, f) -> Fraction:
     """Lawrence's volume of the section p at f on Fractions: the sum over
     vertices a of f(a)^n / (|det(b, v_S)| prod_j gamma_j) / n!, with
-    f(a) = a(u) + d."""
+    f(a) = a(u) + d and each determinant taken from the given normals
+    (``matrix_oracle.vertex_dets``), not read from the section."""
     n = p.section_dim
     values = [phi(f.u) + f.d_shift for phi in p.vertices]
     return sum(value**n / (delta * prod(gammas.values())) for value, delta, gammas
-               in zip(values, p.abs_dets, edge_coefficients(p, values))) / factorial(n)
+               in zip(values, vertex_dets(p), edge_coefficients(p, values))) / factorial(n)
 
 
 def random_functional(p, rng, budget: int = 100) -> tuple:

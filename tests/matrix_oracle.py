@@ -1,13 +1,15 @@
 """Plain ``Fraction`` matrix arithmetic, as an oracle for the integer kernels.
 
-The package eliminates with four integer kernels in ``core``: ``_bareiss``
-(forward fraction-free determinants), ``_cofactors`` (a determinant as a
-linear form in its last row), ``_pivot`` (one fraction-free Gauss-Jordan
-step) and ``_reduce`` (the Gauss-Jordan reduction by that step).  This module shares no code with them: every routine below works
-on ``Fraction`` rows, divides as it goes and pivots on the first nonzero
-entry.  A matrix is a sequence of rows; every result is a list of lists.
-``solve`` also checks Lawrence's coefficients, which the package reads off
-the section's edges without elimination.
+The package eliminates with three integer kernels in ``core``:
+``_cofactors`` (a determinant as a linear form in its last row), ``_pivot``
+(one fraction-free Gauss-Jordan step) and ``_reduce`` (the Gauss-Jordan
+reduction by that step); a section's |det(b, v_S)| is read off the vertex
+walk's dictionaries.  This module shares no code with them: every routine
+below works on ``Fraction`` rows, divides as it goes and pivots on the
+first nonzero entry.  A matrix is a sequence of rows; every result is a
+list of lists.  ``solve`` also checks Lawrence's coefficients, which the
+package reads off the section's edges without elimination, and
+``vertex_dets`` the walk's determinants.
 """
 
 import itertools
@@ -63,6 +65,14 @@ def elimination_det(rows) -> Fraction:
             if f:
                 a[i] = [x - f * y for x, y in zip(a[i], a[k])]
     return value
+
+
+def vertex_dets(p) -> list:
+    """|det(b, v_S)| at each vertex of the section p on the facets S, in
+    vertex order, by ``elimination_det`` of the Reeb vector and the
+    section's given normals v_S."""
+    return [abs(elimination_det([p.reeb, *(p.normals[j] for j in o.facet_indices)]))
+            for o in p.orbits]
 
 
 def gauss_jordan(rows, ncols):

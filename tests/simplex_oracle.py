@@ -16,7 +16,7 @@ from math import factorial
 
 from abbvloc.core import Covector, Vector
 from abbvloc.errors import InputError, NotSimpleVertex
-from matrix_oracle import elimination_det
+from matrix_oracle import elimination_det, vertex_dets
 from orbit_oracle import basis_covector
 
 
@@ -110,7 +110,9 @@ def fraction_triangulation(p, order=None) -> Fraction:
     default), as ``polytope.triangulation_volume``'s face recursion on
     Fractions: a face F with apex beta has M(F) = the sum of -beta(v_j) *
     M(face on one more facet j), a vertex on the facets S has M =
-    1/|det(b, v_S)|, and the volume is M(section)/n!.
+    1/|det(b, v_S)|, and the volume is M(section)/n!.  The determinants
+    are taken from the given normals (``matrix_oracle.vertex_dets``), not
+    read from the section.
 
     >>> from abbvloc.toric import weighted_sphere_cone
     >>> fraction_triangulation(weighted_sphere_cone([1, 2, 3]).section)
@@ -118,7 +120,7 @@ def fraction_triangulation(p, order=None) -> Fraction:
     """
     n = p.section_dim
     p.edges  # raises UnboundedSection
-    facet_sets, dets = p.facet_sets, p.abs_dets
+    facet_sets, dets = p.facet_sets, vertex_dets(p)
     memo = {}
 
     def measure(active, ids):

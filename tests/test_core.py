@@ -9,7 +9,6 @@ from abbvloc.core import (
     Covector,
     PiScalar,
     Vector,
-    _bareiss,
     _cofactors,
     _integer_row,
     _reduce,
@@ -95,14 +94,17 @@ class TestVectors:
 
 
 def kernel_det(rows) -> Fraction:
-    """det by the package's kernel: _bareiss on the rows scaled to integers
-    (_integer_row), over the product of the row scales."""
+    """det by the package's kernel: the rows scaled to integers
+    (_integer_row), det = _cofactors(rows[:-1]) . rows[-1], over the
+    product of the row scales (1 for the empty matrix)."""
     scale, ints = 1, []
     for row in rows:
         row_scale, row_ints = _integer_row([rat(x) for x in row])
         scale *= row_scale
         ints.append(row_ints)
-    return Fraction(_bareiss(ints), scale)
+    if not ints:
+        return Fraction(1)
+    return Fraction(sum(c * x for c, x in zip(_cofactors(ints[:-1]), ints[-1])), scale)
 
 
 def kernel_reduce(rows, rhs_columns) -> list:

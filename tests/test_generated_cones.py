@@ -13,6 +13,7 @@ and both closed forms below are that integral.  The localized cone volume
 (lattice generators carrying 2 pi) is 2 pi^(n+1) vol_h(S).
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, gcd
@@ -22,7 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abbvloc.core import Covector, PiScalar, Vector, _integer_row
+from abbvloc.cli import main
+from abbvloc.core import Covector, PiScalar, Vector, _integer_row, rat_str
 from abbvloc.engine import check_v_independence
 from abbvloc.errors import PoleAtSample
 from abbvloc.polytope import (
@@ -36,7 +38,7 @@ from abbvloc.sampling import POSITIVE_POOL, sample_independent, sample_rational
 from abbvloc.toric import GoodCone, orbit_system_from_cone, toric_volume
 from conftest import make_rng, random_unimodular
 from functional_oracle import assert_sample_lawrence_matches, edge_coefficients, fraction_lawrence
-from matrix_oracle import apply, elimination_det, inverse, solve
+from matrix_oracle import apply, elimination_det, inverse, solve, vertex_dets
 from simplex_oracle import base_first, simplex_volume
 from toric_det_oracle import toric_volume_by_fraction_dets
 from vertex_oracle import assert_facet_sets_by_pairing
@@ -242,6 +244,34 @@ class TestGeneratedCones:
         assert orbits.value == localized
 
     @pytest.mark.parametrize("kind, a, b", CASES, ids=[f"{k}-{a}-{b}" for k, a, b in CASES])
+    def test_scaled_normals_print_the_same_bytes(self, kind, a, b, tmp_path, capsys):
+        """Each normal of the cone's bare section scaled by a positive
+        rational from POSITIVE_POOL bounds the same section, so
+        polytope-volume and lawrence print the --json bytes of the unscaled
+        document.  The scaled section's primitive rows are the cone's
+        normals, and its abs_dets are |det(b, v_S)| of those rows by
+        Fraction elimination."""
+        cone, _ = case_cone(kind, a, b, 3)
+        rng = make_rng(17)
+        scales = [rng.choice(POSITIVE_POOL) for _ in cone.normals]
+        assert any(s != 1 for s in scales)
+        scaled = [v.scaled(s) for v, s in zip(cone.normals, scales)]
+        p = HPolytope.from_halfspaces(scaled, cone.reeb)
+        assert p.integer_normals == tuple(tuple(int(x) for x in v) for v in cone.normals)
+        assert p.vertices == cone.section.vertices
+        assert list(p.abs_dets) == vertex_dets(cone.section)
+        path = tmp_path / "section.json"
+        outputs = []
+        for normals in (cone.normals, scaled):
+            path.write_text(json.dumps({"dim": cone.dim,
+                                        "normals": [[rat_str(x) for x in v] for v in normals],
+                                        "reeb": [rat_str(x) for x in cone.reeb]}))
+            for command in ("polytope-volume", "lawrence"):
+                assert main([command, "--input", str(path), "--json"]) == 0
+                outputs.append(capsys.readouterr().out)
+        assert outputs[:2] == outputs[2:]
+
+    @pytest.mark.parametrize("kind, a, b", CASES, ids=[f"{k}-{a}-{b}" for k, a, b in CASES])
     def test_edge_coefficients_equal_the_expansion(self, kind, a, b):
         """Each coefficient gamma_j that the Fraction oracle reads off the
         section's edges is the j-th coordinate of u in (b, v_S), solved by
@@ -423,7 +453,7 @@ class TestMinorForms:
         for orbit, form, reeb, abs_det in zip(p.orbits, forms, at_reeb, p.abs_dets):
             normals = [cone.normals[i] for i in orbit.facet_indices]
             assert reeb == elimination_det([b, *normals])
-            assert abs_det == Fraction(abs(reeb), lb)  # _bareiss against _cofactors
+            assert abs_det == Fraction(abs(reeb), lb)  # the walk against _cofactors
             for x in xs:
                 assert sum(map(mul, form, x)) == elimination_det([x, *normals])
         assert [e[:2] for e in edges] == list(p.edges)

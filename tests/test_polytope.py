@@ -1,5 +1,4 @@
 import json
-import sys
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
@@ -35,7 +34,7 @@ from simplex_oracle import base_first, fraction_triangulation, omega_h, simplex_
 from test_cli import section_documents
 from test_cli_golden import cube_cone_doc
 from test_generated_cones import CASES, case_cone, cube_cone_k
-from test_toric import count_kernel_calls, cube_cone, fixture_cones
+from test_toric import count_calls_after_the_walk, count_kernel_calls, cube_cone, fixture_cones
 from vertex_oracle import assert_facet_sets_by_pairing, vertices_from_halfspaces
 
 
@@ -49,25 +48,6 @@ def triangle_polytope():
 
 def cube_polytope():
     return cube_cone().section
-
-
-def count_det_calls(monkeypatch) -> list:
-    """Route every binding of the determinant kernel core._bareiss in the
-    package through a counter; returns the list that collects one entry
-    per call."""
-    import abbvloc
-
-    calls = []
-    real = abbvloc.core._bareiss
-
-    def counted(a):
-        calls.append(a)
-        return real(a)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("abbvloc") and getattr(module, "_bareiss", None) is real:
-            monkeypatch.setattr(module, "_bareiss", counted)
-    return calls
 
 
 def count_pairings(monkeypatch) -> list:
@@ -185,15 +165,17 @@ class TestTriangulation:
                           *(base_first(count, base) for base in range(count))]:
                 assert triangulation_volume(p, order=order) == simplex_volume(p, order)
 
-    def test_one_determinant_per_vertex(self, monkeypatch):
+    def test_no_elimination_after_the_walk(self, monkeypatch):
         """The cube 6 section has 64 vertices and 6! = 720 pulling simplices
-        per base; the face recursion takes one determinant per vertex."""
+        per base; the face recursion reads each vertex's determinant off the
+        walk, so once the walk has returned no elimination kernel runs."""
+        calls = count_calls_after_the_walk(monkeypatch)
         p = cube_cone_k(6).section
-        calls = count_det_calls(monkeypatch)
         # Reeb (7, 1, ..., 1): the integral of (7 + sum x)^-7 over [0, 1]^6
         # is 6!/13!, the Beta integral of x^6 (1 - x)^6 times 6!/6!
         assert triangulation_volume(p) == Fraction(factorial(6), factorial(13))
-        assert 0 < len(calls) <= len(p.vertices) == 64
+        assert len(p.vertices) == 64
+        assert calls == {}
 
     @pytest.mark.parametrize("k, pairings", [(5, 80), (6, 192)])
     def test_apex_pairings_in_both_orders(self, monkeypatch, k, pairings):
@@ -205,7 +187,6 @@ class TestTriangulation:
         is never one.  The Fraction oracle pairs them as Covectors; the
         package runs the same recursion on integer heights."""
         p = cube_cone_k(k).section
-        p.abs_dets  # before counting
         apexes = []
         real = Covector.__call__
         monkeypatch.setattr(Covector, "__call__", lambda c, v: apexes.append(c) or real(c, v))
@@ -341,28 +322,33 @@ class TestLawrence:
             error = json.loads(capsys.readouterr().out)["error"]
             assert error["type"] == "AllSamplesPoles"
 
-    def test_lawrence_command_one_determinant_per_vertex(self, capsys, tmp_path, monkeypatch):
-        """Both functionals and the triangulation read |det(b, v_S)| from
-        the section's one cached tuple: 64 determinants on cube cone 6."""
+    @pytest.mark.parametrize("command", ["polytope-volume", "lawrence"])
+    def test_command_no_elimination_after_the_walk(self, capsys, tmp_path, monkeypatch, command):
+        """Both functionals and the triangulation read |det(b, v_S)| off the
+        walk's dictionaries: on cube cone 6 neither command calls an
+        elimination kernel or reads an orbit weight once the walk is done."""
         path = tmp_path / "cube6.json"
         path.write_text(json.dumps(cube_cone_doc(6)))
-        calls = count_det_calls(monkeypatch)
-        assert main(["lawrence", "--input", str(path), "--json"]) == 0
+        calls = count_calls_after_the_walk(monkeypatch)
+        assert main([command, "--input", str(path), "--json"]) == 0
         coeff = Fraction(json.loads(capsys.readouterr().out)["coeff"])
         assert coeff == Fraction(factorial(6), factorial(13))
-        assert len(calls) == 64
+        assert calls == {}
 
     def test_no_elimination(self, monkeypatch):
-        """Once |det(b, v_S)| and the edges are taken, building the
-        section's integer form and evaluating a functional makes no _reduce,
-        _pivot or _bareiss call, pairs no Covector and reads no orbit
-        weights: the normals' coefficients come off the section's edges."""
+        """Once the edges are taken, building the section's integer form,
+        |det(b, v_S)| included, and evaluating a functional makes no
+        _reduce, _pivot or _cofactors call, pairs no Covector and reads no
+        orbit weights: the normals' coefficients come off the section's
+        edges and the determinants off the walk."""
         cases = []
         for p in (cube_cone_k(4).section, case_cone("product", 2, 3, 3)[0].section):
-            p.abs_dets, p.edges
+            p.edges
             (*u, d), = sample_lawrence(p, 1, seed=5).samples_used
-            p.__dict__.pop("lawrence_form")
-            cases.append((p, LinearFunctional(u, d), triangulation_volume(p)))
+            volume = triangulation_volume(p)
+            for name in ("lawrence_form", "abs_dets"):
+                p.__dict__.pop(name)
+            cases.append((p, LinearFunctional(u, d), volume))
         calls = count_kernel_calls(monkeypatch)
         pairings = count_pairings(monkeypatch)
         for p, f, volume in cases:

@@ -63,9 +63,8 @@ def nonpole_cone_sample(cone, rng):
 
 def count_kernel_calls(monkeypatch) -> collections.Counter:
     """Route every binding of the elimination kernels core._pivot,
-    core._reduce, core._bareiss and core._cofactors in the package, and
-    every read of ToricOrbit.weights, through one counter, which is
-    returned."""
+    core._reduce and core._cofactors in the package, and every read of
+    ToricOrbit.weights, through one counter, which is returned."""
     calls = collections.Counter()
 
     def counted(name, real):
@@ -74,7 +73,7 @@ def count_kernel_calls(monkeypatch) -> collections.Counter:
             return real(*args)
         return wrapper
 
-    for name in ("_pivot", "_reduce", "_bareiss", "_cofactors"):
+    for name in ("_pivot", "_reduce", "_cofactors"):
         real = getattr(core, name)
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("abbvloc") and getattr(module, name, None) is real:
@@ -87,6 +86,22 @@ def count_kernel_calls(monkeypatch) -> collections.Counter:
         return build(orbit)
 
     monkeypatch.setattr(toric.ToricOrbit, "weights", property(weights))
+    return calls
+
+
+def count_calls_after_the_walk(monkeypatch) -> collections.Counter:
+    """``count_kernel_calls``, cleared each time the vertex walk
+    (toric._walk) returns, so that it holds the elimination kernel calls
+    and orbit weight reads made since the last walk."""
+    calls = count_kernel_calls(monkeypatch)
+    walk = toric._walk
+
+    def walked(*args):
+        found = walk(*args)
+        calls.clear()
+        return found
+
+    monkeypatch.setattr(toric, "_walk", walked)
     return calls
 
 
@@ -156,25 +171,14 @@ class TestConeValidation:
 
     def test_lattice_basis_one_reduction(self, monkeypatch):
         """One reduction of (B | v_1 ... v_m b) gives every lattice
-        coordinate: no determinant and no further solve."""
-        calls = collections.Counter()
-
-        def counted(name):
-            real = getattr(toric, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return real(*args)
-            return wrapper
-
-        for name in ("_reduce", "_bareiss"):
-            monkeypatch.setattr(toric, name, counted(name))
+        coordinate: its four pivots, no determinant and no further solve."""
+        calls = count_kernel_calls(monkeypatch)
         base = cube_cone()
         B = random_unimodular(4, make_rng(5))
         cone = GoodCone(dim=4, normals=tuple(apply(B, v) for v in base.normals),
                         reeb=apply(B, base.reeb), lattice_basis=B)
         assert (cone.normals, cone.reeb) == (base.normals, base.reeb)
-        assert calls == {"_reduce": 1}
+        assert calls == {"_reduce": 1, "_pivot": 4}
 
     @pytest.mark.parametrize("basis, normals, message", [
         ([[1, 2], [2, 4]], [[-1, 0], [0, -1]], "lattice_basis is singular"),
@@ -403,8 +407,9 @@ class TestToricVolume:
         """toric_volume eliminates once per section and never per sample:
         one _cofactors per vertex on its first call, for the vertex's
         covector N_S, and no elimination kernel at all on the next.  It
-        makes no _pivot or _reduce call, takes no _bareiss (the section's
-        abs_dets are not read) and reads no orbit weights."""
+        makes no _pivot or _reduce call, reads no orbit weights and no
+        abs_delta: it reads neither the orbits nor the section's abs_dets,
+        which the walk's dictionaries hold."""
         cases = []
         for cone, vertices, edges in ((cube_cone_k(4), 16, 32),
                                       (case_cone("product", 2, 2, 3)[0], 9, 18)):
@@ -429,20 +434,22 @@ class TestToricVolume:
     def test_volume_toric_cli_kernel_count(self, monkeypatch, tmp_path, capsys):
         """volume-toric on the benchmark's cube cone 4 eliminates for its
         determinants once per section, one _cofactors per vertex: 16 at the
-        10 samples the orbit-data route accepted, against 496 _bareiss
+        10 samples the orbit-data route accepted, against 496 determinants
         (16 vertices plus 32 edges per sample, and the section's 16
-        |det(b, v_S)|) when each sample eliminated afresh."""
+        |det(b, v_S)|) when each sample eliminated afresh.  Once the walk is
+        done it makes no _reduce or _pivot call."""
         spec = importlib.util.spec_from_file_location("_abbvloc_bench_inputs", BENCH_INPUTS)
         inputs = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(inputs)
         doc, _ = inputs.cube_cone(4, 1)
         path = tmp_path / "cube-4.json"
         path.write_text(json.dumps(doc))
-        calls = count_kernel_calls(monkeypatch)
+        calls = count_calls_after_the_walk(monkeypatch)
         assert main(["volume-toric", "--input", str(path), "--json", "--seed", "42"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["checks"][1]["detail"] == "10 samples compared"
-        assert calls["_cofactors"] == 16 and calls["_bareiss"] == calls["_reduce"] == 0
+        # the orbit-data route reads each vertex's weights once
+        assert calls == {"_cofactors": 16, "weights": 16}
 
     @staticmethod
     def corrupt_abs_delta(monkeypatch, factors):
@@ -459,8 +466,8 @@ class TestToricVolume:
 
     def test_one_corrupted_abs_delta_splits_the_two_routes(self, monkeypatch):
         """The orbit lengths read the walk's abs_delta and toric_volume reads
-        the section's abs_dets, so a wrong value at one vertex is on one
-        route only."""
+        the section's minor_forms, taken from the normals, so a wrong value
+        at one vertex is on one route only."""
         self.corrupt_abs_delta(monkeypatch, lambda i: 2 if i == 0 else 1)
         cone = cube_cone_k(4)
         v = nonpole_cone_sample(cone, make_rng(3))
@@ -477,6 +484,21 @@ class TestToricVolume:
         assert main(["volume-toric", "--input", str(path), "--json", "--seed", "42"]) == 1
         independence, two_route = json.loads(capsys.readouterr().out)["checks"]
         assert independence["pass"] and not two_route["pass"]
+
+    def test_msy_check_fails_on_a_walk_that_scales_abs_delta(
+            self, monkeypatch, tmp_path, capsys):
+        """msy-check compares toric_volume, whose determinants come from the
+        normals, with Lawrence's volume, which reads the walk's abs_delta
+        through the section's abs_dets: every |det(b, v_S)| doubled halves
+        the section side only, so the check fails."""
+        self.corrupt_abs_delta(monkeypatch, lambda i: 2)
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps({"dim": 3, "normals": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+                                    "reeb": [1, 2, 5]}))
+        assert main(["msy-check", "--input", str(path), "--json", "--seed", "42"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        # half the section volume 1 / (2! * 1 * 2 * 5)
+        assert Fraction(report["section_volume"]) == Fraction(1, 40)
 
     def test_pole_detection(self):
         cone = weighted_sphere_cone([1, 2])
