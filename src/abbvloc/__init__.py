@@ -49,7 +49,6 @@ from .homogeneous import (
 )
 from .polytope import (
     HPolytope,
-    LinearFunctional,
     MsyCheck,
     lawrence_volume,
     msy_check,

@@ -385,7 +385,8 @@ def _cmd_lawrence(args) -> dict:
 def _cmd_polytope_volume(args) -> dict:
     section = _load_section(_load_json(args.input))
     tri = triangulation_volume(section)
-    alt = triangulation_volume(section, order=range(len(section.vertices) - 1, -1, -1))
+    # pulled from vertex 1 and every proper face from its smallest vertex
+    alt = triangulation_volume(section, order=(1, 0, *range(2, len(section.vertices))))
     law = sample_lawrence(section, 1, args.seed).value
     checks = [
         _check("base-vertex independence", tri == alt, f"alternate base {rat_str(alt)}"),

@@ -12,21 +12,10 @@ from fractions import Fraction
 from math import factorial, gcd, prod
 from operator import mul
 
-from .core import PiScalar, Record, Vector, _integer_row, _sum, rat
+from .core import PiScalar, Record, Vector, _integer_row, _sum
 from .errors import EdgeConstantFunctional
 from .sampling import SampleOutcome, sample_independent
 from .toric import GoodCone, HPolytope, toric_volume
-
-
-class LinearFunctional(Record):
-    """Affine function f(x) = u(x) + d on the dual space."""
-
-    u: Vector
-    d_shift: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", Vector(self.u))
-        object.__setattr__(self, "d_shift", rat(self.d_shift))
 
 
 def triangulation_volume(p: HPolytope, order=None) -> Fraction:
@@ -54,7 +43,10 @@ def triangulation_volume(p: HPolytope, order=None) -> Fraction:
     The result does not depend on the order; two orders are two full
     triangulations (De Loera, Rambau & Santos 2010, section 4.3), and
     (k, then the rest ascending) pulls the section from vertex k and
-    every proper face from its smallest vertex.  Raises UnboundedSection
+    every proper face from its smallest vertex.  ``polytope-volume``
+    checks the ascending order against k = 1: on cube and
+    Delta^a x Delta^b sections the descending order gives the ascending
+    order's simplices, and k = 1 few of them.  Raises UnboundedSection
     unless the section is bounded.
 
     >>> from abbvloc.toric import weighted_sphere_cone
@@ -92,9 +84,11 @@ def triangulation_volume(p: HPolytope, order=None) -> Fraction:
     return Fraction(num, den * factorial(n))
 
 
-def lawrence_volume(p: HPolytope, f: LinearFunctional) -> Fraction:
+def lawrence_volume(p: HPolytope, f: Vector) -> Fraction:
     """Lawrence's vertex formula for the section volume (Lawrence, Math.
-    Comp. 57, 1991), on integers.
+    Comp. 57, 1991), on integers, at the affine functional
+    f(x) = u(x) + d given as its n + 2 rationals (u..., d), the vector
+    that ``sample_independent`` draws.
 
     At each vertex a on the facets S, the functional's direction u is
     expanded in the basis (b, v_S): the vertex contributes f(a)^n divided
@@ -124,12 +118,13 @@ def lawrence_volume(p: HPolytope, f: LinearFunctional) -> Fraction:
             = F_a^n w_a / (z_a prod_e R_e):
 
     L^n and Q_a^n cancel, and the form's integer pair (w_a, z_a) carries
-    the rest.  The first R_e = 0 in edge order raises; otherwise each
-    vertex term is one Fraction, and the terms are summed once.
+    the rest.  The first R_e = 0 in edge order raises; otherwise the vertex
+    terms are added unreduced by ``core._sum``, so a call builds one
+    Fraction.
     """
     n = p.section_dim
     scales, rows, slots, weights = p.lawrence_form
-    _, (*u, d) = _integer_row((*f.u, f.d_shift))
+    _, (*u, d) = _integer_row(Vector(f))
     if len(u) != len(p.reeb):
         raise ValueError(f"dimension mismatch: {len(p.reeb)} vs {len(u)}")
     at = [sum(map(mul, u, row)) + d * q for q, row in zip(scales, rows)]
@@ -139,19 +134,18 @@ def lawrence_volume(p: HPolytope, f: LinearFunctional) -> Fraction:
         raise EdgeConstantFunctional(
             f"functional constant on edge {tuple(p.vertices[a])} -- {tuple(p.vertices[c])}"
         )
-    return sum(Fraction(value**n * w, z * prod(map(rises.__getitem__, slot)))
-               for value, slot, (w, z) in zip(at, slots, weights)) / factorial(n)
+    num, den = _sum([(value**n * w, z * prod(map(rises.__getitem__, slot)))
+                     for value, slot, (w, z) in zip(at, slots, weights)])
+    return Fraction(num, den * factorial(n))
 
 
 def sample_lawrence(p: HPolytope, samples: int, seed: int) -> SampleOutcome:
     """Lawrence's volume of p at ``samples`` functionals, by
-    ``sample_independent``: each functional is one draw of n+2
-    coordinates, u and then d_shift, and one constant on an edge of the
-    section is a pole (EdgeConstantFunctional) and is redrawn."""
-    return sample_independent(
-        lambda x: lawrence_volume(p, LinearFunctional(x[:-1], x[-1])),
-        len(p.reeb) + 1, samples, seed,
-    )
+    ``sample_independent``: each functional is one draw of n + 2
+    coordinates, u and then d, passed to ``lawrence_volume`` as it is,
+    and one constant on an edge of the section is a pole
+    (EdgeConstantFunctional) and is redrawn."""
+    return sample_independent(lambda f: lawrence_volume(p, f), len(p.reeb) + 1, samples, seed)
 
 
 class MsyCheck(Record):

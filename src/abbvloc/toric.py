@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd
+from math import factorial, gcd, prod
 from operator import mul
 
 from .core import (
@@ -41,6 +41,7 @@ from .core import (
     _pivot,
     _primitive,
     _reduce,
+    _sum,
     basis_vector,
     rat,
     rat_str,
@@ -194,7 +195,8 @@ class HPolytope(Record):
         """The section of a bare document, its vertices found by the same
         pivoting walk as a cone's, without the goodness test.  Raises
         InputError for a Reeb vector of fewer than 2 entries, whose section
-        is a point, and NotSimpleVertex at a vertex on more than n facets;
+        is a point, and for a zero normal or two normals with one primitive
+        row, naming them; NotSimpleVertex at a vertex on more than n facets;
         boundedness is checked by ``edges``."""
         normals = tuple(Vector(v) for v in normals)
         reeb = Vector(reeb)
@@ -202,6 +204,12 @@ class HPolytope(Record):
             raise InputError("the Reeb vector must have at least 2 entries")
         if any(len(v) != len(reeb) for v in normals):
             raise InputError("normals and reeb must have the same dimension")
+        rows = _primitive_rows(normals)
+        for i, row in enumerate(rows):
+            if not any(row):
+                raise InputError(f"normal {i} is zero")
+            if rows.index(row) < i:
+                raise InputError(f"normals {rows.index(row)} and {i} have one primitive row {row}")
         scale, found = _walk(normals, reeb)
         if not found:
             raise InputError("hyperplane section has no vertices")
@@ -582,11 +590,13 @@ def toric_volume(cone: GoodCone, v: Vector) -> PiScalar:
     two of them per edge, E(T); no elimination.  The numerator carries
     L_v^n and the slot product (L_b L_v)^n, so L_v cancels and each term
     is multiplied by L_b^n; |det(b, v_S)| is |N_S(L_b b)| / L_b, as a
-    cone's normals are integers.  The first pole in vertex order, then
-    slot order, raises PoleAtSample.  Everything is read off the normals,
-    not off the walk's dictionaries or its ``abs_delta``, which the
-    orbit-data route and the section's ``abs_dets`` read, so this route
-    cross-checks both.
+    cone's normals are integers.  The slot signs (-1)^(i-1) multiply to
+    (-1)^(n//2) at every vertex, and the vertex terms are added unreduced
+    by ``core._sum`` into one Fraction; before that, the first pole in
+    vertex order, then slot order, raises PoleAtSample.  Everything is
+    read off the normals, not off the walk's dictionaries or its
+    ``abs_delta``, which the orbit-data route and the section's
+    ``abs_dets`` read, so this route cross-checks both.
     """
     v = Vector(v)
     if len(v) != cone.dim:
@@ -599,23 +609,17 @@ def toric_volume(cone: GoodCone, v: Vector) -> PiScalar:
     at_v = [sum(map(mul, form, vi)) for form in forms]
     dets = [(at_reeb[second] * at_v[first] - at_reeb[first] * at_v[second]) // d
             for first, second, d in edges]
-    denoms = []
-    for orbit, vertex_slots in zip(section.orbits, slots):
-        denom = 1
-        for i, e in enumerate(vertex_slots, 1):
-            slot = dets[e]
-            if slot == 0:
-                raise PoleAtSample(
-                    f"det(b, ..., v, ...) vanishes at slot {i} of vertex "
-                    f"{tuple(orbit.vertex)}"
-                )
-            denom *= slot if i % 2 else -slot
-        denoms.append(denom)
-    # summed only once no slot vanishes, so a pole draw costs no Fraction
-    total = sum(Fraction((numerator * lb) ** n * lb, abs(reeb) * denom)
-                for numerator, reeb, denom in zip(at_v, at_reeb, denoms))
+    if 0 in dets:
+        i, orbit = next((i, orbit) for orbit, vertex_slots in zip(section.orbits, slots)
+                        for i, e in enumerate(vertex_slots, 1) if dets[e] == 0)
+        raise PoleAtSample(
+            f"det(b, ..., v, ...) vanishes at slot {i} of vertex {tuple(orbit.vertex)}"
+        )
+    num, den = _sum([((numerator * lb) ** n * lb, abs(reeb) * prod(map(dets.__getitem__, s)))
+                     for numerator, reeb, s in zip(at_v, at_reeb, slots)])
     k = cone.two_pi_exponent
-    return PiScalar(Fraction(2) ** k * total / factorial(n), n + k)
+    num, den = (-1) ** (n // 2) * num << max(k, 0), den * factorial(n) << max(-k, 0)
+    return PiScalar(Fraction(num, den), n + k)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ values f(a) by Covector pairings and one Fraction coefficient gamma_j per
 edge end, which ``polytope.lawrence_volume`` replaced by the section's
 integer form.
 
-The package draws each functional f = (u, d) as one sample of n+2
-coordinates through ``sampling.sample_independent``, with an edge-constant
-functional counted as a pole (``polytope.sample_lawrence``).  This module
-keeps the separate loop that drew u and then d from a generator until
-Lawrence's formula accepted them, and checks that both accept the same
-functionals at the same draw indices.
+The package draws each functional f(x) = u(x) + d as one sample of n+2
+coordinates (u..., d) through ``sampling.sample_independent``, with an
+edge-constant functional counted as a pole (``polytope.sample_lawrence``).
+This module keeps the separate loop that drew u and then d from a
+generator until Lawrence's formula accepted them, and checks that both
+accept the same functionals at the same draw indices.
 """
 
 from fractions import Fraction
@@ -19,7 +19,8 @@ from unittest import mock
 
 from abbvloc import polytope
 from abbvloc.errors import EdgeConstantFunctional, PoleAtSample
-from abbvloc.polytope import LinearFunctional, lawrence_volume
+from abbvloc.core import Vector
+from abbvloc.polytope import lawrence_volume
 from abbvloc.sampling import SplitMix64, sample_rational, sample_vector
 from matrix_oracle import vertex_dets
 
@@ -46,22 +47,23 @@ def edge_coefficients(p, values) -> list:
 
 
 def fraction_lawrence(p, f) -> Fraction:
-    """Lawrence's volume of the section p at f on Fractions: the sum over
-    vertices a of f(a)^n / (|det(b, v_S)| prod_j gamma_j) / n!, with
-    f(a) = a(u) + d and each determinant taken from the given normals
-    (``matrix_oracle.vertex_dets``), not read from the section."""
+    """Lawrence's volume of the section p at f = (u..., d) on Fractions:
+    the sum over vertices a of f(a)^n / (|det(b, v_S)| prod_j gamma_j) /
+    n!, with f(a) = a(u) + d and each determinant taken from the given
+    normals (``matrix_oracle.vertex_dets``), not read from the section."""
     n = p.section_dim
-    values = [phi(f.u) + f.d_shift for phi in p.vertices]
+    *u, d = Vector(f)
+    values = [phi(u) + d for phi in p.vertices]
     return sum(value**n / (delta * prod(gammas.values())) for value, delta, gammas
                in zip(values, vertex_dets(p), edge_coefficients(p, values))) / factorial(n)
 
 
 def random_functional(p, rng, budget: int = 100) -> tuple:
-    """(functional, its Lawrence volume, draws it took): u by
+    """(functional (u..., d), its Lawrence volume, draws it took): u by
     ``sample_vector`` and d by ``sample_rational``, redrawn while the
     functional is constant on an edge of the section."""
     for draws in range(1, budget + 1):
-        f = LinearFunctional(u=sample_vector(len(p.reeb), rng), d_shift=sample_rational(rng))
+        f = Vector((*sample_vector(len(p.reeb), rng), sample_rational(rng)))
         try:
             return f, lawrence_volume(p, f), draws
         except EdgeConstantFunctional:
@@ -94,7 +96,7 @@ def assert_sample_lawrence_matches(p, seed: int, count: int) -> int:
         outcome = polytope.sample_lawrence(p, count, seed)
     accepted = [(i, f) for i, f in enumerate(calls) if f is not None]
     assert accepted == [(i, f) for i, f, _ in expected]
-    assert outcome.samples_used == tuple((*f.u, f.d_shift) for _, f, _ in expected)
+    assert outcome.samples_used == tuple(f for _, f, _ in expected)
     assert {outcome.value} == {volume for _, _, volume in expected}
     assert outcome.rejected_poles == index + 1 - count == len(calls) - count
     return outcome.rejected_poles

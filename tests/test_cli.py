@@ -815,6 +815,27 @@ class TestExitContract:
         assert code == 2
         assert json.loads(out)["error"] == {"type": "InputError", "message": message}
 
+    @pytest.mark.parametrize("command", ["lawrence", "polytope-volume"])
+    @pytest.mark.parametrize(
+        "normals, message",
+        [
+            ([[-1, 0, 0], [0, -1, 0], [0, 0, 0], [0, 0, -1]], "normal 2 is zero"),
+            ([[-1, 0, 0], [0, -1, 0], [0, 0, -1], [-2, 0, 0]],
+             "normals 0 and 3 have one primitive row (-1, 0, 0)"),
+            ([[0, -1, 0], ["-1/2", 0, 0], [0, 0, -1], [0, "-3/4", 0]],
+             "normals 0 and 3 have one primitive row (0, -1, 0)"),
+        ],
+        ids=["zero", "repeated", "repeated-rational"],
+    )
+    def test_bare_polytope_zero_or_repeated_normal_exit_2(self, capsys, tmp_path, command,
+                                                           normals, message):
+        # the walk would meet such a normal at a vertex on more than n facets
+        # and blame the vertex (NotSimpleVertex); the document names the normals
+        doc = {"dim": 3, "normals": normals, "reeb": ["1", "1", "1"]}
+        code, out = run_cli(capsys, command, "--input", write_json(tmp_path, "p.json", doc), "--json")
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "InputError", "message": message}
+
     @pytest.mark.parametrize(
         "command, cone, message",
         [

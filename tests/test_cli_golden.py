@@ -137,8 +137,8 @@ FIXTURES = {
     # the first two facets span an index-2 sublattice: GoodnessViolation, exit 2
     "cone-not-good": {"dim": 3, "pi_scale_exponent": 1,
                       "normals": [[-1, 1, 0], [-1, -1, 0], [0, 0, -1]], "reeb": ["1", "0", "1"]},
-    # larger sections for the two pulling orders of polytope-volume; on both,
-    # ascending and descending give the same staircase simplices
+    # larger sections for the two pulling orders of polytope-volume, ascending
+    # and from vertex 1, which share no simplex on cube 5 and 4 of 20 on 3 x 3
     "cube-5": cube_cone_doc(5),
     "product-3-3": simplex_product_cone_doc(3, 3, ["9", "1/2", "2", "-1/3", "1", "3/2", "-1"]),
     # matrix-shaped input errors, exit 2; a bad literal is reported before ragged rows

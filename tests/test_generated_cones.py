@@ -29,17 +29,16 @@ from abbvloc.engine import check_v_independence
 from abbvloc.errors import PoleAtSample
 from abbvloc.polytope import (
     HPolytope,
-    LinearFunctional,
     lawrence_volume,
     sample_lawrence,
     triangulation_volume,
 )
 from abbvloc.sampling import POSITIVE_POOL, sample_independent, sample_rational
-from abbvloc.toric import GoodCone, orbit_system_from_cone, toric_volume
+from abbvloc.toric import GoodCone, orbit_system_from_cone, toric_volume, weighted_sphere_cone
 from conftest import make_rng, random_unimodular
 from functional_oracle import assert_sample_lawrence_matches, edge_coefficients, fraction_lawrence
 from matrix_oracle import apply, elimination_det, inverse, solve, vertex_dets
-from simplex_oracle import base_first, simplex_volume
+from simplex_oracle import base_first, pulling_simplices, simplex_volume
 from toric_det_oracle import toric_volume_by_fraction_dets
 from vertex_oracle import assert_facet_sets_by_pairing
 
@@ -282,14 +281,14 @@ class TestGeneratedCones:
         shrinks by 2/3 and |det(b, v_S)| grows by 3/2: the volumes stay."""
         cone, closed = case_cone(kind, a, b, 3)
         normals = [cone.normals[0].scaled(Fraction(3, 2)), *cone.normals[1:]]
-        (*u, d), = sample_lawrence(cone.section, 1, 3).samples_used
-        f = LinearFunctional(u, d)
+        (f,) = sample_lawrence(cone.section, 1, 3).samples_used
+        *u, d = f
         for p in (cone.section, HPolytope.from_halfspaces(cone.normals, cone.reeb),
                   HPolytope.from_halfspaces(normals, cone.reeb)):
-            values = [phi(f.u) + f.d_shift for phi in p.vertices]
+            values = [phi(u) + d for phi in p.vertices]
             for orbit, gammas in zip(p.orbits, edge_coefficients(p, values)):
                 columns = [p.reeb, *(p.normals[j] for j in orbit.facet_indices)]
-                expansion = solve(list(zip(*columns)), f.u)
+                expansion = solve(list(zip(*columns)), u)
                 assert gammas == dict(zip(orbit.facet_indices, expansion[1:]))
             assert lawrence_volume(p, f) == fraction_lawrence(p, f) == triangulation_volume(p) == closed
 
@@ -313,9 +312,33 @@ class TestGeneratedCones:
             order = base_first(len(p.vertices), base)
             assert triangulation_volume(p, order=order) == simplex_volume(p, order)
 
+    @pytest.mark.parametrize("kind, a, b, shared, total", [
+        ("cube", 3, None, 0, 6), ("cube", 4, None, 0, 24), ("cube", 5, None, 0, 120),
+        ("product", 1, 1, 0, 2), ("product", 2, 2, 1, 6), ("product", 2, 3, 1, 10),
+        ("product", 3, 3, 4, 20),
+    ], ids=["cube-3", "cube-4", "cube-5", "product-1-1", "product-2-2", "product-2-3",
+            "product-3-3"])
+    def test_base_vertex_check_orders_share_few_simplices(self, kind, a, b, shared, total):
+        """polytope-volume checks the ascending pulling order against the
+        one that pulls the section from vertex 1 and every proper face from
+        its smallest vertex: on the cube and Delta^a x Delta^b sections the
+        two triangulations share ``shared`` of their ``total`` simplices.
+        The descending order shares all of them, so it checks nothing."""
+        p = case_cone(kind, a, b, 5)[0].section
+        count = len(p.vertices)
+
+        def simplices(order):
+            return {frozenset(s) for s in pulling_simplices(list(order), frozenset(),
+                                                            p.facet_sets, p.section_dim)}
+
+        ascending, from_one = simplices(range(count)), simplices(base_first(count, 1))
+        assert len(ascending) == len(from_one) == total
+        assert len(ascending & from_one) == shared
+        assert simplices(range(count - 1, -1, -1)) == ascending
+
     @pytest.mark.parametrize("kind, a, b", CASES, ids=[f"{k}-{a}-{b}" for k, a, b in CASES])
     def test_descending_order_matches_explicit_simplices(self, kind, a, b):
-        """The order polytope-volume's alternate triangulation pulls in."""
+        """A second full order besides the bases in turn: descending."""
         p = case_cone(kind, a, b, 5)[0].section
         order = range(len(p.vertices) - 1, -1, -1)
         assert triangulation_volume(p, order=order) == simplex_volume(p, order)
@@ -417,6 +440,30 @@ class TestToricDeterminantOracle:
         result = toric_volume_or_pole(toric_volume, cone, v)
         assert result[0] == "pole"
         assert result == toric_volume_or_pole(toric_volume_by_fraction_dets, cone, v)
+
+    @pytest.mark.parametrize("exponent", [0, 1])
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_weighted_spheres_every_global_sign(self, d, exponent):
+        """On the weighted-sphere cones with weights 1..d, n = d - 1 takes
+        every residue mod 4, so the one sign (-1)^(n//2) in which the slot
+        signs (-1)^(i-1) multiply is checked in each: toric_volume gives the
+        Fraction formula's PiScalar, the closed form 2^k pi^(n+k) / (n! d!),
+        or its PoleAtSample message.  A sample parallel to b zeros every
+        slot, and one with v_0 / w_0 = v_1 / w_1 zeros the slots between
+        the first two orbits only."""
+        cone = weighted_sphere_cone(range(1, d + 1), exponent)
+        k = cone.two_pi_exponent
+        rng = make_rng(d)
+        samples = [[sample_rational(rng) for _ in range(d)] for _ in range(8)]
+        samples += [list(range(1, d + 1)), [3, 6, *(x * x + 1 for x in range(3, d + 1))]]
+        outcomes = [toric_volume_or_pole(toric_volume, cone, v) for v in samples]
+        assert outcomes == [toric_volume_or_pole(toric_volume_by_fraction_dets, cone, v)
+                            for v in samples]
+        closed = PiScalar(Fraction(2) ** k / (factorial(d - 1) * factorial(d)), d - 1 + k)
+        assert {result for result in outcomes if not isinstance(result, tuple)} == {closed}
+        assert outcomes[-2] == ("pole", "det(b, ..., v, ...) vanishes at slot 1 of vertex "
+                                        f"{tuple(cone.section.orbits[0].vertex)}")
+        assert outcomes[-1][0] == "pole"
 
     def test_both_outcomes_occur(self):
         """The oracle comparison meets poles and values on these cones."""

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from abbvloc import polytope
 from abbvloc.cli import main
 from abbvloc.core import Covector, PiScalar, Vector, rat, rat_str
 from abbvloc.errors import (
@@ -20,7 +21,6 @@ from abbvloc.errors import (
 )
 from abbvloc.polytope import (
     HPolytope,
-    LinearFunctional,
     lawrence_volume,
     msy_check,
     sample_lawrence,
@@ -253,13 +253,11 @@ class TestTriangulationEqualsTheFractionOracle:
 
 class TestLawrence:
     def test_triangle_value(self):
-        f = LinearFunctional(u=Vector([1, 2, 5]), d_shift=Fraction(1, 3))
-        assert lawrence_volume(triangle_polytope(), f) == Fraction(1, 2)
+        assert lawrence_volume(triangle_polytope(), (1, 2, 5, Fraction(1, 3))) == Fraction(1, 2)
 
     def test_segment_matches_triangulation(self):
         p = segment_polytope()
-        f = LinearFunctional(u=Vector([3, 1]), d_shift=0)
-        assert lawrence_volume(p, f) == triangulation_volume(p)
+        assert lawrence_volume(p, (3, 1, 0)) == triangulation_volume(p)
 
     def test_rational_normals_and_reeb(self):
         """Rescaling each normal of a bare section by a rational leaves both
@@ -271,20 +269,38 @@ class TestLawrence:
         volume = triangulation_volume(cone.section)
         assert triangulation_volume(p) == volume
         assert sample_lawrence(p, 3, seed=4).value == volume
-        f = LinearFunctional(u=Vector([Fraction(1, 2), Fraction(-3, 7), 2, Fraction(5, 3)]),
-                             d_shift=Fraction(1, 9))
+        f = (Fraction(1, 2), Fraction(-3, 7), 2, Fraction(5, 3), Fraction(1, 9))
         assert lawrence_volume(p, f) == volume
 
     def test_constant_on_edge_rejected(self):
         # u = (1, 1, 0) pairs equally with the first two triangle vertices
-        f = LinearFunctional(u=Vector([1, 1, 0]), d_shift=0)
         with pytest.raises(EdgeConstantFunctional):
-            lawrence_volume(triangle_polytope(), f)
+            lawrence_volume(triangle_polytope(), (1, 1, 0, 0))
+
+    def test_one_sum_per_functional(self, monkeypatch):
+        """A functional's vertex terms are added by one call of the
+        module-bound core._sum, one term per vertex; an edge-constant
+        functional raises before any sum."""
+        p, triangle = cube_cone_k(4).section, triangle_polytope()
+        (f,) = sample_lawrence(p, 1, seed=5).samples_used
+        volume = triangulation_volume(p)
+        sums = []
+        real = polytope._sum
+        monkeypatch.setattr(polytope, "_sum", lambda terms: sums.append(len(terms)) or real(terms))
+        assert lawrence_volume(p, f) == volume
+        assert sums == [16]
+        sums.clear()
+        with pytest.raises(EdgeConstantFunctional):
+            lawrence_volume(triangle, (1, 1, 0, 0))
+        assert sums == []
+
+    def test_inexact_functional_rejected(self):
+        with pytest.raises(TypeError, match="cannot interpret 0.5 as an exact rational"):
+            lawrence_volume(triangle_polytope(), (1, 2, 5, 0.5))
 
     def test_functional_of_wrong_length_rejected(self):
-        f = LinearFunctional(u=Vector([1, 2]), d_shift=0)
         with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
-            lawrence_volume(triangle_polytope(), f)
+            lawrence_volume(triangle_polytope(), (1, 2, 0))
 
     def test_matches_triangulation_randomized(self):
         for p in (
@@ -344,11 +360,11 @@ class TestLawrence:
         cases = []
         for p in (cube_cone_k(4).section, case_cone("product", 2, 3, 3)[0].section):
             p.edges
-            (*u, d), = sample_lawrence(p, 1, seed=5).samples_used
+            (f,) = sample_lawrence(p, 1, seed=5).samples_used
             volume = triangulation_volume(p)
             for name in ("lawrence_form", "abs_dets"):
                 p.__dict__.pop(name)
-            cases.append((p, LinearFunctional(u, d), volume))
+            cases.append((p, f, volume))
         calls = count_kernel_calls(monkeypatch)
         pairings = count_pairings(monkeypatch)
         for p, f, volume in cases:
@@ -395,9 +411,8 @@ class TestLawrence:
             return
         event("bounded section")
         for _ in range(5):
-            *u, d = data.draw(st.lists(st.sampled_from(SAMPLE_POOL), min_size=len(reeb) + 1,
-                                       max_size=len(reeb) + 1))
-            f = LinearFunctional(u, d)
+            f = data.draw(st.lists(st.sampled_from(SAMPLE_POOL), min_size=len(reeb) + 1,
+                                   max_size=len(reeb) + 1))
             try:
                 expected = fraction_lawrence(p, f)
             except EdgeConstantFunctional as error:
@@ -410,9 +425,8 @@ class TestLawrence:
     def test_functional_independence(self):
         p = cube_polytope()
         outcome = sample_lawrence(p, 2, seed=19)
-        (*u1, d1), (*u2, d2) = outcome.samples_used
-        assert (u1, d1) != (u2, d2)
-        f1, f2 = LinearFunctional(u1, d1), LinearFunctional(u2, d2)
+        f1, f2 = outcome.samples_used
+        assert f1 != f2
         assert outcome.value == lawrence_volume(p, f1) == lawrence_volume(p, f2)
 
 

@@ -18,7 +18,7 @@ from abbvloc import cli, core, engine, homogeneous, polytope, sampling, secondar
 from abbvloc.core import PiScalar
 from abbvloc.engine import OrbitDatum, OrbitSystem, weighted_sphere_system
 from abbvloc.homogeneous import RootData, stiefel_so5_so3
-from abbvloc.polytope import HPolytope, LinearFunctional, MsyCheck, msy_check
+from abbvloc.polytope import HPolytope, MsyCheck, msy_check
 from abbvloc.sampling import SampleOutcome
 from abbvloc.secondary import WeightedSphereFoliation
 from abbvloc.toric import GoodCone, ToricOrbit, simplex_cone
@@ -29,7 +29,7 @@ def _fields(record, names):
 
 
 def _cases():
-    """(class, field values in field order) for each of the 11 records."""
+    """(class, field values in field order) for each of the 10 records."""
     sphere = weighted_sphere_system([1, 2])
     cone = simplex_cone(2)
     section = cone.section
@@ -43,7 +43,6 @@ def _cases():
         (ToricOrbit, _fields(section.orbits[0], ("vertex", "facet_indices", "abs_delta",
                                                  "rows", "t"))),
         (HPolytope, _fields(section, ("normals", "reeb", "orbits"))),
-        (LinearFunctional, {"u": (1, -2, 3), "d_shift": Fraction(1, 2)}),
         (MsyCheck, {"lhs": PiScalar(2, 2), "rhs": PiScalar(2, 2), "equal": True,
                     "section_volume": Fraction(1)}),
         (RootData, _fields(root_data, ("dim_t", "roots_quotient", "weyl_reps", "b",
@@ -110,8 +109,12 @@ def test_pickle_and_copy_round_trip(cls, values):
 def test_unequal_records_compare_unequal():
     assert PiScalar(1, 1) != PiScalar(1, 2)
     assert PiScalar(0, 3) == PiScalar(0)  # zero is canonicalized to pi power 0
-    assert LinearFunctional((1, 2)) != LinearFunctional((1, 2), 1)
-    assert LinearFunctional((1, 2)) == LinearFunctional((1, 2), 0)
+    # a defaulted field compares as if given
+    assert PiScalar(3) == PiScalar(3, 0) != PiScalar(3, 1)
+    cone = simplex_cone(2)
+    assert GoodCone(2, cone.normals, cone.reeb) == GoodCone(2, cone.normals, cone.reeb, None, 1)
+    assert GoodCone(2, cone.normals, cone.reeb) != GoodCone(2, cone.normals, cone.reeb,
+                                                             pi_scale_exponent=0)
 
 
 def test_repr_strings():
@@ -124,10 +127,6 @@ def test_repr_strings():
     assert repr(weighted_sphere_system([1, 2]).orbits[0]) == (
         "OrbitDatum(length=PiScalar(2 * pi^1), moment=(Fraction(1, 1), Fraction(0, 1)), "
         "weights=((Fraction(2, 1), Fraction(-1, 1)),))"
-    )
-    assert repr(LinearFunctional((1, -2, 3), Fraction(1, 2))) == (
-        "LinearFunctional(u=(Fraction(1, 1), Fraction(-2, 1), Fraction(3, 1)), "
-        "d_shift=Fraction(1, 2))"
     )
     assert repr(msy_check(cone)) == (
         "MsyCheck(lhs=PiScalar(2 * pi^2), rhs=PiScalar(2 * pi^2), equal=True, "

@@ -500,6 +500,24 @@ class TestToricVolume:
         # half the section volume 1 / (2! * 1 * 2 * 5)
         assert Fraction(report["section_volume"]) == Fraction(1, 40)
 
+    def test_one_sum_per_sample(self, monkeypatch):
+        """A pole-free sample adds its vertex terms by one call of the
+        module-bound core._sum, one term per vertex; a pole raises before
+        any sum."""
+        cases = [(cone, vertices, nonpole_cone_sample(cone, make_rng(3))) for cone, vertices
+                 in ((cube_cone_k(4), 16), (weighted_sphere_cone([1, 2, 3, 5]), 4))]
+        sums = []
+        real = toric._sum
+        monkeypatch.setattr(toric, "_sum", lambda terms: sums.append(len(terms)) or real(terms))
+        for cone, vertices, v in cases:
+            sums.clear()
+            toric_volume(cone, v)
+            assert sums == [vertices]
+            sums.clear()
+            with pytest.raises(PoleAtSample):
+                toric_volume(cone, cone.reeb)
+            assert sums == []
+
     def test_pole_detection(self):
         cone = weighted_sphere_cone([1, 2])
         with pytest.raises(PoleAtSample):
