@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .core import (
     Covector,
@@ -31,33 +31,43 @@ from .sampling import SampleOutcome, sample_independent
 
 
 class OrbitDatum(Record):
-    """One isolated closed orbit: length, moment functional, weight list.
-
-    Construction also builds ``integer_rows``, the moment and then the
-    weights as integer rows (D, ((i, A_i), ...)), which the localized sums
-    read: A_i are the nonzero entries of the covector times D, the lcm of
-    their denominators, so a sphere weight keeps 2 of its d entries.
+    """One isolated closed orbit: its length and ``integer_rows``, the
+    moment functional and then the weights as rows (D, ((i, A_i), ...), d)
+    of ``_row``, which the localized sums read.  ``moment`` and
+    ``weights`` are the rows as dense Covectors, for messages and oracles.
     """
 
     length: PiScalar
-    moment: Covector
-    weights: tuple
+    integer_rows: tuple
 
-    def __post_init__(self):
-        # a Covector is kept as it is handed in: its entries are rationals
-        weights = tuple(w if isinstance(w, Covector) else Covector(w) for w in self.weights)
-        moment = self.moment if isinstance(self.moment, Covector) else Covector(self.moment)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "moment", moment)
-        object.__setattr__(self, "integer_rows", tuple(map(_sparse_row, (moment, *weights))))
+    @property
+    def moment(self) -> Covector:
+        return _covector(self.integer_rows[0])
+
+    @property
+    def weights(self) -> tuple:
+        return tuple(map(_covector, self.integer_rows[1:]))
 
 
-def _sparse_row(covector: Covector) -> tuple:
-    """(D, ((i, A_i), ...)): the nonzero entries e_i, found first, and then
-    scaled to the integers A_i = D e_i, D the lcm of their denominators."""
-    nonzero = [(i, e.numerator, e.denominator) for i, e in enumerate(covector) if e]
-    scale = lcm(*[q for _, _, q in nonzero])
-    return scale, tuple([(i, p * (scale // q)) for i, p, q in nonzero])
+def _row(entries, t=1) -> tuple:
+    """(D, ((i, A_i), ...), d): the covector e / t of length d, for ints or
+    rationals e and a nonzero int t, as its nonzero entries A_i / D, i
+    ascending.  The nonzero entries are found first and only they are
+    scaled, by the lcm of their denominators, then divided by sign(t)
+    gcd(L t, A), so D > 0 and the row is in lowest terms."""
+    nonzero = [(i, e) for i, e in enumerate(entries) if e]
+    scale = lcm(*[e.denominator for _, e in nonzero])
+    row = [(i, e.numerator * (scale // e.denominator)) for i, e in nonzero]
+    if t != 1:
+        g = gcd(scale * t, *[a for _, a in row]) * (1 if t > 0 else -1)
+        scale, row = scale * t // g, [(i, a // g) for i, a in row]
+    return scale, tuple(row), len(entries)
+
+
+def _covector(row) -> Covector:
+    scale, entries, d = row
+    entries = dict(entries)
+    return Covector(Fraction(entries.get(i, 0), scale) for i in range(d))
 
 
 class OrbitSystem(Record):
@@ -67,8 +77,9 @@ class OrbitSystem(Record):
     carries exactly n weights.  Construction checks the structural
     invariants exactly: weights annihilate the Reeb element, moments pair
     to 1 with it, and no weight functional vanishes identically.  The
-    pairings are read on the integer rows of ``OrbitDatum.integer_rows``
-    and of b, which the localized sums use anyway.
+    dimensions and pairings are read on the integer rows of
+    ``OrbitDatum.integer_rows`` and of b, which the localized sums use
+    anyway.
     """
 
     dim_t: int
@@ -88,25 +99,20 @@ class OrbitSystem(Record):
         # x(b) = A.B / (D s) for an integer row (D, A) and b = B / s
         s, B = _integer_row(self.b)
         for k, orbit in enumerate(self.orbits):
-            if len(orbit.moment) != self.dim_t:
+            (d, mu, dim), *rows = orbit.integer_rows
+            if dim != self.dim_t:
                 raise InputError(f"orbit {k}: moment has wrong dimension")
-            if len(orbit.weights) != self.codim_half:
-                raise InputError(
-                    f"orbit {k}: expected {self.codim_half} weights, "
-                    f"got {len(orbit.weights)}"
-                )
-            (d, mu), *rows = orbit.integer_rows
+            if len(rows) != self.codim_half:
+                raise InputError(f"orbit {k}: expected {self.codim_half} weights, got {len(rows)}")
             if sum(x * B[i] for i, x in mu) != d * s:
                 raise InputError(f"orbit {k}: moment must pair to 1 with the Reeb vector")
-            for j, (alpha, (_, row)) in enumerate(zip(orbit.weights, rows)):
-                if len(alpha) != self.dim_t:
+            for j, (_, row, dim) in enumerate(rows):
+                if dim != self.dim_t:
                     raise InputError(f"orbit {k}: weight {j} has wrong dimension")
                 if not row:
                     raise InputError(f"orbit {k}: weight {j} is identically zero")
                 if sum(x * B[i] for i, x in row):
-                    raise InputError(
-                        f"orbit {k}: weight {j} does not annihilate the Reeb vector"
-                    )
+                    raise InputError(f"orbit {k}: weight {j} does not annihilate the Reeb vector")
 
     @cached_property
     def length_pi_power(self) -> int:
@@ -149,22 +155,22 @@ def _orbit_term(orbit: OrbitDatum, v: Vector, V: list, l: Fraction,
     s^(n - power - |J|) P / Q for one orbit: the per-orbit kernel of every
     localized sum, on Python ints.
 
-    v = V / s with V integral (see _integer_row).  A row (D, A) of
+    v = V / s with V integral (see _integer_row).  A row (D, A, d) of
     orbit.integer_rows pairs with V to the integer A.V, and the covector's
     value at v is A.V / (D s).  The power of s is the same for every orbit
     of a sum, so the sums add the (P, Q) unreduced (``core._sum``) and apply it
     once; it is s^0 in the volume term (power = n).  Raises PoleAtSample
     when a weight vanishes at v.
     """
-    (d0, mu), *weights = orbit.integer_rows
+    (d0, mu, _), *weights = orbit.integer_rows
     num, den = l.numerator, l.denominator
     values = []
-    for (d, row), alpha in zip(weights, orbit.weights):
+    for d, row, dim in weights:
         a = 0
         for i, x in row:
             a += x * V[i]
         if not a:
-            raise PoleAtSample(f"weight {tuple(alpha)} vanishes at v={tuple(v)}")
+            raise PoleAtSample(f"weight {tuple(_covector((d, row, dim)))} vanishes at v={tuple(v)}")
         num *= d
         den *= a
         values.append(a)
@@ -176,8 +182,8 @@ def _orbit_term(orbit: OrbitDatum, v: Vector, V: list, l: Fraction,
         den *= d0**power
     if J:
         # a_j(v) = values_j / (D_j s), so e s is a common denominator
-        e = lcm(*(d for d, _ in weights))
-        num *= _s_J_integer(J, [a * (e // d) for a, (d, _) in zip(values, weights)])
+        e = lcm(*(d for d, _, _ in weights))
+        num *= _s_J_integer(J, [a * (e // d) for a, (d, _, _) in zip(values, weights)])
         den *= e ** sum(J)
     return num, den
 
@@ -208,7 +214,7 @@ def dh_series(system: OrbitSystem, v: Vector, order: int) -> list:
     terms = []
     for orbit in system.orbits:
         p, q = _orbit_term(orbit, v, V, orbit.length.coeff)
-        d0, mu = orbit.integer_rows[0]
+        d0, mu, _ = orbit.integer_rows[0]
         m = 0
         for i, x in mu:
             m += x * V[i]
@@ -287,17 +293,16 @@ def weighted_sphere_system(weights) -> OrbitSystem:
     if len(set(w)) == 1:
         raise InputError("all weights equal: closed orbits are not isolated")
     d = len(w)
-    zero, minus_one = Fraction(0), Fraction(-1)
     orbits = []
     for k, wk in enumerate(w):
-        # the moment has one nonzero entry and each weight two
-        moment = [zero] * d
-        moment[k] = 1 / wk
-        alphas = []
+        # one nonzero moment entry and two per weight, w_j / w_k = a / c over c
+        p, q = wk.numerator, wk.denominator
+        rows = [(p, ((k, q),), d)]
         for j, wj in enumerate(w):
             if j != k:
-                entries = [zero] * d
-                entries[k], entries[j] = wj / wk, minus_one
-                alphas.append(Covector(entries))
-        orbits.append(OrbitDatum(PiScalar(2 / wk, 1), Covector(moment), tuple(alphas)))
+                a, c = wj.numerator * q, wj.denominator * p
+                g = gcd(a, c)
+                a, c = a // g, c // g
+                rows.append((c, ((j, -c), (k, a)) if j < k else ((k, a), (j, -c)), d))
+        orbits.append(OrbitDatum(PiScalar(2 / wk, 1), tuple(rows)))
     return OrbitSystem(dim_t=d, b=Vector(w), codim_half=d - 1, orbits=tuple(orbits))

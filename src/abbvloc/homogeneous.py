@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import factorial
 
 from .core import Covector, PiScalar, Record, Vector, _reduce, rat
-from .engine import OrbitDatum, OrbitSystem, localize_volume
+from .engine import OrbitDatum, OrbitSystem, _row, localize_volume
 from .errors import DegenerateReeb, InputError, PoleAtSample, SingularMatrix
 
 
@@ -100,12 +100,12 @@ def root_data_system(rd: RootData, b_prime: Vector) -> OrbitSystem:
         qb = q(b_prime)
         if qb == 0:
             raise DegenerateReeb("Reeb element projects to zero along a Weyl image")
-        weights = []
+        rows = [_row(q.scaled(1 / qb))]
         for root in rd.roots_quotient:
             rw = Covector(root(c) for c in columns)
             shift = rw(b_prime) / qb
-            weights.append(Covector(x - shift * y for x, y in zip(rw, q)))
-        orbits.append(OrbitDatum(PiScalar(-2 / qb, 1), q.scaled(1 / qb), tuple(weights)))
+            rows.append(_row([x - shift * y for x, y in zip(rw, q)]))
+        orbits.append(OrbitDatum(PiScalar(-2 / qb, 1), tuple(rows)))
     return OrbitSystem(rd.dim_t, b_prime, rd.codim_half, tuple(orbits))
 
 

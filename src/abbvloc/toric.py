@@ -14,13 +14,13 @@ condition on its moment row, which holds the n x n minors of v_S: their
 gcd is the index of the sublattice that v_S spans, which a violation
 reports.  One ``ToricOrbit`` per vertex, sorted by vertex, makes up the
 cone's section, an ``HPolytope``, whose edges ``_bounded_edges`` finds;
-boundedness is read off them.  The orbits are turned into orbit data
-(lengths, moments, weights, the weights built on first read), and the
-section's vertices and normals into integer rows, the normals primitive
-as the walk pivots them, which the determinant volume formula (through
-one integer covector of minors per vertex, taken once per section),
-Lawrence's formula and the pulling triangulation read; the latter two
-read each vertex's |det(b, v_S)| off the walk.  Errors come in the order
+boundedness is read off them.  Each orbit's vertex and weight rows over
+T are reduced to orbit data (``engine._row``), and the section's vertices
+and normals to integer rows, the normals primitive as the walk pivots them,
+which the determinant volume formula (through one integer covector of
+minors per vertex, taken once per section), Lawrence's formula and the
+pulling triangulation read; the latter two read each vertex's
+|det(b, v_S)| off the walk.  Errors come in the order
 NotSimpleVertex, GoodnessViolation, UnboundedSection.
 """
 
@@ -46,7 +46,7 @@ from .core import (
     rat,
     rat_str,
 )
-from .engine import OrbitDatum, OrbitSystem
+from .engine import OrbitDatum, OrbitSystem, _row
 from .errors import (
     GoodnessViolation,
     InputError,
@@ -58,7 +58,7 @@ from .errors import (
 
 # The walk refuses a section with more vertices than this.  Cube cone 10
 # (1,024 vertices) runs polytope-volume, and lawrence on its bare section, in
-# about 0.3 s cold (Python 3.11, Intel Xeon).  The polytope routes read each
+# about 0.34 s cold (Python 3.11, Intel Xeon).  The polytope routes read each
 # vertex's determinant off the walk, but every route after it still costs at
 # least a dot product per vertex, and volume-toric an elimination per vertex.
 MAX_VERTICES = 1024
@@ -170,12 +170,6 @@ class ToricOrbit(Record):
     abs_delta: Fraction
     rows: tuple
     t: int
-
-    @cached_property
-    def weights(self) -> tuple:
-        """Rows 1..n of the inverse of (b | v_S) as Covectors, built on
-        first read: only the orbit-data route reads them."""
-        return tuple(Covector(Fraction(x, self.t) for x in row) for row in self.rows[1:])
 
 
 class HPolytope(Record):
@@ -517,8 +511,8 @@ def enumerate_vertices(cone: GoodCone) -> tuple:
     start.  Each vertex's moment (the vertex) and weights are the rows of
     its dictionary A / T, put in sorted facet order, and abs_delta is
     |det(b, v_S)| = |T| / lcm(denominators of b); no determinant or
-    inverse is computed, and the weights are kept as integer rows until
-    first read (``ToricOrbit.weights``).  A is the adjugate of (b | v_S),
+    inverse is computed, and the rows stay integers over T until
+    ``orbit_system_from_cone`` reduces them.  A is the adjugate of (b | v_S),
     so its moment row holds the n x n minors of v_S up to sign, whose gcd
     is the index of the sublattice that the active normals span: they
     span a direct summand exactly when that index is 1.  Errors, in this
@@ -551,22 +545,20 @@ def orbit_system_from_cone(cone: GoodCone) -> OrbitSystem:
 
     The moment functional and the weight functionals at a vertex are the
     rows of the inverse of the matrix with columns (b, v_1, ..., v_n),
-    which the enumeration kept from its dictionary; reading
-    ``ToricOrbit.weights`` here builds them.  The uniform pi
-    grading of the weights and the lattice rescaling are absorbed into
-    the orbit length, keeping all functionals rational; with
+    which the walk kept: the moment is the vertex, and the weights are its
+    integer dictionary rows over T (``ToricOrbit.rows`` and ``t``), each
+    reduced by ``engine._row`` with no Fraction built.  The uniform pi
+    grading of the weights and the lattice rescaling are absorbed into the
+    orbit length, keeping all functionals rational; with
     pi_scale_exponent 1 the stored lengths, moments and weights are
     exactly the geometric ones.
     """
-    n = cone.codim_half
     k = cone.two_pi_exponent
     orbits = []
     for orbit in cone.section.orbits:
-        length = PiScalar(Fraction(2) ** k / orbit.abs_delta, k)
-        orbits.append(OrbitDatum(length=length, moment=orbit.vertex, weights=orbit.weights))
-    return OrbitSystem(
-        dim_t=cone.dim, b=cone.reeb, codim_half=n, orbits=tuple(orbits)
-    )
+        rows = (_row(orbit.vertex), *(_row(w, orbit.t) for w in orbit.rows[1:]))
+        orbits.append(OrbitDatum(PiScalar(Fraction(2) ** k / orbit.abs_delta, k), rows))
+    return OrbitSystem(cone.dim, cone.reeb, cone.codim_half, tuple(orbits))
 
 
 def toric_volume(cone: GoodCone, v: Vector) -> PiScalar:

@@ -23,13 +23,19 @@ from abbvloc.core import (
     rat,
     s_J,
 )
-from abbvloc.engine import OrbitDatum, OrbitSystem, _pi_grading
+from abbvloc.engine import OrbitDatum, OrbitSystem, _pi_grading, _row
 from abbvloc.errors import InputError, PoleAtSample
 
 
 def basis_covector(dim: int, j: int) -> Covector:
     """The coordinate functional e_j^* on a torus algebra of dimension dim."""
     return Covector(Fraction(1 if i == j else 0) for i in range(dim))
+
+
+def orbit_datum(length, moment, weights) -> OrbitDatum:
+    """The OrbitDatum of a dense moment and dense weights, each a sequence
+    of what ``rat`` takes, its rows built by ``engine._row``."""
+    return OrbitDatum(length, tuple(_row(Covector(c)) for c in (moment, *weights)))
 
 
 def integer_rows(orbit) -> tuple:
@@ -146,6 +152,5 @@ def residue_pattern_system(n: int) -> OrbitSystem:
                 entries = [Fraction(0)] * d
                 entries[k], entries[j] = Fraction(1), Fraction(-1)
                 alphas.append(Covector(entries))
-        orbits.append(OrbitDatum(length=PiScalar(1, 0), moment=basis_covector(d, k),
-                                 weights=tuple(alphas)))
+        orbits.append(orbit_datum(PiScalar(1, 0), basis_covector(d, k), alphas))
     return OrbitSystem(dim_t=d, b=Vector([1] * d), codim_half=n, orbits=tuple(orbits))

@@ -12,7 +12,6 @@ import pytest
 
 from abbvloc.core import PiScalar, Vector, partitions
 from abbvloc.engine import (
-    OrbitDatum,
     OrbitSystem,
     check_v_independence,
     dh_series,
@@ -54,7 +53,7 @@ from abbvloc.toric import (
     toric_volume,
     weighted_sphere_cone,
 )
-from orbit_oracle import complete_homogeneous, residue_pattern_system
+from orbit_oracle import complete_homogeneous, orbit_datum, residue_pattern_system
 
 
 def report(number, ok, detail):
@@ -249,11 +248,7 @@ def test_criterion_8_v_independence():
         b=Vector([1, 2]),
         codim_half=1,
         orbits=(
-            OrbitDatum(
-                length=PiScalar(2, 1),
-                moment=Covector([1, 0]),
-                weights=(Covector([2, -1]),),
-            ),
+            orbit_datum(PiScalar(2, 1), Covector([1, 0]), (Covector([2, -1]),)),
         ),
     )
     with pytest.raises(InconsistentSamples):

@@ -12,14 +12,15 @@ import abbvloc.cli
 import abbvloc.homogeneous
 from abbvloc.cli import (DH_MAX_ORDER, MAX_SAMPLES, MAX_TRIALS, _COMMANDS, _build_parser,
                          _load_cone, _load_orbit_system, main)
-from abbvloc.core import Covector, PiScalar, Vector, partitions, rat, rat_str
-from abbvloc.engine import OrbitDatum, OrbitSystem, weighted_sphere_system
-from abbvloc.errors import InputError
+from abbvloc.core import PiScalar, Vector, partitions, rat, rat_str
+from abbvloc.engine import OrbitSystem, weighted_sphere_system
+from abbvloc.errors import InputError, PoleAtSample
 from abbvloc.homogeneous import stiefel_so5_so3
 from abbvloc.sampling import SplitMix64, sample_distinct_positive
 from abbvloc.secondary import check_w1_identity
 from abbvloc.toric import MAX_VERTICES, GoodCone, enumerate_vertices
 from matrix_oracle import apply
+from orbit_oracle import orbit_datum
 from test_cli_golden import cube_cone_doc
 from test_cli_golden import sphere_system_doc as weighted_sphere_system_doc
 
@@ -248,22 +249,22 @@ class TestToricCommands:
                                                 ("lawrence", 0), ("polytope-volume", 0)])
     def test_weights_built_only_for_orbit_data(self, capsys, monkeypatch, tmp_path,
                                                command, reads):
-        """Only volume-toric's orbit-data route reads ToricOrbit.weights,
-        once per orbit; the section commands build no weight Covector."""
-        import abbvloc.toric as toric
+        """Only volume-toric's orbit-data route builds OrbitDatums, one per
+        vertex; the section commands build no orbit data and no weight row."""
+        import abbvloc.engine as engine
 
-        build = toric.ToricOrbit.weights.func
-        read = Counter()
+        built = Counter()
+        init = engine.OrbitDatum.__init__
 
-        def counted(orbit):
-            read[orbit.facet_indices] += 1
-            return build(orbit)
+        def counted(datum, *args, **kwargs):
+            init(datum, *args, **kwargs)
+            built[datum.integer_rows[0]] += 1
 
-        monkeypatch.setattr(toric.ToricOrbit, "weights", property(counted))
+        monkeypatch.setattr(engine.OrbitDatum, "__init__", counted)
         path = write_json(tmp_path, "cube.json", cube_cone_doc(3))
         code, _ = run_cli(capsys, command, "--input", path, "--json")
         assert code == 0
-        assert sorted(read.values()) == [1] * 8 * reads
+        assert sorted(built.values()) == [1] * 8 * reads
 
     @pytest.mark.parametrize("index", [1, 2, 3, 4])
     @pytest.mark.parametrize("command", ["volume-toric", "msy-check", "lawrence", "polytope-volume"])
@@ -559,6 +560,37 @@ class TestExitContract:
         assert code == 2
         assert out.count("\n") == 1
         assert json.loads(out)["error"]["type"] == "InputError"
+
+    def test_volume_toric_pole_on_the_second_route_exits_1(self, capsys, monkeypatch, tmp_path):
+        """A pole of toric_volume at a sample the orbit route accepted is a
+        disagreement of the routes: the two-route check fails, exit 1."""
+        def pole(cone, v):
+            raise PoleAtSample(f"det(b, ..., v, ...) vanishes at v={tuple(v)}")
+
+        monkeypatch.setattr(abbvloc.cli, "toric_volume", pole)
+        path = write_json(tmp_path, "cone.json", sphere_cone_doc([1, 2, 5]))
+        code, out = run_cli(capsys, "volume-toric", "--input", path, "--json", "--seed", "42")
+        assert code == 1
+        independence, two_route = json.loads(out)["checks"]
+        assert independence["pass"] and not two_route["pass"]
+        assert two_route["detail"].startswith("1 samples compared: the determinant formula "
+                                              "has a pole, det(b, ..., v, ...) vanishes at v=")
+
+    def test_stiefel_pole_on_the_root_data_route_exits_1(self, capsys, monkeypatch):
+        """A pole of homogeneous_volume at the four-sum's sample is a
+        disagreement of the routes: the engine check fails, exit 1."""
+        def pole(rd, b_prime, v):
+            raise PoleAtSample("a root vanishes")
+
+        monkeypatch.setattr(abbvloc.cli, "homogeneous_volume", pole)
+        code, out = run_cli(capsys, "stiefel", "--w", "1,2,5", "--json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["exact"] == "1/756 * pi^4"
+        closed, independence, engine = report["checks"]
+        assert closed["pass"] and independence["pass"]
+        assert engine == {"name": "root-data engine match", "pass": False,
+                          "detail": "engine pole: a root vanishes"}
 
     def test_check_w1_zero_trials_exit_2(self, capsys):
         code, out = run_cli(capsys, "check-w1", "--m", "3", "--trials", "0")
@@ -1314,9 +1346,8 @@ def entrywise_system(doc):
             return f"malformed orbit system document: {exc}"
     b = Vector(doc["b"])
     orbits = tuple(
-        OrbitDatum(length=PiScalar(rat(o["length"]["coeff"]), o["length"]["pi_power"]),
-                   moment=Covector(o["moment"]),
-                   weights=tuple(Covector(w) for w in o["weights"]))
+        orbit_datum(PiScalar(rat(o["length"]["coeff"]), o["length"]["pi_power"]),
+                    o["moment"], o["weights"])
         for o in doc["orbits"]
     )
     for k, orbit in enumerate(orbits):

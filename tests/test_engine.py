@@ -24,7 +24,7 @@ from abbvloc.errors import (
 )
 from abbvloc.sampling import sample_independent, sample_vector
 from conftest import make_rng, random_weights
-from orbit_oracle import complete_homogeneous, residue_pattern_system
+from orbit_oracle import complete_homogeneous, orbit_datum, residue_pattern_system
 
 
 def sphere_closed_form(weights):
@@ -47,17 +47,12 @@ def nonpole_sample(system, rng):
 
 def single_orbit_system():
     # one sphere orbit with its partner removed; genuinely v-dependent
-    orbit = OrbitDatum(
-        length=PiScalar(2, 1),
-        moment=Covector([1, 0]),
-        weights=(Covector([2, -1]),),
-    )
+    orbit = orbit_datum(PiScalar(2, 1), Covector([1, 0]), (Covector([2, -1]),))
     return OrbitSystem(dim_t=2, b=Vector([1, 2]), codim_half=1, orbits=(orbit,))
 
 
 def orbit(moment, *weights):
-    return OrbitDatum(length=PiScalar(2, 1), moment=Covector(moment),
-                      weights=tuple(Covector(w) for w in weights))
+    return orbit_datum(PiScalar(2, 1), moment, weights)
 
 
 class TestOrbitSystemInvariants:
@@ -77,13 +72,16 @@ class TestOrbitSystemInvariants:
         with pytest.raises(InputError, match="^orbit 0: expected 2 weights, got 1$"):
             OrbitSystem(dim_t=2, b=Vector([1, 2]), codim_half=2, orbits=(orbit([1, 0], [2, -1]),))
 
-    def test_orbit_datum_keeps_the_covectors_it_is_handed(self):
-        moment, weight = Covector([1, 0]), Covector([2, -1])
-        datum = OrbitDatum(length=PiScalar(2, 1), moment=moment, weights=(weight,))
-        assert datum.moment is moment and datum.weights[0] is weight
-        coerced = OrbitDatum(length=PiScalar(2, 1), moment=[1, 0], weights=([2, -1],))
-        assert type(coerced.moment) is Covector and type(coerced.weights[0]) is Covector
-        assert coerced == datum
+    def test_orbit_datum_views_are_its_rows_as_covectors(self):
+        rows = ((2, ((0, 1),), 2), (2, ((0, 4), (1, -1)), 2))
+        datum = OrbitDatum(length=PiScalar(2, 1), integer_rows=rows)
+        assert datum.integer_rows is rows
+        assert type(datum.moment) is Covector and type(datum.weights[0]) is Covector
+        assert datum.moment == (Fraction(1, 2), 0)
+        assert datum.weights == ((2, Fraction(-1, 2)),)
+        assert orbit([Fraction(1, 2), 0], [2, Fraction(-1, 2)]) == datum
+        with pytest.raises(AttributeError):
+            datum.moment = Covector([1, 0])
 
     @pytest.mark.parametrize("weight", [[2, -1, 5], [2, -1, 0], [2], []])
     def test_weight_of_wrong_length_rejected(self, weight):
@@ -129,7 +127,7 @@ class TestLocalizedSum:
         assert localize_volume(system, Vector([1, 1])) == PiScalar(2, 2)
 
     def test_zero_numerator(self):
-        orbit = OrbitDatum(PiScalar(2, 1), Covector([0, 1]), (Covector([1, -1]),))
+        orbit = orbit_datum(PiScalar(2, 1), Covector([0, 1]), (Covector([1, -1]),))
         system = OrbitSystem(dim_t=2, b=Vector([1, 1]), codim_half=1, orbits=(orbit,))
         # the moment vanishes at (1, 0), so the only term is 0
         assert localize_volume(system, Vector([1, 0])) == PiScalar(0, 0)
@@ -141,8 +139,8 @@ class TestLocalizedSum:
 
     def test_mixed_pi_powers(self):
         orbits = (
-            OrbitDatum(PiScalar(2, 1), Covector([1, 0]), (Covector([2, -1]),)),
-            OrbitDatum(PiScalar(1, 0), Covector([0, Fraction(1, 2)]), (Covector([-1, Fraction(1, 2)]),)),
+            orbit_datum(PiScalar(2, 1), Covector([1, 0]), (Covector([2, -1]),)),
+            orbit_datum(PiScalar(1, 0), Covector([0, Fraction(1, 2)]), (Covector([-1, Fraction(1, 2)]),)),
         )
         system = OrbitSystem(dim_t=2, b=Vector([1, 2]), codim_half=1, orbits=orbits)
         # raised at the first evaluation, and again at the next: not kept
@@ -187,11 +185,7 @@ class TestSphereVolume:
                 b=system.b,
                 codim_half=n,
                 orbits=tuple(
-                    OrbitDatum(
-                        length=o.length,
-                        moment=o.moment,
-                        weights=tuple(a.scaled(c) for a in o.weights),
-                    )
+                    orbit_datum(o.length, o.moment, [a.scaled(c) for a in o.weights])
                     for o in system.orbits
                 ),
             )

@@ -211,15 +211,17 @@ def case_cone(kind, a, b, seed):
 
 
 def assert_walk_rows_equal_inverse(cone):
-    """The walk's moment (row 0) and weights (rows 1..n) are the rows of
+    """The walk's moment (row 0) and weights (rows 1..n), as the vertex and
+    as the orbit system's ``moment`` and ``weights`` views, are the rows of
     the inverse of (b | normals in facet-index order), and abs_delta is the
     absolute value of its determinant, both by the Fraction oracle."""
-    for orbit in cone.section.orbits:
+    system = orbit_system_from_cone(cone)
+    for orbit, datum in zip(cone.section.orbits, system.orbits, strict=True):
         columns = [cone.reeb, *(cone.normals[i] for i in orbit.facet_indices)]
         m = list(zip(*columns))
         rows = inverse(m)
-        assert orbit.vertex == Covector(rows[0])
-        assert orbit.weights == tuple(Covector(row) for row in rows[1:])
+        assert orbit.vertex == datum.moment == Covector(rows[0])
+        assert datum.weights == tuple(Covector(row) for row in rows[1:])
         assert orbit.abs_delta == abs(elimination_det(m))
 
 

@@ -4,12 +4,14 @@
 localize_characteristic) and ``secondary.check_w1_identity`` run on Python
 ints; ``orbit_oracle`` keeps the literal Fraction loops.  Both must give the
 same value at every sample, and raise PoleAtSample with the same message at
-the same samples.  ``OrbitDatum.integer_rows``, built from the nonzero
-entries alone, must equal the oracle's dense rows with their zeros dropped.
+the same samples.  Each row of ``OrbitDatum.integer_rows`` comes from
+``engine._row``, which scales the nonzero entries alone; it must equal the
+oracle's dense row with its zeros dropped and its length appended.
 """
 
 from fractions import Fraction
 from math import factorial, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +20,9 @@ from hypothesis import strategies as st
 import orbit_oracle
 from abbvloc import core, engine, secondary
 from abbvloc.cli import _load_orbit_system
-from abbvloc.core import PiScalar, Vector, canonical_multiindex, partitions
+from abbvloc.core import Covector, PiScalar, Vector, canonical_multiindex, partitions
 from abbvloc.engine import (
-    OrbitDatum,
+    _row,
     check_v_independence,
     dh_series,
     localize_characteristic,
@@ -105,10 +107,11 @@ class TestLocalizedSumsEqualTheOracle:
 class TestIntegerRows:
     def test_sphere_weight_keeps_its_two_nonzero_entries(self):
         system = weighted_sphere_system([1, Fraction(3, 2), 5, 7])
-        (d0, moment), *weights = system.orbits[1].integer_rows
-        assert (d0, moment) == (3, ((1, 2),))
+        (d0, moment, d), *weights = system.orbits[1].integer_rows
+        assert (d0, moment, d) == (3, ((1, 2),), 4)
         # (w_j / w_1) e_1^* - e_j^*: over the common denominator 3
-        assert weights == [(3, ((0, -3), (1, 2))), (3, ((1, 10), (2, -3))), (3, ((1, 14), (3, -3)))]
+        assert weights == [(3, ((0, -3), (1, 2)), 4), (3, ((1, 10), (2, -3)), 4),
+                           (3, ((1, 14), (3, -3)), 4)]
 
     def test_rows_are_computed_once_per_orbit(self):
         orbit = weighted_sphere_system([1, 2, 3]).orbits[0]
@@ -125,8 +128,44 @@ class TestIntegerRows:
         covector = st.lists(entry, min_size=dim, max_size=dim)
         moment = data.draw(covector)
         weights = [data.draw(covector) for _ in range(count)]
-        orbit = OrbitDatum(PiScalar(1, 1), moment, tuple(weights))
-        assert orbit.integer_rows == orbit_oracle.integer_rows(orbit)
+        orbit = orbit_oracle.orbit_datum(PiScalar(1, 1), moment, weights)
+        # the views hand the oracle the covectors drawn, and it scales them densely
+        assert (orbit.moment, *orbit.weights) == tuple(map(Covector, (moment, *weights)))
+        assert orbit.integer_rows == tuple((D, A, dim) for D, A in orbit_oracle.integer_rows(orbit))
+
+    @staticmethod
+    def assert_row_is_the_dense_oracle(row, dense):
+        """``row`` is the oracle's row of the covector ``dense``, scaled
+        over all its entries, with its length appended."""
+        ((scale, entries),) = orbit_oracle.integer_rows(SimpleNamespace(moment=dense, weights=()))
+        assert row == (scale, entries, len(dense))
+
+    @settings(max_examples=200, deadline=None)
+    @given(entries=st.lists(st.integers(-40, 40), max_size=8),
+           t=st.integers(-60, 60).filter(bool))
+    def test_row_over_t_equals_the_dense_oracle(self, entries, t):
+        """An integer row over a positive or negative t, as the walk's
+        dictionary rows are: D > 0 and the row in lowest terms."""
+        dense = Covector(Fraction(e, t) for e in entries)
+        self.assert_row_is_the_dense_oracle(_row(entries, t), dense)
+        self.assert_row_is_the_dense_oracle(_row(tuple(entries), t), dense)
+
+    @settings(max_examples=200, deadline=None)
+    @given(entries=st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                            max_size=8))
+    def test_rational_row_equals_the_dense_oracle(self, entries):
+        self.assert_row_is_the_dense_oracle(_row(entries), Covector(entries))
+        self.assert_row_is_the_dense_oracle(_row(Covector(entries)), Covector(entries))
+
+    @settings(max_examples=50, deadline=None)
+    @given(dim=st.integers(0, 8), t=st.integers(-9, 9).filter(bool))
+    def test_zero_and_empty_rows_equal_the_dense_oracle(self, dim, t):
+        """No nonzero entry: D = 1 and no entries, at any t and length."""
+        dense = Covector([0] * dim)
+        for entries in ([0] * dim, [Fraction(0)] * dim):
+            self.assert_row_is_the_dense_oracle(_row(entries, t), dense)
+            self.assert_row_is_the_dense_oracle(_row(entries), dense)
+        assert _row([0] * dim, t) == (1, (), dim)
 
 
 positive_rationals = st.builds(Fraction, st.integers(1, 40), st.integers(1, 6))

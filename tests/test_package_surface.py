@@ -29,6 +29,8 @@ UNREACHED = {
     "core.Record.__repr__": "frozen-record contract, checked by test_records",
     "core._ExactTuple.__neg__": "the normals -e_i of weighted_sphere_cone",
     "core.basis_vector": "the normals -e_i of weighted_sphere_cone",
+    "engine.OrbitDatum.moment": "dense view of the rows for the test oracles; every route reads integer_rows",
+    "engine.OrbitDatum.weights": "dense view of the rows for the test oracles; every route reads integer_rows",
     "toric.weighted_sphere_cone": "fixture builder of README and the doctests",
     "toric.simplex_cone": "fixture builder of README and the doctests",
     "toric._point_str": "formats the point of an UnboundedSection message",

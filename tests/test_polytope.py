@@ -342,7 +342,7 @@ class TestLawrence:
     def test_command_no_elimination_after_the_walk(self, capsys, tmp_path, monkeypatch, command):
         """Both functionals and the triangulation read |det(b, v_S)| off the
         walk's dictionaries: on cube cone 6 neither command calls an
-        elimination kernel or reads an orbit weight once the walk is done."""
+        elimination kernel or builds orbit data once the walk is done."""
         path = tmp_path / "cube6.json"
         path.write_text(json.dumps(cube_cone_doc(6)))
         calls = count_calls_after_the_walk(monkeypatch)
@@ -354,8 +354,8 @@ class TestLawrence:
     def test_no_elimination(self, monkeypatch):
         """Once the edges are taken, building the section's integer form,
         |det(b, v_S)| included, and evaluating a functional makes no
-        _reduce, _pivot or _cofactors call, pairs no Covector and reads no
-        orbit weights: the normals' coefficients come off the section's
+        _reduce, _pivot or _cofactors call, pairs no Covector and builds no
+        orbit data: the normals' coefficients come off the section's
         edges and the determinants off the walk."""
         cases = []
         for p in (cube_cone_k(4).section, case_cone("product", 2, 3, 3)[0].section):

@@ -36,7 +36,7 @@ def _cases():
     root_data = stiefel_so5_so3()
     return [
         (PiScalar, {"coeff": Fraction(3, 2), "pi_power": 2}),
-        (OrbitDatum, _fields(sphere.orbits[0], ("length", "moment", "weights"))),
+        (OrbitDatum, _fields(sphere.orbits[0], ("length", "integer_rows"))),
         (OrbitSystem, _fields(sphere, ("dim_t", "b", "codim_half", "orbits"))),
         (GoodCone, _fields(cone, ("dim", "normals", "reeb", "lattice_basis",
                                   "pi_scale_exponent"))),
@@ -125,8 +125,8 @@ def test_repr_strings():
         "lattice_basis=None, pi_scale_exponent=1)"
     )
     assert repr(weighted_sphere_system([1, 2]).orbits[0]) == (
-        "OrbitDatum(length=PiScalar(2 * pi^1), moment=(Fraction(1, 1), Fraction(0, 1)), "
-        "weights=((Fraction(2, 1), Fraction(-1, 1)),))"
+        "OrbitDatum(length=PiScalar(2 * pi^1), integer_rows=((1, ((0, 1),), 2), "
+        "(1, ((0, 2), (1, -1)), 2)))"
     )
     assert repr(msy_check(cone)) == (
         "MsyCheck(lhs=PiScalar(2 * pi^2), rhs=PiScalar(2 * pi^2), equal=True, "

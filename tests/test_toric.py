@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from abbvloc import core, toric
+from abbvloc import core, engine, toric
 from abbvloc.cli import main
 from abbvloc.core import Covector, PiScalar, Vector
 from abbvloc.engine import check_v_independence, localize_volume
@@ -63,8 +63,8 @@ def nonpole_cone_sample(cone, rng):
 
 def count_kernel_calls(monkeypatch) -> collections.Counter:
     """Route every binding of the elimination kernels core._pivot,
-    core._reduce and core._cofactors in the package, and every read of
-    ToricOrbit.weights, through one counter, which is returned."""
+    core._reduce and core._cofactors in the package, and every
+    construction of an OrbitDatum, through one counter, which is returned."""
     calls = collections.Counter()
 
     def counted(name, real):
@@ -79,20 +79,20 @@ def count_kernel_calls(monkeypatch) -> collections.Counter:
             if module_name.startswith("abbvloc") and getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counted(name, real))
 
-    build = toric.ToricOrbit.weights.func
+    init = engine.OrbitDatum.__init__
 
-    def weights(orbit):
-        calls["weights"] += 1
-        return build(orbit)
+    def built(datum, *args, **kwargs):
+        calls["OrbitDatum"] += 1
+        init(datum, *args, **kwargs)
 
-    monkeypatch.setattr(toric.ToricOrbit, "weights", property(weights))
+    monkeypatch.setattr(engine.OrbitDatum, "__init__", built)
     return calls
 
 
 def count_calls_after_the_walk(monkeypatch) -> collections.Counter:
     """``count_kernel_calls``, cleared each time the vertex walk
     (toric._walk) returns, so that it holds the elimination kernel calls
-    and orbit weight reads made since the last walk."""
+    and OrbitDatum constructions made since the last walk."""
     calls = count_kernel_calls(monkeypatch)
     walk = toric._walk
 
@@ -407,7 +407,7 @@ class TestToricVolume:
         """toric_volume eliminates once per section and never per sample:
         one _cofactors per vertex on its first call, for the vertex's
         covector N_S, and no elimination kernel at all on the next.  It
-        makes no _pivot or _reduce call, reads no orbit weights and no
+        makes no _pivot or _reduce call, builds no orbit data and reads no
         abs_delta: it reads neither the orbits nor the section's abs_dets,
         which the walk's dictionaries hold."""
         cases = []
@@ -427,9 +427,9 @@ class TestToricVolume:
                 == values[::-1]
             assert calls == {}
             assert len(cone.section.minor_forms[3]) == len(cone.section.edges)
-            # the counters see the orbit-data route, which reads the weights
+            # the counters see the orbit-data route, one OrbitDatum per vertex
             orbit_system_from_cone(cone)
-            assert calls == {"weights": vertices}
+            assert calls == {"OrbitDatum": vertices}
 
     def test_volume_toric_cli_kernel_count(self, monkeypatch, tmp_path, capsys):
         """volume-toric on the benchmark's cube cone 4 eliminates for its
@@ -448,8 +448,8 @@ class TestToricVolume:
         assert main(["volume-toric", "--input", str(path), "--json", "--seed", "42"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["checks"][1]["detail"] == "10 samples compared"
-        # the orbit-data route reads each vertex's weights once
-        assert calls == {"_cofactors": 16, "weights": 16}
+        # the orbit-data route builds one OrbitDatum per vertex
+        assert calls == {"_cofactors": 16, "OrbitDatum": 16}
 
     @staticmethod
     def corrupt_abs_delta(monkeypatch, factors):
