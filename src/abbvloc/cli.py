@@ -384,14 +384,14 @@ def _cmd_polytope_volume(args) -> dict:
     section = _load_section(_load_json(args.input))
     tri = triangulation_volume(section)
     # pulled from vertex 1 and every proper face from its smallest vertex
-    alt = triangulation_volume(section, order=(1, 0, *range(2, len(section.vertices))))
+    alt = triangulation_volume(section, order=(1, 0, *range(2, len(section.orbits))))
     law = sample_lawrence(section, 1, args.seed).value
     checks = [
         _check("base-vertex independence", tri == alt, f"alternate base {rat_str(alt)}"),
         _check("Lawrence cross-check", tri == law, f"Lawrence {rat_str(law)}"),
     ]
     return _report(
-        "polytope-volume", PiScalar(tri, 0), checks, vertex_count=len(section.vertices)
+        "polytope-volume", PiScalar(tri, 0), checks, vertex_count=len(section.orbits)
     )
 
 

@@ -80,7 +80,7 @@ def triangulation_volume(p: HPolytope, order=None) -> Fraction:
         g = gcd(num, den)
         return num // g, den // g
 
-    num, den = measure(frozenset(), range(len(p.vertices)) if order is None else order)
+    num, den = measure(frozenset(), range(len(p.orbits)) if order is None else order)
     return Fraction(num, den * factorial(n))
 
 
@@ -132,7 +132,8 @@ def lawrence_volume(p: HPolytope, f: Vector) -> Fraction:
     if 0 in rises:
         a, c = p.edges[rises.index(0)]
         raise EdgeConstantFunctional(
-            f"functional constant on edge {tuple(p.vertices[a])} -- {tuple(p.vertices[c])}"
+            f"functional constant on edge {tuple(p.orbits[a].vertex)} -- "
+            f"{tuple(p.orbits[c].vertex)}"
         )
     num, den = _sum([(value**n * w, z * prod(map(rises.__getitem__, slot)))
                      for value, slot, (w, z) in zip(at, slots, weights)])

@@ -12,23 +12,27 @@ every normal, so neither its start nor a vertex pairs a row with a
 normal.  Each vertex is validated against the lattice direct-summand
 condition on its moment row, which holds the n x n minors of v_S: their
 gcd is the index of the sublattice that v_S spans, which a violation
-reports.  One ``ToricOrbit`` per vertex, sorted by vertex, makes up the
-cone's section, an ``HPolytope``, whose edges ``_bounded_edges`` finds;
-boundedness is read off them.  Each orbit's vertex and weight rows over
-T are reduced to orbit data (``engine._row``), and the section's vertices
-and normals to integer rows, the normals primitive as the walk pivots them,
-which the determinant volume formula (through one integer covector of
+reports.  Every vertex stays integers from the walk to the volume routes:
+its point is L_b A[b's row] / T, kept as (Q, P) in lowest terms, and the
+section is sorted by integer keys.  One ``ToricOrbit`` per vertex, sorted
+by vertex, makes up the cone's section, an ``HPolytope``, whose edges
+``_bounded_edges`` finds; boundedness is read off them.  Each orbit's
+vertex and weight rows over T are reduced to orbit data (``engine._row``),
+and the section's normals to integer rows, primitive as the walk pivots
+them; the determinant volume formula (through one integer covector of
 minors per vertex, taken once per section), Lawrence's formula and the
-pulling triangulation read; the latter two read each vertex's
-|det(b, v_S)| off the walk.  Errors come in the order
-NotSimpleVertex, GoodnessViolation, UnboundedSection.
+pulling triangulation read these rows, the latter two with each vertex's
+integer row and |det(b, v_S)| off the walk.  A vertex's point as
+Fractions (``ToricOrbit.vertex``) is built only for a message that names
+it and for the test oracles.  Errors come in the order NotSimpleVertex,
+GoodnessViolation, UnboundedSection.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 from operator import mul
 
 from .core import (
@@ -155,28 +159,38 @@ class GoodCone(Record):
 class ToricOrbit(Record):
     """A vertex of the hyperplane section, i.e. one closed Reeb orbit.
 
-    ``facet_indices`` are the facets through the vertex, in increasing
-    order, and ``abs_delta`` is |det(b, v_S)| for their normals v_S.
-    ``rows`` are the n + 1 rows of the walk's dictionary T (b | v_S)^-1
-    with the normals in that order, as tuples of ints, and ``t`` is T:
-    row 0 is the moment row, ``vertex`` = L_b row 0 / T for the lcm L_b of
-    b's denominators, and rows 1..n are the weights.  The walk scales each
-    normal to a primitive integer row, so ``abs_delta`` and ``rows`` are
-    those of the primitive normals; a cone's normals are primitive already.
+    ``integer_vertex`` is the vertex P / Q in lowest terms as (Q, P): Q > 0
+    and P a tuple of ints.  ``facet_indices`` are the facets through the
+    vertex, in increasing order, and ``abs_delta`` is |det(b, v_S)| for
+    their normals v_S.  ``rows`` are the n + 1 rows of the walk's
+    dictionary T (b | v_S)^-1 with the normals in that order, as tuples of
+    ints, and ``t`` is T: row 0 is the moment row, so the vertex is
+    L_b row 0 / T for the lcm L_b of b's denominators, and rows 1..n are
+    the weights.  The walk scales each normal to a primitive integer row,
+    so ``abs_delta`` and ``rows`` are those of the primitive normals; a
+    cone's normals are primitive already.  ``vertex`` is the point as a
+    Covector of Fractions, a view for messages and oracles, built on
+    first read.
     """
 
-    vertex: Covector
+    integer_vertex: tuple
     facet_indices: tuple
     abs_delta: Fraction
     rows: tuple
     t: int
 
+    @cached_property
+    def vertex(self) -> Covector:
+        q, p = self.integer_vertex
+        return Covector(Fraction(x, q) for x in p)
+
 
 class HPolytope(Record):
     """The section {phi : phi(v_i) <= 0, phi(reeb) = 1} as the vertex walk
     (``_walk``) found it: one ToricOrbit per vertex, sorted by vertex, from
-    which its ``vertices`` and, in vertex order, the facets each vertex
-    lies on (``facet_sets``) are read.  The walk proves every vertex
+    which its ``integer_vertices`` and, in vertex order, the facets each
+    vertex lies on (``facet_sets``) are read; ``vertices`` is their
+    Fraction view, for the test oracles.  The walk proves every vertex
     simple, on n facets whose normals form a basis with b.  A cone's
     section is ``GoodCone.section``."""
 
@@ -225,14 +239,14 @@ class HPolytope(Record):
     def edges(self) -> tuple:
         """The sorted pairs a < b of vertex indices joined by an edge; raises
         UnboundedSection unless the section is bounded."""
-        return _bounded_edges(self.vertices, self.facet_sets)
+        return _bounded_edges(self.orbits, self.facet_sets)
 
     @cached_property
     def integer_vertices(self) -> tuple:
         """(Q_a, P_a) for each vertex a = P_a / Q_a, in vertex order: the
-        vertex as a tuple of ints P_a over the lcm Q_a of its denominators
-        (``core._integer_row``)."""
-        return tuple((q, tuple(row)) for q, row in map(_integer_row, self.vertices))
+        vertex as a tuple of ints P_a over the lcm Q_a of its denominators,
+        each orbit's ``integer_vertex`` as the walk found it."""
+        return tuple(o.integer_vertex for o in self.orbits)
 
     @cached_property
     def integer_normals(self) -> tuple:
@@ -330,8 +344,8 @@ def _point_str(phi) -> str:
     return f"({', '.join(map(rat_str, phi))})"
 
 
-def _bounded_edges(vertices, facet_sets) -> tuple:
-    """The sorted pairs a < b of indices into ``vertices`` joined by an edge
+def _bounded_edges(orbits, facet_sets) -> tuple:
+    """The sorted pairs a < b of indices into ``orbits`` joined by an edge
     of a simple section whose vertices lie on the facets ``facet_sets``.
 
     An edge is keyed by its facets, a vertex's facet set minus one facet, and
@@ -349,7 +363,7 @@ def _bounded_edges(vertices, facet_sets) -> tuple:
             (left,) = set(facet_sets[first]) - edge
             raise UnboundedSection(
                 f"the section is unbounded: the edge that leaves facet {left} at vertex "
-                f"{_point_str(vertices[first])} has no second vertex"
+                f"{_point_str(orbits[first].vertex)} has no second vertex"
             )
     return tuple(sorted(tuple(pair) for pair in ends.values() if len(pair) == 2))
 
@@ -393,10 +407,12 @@ def _walk(normals, reeb) -> tuple:
     NotSimpleVertex test and row i's the ratio test along the edge that
     leaves facet labels[i]; each neighbour is one ``_pivot``.
 
-    Returns (scale, [(vertex, labels, A, T), ...]) in walk order, empty
-    when the section has no vertex.  Raises NotSimpleVertex at a vertex
-    on more than n facets (a tie in the ratio test leads to one) and
-    InputError once more than MAX_VERTICES vertices are seen.
+    Returns (scale, [(labels, A, T), ...]) in walk order, empty when the
+    section has no vertex: each vertex is scale * A[b's row] / T, kept as
+    integers, and only the NotSimpleVertex message builds it as Fractions.
+    Raises NotSimpleVertex at a vertex on more than n facets (a tie in the
+    ratio test leads to one) and InputError once more than MAX_VERTICES
+    vertices are seen.
     """
     d = len(reeb)
     scale, b = _integer_row(reeb)
@@ -448,15 +464,15 @@ def _walk(normals, reeb) -> tuple:
         labels, tab, t = stack.pop()
         sign = 1 if t > 0 else -1
         top = tab[ib]
-        phi = Covector(Fraction(scale * x, t) for x in top[:d])
         basic = frozenset(labels)
         others = [k for k in range(m) if k not in basic]
         if any(top[w + k] == 0 for k in others):
             active = basic - {-1} | {k for k in others if top[w + k] == 0}
+            phi = (Fraction(scale * x, t) for x in top[:d])
             raise NotSimpleVertex(
                 f"vertex {_point_str(phi)} lies on facets {tuple(sorted(active))}, more than {n}"
             )
-        found.append((phi, labels, [r[:d] for r in tab], t))
+        found.append((labels, [r[:d] for r in tab], t))
         heights = [(k, -sign * top[w + k]) for k in others]
         for i in range(d):
             if i == ib:
@@ -489,18 +505,31 @@ def _walk(normals, reeb) -> tuple:
 def _sorted_orbits(scale, found) -> tuple:
     """The vertices that ``_walk`` found, with its ``scale``, as ToricOrbits
     sorted by vertex: each dictionary's rows put in facet-index order, the
-    Reeb vector's row first, and abs_delta = |T| / scale."""
+    Reeb vector's row first, and abs_delta = |T| / scale.  The vertex is
+    y / T for y = scale * row 0, kept as (Q, P) in lowest terms: with
+    g = sign(T) gcd(T, y), Q = T / g and P = y / g.  The vertices are
+    sorted by the integer rows P (L / Q) for the lcm L of all the Q, in
+    the order of their Fraction tuples, so no Fraction point is built."""
     orbits = []
-    for phi, labels, a, t in found:
+    for labels, a, t in found:
         order = sorted(range(len(labels)), key=labels.__getitem__)
+        rows = tuple(tuple(a[i]) for i in order)
+        y = [scale * x for x in rows[0]]
+        g = gcd(t, *y) * (1 if t > 0 else -1)
         orbits.append(ToricOrbit(
-            vertex=phi,
+            integer_vertex=(t // g, tuple(x // g for x in y)),
             facet_indices=tuple(labels[i] for i in order[1:]),
             abs_delta=Fraction(abs(t), scale),
-            rows=tuple(tuple(a[i]) for i in order),
+            rows=rows,
             t=t,
         ))
-    return tuple(sorted(orbits, key=lambda o: tuple(o.vertex)))
+    common = lcm(*(o.integer_vertex[0] for o in orbits))
+
+    def key(orbit):
+        q, p = orbit.integer_vertex
+        return tuple(x * (common // q) for x in p)
+
+    return tuple(sorted(orbits, key=key))
 
 
 def enumerate_vertices(cone: GoodCone) -> tuple:
@@ -509,20 +538,21 @@ def enumerate_vertices(cone: GoodCone) -> tuple:
 
     ``_walk`` finds them by an integer pivoting walk from a dual-simplex
     start.  Each vertex's moment (the vertex) and weights are the rows of
-    its dictionary A / T, put in sorted facet order, and abs_delta is
-    |det(b, v_S)| = |T| / lcm(denominators of b); no determinant or
-    inverse is computed, and the rows stay integers over T until
-    ``orbit_system_from_cone`` reduces them.  A is the adjugate of (b | v_S),
-    so its moment row holds the n x n minors of v_S up to sign, whose gcd
-    is the index of the sublattice that the active normals span: they
-    span a direct summand exactly when that index is 1.  Errors, in this
-    order of precedence: NotSimpleVertex at a vertex on extra facets (the
-    walk stops there), GoodnessViolation at the first vertex in sorted
-    facet order whose moment row has gcd above 1 (reported with that
-    index), UnboundedSection for an empty section.  InputError when the
-    section has more than MAX_VERTICES vertices.  An edge with one vertex
-    (for a simple section, a nontrivial recession cone) is reported by the
-    section's ``edges``.
+    its dictionary A / T, put in sorted facet order, the vertex also as its
+    integer row over Q in lowest terms (``ToricOrbit.integer_vertex``), and
+    abs_delta is |det(b, v_S)| = |T| / lcm(denominators of b); no
+    determinant, inverse or Fraction point is computed, and the rows stay
+    integers over T until ``orbit_system_from_cone`` reduces them.  A is
+    the adjugate of (b | v_S), so its moment row holds the n x n minors of
+    v_S up to sign, whose gcd is the index of the sublattice that the
+    active normals span: they span a direct summand exactly when that
+    index is 1.  Errors, in this order of precedence: NotSimpleVertex at a
+    vertex on extra facets (the walk stops there), GoodnessViolation at the
+    first vertex in sorted facet order whose moment row has gcd above 1
+    (reported with that index), UnboundedSection for an empty section.
+    InputError when the section has more than MAX_VERTICES vertices.  An
+    edge with one vertex (for a simple section, a nontrivial recession
+    cone) is reported by the section's ``edges``.
 
     Enumerates afresh on every call; callers read ``cone.section``, which
     calls this once per cone and keeps the result.
@@ -545,18 +575,20 @@ def orbit_system_from_cone(cone: GoodCone) -> OrbitSystem:
 
     The moment functional and the weight functionals at a vertex are the
     rows of the inverse of the matrix with columns (b, v_1, ..., v_n),
-    which the walk kept: the moment is the vertex, and the weights are its
-    integer dictionary rows over T (``ToricOrbit.rows`` and ``t``), each
-    reduced by ``engine._row`` with no Fraction built.  The uniform pi
-    grading of the weights and the lattice rescaling are absorbed into the
-    orbit length, keeping all functionals rational; with
+    which the walk kept: the moment is the vertex, its integer row P over Q
+    (``ToricOrbit.integer_vertex``), and the weights are its integer
+    dictionary rows over T (``ToricOrbit.rows`` and ``t``), each reduced by
+    ``engine._row`` with no Fraction built.  The uniform pi grading of the
+    weights and the lattice rescaling are absorbed into the orbit length,
+    keeping all functionals rational; with
     pi_scale_exponent 1 the stored lengths, moments and weights are
     exactly the geometric ones.
     """
     k = cone.two_pi_exponent
     orbits = []
     for orbit in cone.section.orbits:
-        rows = (_row(orbit.vertex), *(_row(w, orbit.t) for w in orbit.rows[1:]))
+        q, p = orbit.integer_vertex
+        rows = (_row(p, q), *(_row(w, orbit.t) for w in orbit.rows[1:]))
         orbits.append(OrbitDatum(PiScalar(Fraction(2) ** k / orbit.abs_delta, k), rows))
     return OrbitSystem(cone.dim, cone.reeb, cone.codim_half, tuple(orbits))
 

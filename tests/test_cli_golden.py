@@ -149,6 +149,17 @@ FIXTURES = {
     "roots-weyl-ragged": stiefel_root_data_doc([["0", "1", "0"], ["1", "0"], ["0", "0", "1"]]),
     "roots-weyl-2x3": stiefel_root_data_doc([["0", "1", "0"], ["1", "0", "0"]]),
     "roots-weyl-singular": stiefel_root_data_doc([["0", "1", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+    # messages that name a vertex, exit 2: the strip 0 <= phi_0 <= 1, phi_1 >= 0
+    # at phi_2 = 1 (two vertices, one ray), and a square section with an extra
+    # diagonal facet through one corner, as a cone and as a bare polytope
+    "polytope-strip": {"dim": 3, "normals": [[-1, 0, 0], [0, -1, 0], [1, 0, -1]],
+                       "reeb": ["0", "0", "1"]},
+    "polytope-square-diagonal": {"dim": 3, "reeb": ["0", "0", "1"],
+                                 "normals": [[1, 0, -1], [-1, 0, -1], [0, 1, -1], [0, -1, -1],
+                                             [1, 1, -2]]},
+    "cone-square-diagonal": {"dim": 3, "pi_scale_exponent": 1, "reeb": ["0", "0", "1"],
+                             "normals": [[1, 0, -1], [-1, 0, -1], [0, 1, -1], [0, -1, -1],
+                                         [1, 1, -2]]},
 }
 
 # (case id, argv); "@name" is replaced by the path of FIXTURES[name].
@@ -171,6 +182,11 @@ CASES = (
       for command in ("volume-toric", "polytope-volume")),
     *((f"{command}-{name}", (command, "--input", f"@{name}"))
       for name in ("cube-5", "product-3-3") for command in ("polytope-volume", "msy-check")),
+    *((f"{command}-strip", (command, "--input", "@polytope-strip"))
+      for command in ("polytope-volume", "lawrence")),
+    ("volume-toric-square-diagonal", ("volume-toric", "--input", "@cone-square-diagonal")),
+    ("polytope-volume-square-diagonal", ("polytope-volume", "--input",
+                                         "@polytope-square-diagonal")),
     *((f"volume-toric-basis-{name}", ("volume-toric", "--input", f"@cone-basis-{name}"))
       for name in ("empty", "one-row", "ragged", "singular", "ragged-bad-literal")),
     *((f"homogeneous-{name}", ("homogeneous", "--input", f"@roots-{name}", "--b-prime", "0,0,1"))
@@ -263,6 +279,14 @@ GOLDEN = {
     "polytope-volume-product-3-3@7": (0, "87beb5d63aa3dee5b541519bd7623147fff0deacfbfbb5b7ccd9589aac324b66"),
     "msy-check-product-3-3@42": (0, "39b8e4e249ca009a68afb982f86fcf329560ed06678a42d4e4c0ec4c5f344e55"),
     "msy-check-product-3-3@7": (0, "39b8e4e249ca009a68afb982f86fcf329560ed06678a42d4e4c0ec4c5f344e55"),
+    "polytope-volume-strip@42": (2, "035aaa5b684a645e8f05c687e07cc44135c2f5eff6521b132215d5fad0462bef"),
+    "polytope-volume-strip@7": (2, "035aaa5b684a645e8f05c687e07cc44135c2f5eff6521b132215d5fad0462bef"),
+    "lawrence-strip@42": (2, "035aaa5b684a645e8f05c687e07cc44135c2f5eff6521b132215d5fad0462bef"),
+    "lawrence-strip@7": (2, "035aaa5b684a645e8f05c687e07cc44135c2f5eff6521b132215d5fad0462bef"),
+    "volume-toric-square-diagonal@42": (2, "90f5a85b32f802530b0c16b0e891d44a2bcf2524a262e0613efb3cd6bd779599"),
+    "volume-toric-square-diagonal@7": (2, "90f5a85b32f802530b0c16b0e891d44a2bcf2524a262e0613efb3cd6bd779599"),
+    "polytope-volume-square-diagonal@42": (2, "90f5a85b32f802530b0c16b0e891d44a2bcf2524a262e0613efb3cd6bd779599"),
+    "polytope-volume-square-diagonal@7": (2, "90f5a85b32f802530b0c16b0e891d44a2bcf2524a262e0613efb3cd6bd779599"),
     "volume-toric-basis-empty@42": (2, "25195c5744dd46584a79ed753f754afe501507c0f8284a7f46e5613062f41105"),
     "volume-toric-basis-empty@7": (2, "25195c5744dd46584a79ed753f754afe501507c0f8284a7f46e5613062f41105"),
     "volume-toric-basis-one-row@42": (2, "25195c5744dd46584a79ed753f754afe501507c0f8284a7f46e5613062f41105"),
@@ -316,6 +340,10 @@ TEXT_GOLDEN = {
     "msy-check-cube-5": (0, "7302005a209f05cba02b9381f36d6f368c904749d491ff4ca962dbef8416666d"),
     "polytope-volume-product-3-3": (0, "56ef331b507d77162e31adc007a806e13392a03f9666ecbf0a786dd8bb93984d"),
     "msy-check-product-3-3": (0, "aea82dd06587a8e2cc40889b4760a101c5761d33876754f286a8de30eca6cfc8"),
+    "polytope-volume-strip": (2, "035aaa5b684a645e8f05c687e07cc44135c2f5eff6521b132215d5fad0462bef"),
+    "lawrence-strip": (2, "035aaa5b684a645e8f05c687e07cc44135c2f5eff6521b132215d5fad0462bef"),
+    "volume-toric-square-diagonal": (2, "90f5a85b32f802530b0c16b0e891d44a2bcf2524a262e0613efb3cd6bd779599"),
+    "polytope-volume-square-diagonal": (2, "90f5a85b32f802530b0c16b0e891d44a2bcf2524a262e0613efb3cd6bd779599"),
     "volume-toric-basis-empty": (2, "25195c5744dd46584a79ed753f754afe501507c0f8284a7f46e5613062f41105"),
     "volume-toric-basis-one-row": (2, "25195c5744dd46584a79ed753f754afe501507c0f8284a7f46e5613062f41105"),
     "volume-toric-basis-ragged": (2, "4e113417a9225295c8783cad3e8c7c22b3087235546b7c7182a3b815b9e283b4"),

@@ -9,6 +9,9 @@ the same samples.  Each row of ``OrbitDatum.integer_rows`` comes from
 oracle's dense row with its zeros dropped and its length appended.
 """
 
+import collections
+import json
+import sys
 from fractions import Fraction
 from math import factorial, prod
 from types import SimpleNamespace
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 
 import orbit_oracle
 from abbvloc import core, engine, secondary
-from abbvloc.cli import _load_orbit_system
+from abbvloc.cli import _load_orbit_system, main
 from abbvloc.core import Covector, PiScalar, Vector, canonical_multiindex, partitions
 from abbvloc.engine import (
     _row,
@@ -34,7 +37,7 @@ from abbvloc.sampling import SAMPLE_POOL, sample_vector
 from abbvloc.secondary import check_w1_identity
 from abbvloc.toric import orbit_system_from_cone
 from conftest import make_rng, random_weights
-from test_cli_golden import sphere_system_doc
+from test_cli_golden import cube_cone_doc, sphere_system_doc
 from test_generated_cones import CASES, case_cone
 
 
@@ -113,9 +116,23 @@ class TestIntegerRows:
         assert weights == [(3, ((0, -3), (1, 2)), 4), (3, ((1, 10), (2, -3)), 4),
                            (3, ((1, 14), (3, -3)), 4)]
 
-    def test_rows_are_computed_once_per_orbit(self):
-        orbit = weighted_sphere_system([1, 2, 3]).orbits[0]
-        assert orbit.integer_rows is orbit.integer_rows
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_volume_toric_builds_each_orbit_once(self, capsys, tmp_path, monkeypatch, k):
+        """volume-toric on cube cone k (2^k vertices, n = k) builds one
+        OrbitDatum per vertex and calls engine._row n + 1 times per vertex,
+        under every name the package binds it to."""
+        path = tmp_path / "cube.json"
+        path.write_text(json.dumps(cube_cone_doc(k)))
+        calls = collections.Counter()
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("abbvloc") and getattr(module, "_row", None) is _row:
+                monkeypatch.setattr(module, "_row", lambda *args: calls.update(["_row"]) or _row(*args))
+        init = engine.OrbitDatum.__init__
+        monkeypatch.setattr(engine.OrbitDatum, "__init__",
+                            lambda datum, *args: calls.update(["OrbitDatum"]) or init(datum, *args))
+        assert main(["volume-toric", "--input", str(path), "--json", "--seed", "42"]) == 0
+        assert json.loads(capsys.readouterr().out)["checks"][1]["pass"]
+        assert calls == {"OrbitDatum": 2**k, "_row": 2**k * (k + 1)}
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 6), count=st.integers(0, 4))

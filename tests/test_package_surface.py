@@ -31,9 +31,9 @@ UNREACHED = {
     "core.basis_vector": "the normals -e_i of weighted_sphere_cone",
     "engine.OrbitDatum.moment": "dense view of the rows for the test oracles; every route reads integer_rows",
     "engine.OrbitDatum.weights": "dense view of the rows for the test oracles; every route reads integer_rows",
+    "toric.HPolytope.vertices": "Fraction view of the vertices for the test oracles; every route reads integer_vertices",
     "toric.weighted_sphere_cone": "fixture builder of README and the doctests",
     "toric.simplex_cone": "fixture builder of README and the doctests",
-    "toric._point_str": "formats the point of an UnboundedSection message",
     "cli._OneCommandParser.error": "parse errors, which the goldens do not pin",
     "cli._build_parser": "top-level help and parse errors, which the goldens do not pin",
     "cli._default_seed": "the goldens always pass --seed",

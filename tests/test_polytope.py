@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from abbvloc import polytope
+from abbvloc import polytope, toric
 from abbvloc.cli import main
 from abbvloc.core import Covector, PiScalar, Vector, rat, rat_str
 from abbvloc.errors import (
@@ -510,6 +510,45 @@ class TestHPolytope:
         found = vertices_from_halfspaces(normals, Vector([0, 0, 1]))
         actives = {tuple(phi): act for phi, act in found}
         assert len(actives[(1, 1, 1)]) == 3
+
+
+def count_vertex_views(monkeypatch) -> list:
+    """Route every build of a ToricOrbit's Fraction ``vertex`` view through
+    a counter; returns the list that collects the orbit of each build."""
+    built = []
+    real = toric.ToricOrbit.__dict__["vertex"].func
+    view = cached_property(lambda orbit: built.append(orbit) or real(orbit))
+    view.__set_name__(toric.ToricOrbit, "vertex")
+    monkeypatch.setattr(toric.ToricOrbit, "vertex", view)
+    return built
+
+
+class TestVertexViews:
+    """Every route reads a vertex as its integer row; a ToricOrbit's Fraction
+    point is built only for a message that names it."""
+
+    @pytest.mark.parametrize("command", ["volume-toric", "msy-check", "lawrence",
+                                         "polytope-volume"])
+    def test_commands_build_no_view(self, capsys, tmp_path, monkeypatch, command):
+        path = tmp_path / "cube5.json"
+        path.write_text(json.dumps(cube_cone_doc(5)))
+        built = count_vertex_views(monkeypatch)
+        assert main([command, "--input", str(path), "--json", "--seed", "42"]) == 0
+        assert all(check["pass"] for check in json.loads(capsys.readouterr().out)["checks"])
+        assert built == []
+
+    def test_a_rejected_draw_builds_the_two_views_it_names(self, monkeypatch):
+        p = cube_cone_k(5).section
+        built = count_vertex_views(monkeypatch)
+        # u = 0 is constant on every edge: the message names the first one's ends
+        with pytest.raises(EdgeConstantFunctional):
+            lawrence_volume(p, (0,) * 6 + (1,))
+        a, c = p.edges[0]
+        assert built == [p.orbits[a], p.orbits[c]]
+        built.clear()
+        outcome = sample_lawrence(p, 2, seed=1)
+        assert outcome.rejected_poles > 0
+        assert len(built) <= 2 * outcome.rejected_poles
 
 
 class TestMsyBridge:

@@ -40,7 +40,7 @@ def _cases():
         (OrbitSystem, _fields(sphere, ("dim_t", "b", "codim_half", "orbits"))),
         (GoodCone, _fields(cone, ("dim", "normals", "reeb", "lattice_basis",
                                   "pi_scale_exponent"))),
-        (ToricOrbit, _fields(section.orbits[0], ("vertex", "facet_indices", "abs_delta",
+        (ToricOrbit, _fields(section.orbits[0], ("integer_vertex", "facet_indices", "abs_delta",
                                                  "rows", "t"))),
         (HPolytope, _fields(section, ("normals", "reeb", "orbits"))),
         (MsyCheck, {"lhs": PiScalar(2, 2), "rhs": PiScalar(2, 2), "equal": True,

@@ -458,8 +458,8 @@ class TestToricVolume:
         real = toric.enumerate_vertices
 
         def corrupted(cone):
-            return tuple(toric.ToricOrbit(o.vertex, o.facet_indices, o.abs_delta * factors(i),
-                                          o.rows, o.t)
+            return tuple(toric.ToricOrbit(o.integer_vertex, o.facet_indices,
+                                          o.abs_delta * factors(i), o.rows, o.t)
                          for i, o in enumerate(real(cone)))
 
         monkeypatch.setattr(toric, "enumerate_vertices", corrupted)
@@ -710,7 +710,7 @@ class TestGoodnessFromMomentRow:
             return
         first = None
         for facets, row in sorted((tuple(sorted(set(labels) - {-1})), a[labels.index(-1)])
-                                  for _, labels, a, _ in found):
+                                  for labels, a, _ in found):
             divisors = smith_normal_form([cone.normals[i] for i in facets])
             assert gcd(*row) == prod(divisors)
             if first is None and set(divisors) != {1}:

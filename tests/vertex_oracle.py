@@ -89,10 +89,11 @@ def repairing_walk(normals, reeb) -> tuple:
     test finds the facet it meets next; an edge that meets none is a ray
     and is skipped (``_bounded_edges`` reports it).
 
-    Returns (scale, [(vertex, labels, A, T), ...]) in walk order, empty
-    when the section has no vertex.  Raises NotSimpleVertex at a vertex
-    on more than n facets (a tie in the ratio test leads to one) and
-    InputError once more than MAX_VERTICES vertices are seen.
+    Returns (scale, [(labels, A, T), ...]) in walk order, empty when the
+    section has no vertex; each vertex is scale * A[b's row] / T.  Raises
+    NotSimpleVertex at a vertex on more than n facets (a tie in the ratio
+    test leads to one) and InputError once more than MAX_VERTICES vertices
+    are seen.
     """
     d = len(reeb)
     scale, b = _integer_row(reeb)
@@ -142,16 +143,16 @@ def repairing_walk(normals, reeb) -> tuple:
     while stack:
         labels, a, t = stack.pop()
         sign = 1 if t > 0 else -1
-        phi = Covector(Fraction(scale * x, t) for x in a[ib])
         basic = frozenset(labels)
         others = [k for k in range(m) if k not in basic]
         cols = [_column(a, rows[k]) for k in others]
         if any(col[ib] == 0 for col in cols):
             active = basic - {-1} | {k for k, col in zip(others, cols) if col[ib] == 0}
+            phi = Covector(Fraction(scale * x, t) for x in a[ib])
             raise NotSimpleVertex(
                 f"vertex {_point_str(phi)} lies on facets {tuple(sorted(active))}, more than {n}"
             )
-        found.append((phi, labels, a, t))
+        found.append((labels, a, t))
         for i in range(d):
             if i == ib:
                 continue
