@@ -99,10 +99,11 @@ def lawrence_volume(p: HPolytope, f: Vector) -> Fraction:
     c(v_j) != 0.  So gamma_j = 0, and f must be redrawn
     (EdgeConstantFunctional), exactly when f is constant on an edge.
 
-    The section's ``lawrence_form`` holds each vertex as a = P_a / Q_a on
-    integers.  With (U, D) = L (u, d) for the lcm L of f's denominators,
+    The section holds each vertex as a = P_a / Q_a on integers
+    (``integer_vertices``) and each edge e = (a, c) once (``edges``).
+    With (U, D) = L (u, d) for the lcm L of f's denominators,
     F_a = U . P_a + D Q_a is L Q_a f(a), one dot product per vertex, and
-    per edge e = (a, c), R_e = F_c Q_a - F_a Q_c = L Q_a Q_c (f(c) - f(a)).
+    per edge, R_e = F_c Q_a - F_a Q_c = L Q_a Q_c (f(c) - f(a)).
     The normals are read as their primitive rows v_j (``integer_normals``)
     and |det(b, v_S)| as the walk's (``abs_dets``): scaling a normal by a
     positive factor scales its gamma_j by the inverse factor and the
@@ -117,26 +118,26 @@ def lawrence_volume(p: HPolytope, f: Vector) -> Fraction:
             = F_a^n prod_j (P_c . v_j) / (|det(b, v_S)| prod_e +-R_e)
             = F_a^n w_a / (z_a prod_e R_e):
 
-    L^n and Q_a^n cancel, and the form's integer pair (w_a, z_a) carries
-    the rest.  The first R_e = 0 in edge order raises; otherwise the vertex
-    terms are added unreduced by ``core._sum``, so a call builds one
-    Fraction.
+    L^n and Q_a^n cancel, the section's ``lawrence_form`` holds the
+    integer pair (w_a, z_a), and its ``slots`` name a's n edges.  The
+    first R_e = 0 in edge order raises; otherwise the vertex terms are
+    added unreduced by ``core._sum``, so a call builds one Fraction.
     """
     n = p.section_dim
-    scales, rows, slots, weights = p.lawrence_form
+    vertices, edges = p.integer_vertices, p.edges
     _, (*u, d) = _integer_row(Vector(f))
     if len(u) != len(p.reeb):
         raise ValueError(f"dimension mismatch: {len(p.reeb)} vs {len(u)}")
-    at = [sum(map(mul, u, row)) + d * q for q, row in zip(scales, rows)]
-    rises = [at[c] * scales[a] - at[a] * scales[c] for a, c in p.edges]
+    at = [sum(map(mul, u, row)) + d * q for q, row in vertices]
+    rises = [at[c] * vertices[a][0] - at[a] * vertices[c][0] for a, c, _, _ in edges]
     if 0 in rises:
-        a, c = p.edges[rises.index(0)]
+        a, c, _, _ = next(edge for edge, rise in zip(edges, rises) if rise == 0)
         raise EdgeConstantFunctional(
             f"functional constant on edge {tuple(p.orbits[a].vertex)} -- "
             f"{tuple(p.orbits[c].vertex)}"
         )
     num, den = _sum([(value**n * w, z * prod(map(rises.__getitem__, slot)))
-                     for value, slot, (w, z) in zip(at, slots, weights)])
+                     for value, slot, (w, z) in zip(at, p.slots, p.lawrence_form)])
     return Fraction(num, den * factorial(n))
 
 

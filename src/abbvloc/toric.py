@@ -15,16 +15,17 @@ gcd is the index of the sublattice that v_S spans, which a violation
 reports.  Every vertex stays integers from the walk to the volume routes:
 its point is L_b A[b's row] / T, kept as (Q, P) in lowest terms, and the
 section is sorted by integer keys.  One ``ToricOrbit`` per vertex, sorted
-by vertex, makes up the cone's section, an ``HPolytope``, whose edges
-``_bounded_edges`` finds; boundedness is read off them.  Each orbit's
-vertex and weight rows over T are reduced to orbit data (``engine._row``),
-and the section's normals to integer rows, primitive as the walk pivots
-them; the determinant volume formula (through one integer covector of
-minors per vertex, taken once per section), Lawrence's formula and the
-pulling triangulation read these rows, the latter two with each vertex's
-integer row and |det(b, v_S)| off the walk.  A vertex's point as
-Fractions (``ToricOrbit.vertex``) is built only for a message that names
-it and for the test oracles.  Errors come in the order NotSimpleVertex,
+by vertex, makes up the cone's section, an ``HPolytope``, whose one edge
+table (``HPolytope.edges``) names each edge's ends and the facet it leaves
+at each; boundedness is read off it.  Each orbit's vertex and weight rows
+over T are reduced to orbit data (``engine._row``), and the section's
+normals to integer rows, primitive as the walk pivots them; the
+determinant volume formula (through one integer covector of minors per
+vertex, taken once per section), Lawrence's formula and the pulling
+triangulation read these rows, the latter two with each vertex's integer
+row and |det(b, v_S)| off the walk.  A vertex's point as Fractions
+(``ToricOrbit.vertex``) is built only for a message that names it and for
+the test oracles.  Errors come in the order NotSimpleVertex,
 GoodnessViolation, UnboundedSection.
 """
 
@@ -237,9 +238,46 @@ class HPolytope(Record):
 
     @cached_property
     def edges(self) -> tuple:
-        """The sorted pairs a < b of vertex indices joined by an edge; raises
-        UnboundedSection unless the section is bounded."""
-        return _bounded_edges(self.orbits, self.facet_sets)
+        """The section's edges, sorted, each as (a, c, i, k): its ends a < c,
+        vertex indices, and the positions i and k in their ``facet_indices``
+        of the facet that it leaves at a and at c.
+
+        An edge is keyed by its facets, a vertex's facet set minus one
+        facet, and ends in the vertices that share that key.  Raises
+        UnboundedSection at an edge with one vertex: a ray, so the section
+        has a nontrivial recession cone; the message names the first vertex
+        with a ray and, of its rays, the first in its facet set's order.
+
+        >>> section = weighted_sphere_cone([1, 2, 3]).section
+        >>> section.edges
+        ((0, 1, 1, 1), (0, 2, 0, 1), (1, 2, 0, 0))
+        >>> section.slots
+        ((1, 0), (2, 0), (2, 1))
+        """
+        ends = {}
+        for a, orbit in enumerate(self.orbits):
+            facets = frozenset(orbit.facet_indices)
+            for i, j in enumerate(orbit.facet_indices):
+                ends.setdefault(facets - {j}, []).append((a, i))
+        for (a, _), *rest in ends.values():
+            if not rest:
+                facets = frozenset(self.orbits[a].facet_indices)
+                left = next(j for j in facets if len(ends[facets - {j}]) == 1)
+                raise UnboundedSection(
+                    f"the section is unbounded: the edge that leaves facet {left} at vertex "
+                    f"{_point_str(self.orbits[a].vertex)} has no second vertex"
+                )
+        return tuple(sorted((a, c, i, k) for (a, i), (c, k) in ends.values()))
+
+    @cached_property
+    def slots(self) -> tuple:
+        """For each vertex, in vertex order, and each position i in its
+        ``facet_indices``: the index into ``edges`` of the edge that leaves
+        the facet at position i.  Raises UnboundedSection as ``edges`` does."""
+        slots = [[None] * len(o.facet_indices) for o in self.orbits]
+        for e, (a, c, i, k) in enumerate(self.edges):
+            slots[a][i] = slots[c][k] = e
+        return tuple(map(tuple, slots))
 
     @cached_property
     def integer_vertices(self) -> tuple:
@@ -265,20 +303,18 @@ class HPolytope(Record):
 
     @cached_property
     def minor_forms(self) -> tuple:
-        """What ``toric_volume`` reads of the section, taken once from b and
-        the primitive normal rows and from no walk dictionary: (forms,
-        at_reeb, slots, edges).
+        """What ``toric_volume`` reads of the section besides ``edges`` and
+        ``slots``, taken once from b and the primitive normal rows and from
+        no walk dictionary: (forms, at_reeb, divisors).
 
         Per vertex on the facets S, in vertex order: ``forms`` holds the
         integer covector N_S with N_S(x) = det(x, v_S) for the primitive
         rows v_S (``integer_normals``), one ``core._cofactors`` each;
         ``at_reeb`` holds N_S(L_b b) for b scaled to ints by the lcm L_b of
-        its denominators; ``slots`` holds, for each slot, the
-        index into ``edges`` of the edge that leaves the slot's facet.  Per
-        edge T, in the order of ``edges``: (S, S', d), its ends S < S',
-        and with s the facet that T leaves at slot i of S, d = (-1)^i
-        N_S'(v_s).  The three-term (Plucker) relation in the plane that
-        v_T's span leaves gives, exactly and for every x,
+        its denominators.  Per edge T = (S, S', i, k) of ``edges``, in that
+        order, with s the facet that T leaves at slot i of S: ``divisors``
+        holds d = (-1)^i N_S'(v_s).  The three-term (Plucker) relation in
+        the plane that v_T's span leaves gives, exactly and for every x,
 
             det(L_b b, x, v_T) = (N_S'(L_b b) N_S(x) - N_S(L_b b) N_S'(x)) / d,
 
@@ -293,28 +329,19 @@ class HPolytope(Record):
                 form = [-x for x in form]  # det(x, v_S) = (-1)^n det(v_S; x)
             forms.append(tuple(form))
             at_reeb.append(sum(map(mul, form, b)))
-        slots = [[None] * len(o.facet_indices) for o in self.orbits]
-        edges = []
-        for e, (first, second) in enumerate(self.edges):
-            left, right = self.orbits[first].facet_indices, self.orbits[second].facet_indices
-            (s,) = self.facet_sets[first] - self.facet_sets[second]
-            (t,) = self.facet_sets[second] - self.facet_sets[first]
-            i, j = left.index(s), right.index(t)
-            slots[first][i] = slots[second][j] = e
-            d = sum(map(mul, forms[second], normals[s]))
-            edges.append((first, second, -d if i % 2 == 0 else d))  # i counts from 0
-        return tuple(forms), tuple(at_reeb), tuple(map(tuple, slots)), tuple(edges)
+        divisors = []
+        for first, second, i, _ in self.edges:
+            d = sum(map(mul, forms[second], normals[self.orbits[first].facet_indices[i]]))
+            divisors.append(-d if i % 2 == 0 else d)  # i counts from 0
+        return tuple(forms), tuple(at_reeb), tuple(divisors)
 
     @cached_property
     def lawrence_form(self) -> tuple:
-        """What ``polytope.lawrence_volume`` reads of the section, taken once
-        from ``integer_vertices``, ``integer_normals``, ``abs_dets`` and
-        ``edges`` by integer dot products: (scales, rows, slots, weights).
-
-        Per vertex a, in vertex order: a = P_a / Q_a with ``scales`` holding
-        Q_a and ``rows`` the integer row P_a;
-        ``slots`` holds the indices into ``edges`` of its n edges; and
-        ``weights`` holds one integer pair (w_a, z_a) with
+        """What ``polytope.lawrence_volume`` reads of the section besides
+        ``integer_vertices``, ``edges`` and ``slots``, taken once from them,
+        ``integer_normals`` and ``abs_dets`` by integer dot products: per
+        vertex a = P_a / Q_a, in vertex order, one integer pair (w_a, z_a)
+        with
 
             w_a / z_a = +-prod_j (P_c . v_j) / |det(b, v_S)|,
 
@@ -323,49 +350,21 @@ class HPolytope(Record):
         is a.  P_c . v_j = Q_c c(v_j) is never 0: c is off facet j.
         Raises UnboundedSection as ``edges`` does."""
         vertices, normals = self.integer_vertices, self.integer_normals
-        facet_sets = self.facet_sets
-        slots = [[] for _ in vertices]
+        facets = [o.facet_indices for o in self.orbits]
         nums = [1] * len(vertices)
-        for e, (a, c) in enumerate(self.edges):
-            for near, far, sign in ((a, c, 1), (c, a, -1)):
-                (j,) = facet_sets[near] - facet_sets[far]
-                slots[near].append(e)
-                nums[near] *= sign * sum(map(mul, vertices[far][1], normals[j]))
+        for a, c, i, k in self.edges:
+            nums[a] *= sum(map(mul, vertices[c][1], normals[facets[a][i]]))
+            nums[c] *= -sum(map(mul, vertices[a][1], normals[facets[c][k]]))
         weights = []
         for num, delta in zip(nums, self.abs_dets):
             w, z = num * delta.denominator, delta.numerator
             g = gcd(w, z)
             weights.append((w // g, z // g))
-        return (tuple(q for q, _ in vertices), tuple(row for _, row in vertices),
-                tuple(map(tuple, slots)), tuple(weights))
+        return tuple(weights)
 
 
 def _point_str(phi) -> str:
     return f"({', '.join(map(rat_str, phi))})"
-
-
-def _bounded_edges(orbits, facet_sets) -> tuple:
-    """The sorted pairs a < b of indices into ``orbits`` joined by an edge
-    of a simple section whose vertices lie on the facets ``facet_sets``.
-
-    An edge is keyed by its facets, a vertex's facet set minus one facet, and
-    ends in the vertices that share that key.  Raises UnboundedSection at an
-    edge with one vertex: a ray, so the section has a nontrivial recession
-    cone.
-    """
-    ends = {}
-    for index, facets in enumerate(facet_sets):
-        facets = frozenset(facets)
-        for j in facets:
-            ends.setdefault(facets - {j}, []).append(index)
-    for edge, (first, *rest) in ends.items():
-        if not rest:
-            (left,) = set(facet_sets[first]) - edge
-            raise UnboundedSection(
-                f"the section is unbounded: the edge that leaves facet {left} at vertex "
-                f"{_point_str(orbits[first].vertex)} has no second vertex"
-            )
-    return tuple(sorted(tuple(pair) for pair in ends.values() if len(pair) == 2))
 
 
 def _primitive_rows(normals) -> tuple:
@@ -403,7 +402,7 @@ def _walk(normals, reeb) -> tuple:
     repair, which proves the section empty.  From the first vertex each of
     the n edges drops one facet, and an integer ratio test finds the facet
     it meets next; an edge that meets none is a ray and is skipped
-    (``_bounded_edges`` reports it).  The top row's entries give the
+    (``HPolytope.edges`` reports it).  The top row's entries give the
     NotSimpleVertex test and row i's the ratio test along the edge that
     leaves facet labels[i]; each neighbour is one ``_pivot``.
 
@@ -629,18 +628,18 @@ def toric_volume(cone: GoodCone, v: Vector) -> PiScalar:
     _, vi = _integer_row(v)
     lb, _ = _integer_row(cone.reeb)
     section = cone.section
-    forms, at_reeb, slots, edges = section.minor_forms
+    forms, at_reeb, divisors = section.minor_forms
     at_v = [sum(map(mul, form, vi)) for form in forms]
     dets = [(at_reeb[second] * at_v[first] - at_reeb[first] * at_v[second]) // d
-            for first, second, d in edges]
+            for (first, second, _, _), d in zip(section.edges, divisors)]
     if 0 in dets:
-        i, orbit = next((i, orbit) for orbit, vertex_slots in zip(section.orbits, slots)
+        i, orbit = next((i, orbit) for orbit, vertex_slots in zip(section.orbits, section.slots)
                         for i, e in enumerate(vertex_slots, 1) if dets[e] == 0)
         raise PoleAtSample(
             f"det(b, ..., v, ...) vanishes at slot {i} of vertex {tuple(orbit.vertex)}"
         )
     num, den = _sum([((numerator * lb) ** n * lb, abs(reeb) * prod(map(dets.__getitem__, s)))
-                     for numerator, reeb, s in zip(at_v, at_reeb, slots)])
+                     for numerator, reeb, s in zip(at_v, at_reeb, section.slots)])
     k = cone.two_pi_exponent
     num, den = (-1) ** (n // 2) * num << max(k, 0), den * factorial(n) << max(-k, 0)
     return PiScalar(Fraction(num, den), n + k)

@@ -31,13 +31,13 @@ def edge_coefficients(p, values) -> list:
     Every edge is checked before any coefficient is computed, so a
     rejected functional costs one comparison per edge."""
     vertices, facet_sets = p.vertices, p.facet_sets
-    for a, c in p.edges:
+    for a, c, _, _ in p.edges:
         if values[a] == values[c]:
             raise EdgeConstantFunctional(
                 f"functional constant on edge {tuple(vertices[a])} -- {tuple(vertices[c])}"
             )
     gammas = [{} for _ in vertices]
-    for a, c in p.edges:
+    for a, c, _, _ in p.edges:
         rise = values[c] - values[a]
         (j,) = facet_sets[a] - facet_sets[c]
         (k,) = facet_sets[c] - facet_sets[a]

@@ -154,6 +154,12 @@ FIXTURES = {
     # diagonal facet through one corner, as a cone and as a bare polytope
     "polytope-strip": {"dim": 3, "normals": [[-1, 0, 0], [0, -1, 0], [1, 0, -1]],
                        "reeb": ["0", "0", "1"]},
+    # one vertex, on facets 3 and 9, with two rays: the message names the ray
+    # first met in the edge map's order, not the one on the lower facet
+    "polytope-two-rays": {"dim": 3, "reeb": ["0", "0", "1"],
+                          "normals": [[1, 1, -5], [1, 2, -7], [2, 1, -9], [1, 0, 0],
+                                      [1, 3, -11], [3, 1, -13], [1, 4, -17], [4, 1, -19],
+                                      [1, 5, -23], [0, 1, 0]]},
     "polytope-square-diagonal": {"dim": 3, "reeb": ["0", "0", "1"],
                                  "normals": [[1, 0, -1], [-1, 0, -1], [0, 1, -1], [0, -1, -1],
                                              [1, 1, -2]]},
@@ -183,6 +189,8 @@ CASES = (
     *((f"{command}-{name}", (command, "--input", f"@{name}"))
       for name in ("cube-5", "product-3-3") for command in ("polytope-volume", "msy-check")),
     *((f"{command}-strip", (command, "--input", "@polytope-strip"))
+      for command in ("polytope-volume", "lawrence")),
+    *((f"{command}-two-rays", (command, "--input", "@polytope-two-rays"))
       for command in ("polytope-volume", "lawrence")),
     ("volume-toric-square-diagonal", ("volume-toric", "--input", "@cone-square-diagonal")),
     ("polytope-volume-square-diagonal", ("polytope-volume", "--input",
@@ -283,6 +291,10 @@ GOLDEN = {
     "polytope-volume-strip@7": (2, "035aaa5b684a645e8f05c687e07cc44135c2f5eff6521b132215d5fad0462bef"),
     "lawrence-strip@42": (2, "035aaa5b684a645e8f05c687e07cc44135c2f5eff6521b132215d5fad0462bef"),
     "lawrence-strip@7": (2, "035aaa5b684a645e8f05c687e07cc44135c2f5eff6521b132215d5fad0462bef"),
+    "polytope-volume-two-rays@42": (2, "60c08db590383fff374bba8f40504c746e2111cda6bef70ebcad7884ffcc05d6"),
+    "polytope-volume-two-rays@7": (2, "60c08db590383fff374bba8f40504c746e2111cda6bef70ebcad7884ffcc05d6"),
+    "lawrence-two-rays@42": (2, "60c08db590383fff374bba8f40504c746e2111cda6bef70ebcad7884ffcc05d6"),
+    "lawrence-two-rays@7": (2, "60c08db590383fff374bba8f40504c746e2111cda6bef70ebcad7884ffcc05d6"),
     "volume-toric-square-diagonal@42": (2, "90f5a85b32f802530b0c16b0e891d44a2bcf2524a262e0613efb3cd6bd779599"),
     "volume-toric-square-diagonal@7": (2, "90f5a85b32f802530b0c16b0e891d44a2bcf2524a262e0613efb3cd6bd779599"),
     "polytope-volume-square-diagonal@42": (2, "90f5a85b32f802530b0c16b0e891d44a2bcf2524a262e0613efb3cd6bd779599"),
@@ -342,6 +354,8 @@ TEXT_GOLDEN = {
     "msy-check-product-3-3": (0, "aea82dd06587a8e2cc40889b4760a101c5761d33876754f286a8de30eca6cfc8"),
     "polytope-volume-strip": (2, "035aaa5b684a645e8f05c687e07cc44135c2f5eff6521b132215d5fad0462bef"),
     "lawrence-strip": (2, "035aaa5b684a645e8f05c687e07cc44135c2f5eff6521b132215d5fad0462bef"),
+    "polytope-volume-two-rays": (2, "60c08db590383fff374bba8f40504c746e2111cda6bef70ebcad7884ffcc05d6"),
+    "lawrence-two-rays": (2, "60c08db590383fff374bba8f40504c746e2111cda6bef70ebcad7884ffcc05d6"),
     "volume-toric-square-diagonal": (2, "90f5a85b32f802530b0c16b0e891d44a2bcf2524a262e0613efb3cd6bd779599"),
     "polytope-volume-square-diagonal": (2, "90f5a85b32f802530b0c16b0e891d44a2bcf2524a262e0613efb3cd6bd779599"),
     "volume-toric-basis-empty": (2, "25195c5744dd46584a79ed753f754afe501507c0f8284a7f46e5613062f41105"),

@@ -401,7 +401,7 @@ def edge_pole_samples(cone) -> list:
     determinant that both ends of T share vanishes."""
     samples = []
     orbits = cone.section.orbits
-    for first, second in cone.section.edges:
+    for first, second, _, _ in cone.section.edges:
         edge = set(orbits[first].facet_indices) & set(orbits[second].facet_indices)
         for t in sorted(edge):
             samples.append([x + y for x, y in zip(cone.reeb, cone.normals[t])])
@@ -495,7 +495,7 @@ class TestMinorForms:
     def test_edge_relation_equals_the_determinant(self, build):
         cone = build()
         p = cone.section
-        forms, at_reeb, slots, edges = p.minor_forms
+        forms, at_reeb, divisors = p.minor_forms
         lb, b = _integer_row(cone.reeb)  # L_b b
         rng = make_rng(29)
         xs = [[rng.choice(range(-7, 8)) for _ in range(cone.dim)] for _ in range(3)]
@@ -505,13 +505,13 @@ class TestMinorForms:
             assert abs_det == Fraction(abs(reeb), lb)  # the walk against _cofactors
             for x in xs:
                 assert sum(map(mul, form, x)) == elimination_det([x, *normals])
-        assert [e[:2] for e in edges] == list(p.edges)
-        for e, (first, second, d) in enumerate(edges):
+        assert len(divisors) == len(p.edges)
+        for e, ((first, second, i, k), d) in enumerate(zip(p.edges, divisors)):
             left, right = p.orbits[first].facet_indices, p.orbits[second].facet_indices
-            edge = [i for i in left if i in right]
-            (i,) = [i for i, f in enumerate(left, 1) if f not in right]
-            (j,) = [j for j, f in enumerate(right, 1) if f not in left]
-            assert slots[first][i - 1] == slots[second][j - 1] == e
+            edge = [f for f in left if f in right]
+            assert [s for s, f in enumerate(left) if f not in right] == [i]
+            assert [t for t, f in enumerate(right) if f not in left] == [k]
+            assert p.slots[first][i] == p.slots[second][k] == e
             assert d != 0
             for x in xs:
                 combination = (at_reeb[second] * sum(map(mul, forms[first], x))

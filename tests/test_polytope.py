@@ -35,7 +35,11 @@ from test_cli import section_documents
 from test_cli_golden import cube_cone_doc
 from test_generated_cones import CASES, case_cone, cube_cone_k
 from test_toric import count_calls_after_the_walk, count_kernel_calls, cube_cone, fixture_cones
-from vertex_oracle import assert_facet_sets_by_pairing, vertices_from_halfspaces
+from vertex_oracle import (
+    assert_edges_by_facet_sets,
+    assert_facet_sets_by_pairing,
+    vertices_from_halfspaces,
+)
 
 
 def segment_polytope():
@@ -375,21 +379,23 @@ class TestLawrence:
     def test_one_form_per_section(self, monkeypatch):
         """sample_lawrence builds the section's integer form once, however
         many functionals it draws and rejects."""
-        built = []
-        build = HPolytope.lawrence_form.func
-
-        def counting(p):
-            built.append(p)
-            return build(p)
-
-        form = cached_property(counting)
-        form.__set_name__(HPolytope, "lawrence_form")
-        monkeypatch.setattr(HPolytope, "lawrence_form", form)
+        built = count_builds(monkeypatch, HPolytope, "lawrence_form")
         p = cube_cone_k(3).section
         outcome = sample_lawrence(p, 20, seed=1)
         assert outcome.rejected_poles > 0
         assert sample_lawrence(p, 5, seed=2).value == outcome.value
         assert built == [p]
+
+    def test_forms_read_no_facet_set(self, monkeypatch):
+        """minor_forms and lawrence_form read each edge's facets off the
+        section's edge table, so building them, and its edges, reads the
+        section's facet sets zero times."""
+        built = count_builds(monkeypatch, HPolytope, "facet_sets")
+        for cone in (cube_cone_k(4), case_cone("product", 2, 3, 3)[0]):
+            p = HPolytope.from_halfspaces(cone.normals, cone.reeb)
+            p.minor_forms, p.lawrence_form
+            assert "edges" in vars(p)
+        assert built == []
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(doc=st.one_of(section_documents(), bounded_section_documents()), data=st.data())
@@ -463,6 +469,22 @@ class TestHPolytope:
         assert_facet_sets_by_pairing(p)
         assert p.vertices == tuple(phi for phi, _ in vertices_from_halfspaces(normals, reeb))
 
+    @pytest.mark.parametrize(
+        "kind,a,b", [case for case in CASES if case[0] != "cube"]
+        + [("cube", k, None) for k in range(2, 9)]
+        + [("product", a, b) for a in range(1, 5) for b in range(1, 5)])
+    def test_edge_table_equals_the_facet_set_differences(self, kind, a, b):
+        cone = case_cone(kind, a, b, 5)[0]
+        assert_edges_by_facet_sets(cone.section)
+        assert_edges_by_facet_sets(HPolytope.from_halfspaces(cone.normals, cone.reeb))
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=bounded_section_documents())
+    def test_bare_edge_table_equals_the_facet_set_differences(self, doc):
+        p = HPolytope.from_halfspaces([Vector(rat(x) for x in v) for v in doc["normals"]],
+                                      Vector(rat(x) for x in doc["reeb"]))
+        assert_edges_by_facet_sets(p)
+
     def test_construction_pairs_no_covector(self, monkeypatch):
         """The walk's basis labels are the facet sets: building a section
         evaluates no Covector, from a cone that holds its orbits or from
@@ -512,15 +534,21 @@ class TestHPolytope:
         assert len(actives[(1, 1, 1)]) == 3
 
 
+def count_builds(monkeypatch, cls, name) -> list:
+    """Route every build of the cached property ``name`` of ``cls`` through
+    a counter; returns the list that collects the instance of each build."""
+    built = []
+    real = cls.__dict__[name].func
+    spy = cached_property(lambda instance: built.append(instance) or real(instance))
+    spy.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, spy)
+    return built
+
+
 def count_vertex_views(monkeypatch) -> list:
     """Route every build of a ToricOrbit's Fraction ``vertex`` view through
     a counter; returns the list that collects the orbit of each build."""
-    built = []
-    real = toric.ToricOrbit.__dict__["vertex"].func
-    view = cached_property(lambda orbit: built.append(orbit) or real(orbit))
-    view.__set_name__(toric.ToricOrbit, "vertex")
-    monkeypatch.setattr(toric.ToricOrbit, "vertex", view)
-    return built
+    return count_builds(monkeypatch, toric.ToricOrbit, "vertex")
 
 
 class TestVertexViews:
@@ -543,7 +571,7 @@ class TestVertexViews:
         # u = 0 is constant on every edge: the message names the first one's ends
         with pytest.raises(EdgeConstantFunctional):
             lawrence_volume(p, (0,) * 6 + (1,))
-        a, c = p.edges[0]
+        a, c, _, _ = p.edges[0]
         assert built == [p.orbits[a], p.orbits[c]]
         built.clear()
         outcome = sample_lawrence(p, 2, seed=1)
@@ -579,27 +607,18 @@ class TestMsyBridge:
     def test_one_edge_map_per_cone(self, monkeypatch):
         """The enumeration's edge map serves the cone's section: msy_check
         and further Lawrence values build no second one."""
-        from abbvloc import toric
-
-        calls = []
-        real = toric._bounded_edges
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(toric, "_bounded_edges", counted)
+        built = count_builds(monkeypatch, HPolytope, "edges")
         cone = cube_cone_k(3)
         assert msy_check(cone, seed=5).equal
         p = cone.section
         assert sample_lawrence(p, 2, seed=9).value == triangulation_volume(p)
         assert p is cone.section
-        assert len(calls) == 1
+        assert built == [p]
         # a bare section has no cone and builds its own map, once
         q = HPolytope.from_halfspaces(cone.normals, cone.reeb)
         assert sample_lawrence(q, 2, seed=9).value == triangulation_volume(q)
         assert q.edges == p.edges
-        assert len(calls) == 2
+        assert built == [p, q]
 
     def test_exhausted_samples_raise_all_samples_poles(self, monkeypatch):
         import abbvloc.polytope

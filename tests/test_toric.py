@@ -426,7 +426,7 @@ class TestToricVolume:
             assert [toric_volume_or_pole(toric_volume, cone, v) for v in (second, first)] \
                 == values[::-1]
             assert calls == {}
-            assert len(cone.section.minor_forms[3]) == len(cone.section.edges)
+            assert len(cone.section.minor_forms[2]) == len(cone.section.edges)
             # the counters see the orbit-data route, one OrbitDatum per vertex
             orbit_system_from_cone(cone)
             assert calls == {"OrbitDatum": vertices}
@@ -646,8 +646,8 @@ class TestBoundednessOracle:
             for a, b in itertools.combinations(range(len(orbits)), 2)
             if len(facets[a] & facets[b]) == n - 1
         ]
-        edges = cone.section.edges
-        assert list(edges) == pairwise
+        edges = [(a, c) for a, c, _, _ in cone.section.edges]
+        assert edges == pairwise
         for index in range(len(orbits)):
             assert sum(index in e for e in edges) == n
 

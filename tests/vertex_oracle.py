@@ -4,7 +4,9 @@
 together with the Reeb equation and keeps the feasible solutions.  The
 package finds the same vertices by a pivoting walk over the section's
 edges (``toric._walk``); this module keeps the C(m, d-1) subset route so
-the two can be compared, and the pairing that checks the walk's facet sets.
+the two can be compared, the pairing that checks the walk's facet sets,
+and the edge map on frozenset differences that checks the section's edge
+table (``HPolytope.edges`` and ``slots``).
 
 ``repairing_walk`` is the same walk without the tableau: its start and
 every vertex pair the normals with the bare dictionary A again, one
@@ -61,6 +63,30 @@ def assert_facet_sets_by_pairing(p):
         assert len(facets) == n
 
 
+def assert_edges_by_facet_sets(p):
+    """The bounded HPolytope ``p``'s edge table against frozenset
+    differences: for each edge (a, c, i, k), facet_indices[a][i] is the one
+    facet of a not on c and facet_indices[c][k] the one facet of c not on
+    a; ``slots`` names every (vertex, position) once, with the edge that
+    leaves it; and the pairs (a, c) are the sorted pairs of vertices that
+    share a vertex's facet set minus one facet."""
+    facets = [o.facet_indices for o in p.orbits]
+    sets = [frozenset(f) for f in facets]
+    ends = []
+    for e, (a, c, i, k) in enumerate(p.edges):
+        assert sets[a] - sets[c] == {facets[a][i]}
+        assert sets[c] - sets[a] == {facets[c][k]}
+        ends += [(a, i, e), (c, k, e)]
+    assert sorted(ends) == [(v, pos, e) for v, row in enumerate(p.slots)
+                            for pos, e in enumerate(row)]
+    assert [len(row) for row in p.slots] == [len(f) for f in facets]
+    shared = {}
+    for index, on in enumerate(sets):
+        for j in on:
+            shared.setdefault(on - {j}, []).append(index)
+    assert [(a, c) for a, c, _, _ in p.edges] == sorted(tuple(pair) for pair in shared.values())
+
+
 def _column(a, v) -> list:
     """A . v, one entry per row of A."""
     return [sum(map(mul, r, v)) for r in a]
@@ -87,7 +113,7 @@ def repairing_walk(normals, reeb) -> tuple:
     that no row can repair, which proves the section empty.  From the
     first vertex each of the n edges drops one facet, and an integer ratio
     test finds the facet it meets next; an edge that meets none is a ray
-    and is skipped (``_bounded_edges`` reports it).
+    and is skipped (``HPolytope.edges`` reports it).
 
     Returns (scale, [(labels, A, T), ...]) in walk order, empty when the
     section has no vertex; each vertex is scale * A[b's row] / T.  Raises
