@@ -21,6 +21,8 @@ from fractions import Fraction
 import pytest
 
 from abbvloc.cli import main
+from abbvloc.homogeneous import stiefel_so5_so3
+from root_data_oracle import CONJUGATOR, conjugate, root_data_document
 
 SEEDS = (42, 7)
 TEXT_SEED = 42
@@ -149,6 +151,9 @@ FIXTURES = {
     "roots-weyl-ragged": stiefel_root_data_doc([["0", "1", "0"], ["1", "0"], ["0", "0", "1"]]),
     "roots-weyl-2x3": stiefel_root_data_doc([["0", "1", "0"], ["1", "0", "0"]]),
     "roots-weyl-singular": stiefel_root_data_doc([["0", "1", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+    # the Stiefel fixture conjugated by a rational g, so its Weyl
+    # representatives have rows that integer scaling scales unevenly
+    "roots-conjugated": root_data_document(conjugate(stiefel_so5_so3(), CONJUGATOR)),
     # messages that name a vertex, exit 2: the strip 0 <= phi_0 <= 1, phi_1 >= 0
     # at phi_2 = 1 (two vertices, one ray), and a square section with an extra
     # diagonal facet through one corner, as a cone and as a bare polytope
@@ -199,6 +204,11 @@ CASES = (
       for name in ("empty", "one-row", "ragged", "singular", "ragged-bad-literal")),
     *((f"homogeneous-{name}", ("homogeneous", "--input", f"@roots-{name}", "--b-prime", "0,0,1"))
       for name in ("weyl-ragged", "weyl-2x3", "weyl-singular")),
+    # at g (3/2, 1/3, 5), and at g (1, 0, 1), where p o w^-1 vanishes for w = 1
+    ("homogeneous-conjugated", ("homogeneous", "--input", "@roots-conjugated",
+                                "--b-prime", "5/3,2,8")),
+    ("homogeneous-conjugated-degenerate", ("homogeneous", "--input", "@roots-conjugated",
+                                           "--b-prime", "1,1/3,3")),
     ("localize-sphere", ("localize", "--input", "@sphere-123")),
     ("localize-j", ("localize", "--input", "@sphere-123", "--j", "1,1",
                     "--leaf-integrals", "6,3,2", "--samples", "4")),
@@ -315,6 +325,10 @@ GOLDEN = {
     "homogeneous-weyl-2x3@7": (2, "2f7cd6429c90cd87d4f2dff986b176e7e4ecb5c446ca1fef1066c85105fdec2a"),
     "homogeneous-weyl-singular@42": (2, "d1db7cee3d30bad8fa1a701b02e6b12ee36f311d1acfef83ed2b44b16ca86dd2"),
     "homogeneous-weyl-singular@7": (2, "d1db7cee3d30bad8fa1a701b02e6b12ee36f311d1acfef83ed2b44b16ca86dd2"),
+    "homogeneous-conjugated@42": (0, "ea1286a0f760dcbe6e987dbf68f18f04d93a8a0424e1523f3326c1e46618f28a"),
+    "homogeneous-conjugated@7": (0, "ea1286a0f760dcbe6e987dbf68f18f04d93a8a0424e1523f3326c1e46618f28a"),
+    "homogeneous-conjugated-degenerate@42": (2, "d6949cd33c8bc2908e0fd3c6c14f78031f5860b00d30519440108692a88a10fe"),
+    "homogeneous-conjugated-degenerate@7": (2, "d6949cd33c8bc2908e0fd3c6c14f78031f5860b00d30519440108692a88a10fe"),
     "localize-mixed@42": (0, "a8d0d902083a3e6713c63fc95925e6a947f9ce828c2254401e00e6a30983e7a0"),
     "localize-mixed@7": (0, "a8d0d902083a3e6713c63fc95925e6a947f9ce828c2254401e00e6a30983e7a0"),
     "localize-j-mixed@42": (0, "1c448351d48737f40a0f7115165fcac319f5a6b628ef470ab69f83b7448a2428"),
@@ -366,6 +380,8 @@ TEXT_GOLDEN = {
     "homogeneous-weyl-ragged": (2, "8d378b9710446532e79ca6935ef98f8f35ca771b618f5d6a643f85b2f031e299"),
     "homogeneous-weyl-2x3": (2, "2f7cd6429c90cd87d4f2dff986b176e7e4ecb5c446ca1fef1066c85105fdec2a"),
     "homogeneous-weyl-singular": (2, "d1db7cee3d30bad8fa1a701b02e6b12ee36f311d1acfef83ed2b44b16ca86dd2"),
+    "homogeneous-conjugated": (0, "9f38a76d7093a770d12d059c3fb2006d0ce58f707225084e90f5f433eceb009c"),
+    "homogeneous-conjugated-degenerate": (2, "d6949cd33c8bc2908e0fd3c6c14f78031f5860b00d30519440108692a88a10fe"),
     "localize-sphere": (0, "3d65b741c14e753018fdf2d7f58f41bd8a00fc249f112b4402059d261217307a"),
     "localize-j": (0, "5dfdd7216838ddc162d56593fff17a5c1b389039eeaf1cdc29e20a12f4afc51b"),
     "dh-sphere": (0, "a22e52a7accdb935a9e3ab6f31a8aee527043381fc3fa599d8be69cff3e43c3c"),
