@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from operator import mul
 
 from .errors import InputError, SingularMatrix
 
@@ -176,7 +177,7 @@ class PiScalar(Record):
 
 
 class _ExactTuple(tuple):
-    """Immutable tuple of rationals, negated and scaled elementwise."""
+    """Immutable tuple of rationals, negated elementwise."""
 
     def __new__(cls, entries):
         entries = tuple(entries)
@@ -189,10 +190,6 @@ class _ExactTuple(tuple):
     def __neg__(self):
         return type(self)(-a for a in self)
 
-    def scaled(self, c) -> "_ExactTuple":
-        c = rat(c)
-        return type(self)(c * a for a in self)
-
 
 class Vector(_ExactTuple):
     """An element of the torus Lie algebra in fixed coordinates."""
@@ -202,28 +199,16 @@ class Covector(_ExactTuple):
     """A linear functional on the torus Lie algebra; call it on a Vector."""
 
     def __call__(self, v: Vector) -> Fraction:
-        """The pairing sum_i a_i v_i, accumulated on integers.
-
-        Zero entries are skipped; the running sum is kept as an integer
-        numerator over an integer denominator and reduced once, in the one
-        Fraction returned.
+        """The pairing sum_i a_i v_i, summed on Fractions.  The routes pair
+        integer rows instead; in the package only RootData's p(b) = 1 check
+        calls it.
 
         >>> Covector([Fraction(1, 2), 0, -1])(Vector([3, 5, Fraction(1, 3)]))
         Fraction(7, 6)
         """
         if len(v) != len(self):
             raise ValueError(f"dimension mismatch: {len(self)} vs {len(v)}")
-        num, den = 0, 1
-        for a, b in zip(self, v):
-            if a and b:
-                p = a.numerator * b.numerator
-                q = a.denominator * b.denominator
-                if q == den:
-                    num += p
-                else:
-                    num = num * q + p * den
-                    den *= q
-        return Fraction(num, den)
+        return sum(map(mul, self, v), Fraction(0))
 
 
 def basis_vector(dim: int, j: int) -> Vector:

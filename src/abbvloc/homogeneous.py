@@ -2,9 +2,9 @@
 
 The closed orbits are indexed by Weyl coset representatives.
 ``root_data_system`` turns the root data and a deformed Reeb element into
-an OrbitSystem, one orbit per representative, so the volume is the same
-localized sum (``engine.localize_volume``) as the sphere and toric
-volumes.  Its weights are validated at construction like any orbit
+an OrbitSystem, one orbit per representative w read on integers off one
+reduction of (w^T | p r_1 ... r_m), so the volume is the same localized
+sum (``engine.localize_volume``) as the sphere and toric volumes.  Its weights are validated at construction like any orbit
 system's, so root data whose sum has no v in it is refused: a root
 proportional to the projection gives an identically zero weight, and an
 empty root list codimension 0.  The canonical fixture is the 7-dimensional Stiefel manifold
@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
-from .core import Covector, PiScalar, Record, Vector, _reduce, rat
+from .core import Covector, PiScalar, Record, Vector, _integer_row, _reduce, rat
 from .engine import OrbitDatum, OrbitSystem, _row, localize_volume
 from .errors import DegenerateReeb, InputError, PoleAtSample, SingularMatrix
 
@@ -73,11 +74,17 @@ def root_data_system(rd: RootData, b_prime: Vector) -> OrbitSystem:
     the product of the roots at w^-1 (v - moment(v) b'), times -2 pi^(n+1)
     / n!.  The scale matches closed Reeb orbits of length 2 pi / q(b')
     together with the orientation of the root product relative to the
-    transverse weights, as pinned by the Stiefel closed form.  Raises
-    DegenerateReeb when q(b') = 0 for some representative, and InputError
-    for a singular representative (naming its index in ``weyl_reps``) and,
-    by the OrbitSystem validation, for no roots, no representatives or a
-    root proportional to p.
+    transverse weights, as pinned by the Stiefel closed form.
+
+    One ``core._reduce`` of (w^T | p r_1 ... r_m) gives T q and each
+    T r o w^-1 as integer columns Q and R, T the determinant it ends on.
+    At b' = B / L the rows are Q L / Q.B and (R Q.B - (R.B) Q) / (T Q.B),
+    and the length is -2 T L / Q.B: no inverse is taken and no Fraction
+    is built before the length.  Raises DegenerateReeb when q(b') = 0 for
+    some representative, and InputError for a singular representative
+    (naming its index in ``weyl_reps``) and, by the OrbitSystem
+    validation, for no roots, no representatives or a root proportional
+    to p.
 
     >>> system = root_data_system(stiefel_so5_so3(), Vector([0, 0, 1]))
     >>> localize_volume(system, Vector([1, 2, 5]))
@@ -87,25 +94,23 @@ def root_data_system(rd: RootData, b_prime: Vector) -> OrbitSystem:
     if len(b_prime) != rd.dim_t:
         raise InputError("vectors must have dimension dim_t")
     n = rd.dim_t
-    identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    L, B = _integer_row(b_prime)
     orbits = []
     for k, w in enumerate(rd.weyl_reps):
-        # (w | I) reduced to (T I | T w^-1): the columns of w^-1
+        # (w^T | p r_1 ... r_m) reduced to (T I | Q R_1 ... R_m)
         try:
-            a, t = _reduce([row + e for row, e in zip(w, identity)], n)
+            a, t = _reduce(list(zip(*w, rd.projection, *rd.roots_quotient)), n)
         except SingularMatrix:
             raise InputError(f"weyl_reps[{k}] is singular") from None
-        columns = tuple(zip(*([Fraction(x, t) for x in row[n:]] for row in a)))
-        q = Covector(rd.projection(c) for c in columns)
-        qb = q(b_prime)
-        if qb == 0:
+        Q, *R = zip(*(row[n:] for row in a))
+        QB = sum(map(mul, Q, B))  # q(b') = QB / (T L)
+        if not QB:
             raise DegenerateReeb("Reeb element projects to zero along a Weyl image")
-        rows = [_row(q.scaled(1 / qb))]
-        for root in rd.roots_quotient:
-            rw = Covector(root(c) for c in columns)
-            shift = rw(b_prime) / qb
-            rows.append(_row([x - shift * y for x, y in zip(rw, q)]))
-        orbits.append(OrbitDatum(PiScalar(-2 / qb, 1), tuple(rows)))
+        rows = [_row([x * L for x in Q], QB)]
+        for Rj in R:
+            RB = sum(map(mul, Rj, B))
+            rows.append(_row([x * QB - RB * y for x, y in zip(Rj, Q)], t * QB))
+        orbits.append(OrbitDatum(PiScalar(Fraction(-2 * t * L, QB), 1), tuple(rows)))
     return OrbitSystem(rd.dim_t, b_prime, rd.codim_half, tuple(orbits))
 
 

@@ -39,7 +39,7 @@ def omega_h(b: Vector, edges, w: Covector = None) -> Fraction:
         j = next((i for i, x in enumerate(b) if x != 0), None)
         if j is None:
             raise InputError("Reeb vector is zero")
-        w = basis_covector(d, j).scaled(1 / b[j])
+        w = Covector(x / b[j] for x in basis_covector(d, j))
     else:
         w = Covector(w)
         if w(b) != 1:

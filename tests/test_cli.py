@@ -430,8 +430,8 @@ class TestHomogeneousCommands:
         assert run_cli(capsys, *argv, "--fixture", "stiefel-so5-so3") == run_cli(capsys, *argv)
 
     def test_weyl_inverses_once_per_root_datum(self, capsys, monkeypatch):
-        """One reduction of (w | I) per Weyl representative w, whatever the
-        number of samples."""
+        """One reduction of (w^T | p r_1 ... r_m) per Weyl representative w,
+        whatever the number of samples."""
         calls = []
         reduce = abbvloc.homogeneous._reduce
 
@@ -444,7 +444,7 @@ class TestHomogeneousCommands:
         assert code == 0
         assert json.loads(out)["exact"] == "1/756 * pi^4"
         assert len(calls) == 4
-        assert sorted(calls) == sorted(stiefel_so5_so3().weyl_reps)
+        assert sorted(calls) == sorted(tuple(zip(*w)) for w in stiefel_so5_so3().weyl_reps)
 
 
 class TestIdentityCommands:

@@ -82,11 +82,8 @@ class TestVectors:
             b = Covector([sample_rational(rng) for _ in range(3)])
             v = Vector([sample_rational(rng) for _ in range(3)])
             w = Vector([sample_rational(rng) for _ in range(3)])
-            c = sample_rational(rng)
             assert Covector(x + y for x, y in zip(a, b))(v) == a(v) + b(v)
             assert a(Vector(x + y for x, y in zip(v, w))) == a(v) + a(w)
-            assert a.scaled(c)(v) == c * a(v)
-            assert a(v.scaled(c)) == c * a(v)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -185,7 +185,7 @@ class TestSphereVolume:
                 b=system.b,
                 codim_half=n,
                 orbits=tuple(
-                    orbit_datum(o.length, o.moment, [a.scaled(c) for a in o.weights])
+                    orbit_datum(o.length, o.moment, [Covector(c * x for x in a) for a in o.weights])
                     for o in system.orbits
                 ),
             )

@@ -256,7 +256,7 @@ class TestGeneratedCones:
         rng = make_rng(17)
         scales = [rng.choice(POSITIVE_POOL) for _ in cone.normals]
         assert any(s != 1 for s in scales)
-        scaled = [v.scaled(s) for v, s in zip(cone.normals, scales)]
+        scaled = [Vector(s * x for x in v) for v, s in zip(cone.normals, scales)]
         p = HPolytope.from_halfspaces(scaled, cone.reeb)
         assert p.integer_normals == tuple(tuple(int(x) for x in v) for v in cone.normals)
         assert p.vertices == cone.section.vertices
@@ -282,7 +282,7 @@ class TestGeneratedCones:
         first normal scaled by 3/2 (non-primitive, rational), where gamma_j
         shrinks by 2/3 and |det(b, v_S)| grows by 3/2: the volumes stay."""
         cone, closed = case_cone(kind, a, b, 3)
-        normals = [cone.normals[0].scaled(Fraction(3, 2)), *cone.normals[1:]]
+        normals = [Vector(Fraction(3, 2) * x for x in cone.normals[0]), *cone.normals[1:]]
         (f,) = sample_lawrence(cone.section, 1, 3).samples_used
         *u, d = f
         for p in (cone.section, HPolytope.from_halfspaces(cone.normals, cone.reeb),

@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
+from abbvloc import core
 from abbvloc.core import Covector, PiScalar, Vector
 from abbvloc.errors import DegenerateReeb, InputError, PoleAtSample
+from abbvloc.engine import OrbitSystem, localize_volume
 from abbvloc.homogeneous import (
     RootData,
     homogeneous_volume,
@@ -12,9 +16,10 @@ from abbvloc.homogeneous import (
     stiefel_four_sum,
     stiefel_so5_so3,
 )
-from abbvloc.sampling import sample_vector
+from abbvloc.sampling import SAMPLE_POOL, sample_vector
 from conftest import make_rng, random_matrix
-from root_data_oracle import root_data_volume
+from matrix_oracle import apply, elimination_det
+from root_data_oracle import CONJUGATOR, conjugate, fraction_root_data_system, root_data_volume
 
 
 def nonpole_pair(rng):
@@ -153,7 +158,7 @@ class TestRootDataSystem:
                 roots_quotient=tuple(Covector(sample_vector(d, rng)) for _ in range(d - 1)),
                 weyl_reps=tuple(random_matrix(d, rng, allow_zero=False) for _ in range(3)),
                 b=b,
-                projection=p.scaled(1 / p(b)),
+                projection=Covector(x / p(b) for x in p),
             )
             for _ in range(20):
                 b_prime, v = sample_vector(d, rng), sample_vector(d, rng)
@@ -184,7 +189,7 @@ class TestRootDataSystem:
         """A root proportional to p gives an identically zero weight: a
         pole at every sample."""
         fixture = stiefel_so5_so3()
-        roots = fixture.roots_quotient + (fixture.projection.scaled(2),)
+        roots = fixture.roots_quotient + (Covector(2 * x for x in fixture.projection),)
         rd = RootData(fixture.dim_t, roots, fixture.weyl_reps, fixture.b, fixture.projection)
         with pytest.raises(InputError):
             root_data_system(rd, Vector([1, 2, 5]))
@@ -201,3 +206,90 @@ class TestRootDataSystem:
             for volume in (homogeneous_volume, root_data_volume):
                 with pytest.raises(InputError, match=rf"^weyl_reps\[{k}\] is singular$"):
                     volume(rd, Vector([0, 0, 1]), Vector([1, 2, 5]))
+
+
+def built(builder, rd, b_prime):
+    """The orbit system, or the type and message of the InputError or
+    DegenerateReeb raised."""
+    try:
+        return builder(rd, b_prime)
+    except (DegenerateReeb, InputError) as exc:
+        return type(exc), str(exc)
+
+
+RATIONAL = st.sampled_from((Fraction(0),) + SAMPLE_POOL)
+
+
+@st.composite
+def rational_root_data(draw):
+    """Root data of dimension 2..5 with d - 1 rational roots, p(b) = 1 and
+    one to three rational representatives, none of determinant +-1 (so
+    singular ones are drawn too), and a rational b'."""
+    d = draw(st.integers(2, 5))
+    vector = st.lists(RATIONAL, min_size=d, max_size=d)
+    matrix = st.lists(vector, min_size=d, max_size=d).filter(
+        lambda w: abs(elimination_det(w)) != 1)
+    b, p = draw(vector), draw(vector)
+    pb = sum(x * y for x, y in zip(p, b))
+    assume(pb != 0)
+    rd = RootData(
+        dim_t=d,
+        roots_quotient=tuple(draw(vector) for _ in range(d - 1)),
+        weyl_reps=tuple(draw(st.lists(matrix, min_size=1, max_size=3))),
+        b=b,
+        projection=[x / pb for x in p],
+    )
+    return rd, Vector(draw(vector))
+
+
+class TestIntegerRootData:
+    """root_data_system reduces (w^T | p r_1 ... r_m) once per
+    representative on integers; the Fraction builder pairs the columns of
+    w^-1.  The two give the same rows, lengths and errors."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    def test_equals_the_fraction_builder_on_the_fixture(self, seed):
+        """Seeded b' on the Stiefel fixture and on its conjugate by a
+        rational g, whose representatives are not integral."""
+        rng = make_rng(seed)
+        fixture = stiefel_so5_so3()
+        conjugated = conjugate(fixture, CONJUGATOR)
+        seen = set()
+        for _ in range(60):
+            b_prime = sample_vector(3, rng)
+            for rd, at in ((fixture, b_prime), (conjugated, Vector(apply(CONJUGATOR, b_prime)))):
+                got = built(root_data_system, rd, at)
+                assert got == built(fraction_root_data_system, rd, at)
+                seen.add(got[0] if isinstance(got, tuple) else type(got))
+        assert seen == {OrbitSystem, DegenerateReeb}
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_root_data())
+    def test_equals_the_fraction_builder_on_rational_root_data(self, drawn):
+        rd, b_prime = drawn
+        got = built(root_data_system, rd, b_prime)
+        assert got == built(fraction_root_data_system, rd, b_prime)
+        event(f"d={rd.dim_t} " + (got[1] if isinstance(got, tuple) else "system"))
+
+    @pytest.mark.parametrize("b_prime", [(Fraction(3, 2), Fraction(1, 3), 5), (1, 2, 5),
+                                         (Fraction(-2, 3), 4, Fraction(7, 5))])
+    def test_conjugated_datum_keeps_the_volume(self, b_prime):
+        """The fixture carried by g has, at g b', the Stiefel closed form
+        at b'."""
+        rd = conjugate(stiefel_so5_so3(), CONJUGATOR)
+        system = root_data_system(rd, Vector(apply(CONJUGATOR, b_prime)))
+        v = next(v for v in (sample_vector(3, make_rng(s)) for s in range(100))
+                 if not isinstance(outcome(localize_volume, system, v), type))
+        assert localize_volume(system, v) == stiefel_closed_form(b_prime)
+
+    def test_no_covector_pairing(self, monkeypatch):
+        """Once the RootData is built (its p(b) = 1 check pairs once), the
+        orbit system pairs no Covector."""
+        for rd in (stiefel_so5_so3(), conjugate(stiefel_so5_so3(), CONJUGATOR)):
+            calls = []
+            original = core.Covector.__call__
+            monkeypatch.setattr(core.Covector, "__call__",
+                                lambda self, v: calls.append(1) or original(self, v))
+            root_data_system(rd, Vector([1, 2, 5]))
+            monkeypatch.undo()
+            assert calls == []

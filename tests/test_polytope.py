@@ -124,13 +124,13 @@ class TestOmegaH:
             pairing = Covector(raw)(b)
             if pairing == 0:
                 continue
-            w = Covector(raw).scaled(1 / pairing)
+            w = Covector(x / pairing for x in raw)
             assert omega_h(b, edges, w=w) == base
 
     def test_dependent_edges_vanish(self):
         b = Vector([1, 2, 3])
         e = Covector([2, -1, 0])
-        assert omega_h(b, [e, e.scaled(5)]) == 0
+        assert omega_h(b, [e, Covector(5 * x for x in e)]) == 0
 
     def test_edge_must_annihilate_reeb(self):
         with pytest.raises(InputError):
@@ -268,7 +268,8 @@ class TestLawrence:
         volumes unchanged: each edge coefficient shrinks by the factor by
         which |det(b, v_S)| grows."""
         cone = cube_cone_k(3, [Fraction(9, 2), Fraction(1, 3), Fraction(-2, 5), 2])
-        scaled = [v.scaled(Fraction(2 * k + 1, k + 2)) for k, v in enumerate(cone.normals)]
+        scaled = [Vector(Fraction(2 * k + 1, k + 2) * x for x in v)
+                  for k, v in enumerate(cone.normals)]
         p = HPolytope.from_halfspaces(scaled, cone.reeb)
         volume = triangulation_volume(cone.section)
         assert triangulation_volume(p) == volume

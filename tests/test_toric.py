@@ -828,7 +828,7 @@ class TestPivotingWalk:
 
     def test_bare_normals_scaled_to_primitive_rows(self):
         cone = cube_cone()
-        scaled = [v.scaled(Fraction(k + 1, 3)) for k, v in enumerate(cone.normals)]
+        scaled = [Vector(Fraction(k + 1, 3) * x for x in v) for k, v in enumerate(cone.normals)]
         p = HPolytope.from_halfspaces(scaled, cone.reeb)
         assert p.vertices == tuple(o.vertex for o in cone.section.orbits)
         assert p.orbits == cone.section.orbits
